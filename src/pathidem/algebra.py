@@ -152,8 +152,11 @@ class TruncatedIdeal:
     """Echelonized slice of a two-sided ideal: the span of p*g*q over
     generators g and paths p, q with len(p) + len(q) <= degree.
 
-    Membership queries are sound for elements supported in paths of length
-    <= degree (the slice contains every ideal element of that degree)."""
+    Membership is one-sided. True certifies that the element lies in the
+    ideal. False only means it is not in the degree-d slice: an ideal element
+    of degree <= d may need sandwiches of higher degree whose top terms
+    cancel. For a loop x over F_5 and generators 1 + x and x^2, the element
+    e_v = (1 - x)(1 + x) + x^2 is missed at degree 0 and found at degree 1."""
 
     def __init__(
         self,

@@ -10,10 +10,10 @@ and fullness are then read off the (S, lambda) diagonal data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgElem, AlgebraError, vertex_idempotent
+from .algebra import AlgElem, edge_element, path_element, vertex_idempotent
 from .quivers import Path, Quiver
 from .rings import Ring
 
@@ -190,8 +190,6 @@ def _split_of_form(form: StandardForm) -> tuple[bool, Optional[Witness]]:
 
 def is_central(e: AlgElem) -> bool:
     """Commutation with every generator (trivial paths and edges) suffices."""
-    from .algebra import edge_element, path_element
-
     q, ring = e.quiver, e.ring
     for v in q.vertices:
         g = path_element(q, ring, Path(vertex=v))

@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
+import tempfile
 from pathlib import Path as FsPath
 
 from . import __version__
@@ -32,7 +34,6 @@ from .oracle import (
     check_special_by_modules,
     check_split_by_sequences,
     enumerate_reps,
-    fullness_bruteforce,
     orthogonality_bruteforce,
 )
 from .quivers import Quiver, QuiverError
@@ -113,9 +114,15 @@ def _input_hash(*parts) -> str:
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
-        tmp = FsPath(out).with_suffix(".tmp")
-        tmp.write_text(text)
-        tmp.replace(out)
+        # a fresh temporary name, so no existing file is overwritten on the way
+        fd, tmp = tempfile.mkstemp(dir=FsPath(out).resolve().parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     else:
         sys.stdout.write(text)
 

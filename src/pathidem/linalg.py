@@ -12,9 +12,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .rings import Ring, RingError
-
-Vector = tuple
+from .rings import Ring
 
 
 class LinAlgError(ValueError):
@@ -31,22 +29,26 @@ class FieldRowSpace:
         self.rows: list[tuple] = []  # reduced echelon order
         self.pivots: list[int] = []
 
-    def _reduce(self, vec: Sequence) -> list:
+    def _reduce(self, vec: Sequence) -> tuple[list, list]:
+        """Coordinates of vec along the echelon rows, and the residual left
+        after subtracting them (all zero exactly when vec is in the span)."""
         R = self.ring
         v = [R.canon(x) for x in vec]
+        coords = []
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
+            coords.append(c)
             if not R.is_zero(c):
                 v = [R.sub(a, R.mul(c, b)) for a, b in zip(v, row)]
-        return v
+        return coords, v
 
     def contains(self, vec: Sequence) -> bool:
-        return all(self.ring.is_zero(x) for x in self._reduce(vec))
+        return all(self.ring.is_zero(x) for x in self._reduce(vec)[1])
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; returns True when the span grew."""
         R = self.ring
-        v = self._reduce(vec)
+        v = self._reduce(vec)[1]
         piv = next((i for i, x in enumerate(v) if not R.is_zero(x)), None)
         if piv is None:
             return False
@@ -75,17 +77,10 @@ class FieldRowSpace:
 
     def coords(self, vec: Sequence) -> list | None:
         """Coordinates of vec in the echelon basis, or None when outside the span."""
-        R = self.ring
-        v = [R.canon(x) for x in vec]
-        out = []
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            out.append(c)
-            if not R.is_zero(c):
-                v = [R.sub(a, R.mul(c, b)) for a, b in zip(v, row)]
-        if any(not R.is_zero(x) for x in v):
+        coords, residual = self._reduce(vec)
+        if any(not self.ring.is_zero(x) for x in residual):
             return None
-        return out
+        return coords
 
 
 class ZnRowSpace:
@@ -131,8 +126,6 @@ class ZnRowSpace:
         for i in range(self.ncols):
             if v[i] == 0:
                 continue
-            if i not in self.echelon:
-                return False
             p = self.echelon[i][i]
             if v[i] % p != 0:
                 return False
@@ -192,16 +185,6 @@ def mat_mul(ring: Ring, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
             acc = [ring.add(x, ring.mul(c, y)) for x, y in zip(acc, brow)]
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_add(ring: Ring, a, b) -> tuple:
-    return tuple(
-        tuple(ring.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_scale(ring: Ring, c, a) -> tuple:
-    return tuple(tuple(ring.mul(c, x) for x in row) for row in a)
 
 
 def mat_vec(ring: Ring, a: Sequence[Sequence], v: Sequence) -> tuple:

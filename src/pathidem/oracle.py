@@ -3,22 +3,31 @@ their submodule lattices, and truncated ideal computations, used to
 cross-check the structural classifier against the categorical definitions.
 
 Consistency verdicts are evidence within the enumeration budget, not proof;
-counterexamples are certificates. The failing constructions behind the
-classifier all live at total dimension 2, so the default budgets catch every
-disagreement they can produce.
+counterexamples are certificates. What the tests show is agreement with the
+classifier over F_2 at total dimension <= 2, on the vertex idempotents e_S of
+small sweep quivers (up to three vertices and three edges). Disagreements
+that need larger modules, other fields or elements with path terms are not
+ruled out by that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .algebra import AlgElem, path_element, truncated_two_sided_ideal, vertex_idempotent
-from .classify import standard_form
-from .linalg import FieldRowSpace
-from .quivers import Path, Quiver
-from .reps import Representation, Submodule, gamma, in_category_e, submodule_from_local
+from .linalg import FieldRowSpace, mat_vec
+from .quivers import Quiver
+from .reps import (
+    Representation,
+    Submodule,
+    gamma,
+    in_category_e,
+    sub_representation,
+    submodule_from_local,
+)
 from .rings import Ring
 
 
@@ -112,28 +121,27 @@ def enumerate_reps(
                 yield Representation(q, ring, dims, maps)
 
 
-def _enumerate_subspaces(ring: Ring, dim: int) -> list[tuple[tuple, ...]]:
-    """All subspaces of the column space F_p^dim, as echelon-basis tuples."""
-    vectors = [tuple(v) for v in product(ring.elements(), repeat=dim)]
-    seen = {(): None}
-    frontier = [()]
-    out = [()]
-    while frontier:
-        nxt = []
-        for basis in frontier:
-            for v in vectors:
-                sp = FieldRowSpace(ring, dim)
-                for b in basis:
-                    sp.add(b)
-                if not sp.add(v):
-                    continue
-                key = tuple(sp.basis())
-                if key not in seen:
-                    seen[key] = None
-                    nxt.append(key)
-                    out.append(key)
-        frontier = nxt
-    return out
+@lru_cache(maxsize=None)
+def _enumerate_subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, ...], ...]:
+    """All subspaces of the column space F_p^dim, as reduced echelon bases,
+    ordered by (rank, basis). A basis is fixed by its pivot columns and by the
+    entries of each row in the non-pivot columns right of its pivot."""
+    zero, one = ring.zero(), ring.one()
+    out = []
+    for rank in range(dim + 1):
+        for pivots in combinations(range(dim), rank):
+            free = [
+                (i, j)
+                for i, p in enumerate(pivots)
+                for j in range(p + 1, dim)
+                if j not in pivots
+            ]
+            for values in product(ring.elements(), repeat=len(free)):
+                rows = [[one if j == p else zero for j in range(dim)] for p in pivots]
+                for (i, j), x in zip(free, values):
+                    rows[i][j] = x
+                out.append(tuple(tuple(r) for r in rows))
+    return tuple(sorted(out, key=lambda basis: (len(basis), basis)))
 
 
 def enumerate_submodules(m: Representation) -> list[Submodule]:
@@ -141,14 +149,10 @@ def enumerate_submodules(m: Representation) -> list[Submodule]:
     q, ring = m.quiver, m.ring
     if ring.kind != "Fp":
         raise OracleError("submodule enumeration requires a prime field")
-    per_vertex = {v: _enumerate_subspaces(ring, m.dims[v]) for v in q.vertices}
+    per_vertex = [_enumerate_subspaces(ring, m.dims[v]) for v in q.vertices]
     out = []
-    for choice in product(*(per_vertex[v] for v in q.vertices)):
-        sub = submodule_from_local(
-            m,
-            {v: list(basis) for v, basis in zip(q.vertices, choice)},
-            close=False,
-        )
+    for choice in product(*per_vertex):
+        sub = submodule_from_local(m, dict(zip(q.vertices, choice)), close=False)
         if sub.is_edge_closed():
             out.append(sub)
     return out
@@ -168,36 +172,27 @@ def check_special_by_modules(
         if not in_category_e(e, m):
             continue
         for sub in enumerate_submodules(m):
-            from .reps import sub_representation
-
             nrep, _ = sub_representation(sub)
             if not in_category_e(e, nrep):
                 return Verdict("counterexample", checked, module=m, submodule=sub)
     return Verdict("consistent", checked)
 
 
-def _graded_complement_exists(m: Representation, g: Submodule) -> bool:
-    """Whether some submodule C satisfies C (+) g = M vertexwise."""
-    ring = m.ring
+def _graded_complements(m: Representation, g: Submodule) -> Iterator[Submodule]:
+    """Every submodule C with C (+) g = M vertexwise, in enumeration order."""
+    verts = m.quiver.vertices
     gdims = g.dims
     for c in enumerate_submodules(m):
         cdims = c.dims
-        if any(cdims[v] + gdims[v] != m.dims[v] for v in m.quiver.vertices):
+        if any(cdims[v] + gdims[v] != m.dims[v] for v in verts):
             continue
-        ok = True
-        for v in m.quiver.vertices:
-            sp = FieldRowSpace(ring, m.dims[v])
-            for x in g.basis(v):
-                sp.add(x)
-            for x in c.basis(v):
-                if not sp.add(x):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+        if all(_independent(m.ring, m.dims[v], g.basis(v) + c.basis(v)) for v in verts):
+            yield c
+
+
+def _independent(ring: Ring, dim: int, vectors: list[tuple]) -> bool:
+    space = FieldRowSpace(ring, dim)
+    return all(space.add(x) for x in vectors)
 
 
 def check_split_by_sequences(
@@ -211,7 +206,7 @@ def check_split_by_sequences(
     for m in enumerate_reps(q, ring, budget):
         checked += 1
         g = gamma(e, m)
-        if not _graded_complement_exists(m, g):
+        if next(_graded_complements(m, g), None) is None:
             return Verdict("counterexample", checked, module=m, submodule=g)
     return Verdict("consistent", checked)
 
@@ -222,43 +217,20 @@ def split_complements_are_perp(
     """For a split element: every enumerated M decomposes as AeM (+) C with
     e acting by zero on some complement C."""
     for m in enumerate_reps(q, ring, budget):
-        g = gamma(e, m)
-        found = False
-        for c in enumerate_submodules(m):
-            cdims, gdims = c.dims, g.dims
-            if any(cdims[v] + gdims[v] != m.dims[v] for v in q.vertices):
-                continue
-            sp_ok = True
-            for v in q.vertices:
-                sp = FieldRowSpace(ring, m.dims[v])
-                for x in g.basis(v):
-                    sp.add(x)
-                for x in c.basis(v):
-                    if not sp.add(x):
-                        sp_ok = False
-                        break
-                if not sp_ok:
-                    break
-            if not sp_ok:
-                continue
-            # e must kill the complement
-            act = m.action_matrix(e)
-            from .linalg import mat_vec
-
-            killed = all(
-                all(
-                    ring.is_zero(x)
-                    for x in mat_vec(ring, act, m.embed(vec, v))
-                )
-                for v in q.vertices
-                for vec in c.basis(v)
-            )
-            if killed:
-                found = True
-                break
-        if not found:
+        act = m.action_matrix(e)
+        if not any(_kills(act, m, c) for c in _graded_complements(m, gamma(e, m))):
             return False
     return True
+
+
+def _kills(act: tuple, m: Representation, c: Submodule) -> bool:
+    """Whether the global action matrix act is zero on every vector of c."""
+    return all(
+        m.ring.is_zero(x)
+        for v in m.quiver.vertices
+        for vec in c.basis(v)
+        for x in mat_vec(m.ring, act, m.embed(vec, v))
+    )
 
 
 def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
@@ -273,8 +245,12 @@ def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
 
 
 def fullness_bruteforce(es: list[AlgElem], degree: int) -> bool:
-    """Whether every trivial-path idempotent e_v lies in the degree-truncated
-    two-sided ideal generated by the family."""
+    """Whether every trivial-path idempotent e_v is found in the
+    degree-truncated slice of the two-sided ideal generated by the family.
+
+    True certifies that the family generates the unit ideal. False only means
+    some e_v was not found in that slice: it may still need a higher degree
+    (see `TruncatedIdeal`)."""
     if not es:
         return False
     q, ring = es[0].quiver, es[0].ring

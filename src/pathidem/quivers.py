@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Iterator
+from typing import Iterable
 
 
 class QuiverError(ValueError):

@@ -12,13 +12,14 @@ the quiver's declared vertex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .algebra import AlgElem, path_element
 from .linalg import (
     FieldRowSpace,
-    LinAlgError,
+    ZnRowSpace,
     identity_matrix,
     mat_canon,
     mat_mul,
@@ -26,7 +27,7 @@ from .linalg import (
     nullspace,
     zero_matrix,
 )
-from .quivers import Path, Quiver, QuiverError
+from .quivers import Path, Quiver, concat
 from .rings import Ring
 
 
@@ -179,12 +180,6 @@ class Submodule:
     def basis(self, v: str) -> list[tuple]:
         return self.spaces[v].basis()
 
-    def contains_global(self, vec: Sequence) -> bool:
-        return all(
-            self.spaces[v].contains(self.rep.block(vec, v))
-            for v in self.rep.quiver.vertices
-        )
-
     def is_edge_closed(self) -> bool:
         q = self.rep.quiver
         for eid, src, dst in q.edges:
@@ -297,7 +292,7 @@ def quotient(m: Representation, sub: Submodule) -> Representation:
         coords[v] = [j for j in range(m.dims[v]) if j not in pivots]
 
     def project(v: str, x: Sequence) -> tuple:
-        red = sub.spaces[v]._reduce(x)
+        red = sub.spaces[v]._reduce(x)[1]
         return tuple(red[j] for j in coords[v])
 
     dims = {v: len(coords[v]) for v in m.quiver.vertices}
@@ -379,13 +374,9 @@ def _hom_space_field(m, n) -> list[dict[str, tuple]]:
 
 
 def _hom_space_exhaustive(m, n) -> list[dict[str, tuple]]:
-    from itertools import product
-
     ring = m.ring
     layout = _unknown_layout(m, n)
     found = []
-    from .linalg import ZnRowSpace
-
     span = ZnRowSpace(ring, len(layout)) if layout else None
     for assignment in product(ring.elements(), repeat=len(layout)):
         f = _unpack(m, n, layout, assignment)
@@ -397,19 +388,6 @@ def _hom_space_exhaustive(m, n) -> list[dict[str, tuple]]:
         if ok and span is not None and span.add(assignment):
             found.append(f)
     return found
-
-
-def intertwiner_global(m: Representation, f: dict[str, tuple]) -> tuple:
-    """Block-diagonal global matrix of a vertex-map family."""
-    ring = m.ring
-    D = m.total_dim
-    out = [[ring.zero()] * D for _ in range(D)]
-    for v in m.quiver.vertices:
-        off = m.offset(v)
-        for i in range(len(f[v])):
-            for j in range(len(f[v][i])):
-                out[off + i][off + j] = f[v][i][j]
-    return tuple(tuple(r) for r in out)
 
 
 # ---- corner ring eAe and its modules ----
@@ -722,8 +700,6 @@ def tensor_identity_holds(m: Representation) -> bool:
     D = m.total_dim
     ncols = len(paths) * D
     relations = FieldRowSpace(ring, ncols)
-    from .quivers import concat
-
     for x in paths:
         for a in paths:
             xa = concat(q, x, a)

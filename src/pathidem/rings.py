@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 Elem = Union[int, Fraction]
@@ -91,8 +92,6 @@ class Ring:
     def is_unit(self, a: Elem) -> bool:
         if self.kind == "Q":
             return a != 0
-        from math import gcd
-
         return gcd(int(a), self.modulus) == 1
 
     def inv(self, a: Elem) -> Elem:

@@ -76,6 +76,16 @@ class TestClassify:
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_out_leaves_sibling_files_alone(self, capsys, tmp_path):
+        sibling = tmp_path / "r.tmp"
+        sibling.write_text("user data\n")
+        out = tmp_path / "r.json"
+        argv = ["validate", "--quiver", ARROW, "--ring", "F5", "--out", str(out)]
+        assert main(argv) == 0
+        assert sibling.read_text() == "user data\n"
+        assert json.loads(out.read_text())["command"] == "validate"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.tmp"]
+
     def test_file_inputs(self, capsys, tmp_path):
         qf = tmp_path / "quiver.json"
         qf.write_text(ARROW)

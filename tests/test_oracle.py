@@ -16,7 +16,8 @@ from pathidem.oracle import (
     split_complements_are_perp,
 )
 from pathidem.reps import Representation
-from pathidem.sweep import sweep_quivers
+from pathidem.rings import Ring
+from pathidem.sweep import q_isolated, sweep_quivers
 
 
 class TestEnumeration:
@@ -43,6 +44,20 @@ class TestEnumeration:
         subs = enumerate_submodules(m)
         assert len(subs) == 3
         assert sorted(s.total_dim for s in subs) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "p, galois",
+        [(2, (1, 2, 5, 16)), (3, (1, 2, 6, 28)), (5, (1, 2, 8))],
+        ids=["F2", "F3", "F5"],
+    )
+    def test_submodule_counts_one_vertex(self, p, galois):
+        # every subspace of K^d is a submodule; their number is the Galois number
+        q, ring = q_isolated(1), Ring("Fp", p)
+        for d, expected in enumerate(galois):
+            subs = enumerate_submodules(Representation(q, ring, {"v1": d}, {}))
+            assert len(subs) == expected
+            dims = [s.total_dim for s in subs]
+            assert dims == sorted(dims)
 
     def test_submodule_counts_zero_edge(self, arrow, f2):
         m = Representation(arrow, f2, {"v1": 1, "v2": 1}, {})
@@ -92,6 +107,14 @@ class TestSplitOracle:
         e = vertex_idempotent(arrow, f2, arrow.vertices)
         verdict = check_split_by_sequences(e, arrow, f2, OracleBudget(max_total_dim=2))
         assert verdict.is_consistent
+
+    def test_split_complements_not_perp_for_sink_vertex(self, arrow, f2):
+        # in M = (K, K, a=1) the only graded complement of the v2 line is the
+        # v1 line, which is not edge-closed
+        e = vertex_idempotent(arrow, f2, {"v2"})
+        assert not split_complements_are_perp(
+            e, arrow, f2, OracleBudget(max_total_dim=2)
+        )
 
     def test_split_complements_are_perp(self, two_isolated, f2):
         e = vertex_idempotent(two_isolated, f2, {"v2"})
