@@ -7,6 +7,7 @@ concatenation bilinearly, with trivial paths acting as local units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .linalg import row_space
@@ -108,12 +109,14 @@ class AlgElem:
 
     @staticmethod
     def from_json(quiver: Quiver, ring: Ring, obj: dict) -> "AlgElem":
-        if not isinstance(obj, dict) or "terms" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
             raise AlgebraError(f"bad algebra element: {obj!r}")
         acc: dict[Path, object] = {}
         for t in obj["terms"]:
+            if not isinstance(t, dict) or "path" not in t or "coeff" not in t:
+                raise AlgebraError(f"bad term {t!r}: needs path and coeff")
             p = quiver.check_path(Path.from_json(t["path"]))
-            c = ring.canon(t["coeff"])
+            c = _coeff_from_json(ring, t["coeff"])
             if p in acc:
                 raise AlgebraError(f"duplicate path in element: {t['path']!r}")
             acc[p] = c
@@ -127,6 +130,23 @@ class AlgElem:
             name = f"e_{p.vertex}" if p.is_trivial else "*".join(reversed(p.edges))
             bits.append(f"{self.ring.fmt(c)}·{name}")
         return " + ".join(bits)
+
+
+def _coeff_from_json(ring: Ring, c):
+    """A JSON coefficient: an int, or a string holding an integer (over Q also
+    "a/b" or a decimal without exponent). Floats and bools are refused, not
+    rounded."""
+    if type(c) is int:
+        return ring.canon(c)
+    if not isinstance(c, str):
+        raise AlgebraError(f"coefficient must be a string or an integer, got {c!r}")
+    if "e" in c.lower():
+        # Fraction("1e999999999") would build 10**999999999 before failing
+        raise AlgebraError(f"coefficient {c!r}: exponent notation is not accepted")
+    try:
+        return ring.canon(Fraction(c) if ring.kind == "Q" else int(c))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise AlgebraError(f"bad coefficient {c!r} over {ring}") from exc
 
 
 def path_element(quiver: Quiver, ring: Ring, p: Path) -> AlgElem:

@@ -37,7 +37,13 @@ from .oracle import (
     orthogonality_bruteforce,
 )
 from .quivers import Quiver, QuiverError
-from .reps import RepError, in_category_e, morita_surrogate_check
+from .reps import (
+    RepError,
+    corner_algebra,
+    corner_module,
+    in_category_e,
+    morita_surrogate_check,
+)
 from .rings import Ring, RingError
 
 EXIT_OK = 0
@@ -231,13 +237,15 @@ def _run(args) -> dict:
         reps = [
             m for m in enumerate_reps(quiver, ring, budget) if in_category_e(e, m)
         ]
-        pairs = checked = 0
+        # after the filter, so a non-idempotent e is reported by e_fixed
+        corner = corner_algebra(e)
+        cms = [corner_module(e, m, corner) for m in reps]
+        pairs = 0
         all_bijective = True
-        for m in reps:
-            for n in reps:
+        for m, cm in zip(reps, cms):
+            for n, cn in zip(reps, cms):
                 pairs += 1
-                res = morita_surrogate_check(e, m, n)
-                checked += 1
+                res = morita_surrogate_check(e, m, n, cm, cn)
                 all_bijective = all_bijective and res["bijective"]
         result = {"pairs_checked": pairs, "all_bijective": all_bijective}
         return _report("morita-check", result, qj, rj, e.to_json())

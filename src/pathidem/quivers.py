@@ -45,9 +45,9 @@ class Path:
     def from_json(obj) -> "Path":
         if not isinstance(obj, dict):
             raise QuiverError(f"bad path: {obj!r}")
-        if "trivial" in obj:
+        if "trivial" in obj and isinstance(obj["trivial"], str):
             return Path(vertex=obj["trivial"])
-        if "edges" in obj:
+        if "edges" in obj and _is_str_list(obj["edges"]):
             return Path(edges=tuple(obj["edges"]))
         raise QuiverError(f"bad path: {obj!r}")
 
@@ -255,12 +255,24 @@ class Quiver:
 
     @staticmethod
     def from_json(obj: dict) -> "Quiver":
-        if not isinstance(obj, dict) or "vertices" not in obj:
+        if not isinstance(obj, dict) or not _is_str_list(obj.get("vertices")):
             raise QuiverError(f"bad quiver: {obj!r}")
-        edges = tuple(
-            (e["id"], e["src"], e["dst"]) for e in obj.get("edges", [])
+        edges = obj.get("edges", [])
+        if not isinstance(edges, list):
+            raise QuiverError(f"quiver edges must be a list, got {edges!r}")
+        for e in edges:
+            if not isinstance(e, dict) or not _is_str_list(
+                [e.get("id"), e.get("src"), e.get("dst")]
+            ):
+                raise QuiverError(f"bad edge {e!r}: needs string id, src and dst")
+        return Quiver(
+            tuple(obj["vertices"]),
+            tuple((e["id"], e["src"], e["dst"]) for e in edges),
         )
-        return Quiver(tuple(obj["vertices"]), edges)
+
+
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
 def concat(q: Quiver, p: Path, r: Path) -> Path | None:

@@ -12,7 +12,7 @@ the quiver's declared vertex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
@@ -432,20 +432,30 @@ def corner_algebra(e: AlgElem) -> CornerAlgebra:
 @dataclass
 class CornerModule:
     """e*M as a module over the corner ring: a basis of e*M (global vectors of
-    the ambient representation) and one action matrix per corner basis element."""
+    the ambient representation), one action matrix per corner basis element,
+    and `space`, the echelon row space of e*M that gives a vector of M its
+    coordinates in `basis`."""
 
     corner: CornerAlgebra
     rep: Representation
     basis: list[tuple]
     actions: list[tuple]  # aligned with corner.basis
+    space: FieldRowSpace = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def corner_module(e: AlgElem, m: Representation) -> CornerModule:
-    corner = corner_algebra(e)
+def corner_module(
+    e: AlgElem, m: Representation, corner: Optional[CornerAlgebra] = None
+) -> CornerModule:
+    """e*M over the corner ring; pass `corner` = corner_algebra(e) to share
+    one corner ring between the modules of e."""
+    if corner is None:
+        corner = corner_algebra(e)
+    elif corner.e != e:
+        raise RepError("corner ring belongs to a different idempotent")
     ring = m.ring
     basis = e_fixed(e, m)
     space = FieldRowSpace(ring, m.total_dim)
@@ -467,7 +477,7 @@ def corner_module(e: AlgElem, m: Representation) -> CornerModule:
                 for i in range(len(basis))
             )
         )
-    return CornerModule(corner, m, basis, actions)
+    return CornerModule(corner, m, basis, actions, space)
 
 
 def corner_intertwiners(cm: CornerModule, cn: CornerModule) -> list[tuple]:
@@ -477,15 +487,16 @@ def corner_intertwiners(cm: CornerModule, cn: CornerModule) -> list[tuple]:
     if not ring.is_field:
         raise RepError("corner intertwiners need a field")
     rows = []
-    nunk = cn.dim * cm.dim
+    dm, dn = cm.dim, cn.dim
+    nunk = dn * dm
     for Am, An in zip(cm.actions, cn.actions):
-        for i in range(cn.dim):
-            for j in range(cm.dim):
+        for i in range(dn):
+            for j in range(dm):
                 row = [ring.zero()] * nunk
-                for k in range(cm.dim):
-                    row[i * cm.dim + k] = ring.add(row[i * cm.dim + k], Am[k][j])
-                for l in range(cn.dim):
-                    row[l * cm.dim + j] = ring.sub(row[l * cm.dim + j], An[i][l])
+                for k in range(dm):
+                    row[i * dm + k] = ring.add(row[i * dm + k], Am[k][j])
+                for l in range(dn):
+                    row[l * dm + j] = ring.sub(row[l * dm + j], An[i][l])
                 rows.append(row)
     return nullspace(ring, rows, nunk)
 
@@ -499,9 +510,6 @@ def restrict_to_corner(
     ring = m.ring
     cm = cm or corner_module(e, m)
     cn = cn or corner_module(e, n)
-    space_n = FieldRowSpace(ring, n.total_dim)
-    for w in cn.basis:
-        space_n.add(w)
     cols = []
     for w in cm.basis:
         y = [ring.zero()] * n.total_dim
@@ -510,7 +518,7 @@ def restrict_to_corner(
             off = n.offset(v)
             for i, x in enumerate(loc):
                 y[off + i] = ring.add(y[off + i], x)
-        coords = space_n.coords(tuple(y))
+        coords = cn.space.coords(tuple(y))
         if coords is None:
             raise RepError("intertwiner image left the e-fixed subspace")
         cols.append(coords)

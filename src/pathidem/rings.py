@@ -160,13 +160,16 @@ class Ring:
         if not isinstance(obj, dict) or "ring" not in obj:
             raise RingError(f"bad ring spec: {obj!r}")
         kind = obj["ring"]
-        if kind == "Fp":
-            return Ring("Fp", int(obj["p"]))
-        if kind == "Zn":
-            return Ring("Zn", int(obj["n"]))
         if kind == "Q":
             return Ring("Q")
-        raise RingError(f"unknown ring kind {kind!r}")
+        if kind not in ("Fp", "Zn"):
+            raise RingError(f"unknown ring kind {kind!r}")
+        key = "p" if kind == "Fp" else "n"
+        modulus = obj.get(key)
+        # bool is an int subclass: JSON true must not read as modulus 1
+        if type(modulus) is not int:
+            raise RingError(f"{kind} needs an integer {key!r}, got {modulus!r}")
+        return Ring(kind, modulus)
 
     def __str__(self):
         if self.kind == "Fp":

@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathidem import __version__
+from pathidem import cli
+from pathidem.algebra import vertex_idempotent
 from pathidem.cli import main
+from pathidem.oracle import OracleBudget, enumerate_reps
+from pathidem.reps import in_category_e, morita_surrogate_check
+from pathidem.rings import Ring
+from pathidem.sweep import q_a3
 
 ARROW = json.dumps(
     {
@@ -169,7 +179,84 @@ class TestOracle:
         assert report["result"]["all_bijective"] is True
 
 
+class TestMoritaCheckCorners:
+    def test_one_corner_ring_and_one_module_per_rep(self, capsys, monkeypatch):
+        a3 = q_a3()
+        calls = {"corner_algebra": 0, "corner_module": 0}
+
+        def counting(name):
+            inner = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        s = {"v2", "v3"}  # the sink end of a3: left-closed
+        elem = {
+            "terms": [{"path": {"trivial": v}, "coeff": "1"} for v in sorted(s)]
+        }
+        code, report = run(
+            capsys, "morita-check", "--quiver", json.dumps(a3.to_json()),
+            "--ring", "F3", "--element", json.dumps(elem), "--max-dim", "2",
+        )
+        assert code == 0
+
+        f3 = Ring("Fp", 3)
+        e = vertex_idempotent(a3, f3, s)
+        budget = OracleBudget(max_total_dim=2)
+        reps = [m for m in enumerate_reps(a3, f3, budget) if in_category_e(e, m)]
+        assert calls == {"corner_algebra": 1, "corner_module": len(reps)}
+        results = [morita_surrogate_check(e, m, n) for m in reps for n in reps]
+        assert report["result"] == {
+            "pairs_checked": len(results),
+            "all_bijective": all(r["bijective"] for r in results),
+        }
+
+
+ARROW_NO_DST = json.dumps({"vertices": ["v1", "v2"], "edges": [{"id": "a", "src": "v1"}]})
+
+
+def _element(**term):
+    return json.dumps({"terms": [{"path": {"trivial": "v1"}, **term}]})
+
+
+MALFORMED = {
+    "edge-without-dst": ("validate", ARROW_NO_DST, "F5", None, "bad-quiver"),
+    "edges-not-a-list": (
+        "validate", json.dumps({"vertices": ["v1"], "edges": "a"}), "F5", None,
+        "bad-quiver",
+    ),
+    "fp-without-p": ("validate", ARROW, '{"ring":"Fp"}', None, "bad-ring"),
+    "term-without-coeff": ("classify", ARROW, "F5", _element(), "bad-element"),
+    "coeff-abc-over-f5": ("classify", ARROW, "F5", _element(coeff="abc"), "bad-element"),
+    "coeff-1/0-over-q": ("classify", ARROW, "Q", _element(coeff="1/0"), "bad-element"),
+    "coeff-exponent-over-q": (
+        "classify", ARROW, "Q", _element(coeff="1e999999999"), "bad-element"
+    ),
+    "coeff-1/2-over-f5": ("classify", ARROW, "F5", _element(coeff="1/2"), "bad-element"),
+    "coeff-float-over-f5": ("classify", ARROW, "F5", _element(coeff=1.5), "bad-element"),
+    "coeff-bool-over-f5": ("classify", ARROW, "F5", _element(coeff=True), "bad-element"),
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize(
+        "command,quiver,ring,element,code", MALFORMED.values(), ids=MALFORMED.keys()
+    )
+    def test_malformed_input_exits_2(self, capsys, command, quiver, ring, element, code):
+        argv = [command, "--quiver", quiver, "--ring", ring]
+        if element is not None:
+            argv += ["--element", element]
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert json.loads(captured.out)["error"]["code"] == code
+        assert "Traceback" not in captured.err
+
     def test_malformed_quiver(self, capsys):
         code, report = run(
             capsys, "validate", "--quiver", "{not json", "--ring", "F5"
@@ -218,3 +305,53 @@ def test_validate_reports_sizes(capsys):
     assert code == 0
     assert report["result"] == {"ok": True, "vertices": 2, "edges": 1, "elements": 1}
     assert len(report["input_hash"]) == 64
+
+
+_NAMES = st.sampled_from(["v1", "v2", "v3", "a", "b"])
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7), st.floats(-2, 2))
+_NAME_OR_JUNK = st.one_of(_NAMES, _JUNK)
+_EDGES = st.lists(
+    st.dictionaries(st.sampled_from(["id", "src", "dst"]), _NAME_OR_JUNK, max_size=3),
+    max_size=3,
+)
+_QUIVERS = st.fixed_dictionaries(
+    {"vertices": st.lists(_NAME_OR_JUNK, max_size=3)},
+    optional={"edges": st.one_of(_EDGES, _JUNK, _NAMES)},
+)
+_PATHS = st.one_of(
+    st.fixed_dictionaries({"trivial": _NAME_OR_JUNK}),
+    st.fixed_dictionaries({"edges": st.lists(_NAME_OR_JUNK, max_size=3)}),
+    _JUNK,
+)
+_COEFFS = st.one_of(
+    st.integers(-7, 7),
+    st.sampled_from(["1", "-2", "3", "1/2", "0.5", "abc", "1/0", ""]),
+    _JUNK,
+)
+_TERMS = st.fixed_dictionaries({}, optional={"path": _PATHS, "coeff": _COEFFS})
+_ELEMENTS = st.one_of(
+    st.fixed_dictionaries({"terms": st.lists(_TERMS, max_size=3)}), _JUNK
+)
+_RINGS = st.sampled_from(
+    ["F2", "F5", "Z6", "Q", '{"ring":"Fp","p":3}', '{"ring":"Zn","n":4.5}', '{"ring":"Fp"}']
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["validate", "classify"]),
+    quiver=_QUIVERS,
+    ring=_RINGS,
+    element=_ELEMENTS,
+)
+def test_json_inputs_never_crash(command, quiver, ring, element):
+    # "--element=..." so that a bare negative number is not read as an option
+    argv = [command, "--quiver", json.dumps(quiver), "--ring", ring,
+            f"--element={json.dumps(element)}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    report = json.loads(out.getvalue())
+    assert ("error" in report) == (code != 0)

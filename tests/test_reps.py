@@ -203,6 +203,16 @@ class TestCorner:
         assert cm.dim == 2
         assert len(cm.actions) == cm.corner.dim
 
+    def test_corner_module_shares_a_corner_ring(self, arrow, f5):
+        e = vertex_idempotent(arrow, f5, arrow.vertices)
+        e2 = vertex_idempotent(arrow, f5, {"v2"})
+        m = arrow_rep(f5)
+        with pytest.raises(RepError):
+            corner_module(e, m, corner_algebra(e2))
+        cm = corner_module(e, m, corner_algebra(e))
+        assert cm == corner_module(e, m)
+        assert cm.space.basis() == cm.basis
+
     def test_restriction_of_identity(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, arrow.vertices)
         m = arrow_rep(f5)
