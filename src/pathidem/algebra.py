@@ -39,6 +39,17 @@ class AlgElem:
         return AlgElem(quiver, ring, ordered)
 
     @staticmethod
+    def _from_canonical(
+        quiver: Quiver, ring: Ring, terms: Mapping[Path, object]
+    ) -> "AlgElem":
+        """`make` for valid paths and canonical coefficients: drops the zero
+        terms and sorts, without re-validating."""
+        kept = sorted(
+            ((p, c) for p, c in terms.items() if c), key=lambda pc: pc[0].sort_key()
+        )
+        return AlgElem(quiver, ring, tuple(kept))
+
+    @staticmethod
     def zero(quiver: Quiver, ring: Ring) -> "AlgElem":
         return AlgElem(quiver, ring, ())
 
@@ -82,15 +93,16 @@ class AlgElem:
 
     def __mul__(self, other: "AlgElem") -> "AlgElem":
         self._check_compatible(other)
+        m = self.ring.modulus
         acc: dict[Path, object] = {}
         for p, c in self.terms:
             for q, d in other.terms:
                 pq = concat(self.quiver, p, q)
-                if pq is None:
-                    continue
-                cd = self.ring.mul(c, d)
-                acc[pq] = self.ring.add(acc.get(pq, self.ring.zero()), cd)
-        return AlgElem.make(self.quiver, self.ring, acc)
+                if pq is not None:
+                    acc[pq] = acc.get(pq, 0) + c * d
+        if m is not None:
+            acc = {p: c % m for p, c in acc.items()}
+        return AlgElem._from_canonical(self.quiver, self.ring, acc)
 
     def is_idempotent(self) -> bool:
         return self * self == self

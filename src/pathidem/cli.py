@@ -253,8 +253,16 @@ def _run(args) -> dict:
     raise InputError("bad-arguments", f"unknown command {args.command!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so `main` answers it with a
+    JSON error report instead of argparse's usage message."""
+
+    def error(self, message: str):
+        raise InputError("bad-arguments", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathidem",
         description="Classify special and split idempotents in path algebras, "
         "with brute-force cross-checks.",
@@ -290,32 +298,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.element is None:
-        args.element = []
-    needs_element = args.command in (
-        "classify", "standard-form", "orthogonal", "oracle-special",
-        "oracle-split", "morita-check",
-    )
+    out = None
     try:
+        args = build_parser().parse_args(argv)
+        out = args.out
+        if args.element is None:
+            args.element = []
+        needs_element = args.command in (
+            "classify", "standard-form", "orthogonal", "oracle-special",
+            "oracle-split", "morita-check",
+        )
         if needs_element and not args.element:
             raise InputError("bad-arguments", f"{args.command} needs --element")
         if args.command == "full-family" and not args.family:
             raise InputError("bad-arguments", "full-family needs --family")
         report = _run(args)
     except InputError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, args.out)
+        _emit({"error": {"code": exc.code, "message": str(exc)}}, out)
         return EXIT_INPUT
     except (RingError, QuiverError, AlgebraError, RepError, ClassifyError) as exc:
-        _emit({"error": {"code": "bad-input", "message": str(exc)}}, args.out)
+        _emit({"error": {"code": "bad-input", "message": str(exc)}}, out)
         return EXIT_INPUT
     except BudgetExceeded as exc:
-        _emit({"error": {"code": "budget-exhausted", "message": str(exc)}}, args.out)
+        _emit({"error": {"code": "budget-exhausted", "message": str(exc)}}, out)
         return EXIT_BUDGET
     except OracleError as exc:
-        _emit({"error": {"code": "oracle-error", "message": str(exc)}}, args.out)
+        _emit({"error": {"code": "oracle-error", "message": str(exc)}}, out)
         return EXIT_INPUT
-    _emit(report, args.out)
+    _emit(report, out)
     return EXIT_OK
 
 

@@ -9,7 +9,10 @@ gcd pivots. This stays exact in the presence of zero divisors.
 
 from __future__ import annotations
 
+from bisect import bisect
+from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .rings import Ring
@@ -32,38 +35,41 @@ class FieldRowSpace:
     def _reduce(self, vec: Sequence) -> tuple[list, list]:
         """Coordinates of vec along the echelon rows, and the residual left
         after subtracting them (all zero exactly when vec is in the span)."""
-        R = self.ring
-        v = [R.canon(x) for x in vec]
+        m = self.ring.modulus
+        v = _canon(self.ring, vec)
         coords = []
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             coords.append(c)
-            if not R.is_zero(c):
-                v = [R.sub(a, R.mul(c, b)) for a, b in zip(v, row)]
+            if c:
+                v = _sub_multiple(m, v, c, row)
         return coords, v
 
     def contains(self, vec: Sequence) -> bool:
-        return all(self.ring.is_zero(x) for x in self._reduce(vec)[1])
+        return not any(self._reduce(vec)[1])
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; returns True when the span grew."""
         R = self.ring
+        m = R.modulus
         v = self._reduce(vec)[1]
-        piv = next((i for i, x in enumerate(v) if not R.is_zero(x)), None)
-        if piv is None:
+        for piv, x in enumerate(v):
+            if x:
+                break
+        else:
             return False
         if not R.is_unit(v[piv]):
             raise LinAlgError(
                 f"pivot {v[piv]} is not a unit in {R}; module is not free here"
             )
         inv = R.inv(v[piv])
-        v = tuple(R.mul(inv, x) for x in v)
+        v = tuple(inv * x for x in v) if m is None else tuple(inv * x % m for x in v)
         # clear the new pivot column in the existing rows
         self.rows = [
-            tuple(R.sub(a, R.mul(row[piv], b)) for a, b in zip(row, v))
+            tuple(_sub_multiple(m, row, row[piv], v)) if row[piv] else row
             for row in self.rows
         ]
-        idx = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        idx = bisect(self.pivots, piv)
         self.rows.insert(idx, v)
         self.pivots.insert(idx, piv)
         return True
@@ -78,9 +84,24 @@ class FieldRowSpace:
     def coords(self, vec: Sequence) -> list | None:
         """Coordinates of vec in the echelon basis, or None when outside the span."""
         coords, residual = self._reduce(vec)
-        if any(not self.ring.is_zero(x) for x in residual):
-            return None
-        return coords
+        return None if any(residual) else coords
+
+
+def _canon(ring: Ring, vec: Sequence) -> list:
+    """vec in canonical form: over Z/n and F_p ints are reduced mod the
+    modulus, over Q Fractions are kept; anything else goes through
+    `Ring.canon`."""
+    m = ring.modulus
+    if m is None:
+        return [x if type(x) is Fraction else ring.canon(x) for x in vec]
+    return [x % m if type(x) is int else ring.canon(x) for x in vec]
+
+
+def _sub_multiple(m: int | None, u: Sequence, c, w: Sequence) -> list:
+    """u - c*w entrywise, reduced mod m (no reduction over Q, where m is None)."""
+    if m is None:
+        return [a - c * b for a, b in zip(u, w)]
+    return [(a - c * b) % m for a, b in zip(u, w)]
 
 
 class ZnRowSpace:
@@ -158,7 +179,7 @@ def row_space(ring: Ring, ncols: int):
 
 
 def mat_canon(ring: Ring, rows: Sequence[Sequence]) -> tuple:
-    return tuple(tuple(ring.canon(x) for x in row) for row in rows)
+    return tuple(tuple(_canon(ring, row)) for row in rows)
 
 
 def zero_matrix(ring: Ring, nrows: int, ncols: int) -> tuple:
@@ -174,36 +195,30 @@ def identity_matrix(ring: Ring, n: int) -> tuple:
 def mat_mul(ring: Ring, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     if a and b and len(a[0]) != len(b):
         raise LinAlgError("shape mismatch in matrix product")
+    m = ring.modulus
     ncols = len(b[0]) if b else 0
     out = []
     for row in a:
         acc = [ring.zero()] * ncols
-        for k, c in enumerate(row):
-            if ring.is_zero(c):
-                continue
-            brow = b[k]
-            acc = [ring.add(x, ring.mul(c, y)) for x, y in zip(acc, brow)]
-        out.append(tuple(acc))
+        for c, brow in zip(row, b):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, brow)]
+        out.append(tuple(acc) if m is None else tuple(x % m for x in acc))
     return tuple(out)
 
 
 def mat_vec(ring: Ring, a: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(
-        _dot(ring, row, v) for row in a
-    )
-
-
-def _dot(ring: Ring, u: Sequence, v: Sequence):
-    acc = ring.zero()
-    for x, y in zip(u, v):
-        acc = ring.add(acc, ring.mul(x, y))
-    return acc
+    m = ring.modulus
+    if m is None:
+        return tuple([sum(map(mul, row, v), ring.zero()) for row in a])
+    return tuple([sum(map(mul, row, v)) % m for row in a])
 
 
 def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
     """Basis of {v : rows @ v == 0} over a field."""
     if not ring.is_field:
         raise LinAlgError("nullspace computation requires a field")
+    m = ring.modulus
     space = FieldRowSpace(ring, ncols)
     for row in rows:
         space.add(row)
@@ -214,6 +229,6 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
         v = [ring.zero()] * ncols
         v[f] = ring.one()
         for row, piv in zip(space.rows, space.pivots):
-            v[piv] = ring.neg(row[f])
+            v[piv] = -row[f] if m is None else -row[f] % m
         basis.append(tuple(v))
     return basis

@@ -24,8 +24,8 @@ from .reps import (
     Representation,
     Submodule,
     gamma,
+    generated_submodule,
     in_category_e,
-    sub_representation,
     submodule_from_local,
 )
 from .rings import Ring
@@ -146,16 +146,27 @@ def _enumerate_subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, ...], ...]:
 
 def enumerate_submodules(m: Representation) -> list[Submodule]:
     """All edge-closed graded subspaces (equivalently, all submodules)."""
+    return list(_submodules(m))
+
+
+def _submodules(
+    m: Representation, ranks: Optional[dict[str, int]] = None
+) -> Iterator[Submodule]:
+    """The submodules of m in enumeration order; with `ranks`, only those of
+    that dimension vector."""
     q, ring = m.quiver, m.ring
     if ring.kind != "Fp":
         raise OracleError("submodule enumeration requires a prime field")
-    per_vertex = [_enumerate_subspaces(ring, m.dims[v]) for v in q.vertices]
-    out = []
+    per_vertex = []
+    for v in q.vertices:
+        subspaces = _enumerate_subspaces(ring, m.dims[v])
+        if ranks is not None:
+            subspaces = [b for b in subspaces if len(b) == ranks[v]]
+        per_vertex.append(subspaces)
     for choice in product(*per_vertex):
         sub = submodule_from_local(m, dict(zip(q.vertices, choice)), close=False)
         if sub.is_edge_closed():
-            out.append(sub)
-    return out
+            yield sub
 
 
 def check_special_by_modules(
@@ -163,7 +174,11 @@ def check_special_by_modules(
 ) -> Verdict:
     """Search for a module M = AeM with a submodule N != AeN: such a pair
     certifies that e is not left special. No counterexample within budget
-    means consistency with specialness (evidence, not proof)."""
+    means consistency with specialness (evidence, not proof).
+
+    Each N is tested in M's coordinates: AeN is the submodule of M generated
+    by e*N, computed from M's action matrix of e, and N = AeN exactly when
+    the two have the same dimension vector."""
     if not e.is_idempotent():
         raise OracleError("oracle requires an idempotent element")
     checked = 0
@@ -171,9 +186,9 @@ def check_special_by_modules(
         checked += 1
         if not in_category_e(e, m):
             continue
+        act = m.action_matrix(e)
         for sub in enumerate_submodules(m):
-            nrep, _ = sub_representation(sub)
-            if not in_category_e(e, nrep):
+            if generated_submodule(m, act, sub).dims != sub.dims:
                 return Verdict("counterexample", checked, module=m, submodule=sub)
     return Verdict("consistent", checked)
 
@@ -181,11 +196,8 @@ def check_special_by_modules(
 def _graded_complements(m: Representation, g: Submodule) -> Iterator[Submodule]:
     """Every submodule C with C (+) g = M vertexwise, in enumeration order."""
     verts = m.quiver.vertices
-    gdims = g.dims
-    for c in enumerate_submodules(m):
-        cdims = c.dims
-        if any(cdims[v] + gdims[v] != m.dims[v] for v in verts):
-            continue
+    ranks = {v: m.dims[v] - g.dims[v] for v in verts}
+    for c in _submodules(m, ranks):
         if all(_independent(m.ring, m.dims[v], g.basis(v) + c.basis(v)) for v in verts):
             yield c
 
@@ -225,8 +237,8 @@ def split_complements_are_perp(
 
 def _kills(act: tuple, m: Representation, c: Submodule) -> bool:
     """Whether the global action matrix act is zero on every vector of c."""
-    return all(
-        m.ring.is_zero(x)
+    return not any(
+        x
         for v in m.quiver.vertices
         for vec in c.basis(v)
         for x in mat_vec(m.ring, act, m.embed(vec, v))

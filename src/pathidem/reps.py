@@ -111,16 +111,17 @@ class Representation:
     def action_matrix(self, e: AlgElem) -> tuple:
         if e.quiver != self.quiver or e.ring != self.ring:
             raise RepError("element and representation are incompatible")
+        m = self.ring.modulus
         D = self.total_dim
         acc = [[self.ring.zero()] * D for _ in range(D)]
         for p, c in e.terms:
-            pm = self.path_matrix(p)
-            for i in range(D):
-                row = pm[i]
-                for j in range(D):
-                    if not self.ring.is_zero(row[j]):
-                        acc[i][j] = self.ring.add(acc[i][j], self.ring.mul(c, row[j]))
-        return tuple(tuple(r) for r in acc)
+            for arow, row in zip(acc, self.path_matrix(p)):
+                for j, x in enumerate(row):
+                    if x:
+                        arow[j] += c * x
+        if m is None:
+            return tuple(tuple(r) for r in acc)
+        return tuple(tuple(x % m for x in r) for r in acc)
 
     def apply_edge(self, eid: str, local: Sequence) -> tuple:
         return mat_vec(self.ring, self.edge_maps[eid], local)
@@ -254,6 +255,21 @@ def gamma(e: AlgElem, m: Representation) -> Submodule:
 def in_category_e(e: AlgElem, m: Representation) -> bool:
     """Whether M is generated by its e-fixed vectors (M = A e M)."""
     return gamma(e, m).dims == m.dims
+
+
+def generated_submodule(m: Representation, act: tuple, sub: Submodule) -> Submodule:
+    """The submodule of m generated by e*sub, where act = m.action_matrix(e):
+    the vertex blocks of act*x over the basis vectors x of sub, closed under
+    the edge maps. For a submodule sub this is A*e*sub, so it has sub's
+    dimension vector exactly when sub is generated by its e-fixed vectors."""
+    verts = m.quiver.vertices
+    seed: dict[str, list] = {v: [] for v in verts}
+    for v in verts:
+        for x in sub.basis(v):
+            y = mat_vec(m.ring, act, m.embed(x, v))
+            for w in verts:
+                seed[w].append(m.block(y, w))
+    return submodule_from_local(m, seed, close=True)
 
 
 def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[tuple]]]:

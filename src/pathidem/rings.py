@@ -19,14 +19,32 @@ class RingError(ValueError):
     """Invalid ring specification or element."""
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < _MR_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -38,11 +56,19 @@ class Ring:
     modulus: int | None = None
 
     def __post_init__(self):
+        if self.kind in ("Fp", "Zn") and not isinstance(self.modulus, int):
+            raise RingError(
+                f"{self.kind} needs an integer modulus, got {self.modulus!r}"
+            )
         if self.kind == "Fp":
-            if self.modulus is None or not _is_prime(self.modulus):
+            if self.modulus >= _MR_BOUND:
+                raise RingError(
+                    f"Fp modulus {self.modulus} is too large to certify as prime"
+                )
+            if not _is_prime(self.modulus):
                 raise RingError(f"Fp needs a prime modulus, got {self.modulus}")
         elif self.kind == "Zn":
-            if self.modulus is None or self.modulus < 2:
+            if self.modulus < 2:
                 raise RingError(f"Zn needs modulus >= 2, got {self.modulus}")
         elif self.kind == "Q":
             if self.modulus is not None:

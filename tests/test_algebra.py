@@ -10,7 +10,7 @@ from pathidem.algebra import (
     truncated_two_sided_ideal,
     vertex_idempotent,
 )
-from pathidem.quivers import Path
+from pathidem.quivers import Path, Quiver, concat
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3
 
@@ -115,6 +115,38 @@ class TestInvariants:
     @given(x=elements(A3, Z6))
     def test_json_round_trip(self, x):
         assert AlgElem.from_json(A3, Z6, x.to_json()) == x
+
+
+def _bilinear_product(x: AlgElem, y: AlgElem) -> AlgElem:
+    """x*y expanded term by term, every partial sum built by AlgElem.make."""
+    q, ring = x.quiver, x.ring
+    acc = AlgElem.zero(q, ring)
+    for p, c in x.terms:
+        for r, d in y.terms:
+            pr = concat(q, p, r)
+            if pr is not None:
+                acc = acc + AlgElem.make(q, ring, {pr: c * d})
+    return acc
+
+
+LOOP = Quiver(("v1", "v2"), (("x", "v1", "v1"), ("a", "v1", "v2")))
+
+
+class TestProduct:
+    @pytest.mark.parametrize(
+        "quiver, ring",
+        [(A3, Z6), (A3, F5), (LOOP, F5), (LOOP, Ring("Q")), (LOOP, Z6)],
+        ids=["A3-Z6", "A3-F5", "loop-F5", "loop-Q", "loop-Z6"],
+    )
+    def test_product_is_bilinear_expansion(self, quiver, ring):
+        @settings(max_examples=40, deadline=None)
+        @given(x=elements(quiver, ring), y=elements(quiver, ring))
+        def check(x, y):
+            product = x * y
+            assert product == _bilinear_product(x, y)
+            assert product == AlgElem.make(quiver, ring, dict(product.terms))
+
+        check()
 
 
 class TestTruncatedIdeal:

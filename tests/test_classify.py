@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -304,3 +305,25 @@ def _special_elements(q, ring):
                     out.append(cand)
                 break
     return out
+
+
+class TestChineseRemainder:
+    """Z/6 = F_2 x F_3, so classifying over Z/6 must agree with classifying
+    the reductions mod 2 and mod 3: an idempotent, special, central or split
+    element of a product is one in each factor."""
+
+    @pytest.mark.parametrize("q", sweep_quivers(3, 3, 60))
+    def test_z6_agrees_with_f2_and_f3(self, q, z6, f2, f3):
+        rng = random.Random(repr(q))
+        paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
+        for lam in _assignments(q.vertices, (0, 1, 3, 4)):
+            terms = {Path(vertex=v): c for v, c in lam.items()}
+            for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
+                terms[p] = rng.randrange(1, 6)
+            e = AlgElem.make(q, z6, terms)
+            whole = classify(e)
+            parts = [classify(AlgElem.make(q, r, dict(e.terms))) for r in (f2, f3)]
+            for field in ("is_idempotent", "is_left_special", "is_central"):
+                assert getattr(whole, field) == all(getattr(r, field) for r in parts)
+            if whole.is_left_special:
+                assert whole.is_left_split == all(r.is_left_split for r in parts)

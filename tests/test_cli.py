@@ -277,6 +277,42 @@ class TestErrors:
         assert code == 2
         assert report["error"]["code"] == "bad-element"
 
+    def test_large_prime_ring(self, capsys):
+        code, report = run(
+            capsys, "validate", "--quiver", ARROW, "--ring", "F1000000000000000003"
+        )
+        assert code == 0
+        # 2^89 - 1 is prime, but beyond the range Miller-Rabin certifies
+        code, report = run(
+            capsys, "validate", "--quiver", ARROW, "--ring", f"F{2**89 - 1}"
+        )
+        assert code == 2
+        assert report["error"]["code"] == "bad-ring"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--quiver", ARROW, "--ring", "F5", "--element", "-3.9e-276"],
+            ["validate", "--quiver", ARROW],
+            ["classify", "--quiver", ARROW, "--ring", "F5", "--max-dim", "two"],
+            ["frobnicate", "--quiver", ARROW, "--ring", "F5"],
+        ],
+        ids=["option-like-element", "missing-ring", "bad-int", "bad-command"],
+    )
+    def test_argument_errors_give_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2
+        assert json.loads(out.getvalue())["error"]["code"] == "bad-arguments"
+        assert "Traceback" not in err.getvalue()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
     def test_missing_element(self, capsys):
         code, report = run(capsys, "classify", "--quiver", ARROW, "--ring", "F5")
         assert code == 2

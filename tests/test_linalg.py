@@ -1,9 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from pathidem.linalg import (
     FieldRowSpace,
     LinAlgError,
     ZnRowSpace,
+    mat_canon,
     mat_mul,
     mat_vec,
     nullspace,
@@ -75,3 +79,155 @@ class TestDense:
 
     def test_nullspace_full_rank(self, f5):
         assert nullspace(f5, [(1, 0), (0, 1)], 2) == []
+
+
+# ---- the kernels against a reference written with Ring arithmetic ----
+
+
+class _RefRowSpace:
+    """Reduced echelon basis maintained with Ring.add/sub/mul only."""
+
+    def __init__(self, ring, ncols):
+        self.ring, self.rows, self.pivots = ring, [], []
+
+    def reduce(self, vec):
+        R = self.ring
+        v = [R.canon(x) for x in vec]
+        coords = []
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            coords.append(c)
+            v = [R.add(a, R.mul(R.neg(c), b)) for a, b in zip(v, row)]
+        return coords, v
+
+    def add(self, vec):
+        R = self.ring
+        v = self.reduce(vec)[1]
+        nonzero = [i for i, x in enumerate(v) if not R.is_zero(x)]
+        if not nonzero:
+            return False
+        piv = nonzero[0]
+        if not R.is_unit(v[piv]):
+            raise LinAlgError("non-unit pivot")
+        v = tuple(R.mul(R.inv(v[piv]), x) for x in v)
+        self.rows = [
+            tuple(R.sub(a, R.mul(row[piv], b)) for a, b in zip(row, v))
+            for row in self.rows
+        ]
+        idx = sum(p < piv for p in self.pivots)
+        self.rows.insert(idx, v)
+        self.pivots.insert(idx, piv)
+        return True
+
+
+def _ref_mat_vec(ring, a, v):
+    out = []
+    for row in a:
+        acc = ring.zero()
+        for x, y in zip(row, v):
+            acc = ring.add(acc, ring.mul(x, y))
+        out.append(acc)
+    return tuple(out)
+
+
+def _ref_mat_mul(ring, a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(_ref_mat_vec(ring, [row], col)[0] for col in cols) for row in a)
+
+
+def _ref_nullspace(ring, rows, ncols):
+    space = _RefRowSpace(ring, ncols)
+    for row in rows:
+        space.add(row)
+    basis = []
+    for f in [j for j in range(ncols) if j not in space.pivots]:
+        v = [ring.zero()] * ncols
+        v[f] = ring.one()
+        for row, piv in zip(space.rows, space.pivots):
+            v[piv] = ring.neg(row[f])
+        basis.append(tuple(v))
+    return basis
+
+
+def _random_entry(ring, rng):
+    """Deliberately non-canonical: negative ints and ints >= p, ints and
+    Fractions over Q; about half the entries are zero."""
+    if rng.random() < 0.5:
+        return 0
+    if ring.kind == "Q":
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return rng.randint(-2 * ring.modulus, 2 * ring.modulus)
+
+
+def _random_matrix(ring, rng, nrows, ncols):
+    return [[_random_entry(ring, rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _is_canonical(ring, x):
+    if ring.kind == "Q":
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < ring.modulus
+
+
+KERNEL_RINGS = [Ring("Fp", 5), Ring("Zn", 6), Ring("Q")]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+class TestKernelsAgainstReference:
+    def test_row_space(self, ring):
+        rng = random.Random(11)
+        grown = 0
+        for _ in range(60):
+            ncols = rng.randint(1, 5)
+            space, ref = FieldRowSpace(ring, ncols), _RefRowSpace(ring, ncols)
+            for vec in _random_matrix(ring, rng, rng.randint(1, 6), ncols):
+                coords, residual = ref.reduce(vec)
+                assert space.contains(vec) == all(ring.is_zero(x) for x in residual)
+                in_span = all(ring.is_zero(x) for x in residual)
+                got = space.coords(vec)
+                assert got == (coords if in_span else None)
+                assert all(_is_canonical(ring, x) for x in got or ())
+                try:
+                    expected = ref.add(vec)
+                except LinAlgError:
+                    # over Z/6 a non-unit pivot refuses the vector on both sides
+                    with pytest.raises(LinAlgError):
+                        space.add(vec)
+                    continue
+                assert space.add(vec) == expected
+                grown += expected
+                assert space.rows == ref.rows and space.pivots == ref.pivots
+                assert all(_is_canonical(ring, x) for row in space.rows for x in row)
+        assert grown >= 50
+
+    def test_dense_products(self, ring):
+        rng = random.Random(12)
+        for _ in range(60):
+            n, k, m = rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a = _random_matrix(ring, rng, n, k)
+            b = _random_matrix(ring, rng, k, m)
+            v = [_random_entry(ring, rng) for _ in range(k)]
+            canon = mat_canon(ring, a)
+            assert canon == tuple(tuple(ring.canon(x) for x in row) for row in a)
+            assert all(_is_canonical(ring, x) for row in canon for x in row)
+            got_mv, got_mm = mat_vec(ring, a, v), mat_mul(ring, a, b)
+            assert got_mv == _ref_mat_vec(ring, a, v)
+            assert got_mm == _ref_mat_mul(ring, a, b)
+            assert all(_is_canonical(ring, x) for x in got_mv)
+            assert all(_is_canonical(ring, x) for row in got_mm for x in row)
+
+    def test_nullspace(self, ring):
+        if not ring.is_field:
+            with pytest.raises(LinAlgError):
+                nullspace(ring, [(1, 0)], 2)
+            return
+        rng = random.Random(13)
+        for _ in range(60):
+            ncols = rng.randint(1, 5)
+            rows = _random_matrix(ring, rng, rng.randint(0, 4), ncols)
+            basis = nullspace(ring, rows, ncols)
+            assert basis == _ref_nullspace(ring, rows, ncols)
+            for x in basis:
+                assert all(ring.is_zero(y) for y in _ref_mat_vec(ring, rows, x))

@@ -2,6 +2,7 @@ import pytest
 
 from pathidem.algebra import edge_element, vertex_idempotent
 from pathidem.classify import is_left_special, is_left_split, strongly_orthogonal
+from pathidem.linalg import FieldRowSpace
 from pathidem.oracle import (
     BudgetExceeded,
     OracleBudget,
@@ -15,7 +16,13 @@ from pathidem.oracle import (
     orthogonality_bruteforce,
     split_complements_are_perp,
 )
-from pathidem.reps import Representation
+from pathidem.reps import (
+    Representation,
+    gamma,
+    generated_submodule,
+    in_category_e,
+    sub_representation,
+)
 from pathidem.rings import Ring
 from pathidem.sweep import q_isolated, sweep_quivers
 
@@ -183,6 +190,79 @@ class TestAgreement:
                 assert strongly_orthogonal(e1, e2) == orthogonality_bruteforce(
                     e1, e2, len(q.vertices)
                 )
+
+
+class TestAgainstReference:
+    """The oracles against the direct transcription of the definitions: each
+    submodule rebuilt as a representation and tested on its own, and the
+    complements found by filtering every submodule by dimension vector."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+    CASES = [
+        (q, Ring("Fp", p)) for q in TestAgreement.QUIVERS for p in (2, 3)
+    ]
+    IDS = [f"q{i // 2}-F{r.modulus}" for i, (q, r) in enumerate(CASES)]
+
+    @staticmethod
+    def _reference_special(e, q, ring, budget):
+        checked = 0
+        for m in enumerate_reps(q, ring, budget):
+            checked += 1
+            if not in_category_e(e, m):
+                continue
+            for sub in enumerate_submodules(m):
+                if not in_category_e(e, sub_representation(sub)[0]):
+                    return Verdict("counterexample", checked, module=m, submodule=sub)
+        return Verdict("consistent", checked)
+
+    @staticmethod
+    def _reference_complements(m, g):
+        for c in enumerate_submodules(m):
+            if any(c.dims[v] + g.dims[v] != m.dims[v] for v in m.quiver.vertices):
+                continue
+            if all(
+                _independent(m.ring, m.dims[v], g.basis(v) + c.basis(v))
+                for v in m.quiver.vertices
+            ):
+                yield c
+
+    @classmethod
+    def _reference_split(cls, e, q, ring, budget):
+        checked = 0
+        for m in enumerate_reps(q, ring, budget):
+            checked += 1
+            g = gamma(e, m)
+            if next(cls._reference_complements(m, g), None) is None:
+                return Verdict("counterexample", checked, module=m, submodule=g)
+        return Verdict("consistent", checked)
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_verdicts_identical(self, q, ring):
+        for s in _subsets(q.vertices):
+            e = vertex_idempotent(q, ring, s)
+            for new, ref in [
+                (check_special_by_modules, self._reference_special),
+                (check_split_by_sequences, self._reference_split),
+            ]:
+                got, want = new(e, q, ring, self.BUDGET), ref(e, q, ring, self.BUDGET)
+                assert got.to_json() == want.to_json()
+                assert got.reps_checked == want.reps_checked
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_generated_submodule_decides_membership(self, q, ring):
+        # N = AeN computed inside M agrees with N rebuilt on its own
+        for s in _subsets(q.vertices):
+            e = vertex_idempotent(q, ring, s)
+            for m in enumerate_reps(q, ring, self.BUDGET):
+                act = m.action_matrix(e)
+                for sub in enumerate_submodules(m):
+                    inside = generated_submodule(m, act, sub).dims == sub.dims
+                    assert inside == in_category_e(e, sub_representation(sub)[0])
+
+
+def _independent(ring, dim, vectors):
+    space = FieldRowSpace(ring, dim)
+    return all(space.add(x) for x in vectors)
 
 
 def _subsets(vertices):

@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from pathidem.rings import Ring, RingError
+from pathidem.rings import Ring, RingError, _is_prime
 
 
 def brute_idempotents(n):
@@ -105,3 +106,43 @@ def test_rational_canonical_form(rationals):
 def test_json_round_trip():
     for ring in [Ring("Fp", 7), Ring("Zn", 9), Ring("Q")]:
         assert Ring.from_json(ring.to_json()) == ring
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(10**4) if _is_prime(n)] == [
+            n for n in range(10**4) if _trial_division(n)
+        ]
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert Ring("Fp", 2**61 - 1).modulus == 2**61 - 1
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "n",
+        [2**61 + 1, 561, 3215031751],
+        ids=["2^61+1", "carmichael-561", "strong-pseudoprime-2357"],
+    )
+    def test_composites_refused(self, n):
+        with pytest.raises(RingError):
+            Ring("Fp", n)
+
+    @pytest.mark.parametrize("kind", ["Fp", "Zn"])
+    @pytest.mark.parametrize("modulus", [None, 2.5, 5.0, "5"])
+    def test_modulus_must_be_an_integer(self, kind, modulus):
+        with pytest.raises(RingError, match="integer modulus"):
+            Ring(kind, modulus)
+
+    def test_modulus_beyond_certified_range_refused(self):
+        # the least strong pseudoprime to every prime base up to 41
+        psi13 = 3317044064679887385961981
+        assert _is_prime(psi13)  # the test itself is fooled here
+        with pytest.raises(RingError, match="too large"):
+            Ring("Fp", psi13)
+        with pytest.raises(RingError, match="too large"):
+            Ring("Fp", 2**89 - 1)
