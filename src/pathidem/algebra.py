@@ -161,6 +161,18 @@ def _coeff_from_json(ring: Ring, c):
         raise AlgebraError(f"bad coefficient {c!r} over {ring}") from exc
 
 
+def path_vector(elem: AlgElem, index: Mapping[Path, int]) -> list:
+    """The coefficients of elem as a vector with one entry per path of
+    `index` (path -> position)."""
+    vec = [elem.ring.zero()] * len(index)
+    for p, c in elem.terms:
+        i = index.get(p)
+        if i is None:
+            raise AlgebraError(f"path of length {len(p)} outside the coordinate index")
+        vec[i] = c
+    return vec
+
+
 def path_element(quiver: Quiver, ring: Ring, p: Path) -> AlgElem:
     return AlgElem.make(quiver, ring, {quiver.check_path(p): ring.one()})
 
@@ -220,17 +232,7 @@ class TruncatedIdeal:
                         continue
                     elem = pg * path_element(quiver, ring, q)
                     if not elem.is_zero:
-                        self._space.add(self._vectorize(elem))
-
-    def _vectorize(self, elem: AlgElem) -> list:
-        vec = [self.ring.zero()] * len(self._index)
-        for p, c in elem.terms:
-            if p not in self._index:
-                raise AlgebraError(
-                    f"path of length {len(p)} outside the truncation window"
-                )
-            vec[self._index[p]] = c
-        return vec
+                        self._space.add(path_vector(elem, self._index))
 
     def contains(self, elem: AlgElem) -> bool:
         if elem.is_zero:
@@ -239,7 +241,7 @@ class TruncatedIdeal:
             raise AlgebraError(
                 f"element degree {elem.max_degree()} exceeds truncation {self.degree}"
             )
-        return self._space.contains(self._vectorize(elem))
+        return self._space.contains(path_vector(elem, self._index))
 
 
 def truncated_two_sided_ideal(

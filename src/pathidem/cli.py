@@ -61,18 +61,24 @@ class InputError(ValueError):
 
 def _load_json(text_or_path: str):
     s = text_or_path.strip()
-    if s.startswith("{") or s.startswith("["):
+    where = "inline JSON"
+    if not (s.startswith("{") or s.startswith("[")):
+        where = text_or_path
         try:
-            return json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise InputError("malformed-json", f"inline JSON: {exc}") from exc
-    p = FsPath(text_or_path)
-    if not p.exists():
-        raise InputError("missing-file", f"no such file: {text_or_path}")
+            s = FsPath(text_or_path).read_text(encoding="utf-8")
+        except FileNotFoundError as exc:
+            raise InputError("missing-file", f"no such file: {where}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError("malformed-json", f"{where}: not UTF-8 text") from exc
+        except OSError as exc:
+            raise InputError("unreadable-file", f"{where}: {exc.strerror}") from exc
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError("malformed-json", f"{text_or_path}: {exc}") from exc
+        return json.loads(s)
+    except RecursionError as exc:
+        raise InputError("malformed-json", f"{where}: nested too deeply") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or an integer with more digits than int() converts
+        raise InputError("malformed-json", f"{where}: {exc}") from exc
 
 
 def _parse_ring(spec: str) -> Ring:
@@ -82,7 +88,11 @@ def _parse_ring(spec: str) -> Ring:
             if spec.strip() == "Q":
                 return Ring("Q")
             kind = "Fp" if m.group(1) == "F" else "Zn"
-            return Ring(kind, int(m.group(2)))
+            try:
+                modulus = int(m.group(2))
+            except ValueError as exc:  # more digits than int() converts
+                raise RingError(f"modulus has {len(m.group(2))} digits, too many") from exc
+            return Ring(kind, modulus)
         return Ring.from_json(_load_json(spec))
     except RingError as exc:
         raise InputError("bad-ring", str(exc)) from exc
@@ -140,6 +150,10 @@ def _report(command: str, result: dict, *hash_parts) -> dict:
         "input_hash": _input_hash(*hash_parts),
         "result": result,
     }
+
+
+def _error(code: str, exc) -> dict:
+    return {"error": {"code": code, "message": str(exc)}}
 
 
 def _budget(args) -> OracleBudget:
@@ -234,11 +248,10 @@ def _run(args) -> dict:
             )
         e = _parse_element(quiver, ring, args.element[0])
         budget = _budget(args)
+        corner = corner_algebra(e)  # refuses a non-idempotent e
         reps = [
             m for m in enumerate_reps(quiver, ring, budget) if in_category_e(e, m)
         ]
-        # after the filter, so a non-idempotent e is reported by e_fixed
-        corner = corner_algebra(e)
         cms = [corner_module(e, m, corner) for m in reps]
         pairs = 0
         all_bijective = True
@@ -312,21 +325,21 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError("bad-arguments", f"{args.command} needs --element")
         if args.command == "full-family" and not args.family:
             raise InputError("bad-arguments", "full-family needs --family")
-        report = _run(args)
+        report, code = _run(args), EXIT_OK
     except InputError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, out)
-        return EXIT_INPUT
+        report, code = _error(exc.code, exc), EXIT_INPUT
     except (RingError, QuiverError, AlgebraError, RepError, ClassifyError) as exc:
-        _emit({"error": {"code": "bad-input", "message": str(exc)}}, out)
-        return EXIT_INPUT
+        report, code = _error("bad-input", exc), EXIT_INPUT
     except BudgetExceeded as exc:
-        _emit({"error": {"code": "budget-exhausted", "message": str(exc)}}, out)
-        return EXIT_BUDGET
+        report, code = _error("budget-exhausted", exc), EXIT_BUDGET
     except OracleError as exc:
-        _emit({"error": {"code": "oracle-error", "message": str(exc)}}, out)
+        report, code = _error("oracle-error", exc), EXIT_INPUT
+    try:
+        _emit(report, out)
+    except OSError as exc:
+        _emit(_error("bad-output", f"cannot write {out}: {exc.strerror}"), None)
         return EXIT_INPUT
-    _emit(report, out)
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

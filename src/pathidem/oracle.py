@@ -228,6 +228,8 @@ def split_complements_are_perp(
 ) -> bool:
     """For a split element: every enumerated M decomposes as AeM (+) C with
     e acting by zero on some complement C."""
+    if not e.is_idempotent():
+        raise OracleError("oracle requires an idempotent element")
     for m in enumerate_reps(q, ring, budget):
         act = m.action_matrix(e)
         if not any(_kills(act, m, c) for c in _graded_complements(m, gamma(e, m))):
@@ -249,6 +251,8 @@ def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
     """Whether e1 * p * e2 == 0 for every path p of length <= degree."""
     if e1.quiver != e2.quiver or e1.ring != e2.ring:
         raise OracleError("elements are incompatible")
+    if degree < 0:
+        raise OracleError("degree must be nonnegative")
     q, ring = e1.quiver, e1.ring
     for p in q.paths_up_to(degree, limit=100_000):
         if not (e1 * path_element(q, ring, p) * e2).is_zero:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
-from .algebra import AlgElem, path_element
+from .algebra import AlgElem, path_element, path_vector
 from .linalg import (
     FieldRowSpace,
     ZnRowSpace,
@@ -148,15 +148,6 @@ class Representation:
         }
         return Representation(quiver, ring, dims, maps)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Representation)
-            and self.quiver == other.quiver
-            and self.ring == other.ring
-            and self.dims == other.dims
-            and self.edge_maps == other.edge_maps
-        )
-
 
 def zero_representation(quiver: Quiver, ring: Ring) -> Representation:
     return Representation(quiver, ring, {v: 0 for v in quiver.vertices}, {})
@@ -230,30 +221,43 @@ def _close_under_edges(sub: Submodule) -> None:
                     changed = True
 
 
+def _column_space(ring: Ring, mat: tuple) -> FieldRowSpace:
+    """The echelon row space spanned by the columns of a matrix."""
+    space = FieldRowSpace(ring, len(mat))
+    for col in zip(*mat):
+        space.add(col)
+    return space
+
+
 def e_fixed(e: AlgElem, m: Representation) -> list[tuple]:
     """Echelon basis of the image e*M inside the total space. Not necessarily
     edge-closed (nor graded) on its own."""
     if not e.is_idempotent():
         raise RepError("e_fixed requires an idempotent element")
-    act = m.action_matrix(e)
-    space = FieldRowSpace(m.ring, m.total_dim)
-    for j in range(m.total_dim):
-        space.add(tuple(act[i][j] for i in range(m.total_dim)))
-    return space.basis()
+    return _column_space(m.ring, m.action_matrix(e)).basis()
+
+
+def _generated(m: Representation, vectors) -> Submodule:
+    """The submodule of m generated by global vectors of m: their vertex
+    blocks, closed under the edge maps."""
+    verts = m.quiver.vertices
+    seed: dict[str, list] = {v: [] for v in verts}
+    for y in vectors:
+        for v in verts:
+            seed[v].append(m.block(y, v))
+    return submodule_from_local(m, seed, close=True)
 
 
 def gamma(e: AlgElem, m: Representation) -> Submodule:
     """The smallest edge-closed graded subspace containing e*M (i.e. the span
-    of all path translates of e*M), computed by worklist closure."""
-    seed: dict[str, list] = {v: [] for v in m.quiver.vertices}
-    for w in e_fixed(e, m):
-        for v in m.quiver.vertices:
-            seed[v].append(m.block(w, v))
-    return submodule_from_local(m, seed, close=True)
+    of all path translates of e*M), computed by worklist closure. e need not
+    be idempotent: e*M is the column space of e's action matrix."""
+    return _generated(m, zip(*m.action_matrix(e)))
 
 
 def in_category_e(e: AlgElem, m: Representation) -> bool:
-    """Whether M is generated by its e-fixed vectors (M = A e M)."""
+    """Whether M is generated by e*M (M = A e M); for an idempotent e, e*M is
+    the space of e-fixed vectors. e need not be idempotent."""
     return gamma(e, m).dims == m.dims
 
 
@@ -262,36 +266,47 @@ def generated_submodule(m: Representation, act: tuple, sub: Submodule) -> Submod
     the vertex blocks of act*x over the basis vectors x of sub, closed under
     the edge maps. For a submodule sub this is A*e*sub, so it has sub's
     dimension vector exactly when sub is generated by its e-fixed vectors."""
-    verts = m.quiver.vertices
-    seed: dict[str, list] = {v: [] for v in verts}
-    for v in verts:
-        for x in sub.basis(v):
-            y = mat_vec(m.ring, act, m.embed(x, v))
-            for w in verts:
-                seed[w].append(m.block(y, w))
-    return submodule_from_local(m, seed, close=True)
+    return _generated(
+        m,
+        (
+            mat_vec(m.ring, act, m.embed(x, v))
+            for v in m.quiver.vertices
+            for x in sub.basis(v)
+        ),
+    )
+
+
+def _from_columns(cols: list, nrows: int) -> tuple:
+    """The nrows x len(cols) matrix with the given columns."""
+    return tuple(tuple(c[i] for c in cols) for i in range(nrows))
+
+
+def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:
+    """The matrix whose columns are the coordinates of `images` in target's
+    echelon basis; RepError(msg) when an image lies outside target."""
+    cols = []
+    for y in images:
+        coords = target.coords(y)
+        if coords is None:
+            raise RepError(msg)
+        cols.append(coords)
+    return _from_columns(cols, target.rank)
 
 
 def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[tuple]]]:
     """The submodule as a representation in its own echelon bases, plus the
     per-vertex inclusion bases (local vectors of the ambient module)."""
     rep = sub.rep
-    dims = sub.dims
-    maps = {}
-    for eid, src, dst in rep.quiver.edges:
-        cols = []
-        for x in sub.spaces[src].basis():
-            y = rep.apply_edge(eid, x)
-            coords = sub.spaces[dst].coords(y)
-            if coords is None:
-                raise RepError("subspace is not closed under the edge maps")
-            cols.append(coords)
-        # transpose the column list into a dims[dst] x dims[src] matrix
-        maps[eid] = tuple(
-            tuple(cols[j][i] for j in range(dims[src])) for i in range(dims[dst])
+    maps = {
+        eid: _induced_matrix(
+            (rep.apply_edge(eid, x) for x in sub.basis(src)),
+            sub.spaces[dst],
+            "subspace is not closed under the edge maps",
         )
+        for eid, src, dst in rep.quiver.edges
+    }
     return (
-        Representation(rep.quiver, rep.ring, dims, maps),
+        Representation(rep.quiver, rep.ring, sub.dims, maps),
         {v: sub.spaces[v].basis() for v in rep.quiver.vertices},
     )
 
@@ -319,9 +334,7 @@ def quotient(m: Representation, sub: Submodule) -> Representation:
             basis_vec = [ring.zero()] * m.dims[src]
             basis_vec[j] = ring.one()
             cols.append(project(dst, m.apply_edge(eid, basis_vec)))
-        maps[eid] = tuple(
-            tuple(cols[jj][i] for jj in range(dims[src])) for i in range(dims[dst])
-        )
+        maps[eid] = _from_columns(cols, dims[dst])
     return Representation(m.quiver, ring, dims, maps)
 
 
@@ -347,55 +360,61 @@ def hom_space(
     return _hom_space_exhaustive(m, n)
 
 
-def _unknown_layout(m: Representation, n: Representation) -> list[tuple[str, int, int]]:
-    layout = []
-    for v in m.quiver.vertices:
-        for i in range(n.dims[v]):
-            for j in range(m.dims[v]):
-                layout.append((v, i, j))
-    return layout
+def _block_shapes(m: Representation, n: Representation) -> list[tuple[int, int]]:
+    """Shape n.dims[v] x m.dims[v] of the block f_v, in vertex order."""
+    return [(n.dims[v], m.dims[v]) for v in m.quiver.vertices]
 
 
-def _unpack(m, n, layout, sol) -> dict[str, tuple]:
-    ring = m.ring
-    mats = {
-        v: [[ring.zero()] * m.dims[v] for _ in range(n.dims[v])]
-        for v in m.quiver.vertices
-    }
-    for (v, i, j), x in zip(layout, sol):
-        mats[v][i][j] = ring.canon(x)
-    return {v: tuple(tuple(r) for r in rows) for v, rows in mats.items()}
+def _unpack(m, n, sol) -> dict[str, tuple]:
+    """The blocks f_v of a flat unknown vector (row-major, vertex order)."""
+    out, off = {}, 0
+    for v, (r, c) in zip(m.quiver.vertices, _block_shapes(m, n)):
+        out[v] = tuple(tuple(sol[off + i * c : off + (i + 1) * c]) for i in range(r))
+        off += r * c
+    return out
+
+
+def _intertwiners(ring: Ring, shapes: list, equations) -> list[tuple]:
+    """Basis of the flat unknown vectors (f_0, f_1, ...), each block f_b of
+    shape shapes[b] stored row-major, with f_dst * A == B * f_src for every
+    (src, dst, A, B) in `equations`."""
+    offs, nunk = [], 0
+    for r, c in shapes:
+        offs.append(nunk)
+        nunk += r * c
+    zero = ring.zero()
+    rows = []
+    for src, dst, A, B in equations:
+        (nd, md), (ns, ms) = shapes[dst], shapes[src]
+        od, os_ = offs[dst], offs[src]
+        for i in range(nd):
+            for j in range(ms):
+                row = [zero] * nunk
+                for k in range(md):
+                    row[od + i * md + k] += A[k][j]
+                for l in range(ns):
+                    row[os_ + l * ms + j] -= B[i][l]
+                rows.append(row)
+    return nullspace(ring, rows, nunk)
 
 
 def _hom_space_field(m, n) -> list[dict[str, tuple]]:
-    ring = m.ring
-    layout = _unknown_layout(m, n)
-    index = {key: k for k, key in enumerate(layout)}
-    rows = []
-    for eid, src, dst in m.quiver.edges:
-        Ma, Na = m.edge_maps[eid], n.edge_maps[eid]
-        for i in range(n.dims[dst]):
-            for j in range(m.dims[src]):
-                row = [ring.zero()] * len(layout)
-                for k in range(m.dims[dst]):
-                    row[index[(dst, i, k)]] = ring.add(
-                        row[index[(dst, i, k)]], Ma[k][j]
-                    )
-                for l in range(n.dims[src]):
-                    row[index[(src, l, j)]] = ring.sub(
-                        row[index[(src, l, j)]], Na[i][l]
-                    )
-                rows.append(row)
-    return [_unpack(m, n, layout, sol) for sol in nullspace(ring, rows, len(layout))]
+    pos = {v: b for b, v in enumerate(m.quiver.vertices)}
+    equations = [
+        (pos[src], pos[dst], m.edge_maps[eid], n.edge_maps[eid])
+        for eid, src, dst in m.quiver.edges
+    ]
+    sols = _intertwiners(m.ring, _block_shapes(m, n), equations)
+    return [_unpack(m, n, sol) for sol in sols]
 
 
 def _hom_space_exhaustive(m, n) -> list[dict[str, tuple]]:
     ring = m.ring
-    layout = _unknown_layout(m, n)
+    nunk = sum(r * c for r, c in _block_shapes(m, n))
     found = []
-    span = ZnRowSpace(ring, len(layout)) if layout else None
-    for assignment in product(ring.elements(), repeat=len(layout)):
-        f = _unpack(m, n, layout, assignment)
+    span = ZnRowSpace(ring, nunk) if nunk else None
+    for assignment in product(ring.elements(), repeat=nunk):
+        f = _unpack(m, n, assignment)
         ok = all(
             mat_mul(ring, f[dst], m.edge_maps[eid])
             == mat_mul(ring, n.edge_maps[eid], f[src])
@@ -433,12 +452,8 @@ def corner_algebra(e: AlgElem) -> CornerAlgebra:
     rows_elems: list[AlgElem] = []
     for p in paths:
         x = e * path_element(q, ring, p) * e
-        if x.is_zero:
-            continue
-        vec = [ring.zero()] * len(paths)
-        for pp, c in x.terms:
-            vec[index[pp]] = c
-        space.add(vec)
+        if not x.is_zero:
+            space.add(path_vector(x, index))
     for row in space.basis():
         terms = {paths[i]: c for i, c in enumerate(row) if not ring.is_zero(c)}
         rows_elems.append(AlgElem.make(q, ring, terms))
@@ -472,49 +487,31 @@ def corner_module(
         corner = corner_algebra(e)
     elif corner.e != e:
         raise RepError("corner ring belongs to a different idempotent")
-    ring = m.ring
-    basis = e_fixed(e, m)
-    space = FieldRowSpace(ring, m.total_dim)
-    for w in basis:
-        space.add(w)
+    space = _column_space(m.ring, m.action_matrix(e))
+    basis = space.basis()
     actions = []
     for b in corner.basis:
         act = m.action_matrix(b)
-        cols = []
-        for w in basis:
-            y = mat_vec(ring, act, w)
-            coords = space.coords(y)
-            if coords is None:
-                raise RepError("corner action left the e-fixed subspace")
-            cols.append(coords)
         actions.append(
-            tuple(
-                tuple(cols[j][i] for j in range(len(basis)))
-                for i in range(len(basis))
+            _induced_matrix(
+                (mat_vec(m.ring, act, w) for w in basis),
+                space,
+                "corner action left the e-fixed subspace",
             )
         )
     return CornerModule(corner, m, basis, actions, space)
 
 
 def corner_intertwiners(cm: CornerModule, cn: CornerModule) -> list[tuple]:
-    """Basis of matrices g with g * act_m(b) == act_n(b) * g for every corner
-    basis element b; g maps coordinates of e*M to coordinates of e*N."""
+    """Basis of the dn x dm matrices g with g * act_m(b) == act_n(b) * g for
+    every corner basis element b, where g maps coordinates of e*M to
+    coordinates of e*N. Each g is returned flat, as the row-major tuple of its
+    dn * dm entries."""
     ring = cm.rep.ring
     if not ring.is_field:
         raise RepError("corner intertwiners need a field")
-    rows = []
-    dm, dn = cm.dim, cn.dim
-    nunk = dn * dm
-    for Am, An in zip(cm.actions, cn.actions):
-        for i in range(dn):
-            for j in range(dm):
-                row = [ring.zero()] * nunk
-                for k in range(dm):
-                    row[i * dm + k] = ring.add(row[i * dm + k], Am[k][j])
-                for l in range(dn):
-                    row[l * dm + j] = ring.sub(row[l * dm + j], An[i][l])
-                rows.append(row)
-    return nullspace(ring, rows, nunk)
+    equations = [(0, 0, Am, An) for Am, An in zip(cm.actions, cn.actions)]
+    return _intertwiners(ring, [(cn.dim, cm.dim)], equations)
 
 
 def restrict_to_corner(
@@ -523,23 +520,18 @@ def restrict_to_corner(
 ) -> tuple:
     """Restriction of an intertwiner f: M -> N to a matrix e*M -> e*N in the
     corner-module coordinate bases."""
-    ring = m.ring
     cm = cm or corner_module(e, m)
     cn = cn or corner_module(e, n)
-    cols = []
-    for w in cm.basis:
-        y = [ring.zero()] * n.total_dim
-        for v in m.quiver.vertices:
-            loc = mat_vec(ring, f[v], m.block(w, v))
-            off = n.offset(v)
-            for i, x in enumerate(loc):
-                y[off + i] = ring.add(y[off + i], x)
-        coords = cn.space.coords(tuple(y))
-        if coords is None:
-            raise RepError("intertwiner image left the e-fixed subspace")
-        cols.append(coords)
-    return tuple(
-        tuple(cols[j][i] for j in range(cm.dim)) for i in range(cn.dim)
+    images = (
+        tuple(
+            x
+            for v in m.quiver.vertices
+            for x in mat_vec(m.ring, f[v], m.block(w, v))
+        )
+        for w in cm.basis
+    )
+    return _induced_matrix(
+        images, cn.space, "intertwiner image left the e-fixed subspace"
     )
 
 
@@ -629,26 +621,16 @@ def nu(raw: RawModule) -> Representation:
     """The non-degenerate part: the sum of the trivial-path images, graded by
     vertex, with the induced edge maps."""
     ring, q = raw.ring, raw.quiver
-    bases: dict[str, FieldRowSpace] = {}
-    for v in q.vertices:
-        sp = FieldRowSpace(ring, raw.rank)
-        E = raw.vertex_actions[v]
-        for j in range(raw.rank):
-            sp.add(tuple(E[i][j] for i in range(raw.rank)))
-        bases[v] = sp
-    dims = {v: bases[v].rank for v in q.vertices}
-    maps = {}
-    for eid, src, dst in q.edges:
-        cols = []
-        for x in bases[src].basis():
-            y = mat_vec(ring, raw.edge_actions[eid], x)
-            coords = bases[dst].coords(y)
-            if coords is None:
-                raise RepError("edge action image escaped the target projection")
-            cols.append(coords)
-        maps[eid] = tuple(
-            tuple(cols[j][i] for j in range(dims[src])) for i in range(dims[dst])
+    bases = {v: _column_space(ring, raw.vertex_actions[v]) for v in q.vertices}
+    maps = {
+        eid: _induced_matrix(
+            (mat_vec(ring, raw.edge_actions[eid], x) for x in bases[src].basis()),
+            bases[dst],
+            "edge action image escaped the target projection",
         )
+        for eid, src, dst in q.edges
+    }
+    dims = {v: bases[v].rank for v in q.vertices}
     return Representation(q, ring, dims, maps)
 
 
@@ -678,36 +660,26 @@ def left_ideal_representation(e: AlgElem) -> Representation:
         raise RepError("A*e is infinite-dimensional on cyclic quivers")
     paths = q.all_paths()
     index = {p: i for i, p in enumerate(paths)}
-
-    def vectorize(x: AlgElem) -> list:
-        vec = [ring.zero()] * len(paths)
-        for p, c in x.terms:
-            vec[index[p]] = c
-        return vec
-
     bases: dict[str, FieldRowSpace] = {
         v: FieldRowSpace(ring, len(paths)) for v in q.vertices
     }
     for p in paths:
         x = path_element(q, ring, p) * e
         if not x.is_zero:
-            bases[q.path_target(p)].add(vectorize(x))
-    dims = {v: bases[v].rank for v in q.vertices}
+            bases[q.path_target(p)].add(path_vector(x, index))
     maps = {}
     for eid, src, dst in q.edges:
         a = path_element(q, ring, Path(edges=(eid,)))
-        cols = []
+        images = []
         for row in bases[src].basis():
             x = AlgElem.make(
                 q, ring, {paths[i]: c for i, c in enumerate(row) if not ring.is_zero(c)}
             )
-            coords = bases[dst].coords(vectorize(a * x))
-            if coords is None:
-                raise RepError("edge action escaped the graded piece of A*e")
-            cols.append(coords)
-        maps[eid] = tuple(
-            tuple(cols[j][i] for j in range(dims[src])) for i in range(dims[dst])
+            images.append(path_vector(a * x, index))
+        maps[eid] = _induced_matrix(
+            images, bases[dst], "edge action escaped the graded piece of A*e"
         )
+    dims = {v: bases[v].rank for v in q.vertices}
     return Representation(q, ring, dims, maps)
 
 
@@ -732,13 +704,8 @@ def tensor_identity_holds(m: Representation) -> bool:
                 # (x*a) (x) m_k  -  x (x) (a*m_k)
                 vec = [ring.zero()] * ncols
                 if xa is not None:
-                    vec[index[xa] * D + k] = ring.add(
-                        vec[index[xa] * D + k], ring.one()
-                    )
-                col = [act[i][k] for i in range(D)]
-                for i, c in enumerate(col):
-                    if not ring.is_zero(c):
-                        pos = index[x] * D + i
-                        vec[pos] = ring.sub(vec[pos], c)
+                    vec[index[xa] * D + k] += 1
+                for i in range(D):
+                    vec[index[x] * D + i] -= act[i][k]
                 relations.add(vec)
     return ncols - relations.rank == D

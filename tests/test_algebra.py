@@ -168,6 +168,15 @@ class TestTruncatedIdeal:
         with pytest.raises(AlgebraError):
             ideal.contains(edge_element(a3, f5, "a"))
 
+    def test_path_outside_window(self, arrow, a3, f5):
+        # e_v3 has degree 0, but the window of an ideal of the arrow quiver
+        # indexes only the arrow's paths
+        ideal = truncated_two_sided_ideal(
+            [vertex_idempotent(arrow, f5, {"v1"})], degree=0
+        )
+        with pytest.raises(AlgebraError):
+            ideal.contains(vertex_idempotent(a3, f5, {"v3"}))
+
     def test_bad_arguments(self, a3, f5):
         with pytest.raises(AlgebraError):
             truncated_two_sided_ideal([], 1)

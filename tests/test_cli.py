@@ -240,6 +240,18 @@ MALFORMED = {
     "coeff-1/2-over-f5": ("classify", ARROW, "F5", _element(coeff="1/2"), "bad-element"),
     "coeff-float-over-f5": ("classify", ARROW, "F5", _element(coeff=1.5), "bad-element"),
     "coeff-bool-over-f5": ("classify", ARROW, "F5", _element(coeff=True), "bad-element"),
+    # longer than int() converts (4300 digits by default from Python 3.11 on)
+    "ring-F-5000-digits": ("validate", ARROW, "F" + "7" * 5000, None, "bad-ring"),
+    "ring-Z-5000-digits": ("validate", ARROW, "Z" + "7" * 5000, None, "bad-ring"),
+    "json-p-5000-digits": (
+        "validate", ARROW, '{"ring":"Fp","p":%s}' % ("7" * 5000), None,
+        "malformed-json",
+    ),
+    "json-coeff-5000-digits": (
+        "classify", ARROW, "F5",
+        '{"terms":[{"path":{"trivial":"v1"},"coeff":%s}]}' % ("7" * 5000),
+        "malformed-json",
+    ),
 }
 
 
@@ -256,6 +268,56 @@ class TestErrors:
         assert exit_code == 2
         assert json.loads(captured.out)["error"]["code"] == code
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "kind,code",
+        [("directory", "unreadable-file"), ("not-utf8", "malformed-json"),
+         ("deeply-nested", "malformed-json")],
+    )
+    def test_unreadable_quiver_file_exits_2(self, tmp_path, kind, code):
+        path = tmp_path / "quiver.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        else:
+            path.write_text("[" * 200_000)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            exit_code = main(["validate", "--quiver", str(path), "--ring", "F5"])
+        assert exit_code == 2
+        assert json.loads(out.getvalue())["error"]["code"] == code
+        assert "Traceback" not in err.getvalue()
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        (tmp_path / "taken").mkdir()
+        for out in (tmp_path / "missing" / "r.json", tmp_path / "taken"):
+            code, report = run(
+                capsys, "validate", "--quiver", ARROW, "--ring", "F5",
+                "--out", str(out),
+            )
+            assert code == 2
+            assert report["error"]["code"] == "bad-output"
+        # no temporary file is left next to either target
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    def test_negative_degree(self, capsys):
+        code, report = run(
+            capsys, "orthogonal", "--quiver", ARROW, "--ring", "F5",
+            "--element", E_V2, "--element", E_V2, "--degree", "-1",
+        )
+        assert code == 2
+        assert report["error"]["code"] == "oracle-error"
+
+    def test_morita_check_non_idempotent(self, capsys):
+        two_e_v2 = json.dumps({"terms": [{"path": {"trivial": "v2"}, "coeff": "2"}]})
+        code, report = run(
+            capsys, "morita-check", "--quiver", ARROW, "--ring", "F5",
+            "--element", two_e_v2, "--max-dim", "2",
+        )
+        assert code == 2
+        assert report["error"]["code"] == "bad-input"
 
     def test_malformed_quiver(self, capsys):
         code, report = run(

@@ -1,6 +1,6 @@
 import pytest
 
-from pathidem.algebra import edge_element, vertex_idempotent
+from pathidem.algebra import edge_element, path_element, vertex_idempotent
 from pathidem.classify import is_left_special, is_left_split, strongly_orthogonal
 from pathidem.linalg import FieldRowSpace
 from pathidem.oracle import (
@@ -16,12 +16,15 @@ from pathidem.oracle import (
     orthogonality_bruteforce,
     split_complements_are_perp,
 )
+from pathidem.quivers import Path
 from pathidem.reps import (
     Representation,
+    e_fixed,
     gamma,
     generated_submodule,
     in_category_e,
     sub_representation,
+    submodule_from_local,
 )
 from pathidem.rings import Ring
 from pathidem.sweep import q_isolated, sweep_quivers
@@ -123,6 +126,10 @@ class TestSplitOracle:
             e, arrow, f2, OracleBudget(max_total_dim=2)
         )
 
+    def test_split_complements_requires_idempotent(self, arrow, f2):
+        with pytest.raises(OracleError):
+            split_complements_are_perp(edge_element(arrow, f2, "a"), arrow, f2)
+
     def test_split_complements_are_perp(self, two_isolated, f2):
         e = vertex_idempotent(two_isolated, f2, {"v2"})
         assert is_left_split(e)
@@ -137,6 +144,11 @@ class TestBruteForce:
         e2 = vertex_idempotent(arrow, z6, arrow.vertices).scale(4)
         assert orthogonality_bruteforce(e1, e2, 2)
         assert orthogonality_bruteforce(e2, e1, 2)
+
+    def test_orthogonality_rejects_negative_degree(self, arrow, f5):
+        e = vertex_idempotent(arrow, f5, {"v2"})
+        with pytest.raises(OracleError):
+            orthogonality_bruteforce(e, e, -1)
 
     def test_orthogonality_failure(self, arrow, f5):
         e1 = vertex_idempotent(arrow, f5, {"v2"})
@@ -247,6 +259,31 @@ class TestAgainstReference:
                 got, want = new(e, q, ring, self.BUDGET), ref(e, q, ring, self.BUDGET)
                 assert got.to_json() == want.to_json()
                 assert got.reps_checked == want.reps_checked
+
+    @staticmethod
+    def _reference_gamma(e, m):
+        # the closure seeded from the echelon basis of e*M
+        seed = {v: [m.block(w, v) for w in e_fixed(e, m)] for v in m.quiver.vertices}
+        return submodule_from_local(m, seed, close=True)
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_gamma_matches_e_fixed_closure(self, q, ring):
+        elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        # e_t + a for an edge a: s -> t with s != t has a path term
+        for eid, src, dst in q.edges:
+            if src != dst:
+                e = vertex_idempotent(q, ring, {dst}) + path_element(
+                    q, ring, Path(edges=(eid,))
+                )
+                assert e.is_idempotent()
+                elements.append(e)
+                break
+        for e in elements:
+            for m in enumerate_reps(q, ring, self.BUDGET):
+                got, want = gamma(e, m), self._reference_gamma(e, m)
+                assert got == want
+                for v in q.vertices:
+                    assert got.basis(v) == want.basis(v)
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_generated_submodule_decides_membership(self, q, ring):

@@ -1,6 +1,7 @@
 import pytest
 
 from pathidem.algebra import AlgElem, edge_element, vertex_idempotent
+from pathidem.linalg import nullspace
 from pathidem.classify import strongly_orthogonal
 from pathidem.oracle import OracleBudget, enumerate_reps
 from pathidem.quivers import Path, Quiver
@@ -28,7 +29,7 @@ from pathidem.reps import (
     zero_representation,
 )
 from pathidem.rings import Ring
-from pathidem.sweep import q_arrow
+from pathidem.sweep import q_a3, q_arrow
 
 
 def arrow_rep(ring, scalar=1):
@@ -104,6 +105,17 @@ class TestFixedVectorsAndGamma:
         assert gamma(e2, m).dims == {"v1": 0, "v2": 1}
         assert in_category_e(e1, m)
         assert not in_category_e(e2, m)
+
+    def test_gamma_of_a_multiple(self, arrow, a3, f5):
+        # 2*e_v is not idempotent over F_5, but spans the same e_v*M
+        m3 = Representation(
+            a3, f5, {"v1": 2, "v2": 1, "v3": 1}, {"a": ((1, 2),), "b": ((3,),)}
+        )
+        for m in (arrow_rep(f5), arrow_rep(f5, scalar=0), m3):
+            for v in m.quiver.vertices:
+                e = vertex_idempotent(m.quiver, f5, {v})
+                assert gamma(e.scale(2), m) == gamma(e, m)
+                assert in_category_e(e.scale(2), m) == in_category_e(e, m)
 
     def test_gamma_idempotent(self, arrow, f5):
         m = arrow_rep(f5)
@@ -345,3 +357,104 @@ class TestProjectives:
         f5 = Ring("Fp", 5)
         with pytest.raises(RepError):
             tensor_identity_holds(Representation(loop, f5, {"v1": 1}, {}))
+
+
+def _reference_hom_space_field(m, n):
+    # one unknown per entry (v, i, j) of f_v, one equation per edge entry
+    ring = m.ring
+    layout = [
+        (v, i, j)
+        for v in m.quiver.vertices
+        for i in range(n.dims[v])
+        for j in range(m.dims[v])
+    ]
+    index = {key: k for k, key in enumerate(layout)}
+    rows = []
+    for eid, src, dst in m.quiver.edges:
+        Ma, Na = m.edge_maps[eid], n.edge_maps[eid]
+        for i in range(n.dims[dst]):
+            for j in range(m.dims[src]):
+                row = [ring.zero()] * len(layout)
+                for k in range(m.dims[dst]):
+                    row[index[(dst, i, k)]] = ring.add(
+                        row[index[(dst, i, k)]], Ma[k][j]
+                    )
+                for l in range(n.dims[src]):
+                    row[index[(src, l, j)]] = ring.sub(
+                        row[index[(src, l, j)]], Na[i][l]
+                    )
+                rows.append(row)
+    homs = []
+    for sol in nullspace(ring, rows, len(layout)):
+        mats = {
+            v: [[ring.zero()] * m.dims[v] for _ in range(n.dims[v])]
+            for v in m.quiver.vertices
+        }
+        for (v, i, j), x in zip(layout, sol):
+            mats[v][i][j] = ring.canon(x)
+        homs.append({v: tuple(tuple(r) for r in rows) for v, rows in mats.items()})
+    return homs
+
+
+def _reference_corner_intertwiners(cm, cn):
+    # g is dn x dm, row-major; one equation per corner basis element and entry
+    ring = cm.rep.ring
+    dm, dn = cm.dim, cn.dim
+    rows = []
+    for Am, An in zip(cm.actions, cn.actions):
+        for i in range(dn):
+            for j in range(dm):
+                row = [ring.zero()] * (dn * dm)
+                for k in range(dm):
+                    row[i * dm + k] = ring.add(row[i * dm + k], Am[k][j])
+                for l in range(dn):
+                    row[l * dm + j] = ring.sub(row[l * dm + j], An[i][l])
+                rows.append(row)
+    return nullspace(ring, rows, dn * dm)
+
+
+class TestIntertwinersAgainstReference:
+    """hom_space and corner_intertwiners against the equation builders written
+    out entry by entry with Ring arithmetic, on the reps of acceptance test 07
+    (arrow and A3 over F_2 and F_3, every nonempty left-closed S) at total
+    dimension <= 2."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+    CASES = [
+        (q, Ring("Fp", p), s)
+        for q in (q_arrow(), q_a3())
+        for p in (2, 3)
+        for s in q.enumerate_left_closed()
+        if s
+    ]
+    IDS = [f"{len(q.vertices)}v-F{r.modulus}-{'+'.join(sorted(s))}" for q, r, s in CASES]
+
+    @pytest.mark.parametrize("q, ring, s", CASES, ids=IDS)
+    def test_same_solutions(self, q, ring, s):
+        e = vertex_idempotent(q, ring, s)
+        corner = corner_algebra(e)
+        reps = [m for m in enumerate_reps(q, ring, self.BUDGET) if in_category_e(e, m)]
+        cms = [corner_module(e, m, corner) for m in reps]
+        for m, cm in zip(reps, cms):
+            for n, cn in zip(reps, cms):
+                assert hom_space(m, n) == _reference_hom_space_field(m, n)
+                assert corner_intertwiners(cm, cn) == _reference_corner_intertwiners(
+                    cm, cn
+                )
+
+    @pytest.mark.parametrize("ring", [Ring("Fp", 5), Ring("Q")], ids=["F5", "Q"])
+    def test_same_solutions_other_fields(self, a3, ring):
+        m = Representation(
+            a3, ring, {"v1": 2, "v2": 1, "v3": 1}, {"a": ((1, 2),), "b": ((3,),)}
+        )
+        n = Representation(
+            a3, ring, {"v1": 1, "v2": 2, "v3": 1}, {"a": ((1,), (4,)), "b": ((2, 1),)}
+        )
+        e = vertex_idempotent(a3, ring, a3.vertices)
+        for x in (m, n):
+            for y in (m, n):
+                assert hom_space(x, y) == _reference_hom_space_field(x, y)
+                cx, cy = corner_module(e, x), corner_module(e, y)
+                assert corner_intertwiners(cx, cy) == _reference_corner_intertwiners(
+                    cx, cy
+                )
