@@ -5,12 +5,19 @@ cleared). Over Z/n, a span is tracked as the integer lattice generated by
 the rows together with n times each unit vector; membership in the Z/n-span
 is then membership in that lattice, decided by an integer echelon form with
 gcd pivots. This stays exact in the presence of zero divisors.
+
+Over a field the reduced echelon basis of a subspace is unique, so a tuple
+of its rows names the subspace: two subspaces are equal exactly when their
+bases are. `span`, `join` and `image` answer subspace questions on such
+bases and keep their answers in fixed-size caches, so a span met once is
+not computed again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -85,6 +92,39 @@ class FieldRowSpace:
         """Coordinates of vec in the echelon basis, or None when outside the span."""
         coords, residual = self._reduce(vec)
         return None if any(residual) else coords
+
+
+# ---- cached subspaces: reduced echelon bases as tuples of row tuples ----
+
+_CACHE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def span(ring: Ring, ncols: int, vectors: tuple) -> tuple:
+    """The reduced echelon basis of the span of `vectors` (a tuple of tuples)
+    in ring^ncols."""
+    space = FieldRowSpace(ring, ncols)
+    for x in vectors:
+        space.add(x)
+    return tuple(space.rows)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def join(ring: Ring, ncols: int, a: tuple, b: tuple) -> tuple:
+    """The reduced echelon basis of the sum of two subspaces of ring^ncols,
+    each given by its reduced echelon basis."""
+    if not b:
+        return a
+    if not a:
+        return b
+    return span(ring, ncols, a + b)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def image(ring: Ring, mat: tuple, basis: tuple) -> tuple:
+    """The reduced echelon basis of mat * span(basis): mat is an r x c matrix
+    (a tuple of row tuples) and basis spans a subspace of ring^c."""
+    return span(ring, len(mat), tuple(mat_vec(ring, mat, x) for x in basis))
 
 
 def _canon(ring: Ring, vec: Sequence) -> list:

@@ -5,9 +5,18 @@ cross-check the structural classifier against the categorical definitions.
 Consistency verdicts are evidence within the enumeration budget, not proof;
 counterexamples are certificates. What the tests show is agreement with the
 classifier over F_2 at total dimension <= 2, on the vertex idempotents e_S of
-small sweep quivers (up to three vertices and three edges). Disagreements
-that need larger modules, other fields or elements with path terms are not
-ruled out by that.
+small sweep quivers (up to three vertices and three edges), and agreement
+with a direct transcription of the definitions over F_2 and F_3 on e_S and
+on idempotents with path terms. Disagreements that need larger modules or
+other fields are not ruled out by that.
+
+Submodules are built vertex by vertex in declared vertex order, and a
+choice is dropped as soon as an edge between two chosen vertices is not
+closed, so only submodules are ever built. Every subspace question (edge
+images, Γ_e(M) = M, N = AeN, complements) is answered on reduced echelon
+bases through the fixed-size caches of `linalg.span`/`join`/`image`, which
+live as long as the process. Γ_e itself (`reps.gamma`) works over every
+field; the enumerators need a prime field.
 """
 
 from __future__ import annotations
@@ -18,13 +27,13 @@ from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .algebra import AlgElem, path_element, truncated_two_sided_ideal, vertex_idempotent
-from .linalg import FieldRowSpace, mat_vec
+from .linalg import FieldRowSpace, image, join
 from .quivers import Quiver
 from .reps import (
     Representation,
     Submodule,
+    _generated,
     gamma,
-    generated_submodule,
     in_category_e,
     submodule_from_local,
 )
@@ -108,17 +117,16 @@ def enumerate_reps(
                 maps = {}
                 pos = 0
                 for (eid, r, c), k in zip(shapes, entry_counts):
-                    chunk = flat[pos : pos + k]
-                    pos += k
                     maps[eid] = tuple(
-                        tuple(chunk[i * c + j] for j in range(c)) for i in range(r)
+                        flat[pos + i * c : pos + (i + 1) * c] for i in range(r)
                     )
+                    pos += k
                 count += 1
                 if count > budget.max_reps:
                     raise BudgetExceeded(
                         f"representation cap {budget.max_reps} exceeded"
                     )
-                yield Representation(q, ring, dims, maps)
+                yield Representation._from_canonical(q, ring, dims, maps)
 
 
 @lru_cache(maxsize=None)
@@ -144,8 +152,27 @@ def _enumerate_subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, ...], ...]:
     return tuple(sorted(out, key=lambda basis: (len(basis), basis)))
 
 
+@lru_cache(maxsize=None)
+def _subspace_spaces(ring: Ring, dim: int) -> tuple[tuple[tuple, FieldRowSpace], ...]:
+    """Each subspace of `_enumerate_subspaces(ring, dim)` with a row space of
+    it for membership queries. The row spaces are shared: never add to them."""
+    if ring.kind != "Fp":
+        raise OracleError("submodule enumeration requires a prime field")
+    out = []
+    for basis in _enumerate_subspaces(ring, dim):
+        space = FieldRowSpace(ring, dim)
+        for x in basis:
+            space.add(x)
+        out.append((basis, space))
+    return tuple(out)
+
+
 def enumerate_submodules(m: Representation) -> list[Submodule]:
-    """All edge-closed graded subspaces (equivalently, all submodules)."""
+    """All edge-closed graded subspaces (equivalently, all submodules), in
+    the product order of the per-vertex subspaces. They are built vertex by
+    vertex: a choice for the first k vertices is dropped as soon as an edge
+    between two of them is not closed, so only submodules are built. Edge
+    images are cached reduced echelon bases (see `linalg.image`)."""
     return list(_submodules(m))
 
 
@@ -154,19 +181,59 @@ def _submodules(
 ) -> Iterator[Submodule]:
     """The submodules of m in enumeration order; with `ranks`, only those of
     that dimension vector."""
-    q, ring = m.quiver, m.ring
-    if ring.kind != "Fp":
-        raise OracleError("submodule enumeration requires a prime field")
-    per_vertex = []
-    for v in q.vertices:
-        subspaces = _enumerate_subspaces(ring, m.dims[v])
-        if ranks is not None:
-            subspaces = [b for b in subspaces if len(b) == ranks[v]]
-        per_vertex.append(subspaces)
-    for choice in product(*per_vertex):
-        sub = submodule_from_local(m, dict(zip(q.vertices, choice)), close=False)
-        if sub.is_edge_closed():
-            yield sub
+    per_vertex = [
+        [
+            (basis, space)
+            for basis, space in _subspace_spaces(m.ring, m.dims[v])
+            if ranks is None or len(basis) == ranks[v]
+        ]
+        for v in m.quiver.vertices
+    ]
+    return _edge_closed(m, per_vertex)
+
+
+def _edge_closed(m: Representation, per_vertex: list) -> Iterator[Submodule]:
+    """The edge-closed choices of one (basis, row space) per vertex from
+    `per_vertex` (in vertex order), in product order, as submodules of m.
+    An edge is tested once both its ends are chosen: every vector of the
+    image of the source subspace must lie in the target's row space. A
+    choice for the first k vertices that fails a test is dropped with every
+    extension of it."""
+    ring, verts = m.ring, m.quiver.vertices
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    # the edges to test when vertex i is chosen: those whose later end is i
+    tests: list[list] = [[] for _ in verts]
+    for eid, src, dst in m.quiver.edges:
+        tests[max(pos[src], pos[dst])].append((pos[src], pos[dst], m.edge_maps[eid]))
+    full = [m.dims[v] for v in verts]
+    chosen: list = [None] * n  # (basis, row space) per vertex of the prefix
+    nxt = [0] * n  # per vertex, the index of its next candidate
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield submodule_from_local(
+                m, {v: c[0] for v, c in zip(verts, chosen)}, close=False
+            )
+            i -= 1
+            continue
+        if nxt[i] == len(per_vertex[i]):
+            nxt[i] = 0
+            i -= 1
+            continue
+        chosen[i] = per_vertex[i][nxt[i]]
+        nxt[i] += 1
+        # an edge into a whole vertex space is closed without a test
+        if all(
+            len(chosen[t][0]) == full[t]
+            or all(chosen[t][1].contains(y) for y in image(ring, a, chosen[s][0]))
+            for s, t, a in tests[i]
+        ):
+            i += 1
+
+
+def _bases(sub: Submodule) -> dict[str, tuple]:
+    return {v: tuple(sp.rows) for v, sp in sub.spaces.items()}
 
 
 def check_special_by_modules(
@@ -176,9 +243,11 @@ def check_special_by_modules(
     certifies that e is not left special. No counterexample within budget
     means consistency with specialness (evidence, not proof).
 
-    Each N is tested in M's coordinates: AeN is the submodule of M generated
-    by e*N, computed from M's action matrix of e, and N = AeN exactly when
-    the two have the same dimension vector."""
+    Each N is tested in M's coordinates: AeN is the join over vertices s of
+    the images of N_s under e's action blocks (t, s), closed under the edge
+    maps, and N = AeN exactly when the two have the same reduced echelon
+    basis at every vertex. Spans are cached (see `linalg.span`); no action
+    matrix of e is built."""
     if not e.is_idempotent():
         raise OracleError("oracle requires an idempotent element")
     checked = 0
@@ -186,25 +255,27 @@ def check_special_by_modules(
         checked += 1
         if not in_category_e(e, m):
             continue
-        act = m.action_matrix(e)
+        blocks = m.action_blocks(e)
         for sub in enumerate_submodules(m):
-            if generated_submodule(m, act, sub).dims != sub.dims:
+            bases = _bases(sub)
+            if _generated(m, blocks, bases) != bases:
                 return Verdict("counterexample", checked, module=m, submodule=sub)
     return Verdict("consistent", checked)
 
 
 def _graded_complements(m: Representation, g: Submodule) -> Iterator[Submodule]:
-    """Every submodule C with C (+) g = M vertexwise, in enumeration order."""
-    verts = m.quiver.vertices
-    ranks = {v: m.dims[v] - g.dims[v] for v in verts}
+    """Every submodule C with C (+) g = M vertexwise, in enumeration order:
+    C has rank dims(M)_v - dims(g)_v at each vertex v, and its join with g_v
+    is all of M_v."""
+    verts, g_bases = m.quiver.vertices, _bases(g)
+    ranks = {v: m.dims[v] - len(g_bases[v]) for v in verts}
     for c in _submodules(m, ranks):
-        if all(_independent(m.ring, m.dims[v], g.basis(v) + c.basis(v)) for v in verts):
+        c_bases = _bases(c)
+        if all(
+            len(join(m.ring, m.dims[v], c_bases[v], g_bases[v])) == m.dims[v]
+            for v in verts
+        ):
             yield c
-
-
-def _independent(ring: Ring, dim: int, vectors: list[tuple]) -> bool:
-    space = FieldRowSpace(ring, dim)
-    return all(space.add(x) for x in vectors)
 
 
 def check_split_by_sequences(
@@ -231,20 +302,16 @@ def split_complements_are_perp(
     if not e.is_idempotent():
         raise OracleError("oracle requires an idempotent element")
     for m in enumerate_reps(q, ring, budget):
-        act = m.action_matrix(e)
-        if not any(_kills(act, m, c) for c in _graded_complements(m, gamma(e, m))):
+        blocks = m.action_blocks(e)
+        if not any(_kills(blocks, c) for c in _graded_complements(m, gamma(e, m))):
             return False
     return True
 
 
-def _kills(act: tuple, m: Representation, c: Submodule) -> bool:
-    """Whether the global action matrix act is zero on every vector of c."""
-    return not any(
-        x
-        for v in m.quiver.vertices
-        for vec in c.basis(v)
-        for x in mat_vec(m.ring, act, m.embed(vec, v))
-    )
+def _kills(blocks: dict, c: Submodule) -> bool:
+    """Whether the action blocks (t, s) of an element are zero on every C_s."""
+    bases = _bases(c)
+    return not any(image(c.rep.ring, b, bases[s]) for (_, s), b in blocks.items())
 
 
 def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:

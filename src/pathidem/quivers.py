@@ -122,9 +122,13 @@ class Quiver:
     def paths_up_to(self, max_len: int, limit: int | None = None) -> list[Path]:
         """All paths of length <= max_len in canonical order.
 
-        A limit guards against blowup on cyclic quivers.
+        The enumeration stops at the first length with no path. A limit
+        guards against blowup on cyclic quivers: QuiverError is raised as
+        soon as more than `limit` paths, or more than `limit` edge ids over
+        all paths, would be held.
         """
         out: list[Path] = [Path(vertex=v) for v in sorted(self.vertices)]
+        held = 0  # edge ids over all paths kept so far
         frontier: list[tuple[str, ...]] = [()]
         for length in range(1, max_len + 1):
             nxt: list[tuple[str, ...]] = []
@@ -135,13 +139,15 @@ class Quiver:
                     candidates = self.out_edges[self.edge_target(pref[-1])]
                 for eid in candidates:
                     nxt.append(pref + (eid,))
+                    held += length
+                    if limit is not None and max(len(out) + len(nxt), held) > limit:
+                        raise QuiverError(
+                            f"path enumeration exceeded limit {limit} at length {length}"
+                        )
+            if not nxt:
+                break
             nxt.sort()
-            for seq in nxt:
-                out.append(Path(edges=seq))
-                if limit is not None and len(out) > limit:
-                    raise QuiverError(
-                        f"path enumeration exceeded limit {limit} at length {length}"
-                    )
+            out.extend(Path(edges=seq) for seq in nxt)
             frontier = nxt
         return out
 

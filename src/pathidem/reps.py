@@ -13,6 +13,7 @@ the quiver's declared vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -21,6 +22,8 @@ from .linalg import (
     FieldRowSpace,
     ZnRowSpace,
     identity_matrix,
+    image,
+    join,
     mat_canon,
     mat_mul,
     mat_vec,
@@ -63,6 +66,16 @@ class Representation:
         if extra:
             raise RepError(f"matrices given for unknown edges {sorted(extra)}")
         self.edge_maps = maps
+
+    @classmethod
+    def _from_canonical(
+        cls, quiver: Quiver, ring: Ring, dims: dict[str, int], edge_maps: dict
+    ) -> "Representation":
+        """The constructor for dims covering the vertices and one canonical,
+        well-shaped matrix per edge: nothing is re-validated."""
+        rep = object.__new__(cls)
+        rep.quiver, rep.ring, rep.dims, rep.edge_maps = quiver, ring, dims, edge_maps
+        return rep
 
     @property
     def total_dim(self) -> int:
@@ -123,6 +136,34 @@ class Representation:
             return tuple(tuple(r) for r in acc)
         return tuple(tuple(x % m for x in r) for r in acc)
 
+    def action_blocks(self, e: AlgElem) -> dict[tuple[str, str], tuple]:
+        """The blocks of e's action: (t, s) -> the dims[t] x dims[s] matrix
+        sum of c * M_p over the terms c*p of e from s to t. A pair has an
+        entry only when some such path runs through nonzero spaces only;
+        action_matrix(e) is these blocks placed at their vertex offsets, with
+        zeros elsewhere."""
+        if e.quiver != self.quiver or e.ring != self.ring:
+            raise RepError("element and representation are incompatible")
+        ring, q, dims = self.ring, self.quiver, self.dims
+        m = ring.modulus
+        blocks: dict[tuple[str, str], tuple] = {}
+        for p, c in e.terms:
+            s, t = q.path_source(p), q.path_target(p)
+            # a path through a zero space acts by zero
+            if not dims[s] or not all(dims[q.edge_target(eid)] for eid in p.edges):
+                continue
+            mat = _scalar_matrix(ring, dims[s], c)
+            for eid in p.edges:
+                mat = mat_mul(ring, self.edge_maps[eid], mat)
+            prev = blocks.get((t, s))
+            if prev is not None:
+                mat = tuple(
+                    tuple(a + b if m is None else (a + b) % m for a, b in zip(u, w))
+                    for u, w in zip(prev, mat)
+                )
+            blocks[(t, s)] = mat
+        return blocks
+
     def apply_edge(self, eid: str, local: Sequence) -> tuple:
         return mat_vec(self.ring, self.edge_maps[eid], local)
 
@@ -147,6 +188,13 @@ class Representation:
             for eid, m in obj.get("edges", {}).items()
         }
         return Representation(quiver, ring, dims, maps)
+
+
+@lru_cache(maxsize=256)
+def _scalar_matrix(ring: Ring, d: int, c) -> tuple:
+    """c times the d x d identity, for a canonical c."""
+    z = ring.zero()
+    return tuple(tuple(c if i == j else z for j in range(d)) for i in range(d))
 
 
 def zero_representation(quiver: Quiver, ring: Ring) -> Representation:
@@ -204,21 +252,33 @@ def submodule_from_local(
     for v, vecs in vectors.items():
         for x in vecs:
             spaces[v].add(x)
-    sub = Submodule(rep, spaces)
     if close:
-        _close_under_edges(sub)
-    return sub
+        closed = _closed(rep, {v: tuple(sp.rows) for v, sp in spaces.items()})
+        for v, basis in closed.items():
+            for x in basis:
+                spaces[v].add(x)
+    return Submodule(rep, spaces)
 
 
-def _close_under_edges(sub: Submodule) -> None:
-    q = sub.rep.quiver
+def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
+    """The smallest edge-closed graded subspace of m containing the one with
+    the given reduced echelon bases per vertex, again as such bases. Edge
+    images and joins come from the cached `image`/`join`."""
+    ring, dims = m.ring, m.dims
+    out = dict(bases)
+    edges = [
+        (src, dst, m.edge_maps[eid]) for eid, src, dst in m.quiver.edges if dims[dst]
+    ]
     changed = True
     while changed:
         changed = False
-        for eid, src, dst in q.edges:
-            for x in list(sub.spaces[src].basis()):
-                if sub.spaces[dst].add(sub.rep.apply_edge(eid, x)):
-                    changed = True
+        for src, dst, a in edges:
+            have = out[dst]
+            if out[src] and len(have) < dims[dst]:
+                grown = join(ring, dims[dst], have, image(ring, a, out[src]))
+                if len(grown) > len(have):
+                    out[dst], changed = grown, True
+    return out
 
 
 def _column_space(ring: Ring, mat: tuple) -> FieldRowSpace:
@@ -237,43 +297,44 @@ def e_fixed(e: AlgElem, m: Representation) -> list[tuple]:
     return _column_space(m.ring, m.action_matrix(e)).basis()
 
 
-def _generated(m: Representation, vectors) -> Submodule:
-    """The submodule of m generated by global vectors of m: their vertex
-    blocks, closed under the edge maps."""
-    verts = m.quiver.vertices
-    seed: dict[str, list] = {v: [] for v in verts}
-    for y in vectors:
-        for v in verts:
-            seed[v].append(m.block(y, v))
-    return submodule_from_local(m, seed, close=True)
+def _whole(m: Representation) -> dict[str, tuple]:
+    """The reduced echelon basis of each vertex space of m."""
+    one = m.ring.one()
+    return {v: _scalar_matrix(m.ring, d, one) for v, d in m.dims.items()}
+
+
+def _generated(
+    m: Representation, blocks: dict[tuple[str, str], tuple], bases: dict[str, tuple]
+) -> dict[str, tuple]:
+    """The submodule A*e*N of m, for e's action blocks on m and a graded
+    subspace N given by reduced echelon bases per vertex: at each vertex t
+    the join over s of block(t, s) * N_s, closed under the edge maps. The
+    answer is again reduced echelon bases, equal to `bases` exactly when
+    N = AeN (for a submodule N, AeN lies inside N)."""
+    ring, dims = m.ring, m.dims
+    seed = {v: () for v in dims}
+    for (t, s), b in blocks.items():
+        if bases[s]:
+            seed[t] = join(ring, dims[t], seed[t], image(ring, b, bases[s]))
+    return _closed(m, seed)
 
 
 def gamma(e: AlgElem, m: Representation) -> Submodule:
     """The smallest edge-closed graded subspace containing e*M (i.e. the span
-    of all path translates of e*M), computed by worklist closure. e need not
-    be idempotent: e*M is the column space of e's action matrix."""
-    return _generated(m, zip(*m.action_matrix(e)))
+    of all path translates of e*M). e need not be idempotent, and the ring
+    may be any field: at each vertex t the seed is the join of the column
+    spaces of e's action blocks (t, s), closed under the edge maps on cached
+    reduced echelon bases (see `linalg.span`)."""
+    bases = _generated(m, m.action_blocks(e), _whole(m))
+    return submodule_from_local(m, bases, close=False)
 
 
 def in_category_e(e: AlgElem, m: Representation) -> bool:
-    """Whether M is generated by e*M (M = A e M); for an idempotent e, e*M is
-    the space of e-fixed vectors. e need not be idempotent."""
-    return gamma(e, m).dims == m.dims
-
-
-def generated_submodule(m: Representation, act: tuple, sub: Submodule) -> Submodule:
-    """The submodule of m generated by e*sub, where act = m.action_matrix(e):
-    the vertex blocks of act*x over the basis vectors x of sub, closed under
-    the edge maps. For a submodule sub this is A*e*sub, so it has sub's
-    dimension vector exactly when sub is generated by its e-fixed vectors."""
-    return _generated(
-        m,
-        (
-            mat_vec(m.ring, act, m.embed(x, v))
-            for v in m.quiver.vertices
-            for x in sub.basis(v)
-        ),
-    )
+    """Whether M is generated by e*M (M = A e M), decided as Γ_e(M) = M
+    basis for basis; for an idempotent e, e*M is the space of e-fixed
+    vectors. e need not be idempotent, and the ring may be any field."""
+    whole = _whole(m)
+    return _generated(m, m.action_blocks(e), whole) == whole
 
 
 def _from_columns(cols: list, nrows: int) -> tuple:

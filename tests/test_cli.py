@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,15 @@ ARROW = json.dumps(
     {
         "vertices": ["v1", "v2"],
         "edges": [{"id": "a", "src": "v1", "dst": "v2"}],
+    }
+)
+LOOP = json.dumps(
+    {
+        "vertices": ["v1", "v2"],
+        "edges": [
+            {"id": "a", "src": "v1", "dst": "v2"},
+            {"id": "l", "src": "v1", "dst": "v1"},
+        ],
     }
 )
 E_V2 = json.dumps({"terms": [{"path": {"trivial": "v2"}, "coeff": "1"}]})
@@ -128,6 +138,29 @@ class TestFamilies:
         )
         assert code == 0
         assert report["result"]["full"] is True
+
+    @pytest.mark.parametrize(
+        "quiver, code", [(ARROW, 0), (LOOP, 2)], ids=["acyclic", "loop"]
+    )
+    def test_huge_degree_answers_quickly(self, capsys, tmp_path, quiver, code):
+        # paths run out at length 2 on the arrow; on a loop the path limit
+        # of the brute force is reached after a few hundred lengths
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps([json.loads(E_V2)]))
+        started = time.monotonic()
+        got, report = run(
+            capsys, "orthogonal", "--quiver", quiver, "--ring", "F2",
+            "--element", E_V2, "--element", E_V2, "--degree", str(10**9),
+        )
+        assert got == code
+        if code == 2:
+            assert report["error"]["code"] == "bad-input"
+        got, _ = run(
+            capsys, "full-family", "--quiver", quiver, "--ring", "F2",
+            "--family", str(fam), "--degree", str(10**9),
+        )
+        assert got == 0
+        assert time.monotonic() - started < 10
 
     def test_enumerate_families(self, capsys):
         code, report = run(

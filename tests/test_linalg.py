@@ -7,12 +7,16 @@ from pathidem.linalg import (
     FieldRowSpace,
     LinAlgError,
     ZnRowSpace,
+    image,
+    join,
     mat_canon,
     mat_mul,
     mat_vec,
     nullspace,
     row_space,
+    span,
 )
+from pathidem.oracle import _enumerate_subspaces
 from pathidem.rings import Ring
 
 
@@ -231,3 +235,60 @@ class TestKernelsAgainstReference:
             assert basis == _ref_nullspace(ring, rows, ncols)
             for x in basis:
                 assert all(ring.is_zero(y) for y in _ref_mat_vec(ring, rows, x))
+
+
+def _uncached_span(ring, ncols, vectors):
+    space = FieldRowSpace(ring, ncols)
+    for x in vectors:
+        space.add(x)
+    return tuple(space.rows)
+
+
+@pytest.mark.parametrize(
+    "ring, max_dim",
+    [(Ring("Fp", 2), 3), (Ring("Fp", 3), 2), (Ring("Fp", 5), 2), (Ring("Q"), 3)],
+    ids=str,
+)
+class TestCachedSubspaces:
+    """`span`, `join` and `image` against an uncached FieldRowSpace, on
+    non-canonical random input (and every subspace pair over F_p)."""
+
+    @staticmethod
+    def _subspaces(ring, d, rng):
+        if ring.kind == "Fp":
+            return list(_enumerate_subspaces(ring, d))
+        return [
+            _uncached_span(ring, d, _random_matrix(ring, rng, rng.randint(0, d), d))
+            for _ in range(12)
+        ]
+
+    def test_span(self, ring, max_dim):
+        rng = random.Random(21)
+        for _ in range(300):
+            d = rng.randint(0, max_dim)
+            vectors = tuple(map(tuple, _random_matrix(ring, rng, rng.randint(0, 4), d)))
+            got = span(ring, d, vectors)
+            assert got == _uncached_span(ring, d, vectors)
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            assert all(_is_canonical(ring, x) for row in got for x in row)
+            assert span(ring, d, vectors) == got
+
+    def test_join(self, ring, max_dim):
+        rng = random.Random(22)
+        for d in range(max_dim + 1):
+            spaces = self._subspaces(ring, d, rng)
+            for a in spaces:
+                for b in spaces:
+                    want = _uncached_span(ring, d, a + b)
+                    assert join(ring, d, a, b) == want == join(ring, d, b, a)
+
+    def test_image(self, ring, max_dim):
+        rng = random.Random(23)
+        for d in range(max_dim + 1):
+            spaces = self._subspaces(ring, d, rng)
+            for _ in range(40):
+                rows = rng.randint(0, max_dim)
+                mat = mat_canon(ring, _random_matrix(ring, rng, rows, d))
+                for basis in spaces:
+                    images = [mat_vec(ring, mat, x) for x in basis]
+                    assert image(ring, mat, basis) == _uncached_span(ring, rows, images)

@@ -1,6 +1,10 @@
+import random
+from itertools import product
+
 import pytest
 
-from pathidem.algebra import edge_element, path_element, vertex_idempotent
+from pathidem import oracle
+from pathidem.algebra import AlgElem, edge_element, path_element, vertex_idempotent
 from pathidem.classify import is_left_special, is_left_split, strongly_orthogonal
 from pathidem.linalg import FieldRowSpace
 from pathidem.oracle import (
@@ -16,18 +20,18 @@ from pathidem.oracle import (
     orthogonality_bruteforce,
     split_complements_are_perp,
 )
-from pathidem.quivers import Path
+from pathidem.quivers import Path, Quiver
 from pathidem.reps import (
     Representation,
+    _generated,
     e_fixed,
     gamma,
-    generated_submodule,
     in_category_e,
     sub_representation,
     submodule_from_local,
 )
 from pathidem.rings import Ring
-from pathidem.sweep import q_isolated, sweep_quivers
+from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
 
 class TestEnumeration:
@@ -216,20 +220,41 @@ class TestAgainstReference:
     IDS = [f"q{i // 2}-F{r.modulus}" for i, (q, r) in enumerate(CASES)]
 
     @staticmethod
-    def _reference_special(e, q, ring, budget):
+    def _reference_gamma(e, m):
+        # the closure seeded from the echelon basis of e*M, the column space
+        # of e's global action matrix
+        seed = {v: [m.block(w, v) for w in e_fixed(e, m)] for v in m.quiver.vertices}
+        return submodule_from_local(m, seed, close=True)
+
+    @classmethod
+    def _reference_in_category(cls, e, m):
+        return cls._reference_gamma(e, m).dims == m.dims
+
+    @staticmethod
+    def _reference_submodules(m):
+        # every product of per-vertex subspaces, kept when edge-closed
+        verts = m.quiver.vertices
+        per_vertex = [oracle._enumerate_subspaces(m.ring, m.dims[v]) for v in verts]
+        for choice in product(*per_vertex):
+            sub = submodule_from_local(m, dict(zip(verts, choice)), close=False)
+            if sub.is_edge_closed():
+                yield sub
+
+    @classmethod
+    def _reference_special(cls, e, q, ring, budget):
         checked = 0
         for m in enumerate_reps(q, ring, budget):
             checked += 1
-            if not in_category_e(e, m):
+            if not cls._reference_in_category(e, m):
                 continue
-            for sub in enumerate_submodules(m):
-                if not in_category_e(e, sub_representation(sub)[0]):
+            for sub in cls._reference_submodules(m):
+                if not cls._reference_in_category(e, sub_representation(sub)[0]):
                     return Verdict("counterexample", checked, module=m, submodule=sub)
         return Verdict("consistent", checked)
 
-    @staticmethod
-    def _reference_complements(m, g):
-        for c in enumerate_submodules(m):
+    @classmethod
+    def _reference_complements(cls, m, g):
+        for c in cls._reference_submodules(m):
             if any(c.dims[v] + g.dims[v] != m.dims[v] for v in m.quiver.vertices):
                 continue
             if all(
@@ -243,28 +268,59 @@ class TestAgainstReference:
         checked = 0
         for m in enumerate_reps(q, ring, budget):
             checked += 1
-            g = gamma(e, m)
+            g = cls._reference_gamma(e, m)
             if next(cls._reference_complements(m, g), None) is None:
                 return Verdict("counterexample", checked, module=m, submodule=g)
         return Verdict("consistent", checked)
 
+    def _assert_oracles_match(self, e, q, ring):
+        for new, ref in [
+            (check_special_by_modules, self._reference_special),
+            (check_split_by_sequences, self._reference_split),
+        ]:
+            got, want = new(e, q, ring, self.BUDGET), ref(e, q, ring, self.BUDGET)
+            assert got.to_json() == want.to_json()
+            assert got.reps_checked == want.reps_checked
+
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_verdicts_identical(self, q, ring):
         for s in _subsets(q.vertices):
-            e = vertex_idempotent(q, ring, s)
-            for new, ref in [
-                (check_special_by_modules, self._reference_special),
-                (check_split_by_sequences, self._reference_split),
-            ]:
-                got, want = new(e, q, ring, self.BUDGET), ref(e, q, ring, self.BUDGET)
-                assert got.to_json() == want.to_json()
-                assert got.reps_checked == want.reps_checked
+            self._assert_oracles_match(vertex_idempotent(q, ring, s), q, ring)
 
-    @staticmethod
-    def _reference_gamma(e, m):
-        # the closure seeded from the echelon basis of e*M
-        seed = {v: [m.block(w, v) for w in e_fixed(e, m)] for v in m.quiver.vertices}
-        return submodule_from_local(m, seed, close=True)
+    # quivers with paths between distinct vertices, of length 1 and 2, some
+    # through a loop
+    PATH_QUIVERS = [
+        q_arrow(),
+        q_a3(),
+        Quiver(("v1", "v2"), (("a", "v1", "v2"), ("b", "v2", "v1"))),
+        Quiver(("v1", "v2"), (("a", "v1", "v2"), ("l", "v2", "v2"))),
+        Quiver(("v1", "v2"), (("l", "v1", "v1"), ("a", "v1", "v2"))),
+    ]
+    PATH_CASES = [(q, Ring("Fp", p)) for q in PATH_QUIVERS for p in (2, 3)]
+
+    @pytest.mark.parametrize(
+        "q, ring", PATH_CASES, ids=[f"{q.edges}-{r}" for q, r in PATH_CASES]
+    )
+    def test_verdicts_identical_with_path_terms(self, q, ring):
+        # e_S plus path terms: the off-diagonal action blocks that no e_S has.
+        # AeM = Ae_S M for these e, so a block misplaced by the oracle shows
+        # here, while a lost one leaves every verdict as it is (that one
+        # shows in test_reps' test_action_blocks_match_action_matrix)
+        elements = _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        assert elements
+        for e in elements:
+            assert e.is_idempotent()
+            self._assert_oracles_match(e, q, ring)
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_pruned_submodules_match_product_filter(self, q, ring):
+        for m in enumerate_reps(q, ring, self.BUDGET):
+            want = [_bases(s) for s in self._reference_submodules(m)]
+            assert [_bases(s) for s in oracle._submodules(m)] == want
+            for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
+                ranks = dict(zip(q.vertices, ranks))
+                got = [_bases(s) for s in oracle._submodules(m, ranks)]
+                assert got == [b for b in want if _rank_vector(b) == ranks]
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_gamma_matches_e_fixed_closure(self, q, ring):
@@ -291,10 +347,59 @@ class TestAgainstReference:
         for s in _subsets(q.vertices):
             e = vertex_idempotent(q, ring, s)
             for m in enumerate_reps(q, ring, self.BUDGET):
-                act = m.action_matrix(e)
+                blocks = m.action_blocks(e)
                 for sub in enumerate_submodules(m):
-                    inside = generated_submodule(m, act, sub).dims == sub.dims
+                    inside = _generated(m, blocks, _bases(sub)) == _bases(sub)
                     assert inside == in_category_e(e, sub_representation(sub)[0])
+
+    @pytest.mark.parametrize("q, ring", CASES[:4], ids=IDS[:4])
+    def test_one_submodule_built_per_submodule(self, q, ring, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return submodule_from_local(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "submodule_from_local", counting)
+        for m in enumerate_reps(q, ring, self.BUDGET):
+            calls.clear()
+            assert len(enumerate_submodules(m)) == len(calls)
+            for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
+                calls.clear()
+                got = list(oracle._submodules(m, dict(zip(q.vertices, ranks))))
+                assert len(got) == len(calls)
+
+
+def _path_term_idempotents(q, ring, rng, count):
+    """Up to `count` idempotents e_S + sum of x_p * p, drawn by the rule of
+    acceptance test 09 over F_p: a path p of length <= 2 may carry x when
+    λ_t(p) * x = x and, if s(p) lies in S, λ_s(p) * x = 0. Over a field every
+    λ_v on S is 1, so p must run from outside S into S, and any x != 0 will
+    do. S runs over every vertex subset, so non-special elements occur too."""
+    paths = [r for r in q.paths_up_to(2, limit=500) if not r.is_trivial]
+    subsets = list(_subsets(q.vertices))
+    found = []
+    for _ in range(40 * count):
+        s = rng.choice(subsets)
+        terms = {Path(vertex=v): 1 for v in s}
+        for r in paths:
+            if q.path_target(r) in s and q.path_source(r) not in s:
+                if rng.random() < 0.6:
+                    terms[r] = rng.randrange(1, ring.modulus)
+        e = AlgElem.make(q, ring, terms)
+        if len(e.terms) > len(s) and e not in found:
+            found.append(e)
+            if len(found) == count:
+                break
+    return found
+
+
+def _bases(sub):
+    return {v: tuple(sub.basis(v)) for v in sub.rep.quiver.vertices}
+
+
+def _rank_vector(bases):
+    return {v: len(b) for v, b in bases.items()}
 
 
 def _independent(ring, dim, vectors):

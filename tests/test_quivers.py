@@ -119,6 +119,19 @@ class TestPaths:
         with pytest.raises(QuiverError):
             loop.paths_up_to(20, limit=100)
 
+    def test_paths_stop_at_first_empty_length(self, a3):
+        # A3 has no path longer than 2, so a huge degree costs nothing
+        assert a3.paths_up_to(10**12) == a3.paths_up_to(2)
+        assert a3.paths_up_to(10**12, limit=6) == a3.paths_up_to(2)
+
+    def test_path_limit_bounds_edges_held(self):
+        # one loop: lengths 0..L give L + 1 paths holding L(L+1)/2 edge ids,
+        # which pass 1000 at L = 45 while the path count is still 46
+        loop = Quiver(("v1",), (("x", "v1", "v1"),))
+        assert len(loop.paths_up_to(44, limit=1000)) == 45
+        with pytest.raises(QuiverError, match="at length 45"):
+            loop.paths_up_to(10**9, limit=1000)
+
 
 def test_quiver_validation():
     with pytest.raises(QuiverError):

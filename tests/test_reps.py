@@ -74,6 +74,50 @@ class TestRepresentation:
         e = vertex_idempotent(arrow, f5, {"v2"}) + edge_element(arrow, f5, "a")
         assert m.action_matrix(e) == ((0, 0), (1, 1))
 
+    @pytest.mark.parametrize(
+        "ring, max_dim", [(Ring("Fp", 2), 3), (Ring("Fp", 3), 2), (Ring("Q"), None)],
+        ids=str,
+    )
+    def test_action_blocks_match_action_matrix(self, a3, ring, max_dim):
+        # a loop l at the target of a: the idempotent e_v2 + 2*(a then l) has
+        # a path term through the loop, and l + e_v2 puts two terms into the
+        # block (v2, v2); on A3, e_v3 + (a then b) has a length-2 path term
+        looped = Quiver(("v1", "v2"), (("a", "v1", "v2"), ("l", "v2", "v2")))
+
+        def elem(q, terms):
+            return AlgElem.make(
+                q, ring, {Path(edges=p) if isinstance(p, tuple) else Path(vertex=p): c
+                          for p, c in terms.items()}
+            )
+
+        cases = [
+            (looped, elem(looped, {"v2": 1, ("a", "l"): 2}), True),
+            (looped, elem(looped, {"v2": 1, ("a",): 1, ("a", "l"): 1}), True),
+            (looped, elem(looped, {"v1": 2, "v2": 1, ("l",): 1, ("a", "l"): 2}), False),
+            (a3, elem(a3, {"v3": 1, ("a", "b"): 2}), True),
+            (a3, elem(a3, {"v2": 1, "v3": 1, ("a",): 1, ("a", "b"): 1}), True),
+        ]
+        for q, e, idempotent in cases:
+            assert e.is_idempotent() == idempotent
+            if max_dim is not None:
+                reps = enumerate_reps(q, ring, OracleBudget(max_total_dim=max_dim))
+            else:
+                reps = [
+                    Representation(
+                        q, ring, dict.fromkeys(q.vertices, 2),
+                        {eid: ((1, 2), (-3, 1)) for eid, _, _ in q.edges},
+                    )
+                ]
+            for m in reps:
+                blocks = m.action_blocks(e)
+                act = [[ring.zero()] * m.total_dim for _ in range(m.total_dim)]
+                for (t, s), b in blocks.items():
+                    assert (len(b), len(b[0])) == (m.dims[t], m.dims[s])
+                    for i, row in enumerate(b):
+                        for j, x in enumerate(row):
+                            act[m.offset(t) + i][m.offset(s) + j] = x
+                assert tuple(map(tuple, act)) == m.action_matrix(e)
+
     def test_json_round_trip(self, f5):
         m = arrow_rep(f5, scalar=3)
         assert Representation.from_json(m.quiver, f5, m.to_json()) == m
