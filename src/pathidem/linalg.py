@@ -9,8 +9,8 @@ gcd pivots. This stays exact in the presence of zero divisors.
 Over a field the reduced echelon basis of a subspace is unique, so a tuple
 of its rows names the subspace: two subspaces are equal exactly when their
 bases are. `span`, `join` and `image` answer subspace questions on such
-bases and keep their answers in fixed-size caches, so a span met once is
-not computed again.
+bases; `image` keeps its answers in a fixed-size cache, so an image met
+once is not computed again.
 """
 
 from __future__ import annotations
@@ -94,12 +94,9 @@ class FieldRowSpace:
         return None if any(residual) else coords
 
 
-# ---- cached subspaces: reduced echelon bases as tuples of row tuples ----
-
-_CACHE_SIZE = 1 << 12
+# ---- subspaces as reduced echelon bases: tuples of row tuples ----
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def span(ring: Ring, ncols: int, vectors: tuple) -> tuple:
     """The reduced echelon basis of the span of `vectors` (a tuple of tuples)
     in ring^ncols."""
@@ -109,7 +106,6 @@ def span(ring: Ring, ncols: int, vectors: tuple) -> tuple:
     return tuple(space.rows)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def join(ring: Ring, ncols: int, a: tuple, b: tuple) -> tuple:
     """The reduced echelon basis of the sum of two subspaces of ring^ncols,
     each given by its reduced echelon basis."""
@@ -120,7 +116,7 @@ def join(ring: Ring, ncols: int, a: tuple, b: tuple) -> tuple:
     return span(ring, ncols, a + b)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=1 << 12)
 def image(ring: Ring, mat: tuple, basis: tuple) -> tuple:
     """The reduced echelon basis of mat * span(basis): mat is an r x c matrix
     (a tuple of row tuples) and basis spans a subspace of ring^c."""
@@ -227,7 +223,10 @@ def zero_matrix(ring: Ring, nrows: int, ncols: int) -> tuple:
     return tuple(tuple(z for _ in range(ncols)) for _ in range(nrows))
 
 
+@lru_cache(maxsize=256)
 def identity_matrix(ring: Ring, n: int) -> tuple:
+    """The n x n identity (cached: the oracles ask for it once per term of e
+    and per vertex of every representation they enumerate)."""
     z, o = ring.zero(), ring.one()
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 

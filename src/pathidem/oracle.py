@@ -12,11 +12,13 @@ other fields are not ruled out by that.
 
 Submodules are built vertex by vertex in declared vertex order, and a
 choice is dropped as soon as an edge between two chosen vertices is not
-closed, so only submodules are ever built. Every subspace question (edge
-images, Γ_e(M) = M, N = AeN, complements) is answered on reduced echelon
-bases through the fixed-size caches of `linalg.span`/`join`/`image`, which
-live as long as the process. Γ_e itself (`reps.gamma`) works over every
-field; the enumerators need a prime field.
+closed, so only submodules are ever built; an edge image is tested by
+membership in a row space of the target subspace, built once per subspace.
+Every other subspace question (Γ_e(M) = M, N = AeN, complements) is
+answered on reduced echelon bases through `linalg.join` and `linalg.image`;
+images sit in a fixed-size cache that lives as long as the process. Γ_e
+itself (`reps.gamma`) works over every field; the enumerators need a prime
+field.
 """
 
 from __future__ import annotations
@@ -155,9 +157,8 @@ def _enumerate_subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, ...], ...]:
 @lru_cache(maxsize=None)
 def _subspace_spaces(ring: Ring, dim: int) -> tuple[tuple[tuple, FieldRowSpace], ...]:
     """Each subspace of `_enumerate_subspaces(ring, dim)` with a row space of
-    it for membership queries. The row spaces are shared: never add to them."""
-    if ring.kind != "Fp":
-        raise OracleError("submodule enumeration requires a prime field")
+    it, built once, for the membership queries of `_edge_closed`. The row
+    spaces are shared: never add to them."""
     out = []
     for basis in _enumerate_subspaces(ring, dim):
         space = FieldRowSpace(ring, dim)
@@ -181,6 +182,8 @@ def _submodules(
 ) -> Iterator[Submodule]:
     """The submodules of m in enumeration order; with `ranks`, only those of
     that dimension vector."""
+    if m.ring.kind != "Fp":
+        raise OracleError("submodule enumeration requires a prime field")
     per_vertex = [
         [
             (basis, space)
@@ -246,7 +249,7 @@ def check_special_by_modules(
     Each N is tested in M's coordinates: AeN is the join over vertices s of
     the images of N_s under e's action blocks (t, s), closed under the edge
     maps, and N = AeN exactly when the two have the same reduced echelon
-    basis at every vertex. Spans are cached (see `linalg.span`); no action
+    basis at every vertex. Images are cached (see `linalg.image`); no action
     matrix of e is built."""
     if not e.is_idempotent():
         raise OracleError("oracle requires an idempotent element")

@@ -11,6 +11,11 @@ class QuiverError(ValueError):
     """Malformed quiver, path, or vertex-set input."""
 
 
+# the most edge ids `Quiver.paths_up_to` holds over all its paths (about 80 MB
+# of references)
+_MAX_EDGE_IDS = 10**7
+
+
 @dataclass(frozen=True)
 class Path:
     """A path: either trivial at a vertex, or a nonempty edge sequence in
@@ -124,8 +129,10 @@ class Quiver:
 
         The enumeration stops at the first length with no path. A limit
         guards against blowup on cyclic quivers: QuiverError is raised as
-        soon as more than `limit` paths, or more than `limit` edge ids over
-        all paths, would be held.
+        soon as more than `limit` paths would be held. Independently of it,
+        QuiverError is raised once the paths would hold more than
+        `_MAX_EDGE_IDS` edge ids in all, which bounds memory where paths get
+        long but stay few (a loop).
         """
         out: list[Path] = [Path(vertex=v) for v in sorted(self.vertices)]
         held = 0  # edge ids over all paths kept so far
@@ -140,9 +147,14 @@ class Quiver:
                 for eid in candidates:
                     nxt.append(pref + (eid,))
                     held += length
-                    if limit is not None and max(len(out) + len(nxt), held) > limit:
+                    if limit is not None and len(out) + len(nxt) > limit:
                         raise QuiverError(
                             f"path enumeration exceeded limit {limit} at length {length}"
+                        )
+                    if held > _MAX_EDGE_IDS:
+                        raise QuiverError(
+                            f"paths hold more than {_MAX_EDGE_IDS} edge ids"
+                            f" at length {length}"
                         )
             if not nxt:
                 break

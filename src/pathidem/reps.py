@@ -13,7 +13,6 @@ the quiver's declared vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -122,39 +121,37 @@ class Representation:
         return tuple(tuple(r) for r in out)
 
     def action_matrix(self, e: AlgElem) -> tuple:
-        if e.quiver != self.quiver or e.ring != self.ring:
-            raise RepError("element and representation are incompatible")
-        m = self.ring.modulus
+        """The global D x D matrix of e's action: its `action_blocks` placed
+        at their vertex offsets, zeros elsewhere."""
         D = self.total_dim
-        acc = [[self.ring.zero()] * D for _ in range(D)]
-        for p, c in e.terms:
-            for arow, row in zip(acc, self.path_matrix(p)):
-                for j, x in enumerate(row):
-                    if x:
-                        arow[j] += c * x
-        if m is None:
-            return tuple(tuple(r) for r in acc)
-        return tuple(tuple(x % m for x in r) for r in acc)
+        out = [[self.ring.zero()] * D for _ in range(D)]
+        for (t, s), block in self.action_blocks(e).items():
+            roff, coff = self.offset(t), self.offset(s)
+            for i, row in enumerate(block):
+                out[roff + i][coff : coff + len(row)] = row
+        return tuple(tuple(r) for r in out)
 
     def action_blocks(self, e: AlgElem) -> dict[tuple[str, str], tuple]:
         """The blocks of e's action: (t, s) -> the dims[t] x dims[s] matrix
         sum of c * M_p over the terms c*p of e from s to t. A pair has an
-        entry only when some such path runs through nonzero spaces only;
-        action_matrix(e) is these blocks placed at their vertex offsets, with
-        zeros elsewhere."""
+        entry only when some such path runs through nonzero spaces only."""
         if e.quiver != self.quiver or e.ring != self.ring:
             raise RepError("element and representation are incompatible")
         ring, q, dims = self.ring, self.quiver, self.dims
-        m = ring.modulus
+        m, one = ring.modulus, ring.one()
         blocks: dict[tuple[str, str], tuple] = {}
         for p, c in e.terms:
             s, t = q.path_source(p), q.path_target(p)
             # a path through a zero space acts by zero
             if not dims[s] or not all(dims[q.edge_target(eid)] for eid in p.edges):
                 continue
-            mat = _scalar_matrix(ring, dims[s], c)
+            mat = identity_matrix(ring, dims[s])
             for eid in p.edges:
                 mat = mat_mul(ring, self.edge_maps[eid], mat)
+            if c != one:
+                mat = tuple(
+                    tuple(c * x if m is None else c * x % m for x in row) for row in mat
+                )
             prev = blocks.get((t, s))
             if prev is not None:
                 mat = tuple(
@@ -188,13 +185,6 @@ class Representation:
             for eid, m in obj.get("edges", {}).items()
         }
         return Representation(quiver, ring, dims, maps)
-
-
-@lru_cache(maxsize=256)
-def _scalar_matrix(ring: Ring, d: int, c) -> tuple:
-    """c times the d x d identity, for a canonical c."""
-    z = ring.zero()
-    return tuple(tuple(c if i == j else z for j in range(d)) for i in range(d))
 
 
 def zero_representation(quiver: Quiver, ring: Ring) -> Representation:
@@ -263,7 +253,7 @@ def submodule_from_local(
 def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
     """The smallest edge-closed graded subspace of m containing the one with
     the given reduced echelon bases per vertex, again as such bases. Edge
-    images and joins come from the cached `image`/`join`."""
+    images come from the cached `image`."""
     ring, dims = m.ring, m.dims
     out = dict(bases)
     edges = [
@@ -299,8 +289,7 @@ def e_fixed(e: AlgElem, m: Representation) -> list[tuple]:
 
 def _whole(m: Representation) -> dict[str, tuple]:
     """The reduced echelon basis of each vertex space of m."""
-    one = m.ring.one()
-    return {v: _scalar_matrix(m.ring, d, one) for v, d in m.dims.items()}
+    return {v: identity_matrix(m.ring, d) for v, d in m.dims.items()}
 
 
 def _generated(
@@ -323,8 +312,8 @@ def gamma(e: AlgElem, m: Representation) -> Submodule:
     """The smallest edge-closed graded subspace containing e*M (i.e. the span
     of all path translates of e*M). e need not be idempotent, and the ring
     may be any field: at each vertex t the seed is the join of the column
-    spaces of e's action blocks (t, s), closed under the edge maps on cached
-    reduced echelon bases (see `linalg.span`)."""
+    spaces of e's action blocks (t, s), closed under the edge maps on
+    reduced echelon bases, with images cached (see `linalg.image`)."""
     bases = _generated(m, m.action_blocks(e), _whole(m))
     return submodule_from_local(m, bases, close=False)
 

@@ -1,14 +1,13 @@
 import contextlib
 import io
 import json
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathidem import __version__
-from pathidem import cli
+from pathidem import cli, quivers
 from pathidem.algebra import vertex_idempotent
 from pathidem.cli import main
 from pathidem.oracle import OracleBudget, enumerate_reps
@@ -139,28 +138,34 @@ class TestFamilies:
         assert code == 0
         assert report["result"]["full"] is True
 
-    @pytest.mark.parametrize(
-        "quiver, code", [(ARROW, 0), (LOOP, 2)], ids=["acyclic", "loop"]
-    )
-    def test_huge_degree_answers_quickly(self, capsys, tmp_path, quiver, code):
-        # paths run out at length 2 on the arrow; on a loop the path limit
-        # of the brute force is reached after a few hundred lengths
-        fam = tmp_path / "fam.json"
-        fam.write_text(json.dumps([json.loads(E_V2)]))
-        started = time.monotonic()
-        got, report = run(
-            capsys, "orthogonal", "--quiver", quiver, "--ring", "F2",
+    def test_huge_degree_on_acyclic_quiver(self, capsys):
+        # paths run out at length 2 on the arrow, so the degree costs nothing
+        code, report = run(
+            capsys, "orthogonal", "--quiver", ARROW, "--ring", "F2",
             "--element", E_V2, "--element", E_V2, "--degree", str(10**9),
         )
-        assert got == code
-        if code == 2:
-            assert report["error"]["code"] == "bad-input"
-        got, _ = run(
-            capsys, "full-family", "--quiver", quiver, "--ring", "F2",
-            "--family", str(fam), "--degree", str(10**9),
+        assert code == 0
+        assert report["result"]["bruteforce"] is False
+
+    def test_loop_at_mid_degree(self, capsys):
+        # 2002 paths of length <= 1000 holding about 10^6 edge ids: answered
+        code, report = run(
+            capsys, "orthogonal", "--quiver", LOOP, "--ring", "F2",
+            "--element", E_V2, "--element", ZERO, "--degree", "1000",
         )
-        assert got == 0
-        assert time.monotonic() - started < 10
+        assert code == 0
+        assert report["result"]["bruteforce"] is True
+
+    def test_loop_at_huge_degree(self, capsys, monkeypatch):
+        # the edge id bound of `paths_up_to` refuses the loop long before 10^9
+        monkeypatch.setattr(quivers, "_MAX_EDGE_IDS", 10_000)
+        code, report = run(
+            capsys, "orthogonal", "--quiver", LOOP, "--ring", "F2",
+            "--element", E_V2, "--element", ZERO, "--degree", str(10**9),
+        )
+        assert code == 2
+        assert report["error"]["code"] == "bad-input"
+        assert "edge ids at length 100" in report["error"]["message"]
 
     def test_enumerate_families(self, capsys):
         code, report = run(

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from pathidem import quivers
 from pathidem.quivers import Path, Quiver, QuiverError
 from pathidem.sweep import q_isolated, sweep_quivers
 
@@ -124,13 +125,25 @@ class TestPaths:
         assert a3.paths_up_to(10**12) == a3.paths_up_to(2)
         assert a3.paths_up_to(10**12, limit=6) == a3.paths_up_to(2)
 
-    def test_path_limit_bounds_edges_held(self):
+    def test_path_limit_bounds_edges_held(self, monkeypatch):
         # one loop: lengths 0..L give L + 1 paths holding L(L+1)/2 edge ids,
         # which pass 1000 at L = 45 while the path count is still 46
+        monkeypatch.setattr(quivers, "_MAX_EDGE_IDS", 1000)
         loop = Quiver(("v1",), (("x", "v1", "v1"),))
-        assert len(loop.paths_up_to(44, limit=1000)) == 45
-        with pytest.raises(QuiverError, match="at length 45"):
-            loop.paths_up_to(10**9, limit=1000)
+        assert len(loop.paths_up_to(44)) == 45
+        for limit in (None, 10**5):
+            with pytest.raises(QuiverError, match="edge ids at length 45"):
+                loop.paths_up_to(10**9, limit=limit)
+
+    def test_loop_at_mid_degree(self):
+        # the edge id bound (10^7) is reached only at length 4472 on one loop,
+        # so a degree in the thousands still answers; `limit` counts paths
+        loop = Quiver(("v1",), (("x", "v1", "v1"),))
+        paths = loop.paths_up_to(1000, limit=100_000)
+        assert len(paths) == 1001
+        assert paths[-1] == Path(edges=("x",) * 1000)
+        with pytest.raises(QuiverError, match="exceeded limit 500 at length 500"):
+            loop.paths_up_to(1000, limit=500)
 
 
 def test_quiver_validation():

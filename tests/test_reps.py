@@ -78,7 +78,7 @@ class TestRepresentation:
         "ring, max_dim", [(Ring("Fp", 2), 3), (Ring("Fp", 3), 2), (Ring("Q"), None)],
         ids=str,
     )
-    def test_action_blocks_match_action_matrix(self, a3, ring, max_dim):
+    def test_action_matrix_matches_path_matrices(self, a3, ring, max_dim):
         # a loop l at the target of a: the idempotent e_v2 + 2*(a then l) has
         # a path term through the loop, and l + e_v2 puts two terms into the
         # block (v2, v2); on A3, e_v3 + (a then b) has a length-2 path term
@@ -109,13 +109,14 @@ class TestRepresentation:
                     )
                 ]
             for m in reps:
-                blocks = m.action_blocks(e)
+                # reference: the sum of c times the global matrix of each path
                 act = [[ring.zero()] * m.total_dim for _ in range(m.total_dim)]
-                for (t, s), b in blocks.items():
-                    assert (len(b), len(b[0])) == (m.dims[t], m.dims[s])
-                    for i, row in enumerate(b):
+                for p, c in e.terms:
+                    for arow, row in zip(act, m.path_matrix(p)):
                         for j, x in enumerate(row):
-                            act[m.offset(t) + i][m.offset(s) + j] = x
+                            arow[j] = ring.add(arow[j], ring.mul(c, x))
+                for (t, s), b in m.action_blocks(e).items():
+                    assert (len(b), len(b[0])) == (m.dims[t], m.dims[s])
                 assert tuple(map(tuple, act)) == m.action_matrix(e)
 
     def test_json_round_trip(self, f5):
