@@ -248,7 +248,7 @@ def _run(args) -> dict:
             )
         e = _parse_element(quiver, ring, args.element[0])
         budget = _budget(args)
-        corner = corner_algebra(e)  # refuses a non-idempotent e
+        corner = corner_algebra(e)  # refuses a non-idempotent e and Z/n
         reps = [
             m for m in enumerate_reps(quiver, ring, budget) if in_category_e(e, m)
         ]

@@ -232,6 +232,9 @@ def identity_matrix(ring: Ring, n: int) -> tuple:
 
 
 def mat_mul(ring: Ring, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
+    """The product a * b. The column count is read off b's first row, so
+    when the inner dimension is 0 the result is len(a) empty rows, not the
+    len(a) x c zero matrix; a caller that needs the shape builds it."""
     if a and b and len(a[0]) != len(b):
         raise LinAlgError("shape mismatch in matrix product")
     m = ring.modulus

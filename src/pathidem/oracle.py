@@ -53,15 +53,11 @@ class BudgetExceeded(OracleError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_total_dim: int = 3
-    max_path_degree: Optional[int] = None  # defaults to |V| at use sites
     max_reps: int = 200_000
 
     def __post_init__(self):
         if self.max_total_dim < 0 or self.max_reps <= 0:
             raise OracleError("budget bounds must be positive")
-
-    def path_degree(self, q: Quiver) -> int:
-        return self.max_path_degree if self.max_path_degree is not None else len(q.vertices)
 
 
 @dataclass

@@ -1,9 +1,13 @@
-"""Finite-dimensional quiver representations and raw modules.
+"""Finite-dimensional quiver representations, Hom spaces and the corner ring.
 
 A Representation assigns a free module of finite rank to each vertex and a
 matrix to each edge; it is the graded picture of a non-degenerate module over
-the path algebra. A RawModule is an ungraded module given by action matrices
-for the generators; the non-degenerate part is extracted by `nu`.
+the path algebra. Every module here is such a representation: the corner
+ring eAe of an idempotent e with trivial support S is the path algebra of a
+quiver Q_S (`corner_algebra`), and eM is the restriction of M to Q_S
+(`corner_module`). For a general e that is the corner of e_S transported by
+the unit u = e e_S + (1 - e)(1 - e_S); the tests pin this against the eAe
+basis spanned by the elements e p e.
 
 Matrices act on column vectors; the edge matrix for a has shape
 dims[target] x dims[source]. Global vectors concatenate the vertex blocks in
@@ -12,14 +16,12 @@ the quiver's declared vertex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import AlgElem, path_element, path_vector
 from .linalg import (
     FieldRowSpace,
-    ZnRowSpace,
     identity_matrix,
     image,
     join,
@@ -29,7 +31,7 @@ from .linalg import (
     nullspace,
     zero_matrix,
 )
-from .quivers import Path, Quiver, concat
+from .quivers import Path, Quiver
 from .rings import Ring
 
 
@@ -134,20 +136,17 @@ class Representation:
     def action_blocks(self, e: AlgElem) -> dict[tuple[str, str], tuple]:
         """The blocks of e's action: (t, s) -> the dims[t] x dims[s] matrix
         sum of c * M_p over the terms c*p of e from s to t. A pair has an
-        entry only when some such path runs through nonzero spaces only."""
+        entry only when dims[t] and dims[s] are both nonzero."""
         if e.quiver != self.quiver or e.ring != self.ring:
             raise RepError("element and representation are incompatible")
-        ring, q, dims = self.ring, self.quiver, self.dims
-        m, one = ring.modulus, ring.one()
+        q, dims = self.quiver, self.dims
+        m, one = self.ring.modulus, self.ring.one()
         blocks: dict[tuple[str, str], tuple] = {}
         for p, c in e.terms:
             s, t = q.path_source(p), q.path_target(p)
-            # a path through a zero space acts by zero
-            if not dims[s] or not all(dims[q.edge_target(eid)] for eid in p.edges):
+            if not dims[s] or not dims[t]:
                 continue
-            mat = identity_matrix(ring, dims[s])
-            for eid in p.edges:
-                mat = mat_mul(ring, self.edge_maps[eid], mat)
+            mat = self._path_block(p)
             if c != one:
                 mat = tuple(
                     tuple(c * x if m is None else c * x % m for x in row) for row in mat
@@ -160,6 +159,19 @@ class Representation:
                 )
             blocks[(t, s)] = mat
         return blocks
+
+    def _path_block(self, p: Path) -> tuple:
+        """The dims[t] x dims[s] matrix of a path p from s to t: the product
+        of its edge maps, or the zero matrix when p runs through a zero space
+        (where `mat_mul` cannot carry the column count)."""
+        q, ring, dims = self.quiver, self.ring, self.dims
+        s = q.path_source(p)
+        if not dims[s] or not all(dims[q.edge_target(eid)] for eid in p.edges):
+            return zero_matrix(ring, dims[q.path_target(p)], dims[s])
+        mat = identity_matrix(ring, dims[s])
+        for eid in p.edges:
+            mat = mat_mul(ring, self.edge_maps[eid], mat)
+        return mat
 
     def apply_edge(self, eid: str, local: Sequence) -> tuple:
         return mat_vec(self.ring, self.edge_maps[eid], local)
@@ -174,21 +186,6 @@ class Representation:
                 for eid, m in self.edge_maps.items()
             },
         }
-
-    @staticmethod
-    def from_json(quiver: Quiver, ring: Ring, obj: dict) -> "Representation":
-        if not isinstance(obj, dict) or "dims" not in obj:
-            raise RepError(f"bad representation: {obj!r}")
-        dims = {v: int(d) for v, d in obj["dims"].items()}
-        maps = {
-            eid: tuple(tuple(ring.canon(x) for x in row) for row in m)
-            for eid, m in obj.get("edges", {}).items()
-        }
-        return Representation(quiver, ring, dims, maps)
-
-
-def zero_representation(quiver: Quiver, ring: Ring) -> Representation:
-    return Representation(quiver, ring, {v: 0 for v in quiver.vertices}, {})
 
 
 @dataclass
@@ -326,11 +323,6 @@ def in_category_e(e: AlgElem, m: Representation) -> bool:
     return _generated(m, m.action_blocks(e), whole) == whole
 
 
-def _from_columns(cols: list, nrows: int) -> tuple:
-    """The nrows x len(cols) matrix with the given columns."""
-    return tuple(tuple(c[i] for c in cols) for i in range(nrows))
-
-
 def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:
     """The matrix whose columns are the coordinates of `images` in target's
     echelon basis; RepError(msg) when an image lies outside target."""
@@ -340,7 +332,7 @@ def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:
         if coords is None:
             raise RepError(msg)
         cols.append(coords)
-    return _from_columns(cols, target.rank)
+    return tuple(tuple(c[i] for c in cols) for i in range(target.rank))
 
 
 def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[tuple]]]:
@@ -361,83 +353,35 @@ def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[t
     )
 
 
-def quotient(m: Representation, sub: Submodule) -> Representation:
-    """Quotient representation by a submodule; over Z/n only free quotients
-    (non-unit pivots raise)."""
-    if sub.rep != m:
-        raise RepError("submodule belongs to a different representation")
-    ring = m.ring
-    coords: dict[str, list[int]] = {}
-    for v in m.quiver.vertices:
-        pivots = set(sub.spaces[v].pivots)
-        coords[v] = [j for j in range(m.dims[v]) if j not in pivots]
-
-    def project(v: str, x: Sequence) -> tuple:
-        red = sub.spaces[v]._reduce(x)[1]
-        return tuple(red[j] for j in coords[v])
-
-    dims = {v: len(coords[v]) for v in m.quiver.vertices}
-    maps = {}
-    for eid, src, dst in m.quiver.edges:
-        cols = []
-        for j in coords[src]:
-            basis_vec = [ring.zero()] * m.dims[src]
-            basis_vec[j] = ring.one()
-            cols.append(project(dst, m.apply_edge(eid, basis_vec)))
-        maps[eid] = _from_columns(cols, dims[dst])
-    return Representation(m.quiver, ring, dims, maps)
-
-
 # ---- Hom spaces ----
 
 
-def hom_space(
-    m: Representation, n: Representation, zn_dim_cap: int = 6
-) -> list[dict[str, tuple]]:
-    """Basis of intertwiners f = (f_v) with f_{t(a)} M_a = N_a f_{s(a)}.
-
-    Over a field this is a nullspace computation; over Z/n an exhaustive
-    search bounded by `zn_dim_cap` on the combined total dimension."""
+def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
+    """Basis of the intertwiners f = (f_v) with f_{t(a)} M_a = N_a f_{s(a)},
+    over a field; RepError over Z/n."""
     if m.quiver != n.quiver or m.ring != n.ring:
         raise RepError("representations are incompatible")
-    ring = m.ring
-    if ring.is_field:
-        return _hom_space_field(m, n)
-    if m.total_dim + n.total_dim > zn_dim_cap:
-        raise RepError(
-            f"hom_space over {ring} needs total dimension <= {zn_dim_cap}"
-        )
-    return _hom_space_exhaustive(m, n)
+    if not m.ring.is_field:
+        raise RepError(f"hom_space needs a field, not {m.ring}")
+    return _hom_space_field(m, n)
 
 
-def _block_shapes(m: Representation, n: Representation) -> list[tuple[int, int]]:
-    """Shape n.dims[v] x m.dims[v] of the block f_v, in vertex order."""
-    return [(n.dims[v], m.dims[v]) for v in m.quiver.vertices]
-
-
-def _unpack(m, n, sol) -> dict[str, tuple]:
-    """The blocks f_v of a flat unknown vector (row-major, vertex order)."""
-    out, off = {}, 0
-    for v, (r, c) in zip(m.quiver.vertices, _block_shapes(m, n)):
-        out[v] = tuple(tuple(sol[off + i * c : off + (i + 1) * c]) for i in range(r))
-        off += r * c
-    return out
-
-
-def _intertwiners(ring: Ring, shapes: list, equations) -> list[tuple]:
-    """Basis of the flat unknown vectors (f_0, f_1, ...), each block f_b of
-    shape shapes[b] stored row-major, with f_dst * A == B * f_src for every
-    (src, dst, A, B) in `equations`."""
-    offs, nunk = [], 0
-    for r, c in shapes:
-        offs.append(nunk)
-        nunk += r * c
+def _hom_space_field(m: Representation, n: Representation) -> list[dict[str, tuple]]:
+    """The nullspace of one equation per entry of f_{t(a)} M_a - N_a f_{s(a)},
+    in the unknowns f_v of shape n.dims[v] x m.dims[v], stored row-major in
+    vertex order."""
+    ring, verts = m.ring, m.quiver.vertices
+    offs, nunk = {}, 0
+    for v in verts:
+        offs[v] = nunk
+        nunk += n.dims[v] * m.dims[v]
     zero = ring.zero()
     rows = []
-    for src, dst, A, B in equations:
-        (nd, md), (ns, ms) = shapes[dst], shapes[src]
+    for eid, src, dst in m.quiver.edges:
+        A, B = m.edge_maps[eid], n.edge_maps[eid]
+        md, ms, ns = m.dims[dst], m.dims[src], n.dims[src]
         od, os_ = offs[dst], offs[src]
-        for i in range(nd):
+        for i in range(n.dims[dst]):
             for j in range(ms):
                 row = [zero] * nunk
                 for k in range(md):
@@ -445,165 +389,99 @@ def _intertwiners(ring: Ring, shapes: list, equations) -> list[tuple]:
                 for l in range(ns):
                     row[os_ + l * ms + j] -= B[i][l]
                 rows.append(row)
-    return nullspace(ring, rows, nunk)
-
-
-def _hom_space_field(m, n) -> list[dict[str, tuple]]:
-    pos = {v: b for b, v in enumerate(m.quiver.vertices)}
-    equations = [
-        (pos[src], pos[dst], m.edge_maps[eid], n.edge_maps[eid])
-        for eid, src, dst in m.quiver.edges
+    return [
+        {
+            v: tuple(
+                tuple(sol[offs[v] + i * m.dims[v] : offs[v] + (i + 1) * m.dims[v]])
+                for i in range(n.dims[v])
+            )
+            for v in verts
+        }
+        for sol in nullspace(ring, rows, nunk)
     ]
-    sols = _intertwiners(m.ring, _block_shapes(m, n), equations)
-    return [_unpack(m, n, sol) for sol in sols]
 
 
-def _hom_space_exhaustive(m, n) -> list[dict[str, tuple]]:
-    ring = m.ring
-    nunk = sum(r * c for r, c in _block_shapes(m, n))
-    found = []
-    span = ZnRowSpace(ring, nunk) if nunk else None
-    for assignment in product(ring.elements(), repeat=nunk):
-        f = _unpack(m, n, assignment)
-        ok = all(
-            mat_mul(ring, f[dst], m.edge_maps[eid])
-            == mat_mul(ring, n.edge_maps[eid], f[src])
-            for eid, src, dst in m.quiver.edges
-        )
-        if ok and span is not None and span.add(assignment):
-            found.append(f)
-    return found
+# ---- the corner ring eAe as the path algebra of a quiver Q_S ----
 
 
-# ---- corner ring eAe and its modules ----
+def _trivial_support(e: AlgElem) -> tuple[str, ...]:
+    """The vertices whose trivial path has a nonzero coefficient in e, in
+    the quiver's vertex order."""
+    s = {p.vertex for p, _ in e.terms if p.is_trivial}
+    return tuple(v for v in e.quiver.vertices if v in s)
 
 
-@dataclass
-class CornerAlgebra:
-    """Basis of the corner ring e*A*e of an acyclic quiver's path algebra."""
+def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
+    """The corner ring eAe of an idempotent e over a field on an acyclic
+    quiver, as the quiver Q_S whose path algebra it is, together with the
+    path of Q that each arrow of Q_S stands for.
 
-    e: AlgElem
-    basis: list[AlgElem]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def corner_algebra(e: AlgElem) -> CornerAlgebra:
-    q, ring = e.quiver, e.ring
+    S is the trivial support of e. Q_S has the vertices S and one arrow per
+    path of Q from S to S with no interior vertex in S. Every path between
+    vertices of S factors uniquely into such arrows, so e_S A e_S is the path
+    algebra of Q_S. For a general e, the diagonal part of e is e_S, and
+    u = e e_S + (1 - e)(1 - e_S) is a unit with u e_S u^-1 = e (lifting of
+    idempotents), so conjugation by u carries e_S A e_S onto eAe and e_S M
+    onto eM. test_reps pins this against the eAe basis spanned by the e p e."""
+    q = e.quiver
     if not q.is_acyclic:
         raise RepError("corner computations require an acyclic quiver")
+    if not e.ring.is_field:
+        raise RepError("corner computations require a field")
     if not e.is_idempotent():
         raise RepError("corner ring needs an idempotent element")
-    paths = q.all_paths()
-    index = {p: i for i, p in enumerate(paths)}
-    space = FieldRowSpace(ring, len(paths))
-    rows_elems: list[AlgElem] = []
-    for p in paths:
-        x = e * path_element(q, ring, p) * e
-        if not x.is_zero:
-            space.add(path_vector(x, index))
-    for row in space.basis():
-        terms = {paths[i]: c for i, c in enumerate(row) if not ring.is_zero(c)}
-        rows_elems.append(AlgElem.make(q, ring, terms))
-    return CornerAlgebra(e, rows_elems)
-
-
-@dataclass
-class CornerModule:
-    """e*M as a module over the corner ring: a basis of e*M (global vectors of
-    the ambient representation), one action matrix per corner basis element,
-    and `space`, the echelon row space of e*M that gives a vector of M its
-    coordinates in `basis`."""
-
-    corner: CornerAlgebra
-    rep: Representation
-    basis: list[tuple]
-    actions: list[tuple]  # aligned with corner.basis
-    space: FieldRowSpace = field(compare=False, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    s = _trivial_support(e)
+    arrows = [
+        p
+        for p in q.all_paths()
+        if p.edges
+        and q.path_source(p) in s
+        and q.path_target(p) in s
+        and not any(q.edge_target(eid) in s for eid in p.edges[:-1])
+    ]
+    ids = [str(i) for i in range(len(arrows))]
+    edges = tuple((i, q.path_source(p), q.path_target(p)) for i, p in zip(ids, arrows))
+    return Quiver(s, edges), dict(zip(ids, arrows))
 
 
 def corner_module(
-    e: AlgElem, m: Representation, corner: Optional[CornerAlgebra] = None
-) -> CornerModule:
-    """e*M over the corner ring; pass `corner` = corner_algebra(e) to share
-    one corner ring between the modules of e."""
-    if corner is None:
-        corner = corner_algebra(e)
-    elif corner.e != e:
+    e: AlgElem,
+    m: Representation,
+    corner: Optional[tuple[Quiver, dict[str, Path]]] = None,
+) -> Representation:
+    """The restriction e_S M of M to Q_S: M_v at each v in S, and on each
+    arrow the product of M's edge maps along its path. Pass `corner` =
+    corner_algebra(e) to share one Q_S between the modules of e."""
+    if e.quiver != m.quiver or e.ring != m.ring:
+        raise RepError("element and representation are incompatible")
+    qs, arrows = corner_algebra(e) if corner is None else corner
+    if qs.vertices != _trivial_support(e):
         raise RepError("corner ring belongs to a different idempotent")
-    space = _column_space(m.ring, m.action_matrix(e))
-    basis = space.basis()
-    actions = []
-    for b in corner.basis:
-        act = m.action_matrix(b)
-        actions.append(
-            _induced_matrix(
-                (mat_vec(m.ring, act, w) for w in basis),
-                space,
-                "corner action left the e-fixed subspace",
-            )
-        )
-    return CornerModule(corner, m, basis, actions, space)
-
-
-def corner_intertwiners(cm: CornerModule, cn: CornerModule) -> list[tuple]:
-    """Basis of the dn x dm matrices g with g * act_m(b) == act_n(b) * g for
-    every corner basis element b, where g maps coordinates of e*M to
-    coordinates of e*N. Each g is returned flat, as the row-major tuple of its
-    dn * dm entries."""
-    ring = cm.rep.ring
-    if not ring.is_field:
-        raise RepError("corner intertwiners need a field")
-    equations = [(0, 0, Am, An) for Am, An in zip(cm.actions, cn.actions)]
-    return _intertwiners(ring, [(cn.dim, cm.dim)], equations)
-
-
-def restrict_to_corner(
-    e: AlgElem, m: Representation, n: Representation, f: dict[str, tuple],
-    cm: Optional[CornerModule] = None, cn: Optional[CornerModule] = None,
-) -> tuple:
-    """Restriction of an intertwiner f: M -> N to a matrix e*M -> e*N in the
-    corner-module coordinate bases."""
-    cm = cm or corner_module(e, m)
-    cn = cn or corner_module(e, n)
-    images = (
-        tuple(
-            x
-            for v in m.quiver.vertices
-            for x in mat_vec(m.ring, f[v], m.block(w, v))
-        )
-        for w in cm.basis
-    )
-    return _induced_matrix(
-        images, cn.space, "intertwiner image left the e-fixed subspace"
-    )
+    maps = {a: m._path_block(p) for a, p in arrows.items()}
+    return Representation(qs, m.ring, {v: m.dims[v] for v in qs.vertices}, maps)
 
 
 def morita_surrogate_check(
     e: AlgElem,
     m: Representation,
     n: Representation,
-    cm: Optional[CornerModule] = None,
-    cn: Optional[CornerModule] = None,
+    cm: Optional[Representation] = None,
+    cn: Optional[Representation] = None,
 ) -> dict:
-    """Check that restriction to the e-fixed subspaces is a bijection from
-    Hom(M, N) onto the corner intertwiners, for M, N generated by their
-    e-fixed vectors over an acyclic quiver."""
-    ring = m.ring
+    """Check that restriction to e_S M is a bijection from Hom(M, N) onto
+    Hom(e_S M, e_S N) over Q_S, for M, N generated by eM over an acyclic
+    quiver; cm, cn are the corner modules of m, n. The restriction of f is
+    its blocks f_v for v in S. Conjugation by the unit u of `corner_algebra`
+    carries it onto the restriction to eM, so the dimensions are those of
+    Hom(M, N) -> Hom_eAe(eM, eN)."""
     homs = hom_space(m, n)
-    cm = cm or corner_module(e, m)
-    cn = cn or corner_module(e, n)
-    corner_dim = len(corner_intertwiners(cm, cn))
-    restricted = FieldRowSpace(ring, cn.dim * cm.dim)
+    cm = corner_module(e, m) if cm is None else cm
+    cn = corner_module(e, n) if cn is None else cn
+    corner_dim = len(hom_space(cm, cn))
+    s = cm.quiver.vertices
+    restricted = FieldRowSpace(m.ring, sum(cn.dims[v] * cm.dims[v] for v in s))
     for f in homs:
-        r = restrict_to_corner(e, m, n, f, cm, cn)
-        restricted.add(tuple(x for row in r for x in row))
+        restricted.add(tuple(x for v in s for row in f[v] for x in row))
     rank = restricted.rank
     return {
         "hom_dim": len(homs),
@@ -611,92 +489,6 @@ def morita_surrogate_check(
         "restricted_rank": rank,
         "bijective": len(homs) == corner_dim == rank,
     }
-
-
-# ---- raw modules and the non-degenerate part ----
-
-
-@dataclass
-class RawModule:
-    """A module given by generator action matrices on a free module of the
-    stated rank; the trivial-path images must be pairwise orthogonal
-    idempotents, and each edge matrix must be sandwiched between its target
-    and source projections. Verified eagerly."""
-
-    quiver: Quiver
-    ring: Ring
-    rank: int
-    vertex_actions: dict[str, tuple]
-    edge_actions: dict[str, tuple]
-
-    def __post_init__(self):
-        q, ring, r = self.quiver, self.ring, self.rank
-        self.vertex_actions = {
-            v: mat_canon(ring, self.vertex_actions.get(v, zero_matrix(ring, r, r)))
-            for v in q.vertices
-        }
-        self.edge_actions = {
-            eid: mat_canon(ring, self.edge_actions.get(eid, zero_matrix(ring, r, r)))
-            for eid, _, _ in q.edges
-        }
-        for v, E in self.vertex_actions.items():
-            if len(E) != r or any(len(row) != r for row in E):
-                raise RepError(f"vertex action at {v!r} has wrong shape")
-            if mat_mul(ring, E, E) != E:
-                raise RepError(f"vertex action at {v!r} is not idempotent")
-        verts = list(q.vertices)
-        for i, v in enumerate(verts):
-            for w in verts[i + 1 :]:
-                Ev, Ew = self.vertex_actions[v], self.vertex_actions[w]
-                if mat_mul(ring, Ev, Ew) != zero_matrix(ring, r, r) or mat_mul(
-                    ring, Ew, Ev
-                ) != zero_matrix(ring, r, r):
-                    raise RepError(f"vertex actions at {v!r},{w!r} not orthogonal")
-        for eid, src, dst in q.edges:
-            A = self.edge_actions[eid]
-            if len(A) != r or any(len(row) != r for row in A):
-                raise RepError(f"edge action {eid!r} has wrong shape")
-            sandwich = mat_mul(
-                ring,
-                self.vertex_actions[dst],
-                mat_mul(ring, A, self.vertex_actions[src]),
-            )
-            if A != sandwich:
-                raise RepError(
-                    f"edge action {eid!r} is not supported between its endpoints"
-                )
-
-
-def nu(raw: RawModule) -> Representation:
-    """The non-degenerate part: the sum of the trivial-path images, graded by
-    vertex, with the induced edge maps."""
-    ring, q = raw.ring, raw.quiver
-    bases = {v: _column_space(ring, raw.vertex_actions[v]) for v in q.vertices}
-    maps = {
-        eid: _induced_matrix(
-            (mat_vec(ring, raw.edge_actions[eid], x) for x in bases[src].basis()),
-            bases[dst],
-            "edge action image escaped the target projection",
-        )
-        for eid, src, dst in q.edges
-    }
-    dims = {v: bases[v].rank for v in q.vertices}
-    return Representation(q, ring, dims, maps)
-
-
-def rep_to_raw(m: Representation) -> RawModule:
-    """Re-embed a representation as a raw module on its total space."""
-    ring, q = m.ring, m.quiver
-    D = m.total_dim
-    vert = {}
-    for v in q.vertices:
-        E = [[ring.zero()] * D for _ in range(D)]
-        off = m.offset(v)
-        for i in range(m.dims[v]):
-            E[off + i][off + i] = ring.one()
-        vert[v] = tuple(tuple(r) for r in E)
-    edges = {eid: m.path_matrix(Path(edges=(eid,))) for eid, _, _ in q.edges}
-    return RawModule(q, ring, D, vert, edges)
 
 
 # ---- desk-scale categorical checks (acyclic quivers) ----
@@ -731,31 +523,3 @@ def left_ideal_representation(e: AlgElem) -> Representation:
         )
     dims = {v: bases[v].rank for v in q.vertices}
     return Representation(q, ring, dims, maps)
-
-
-def tensor_identity_holds(m: Representation) -> bool:
-    """Whether the multiplication map A (x)_A M -> M is an isomorphism, with A
-    the (finite-dimensional) path algebra of an acyclic quiver."""
-    q, ring = m.quiver, m.ring
-    if not q.is_acyclic:
-        raise RepError("tensor identity check requires an acyclic quiver")
-    if not ring.is_field:
-        raise RepError("tensor identity check requires a field")
-    paths = q.all_paths()
-    index = {p: i for i, p in enumerate(paths)}
-    D = m.total_dim
-    ncols = len(paths) * D
-    relations = FieldRowSpace(ring, ncols)
-    for x in paths:
-        for a in paths:
-            xa = concat(q, x, a)
-            act = m.path_matrix(a)
-            for k in range(D):
-                # (x*a) (x) m_k  -  x (x) (a*m_k)
-                vec = [ring.zero()] * ncols
-                if xa is not None:
-                    vec[index[xa] * D + k] += 1
-                for i in range(D):
-                    vec[index[x] * D + i] -= act[i][k]
-                relations.add(vec)
-    return ncols - relations.rank == D

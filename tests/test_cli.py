@@ -357,6 +357,16 @@ class TestErrors:
         assert code == 2
         assert report["error"]["code"] == "bad-input"
 
+    def test_morita_check_over_zn(self, capsys):
+        # 3 * e_v2 is idempotent over Z/6; the corner ring needs a field
+        three_e_v2 = json.dumps({"terms": [{"path": {"trivial": "v2"}, "coeff": "3"}]})
+        code, report = run(
+            capsys, "morita-check", "--quiver", ARROW, "--ring", "Z6",
+            "--element", three_e_v2,
+        )
+        assert code == 2
+        assert report["error"]["code"] == "bad-input"
+
     def test_malformed_quiver(self, capsys):
         code, report = run(
             capsys, "validate", "--quiver", "{not json", "--ring", "F5"

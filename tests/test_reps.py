@@ -1,17 +1,23 @@
 import pytest
 
-from pathidem.algebra import AlgElem, edge_element, vertex_idempotent
-from pathidem.linalg import nullspace
+import random
+
+from pathidem.algebra import (
+    AlgElem,
+    edge_element,
+    path_element,
+    path_vector,
+    vertex_idempotent,
+)
+from pathidem.linalg import FieldRowSpace, mat_vec, nullspace
 from pathidem.classify import strongly_orthogonal
 from pathidem.oracle import OracleBudget, enumerate_reps
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import (
-    RawModule,
     RepError,
     Representation,
     Submodule,
     corner_algebra,
-    corner_intertwiners,
     corner_module,
     e_fixed,
     gamma,
@@ -19,17 +25,11 @@ from pathidem.reps import (
     in_category_e,
     left_ideal_representation,
     morita_surrogate_check,
-    nu,
-    quotient,
-    rep_to_raw,
-    restrict_to_corner,
     sub_representation,
     submodule_from_local,
-    tensor_identity_holds,
-    zero_representation,
 )
 from pathidem.rings import Ring
-from pathidem.sweep import q_a3, q_arrow
+from pathidem.sweep import q_a3, q_arrow, sweep_quivers
 
 
 def arrow_rep(ring, scalar=1):
@@ -109,24 +109,14 @@ class TestRepresentation:
                     )
                 ]
             for m in reps:
-                # reference: the sum of c times the global matrix of each path
-                act = [[ring.zero()] * m.total_dim for _ in range(m.total_dim)]
-                for p, c in e.terms:
-                    for arow, row in zip(act, m.path_matrix(p)):
-                        for j, x in enumerate(row):
-                            arow[j] = ring.add(arow[j], ring.mul(c, x))
                 for (t, s), b in m.action_blocks(e).items():
                     assert (len(b), len(b[0])) == (m.dims[t], m.dims[s])
-                assert tuple(map(tuple, act)) == m.action_matrix(e)
+                assert _reference_action(e, m) == m.action_matrix(e)
 
-    def test_json_round_trip(self, f5):
-        m = arrow_rep(f5, scalar=3)
-        assert Representation.from_json(m.quiver, f5, m.to_json()) == m
-        assert m.to_json()["edges"]["a"] == [["3"]]
-
-    def test_zero_representation(self, arrow, f5):
-        z = zero_representation(arrow, f5)
-        assert z.total_dim == 0
+    def test_to_json(self, f5):
+        assert arrow_rep(f5, scalar=3).to_json() == {
+            "dims": {"v1": 1, "v2": 1}, "edges": {"a": [["3"]]}
+        }
 
 
 class TestFixedVectorsAndGamma:
@@ -187,14 +177,6 @@ class TestSubquotient:
         assert rep.edge_maps["a"] == ((2,),)
         assert bases["v2"] == [(1,)]
 
-    def test_quotient(self, arrow, f5):
-        m = arrow_rep(f5)
-        sub = submodule_from_local(m, {"v2": [(1,)]})
-        q = quotient(m, sub)
-        assert q.dims == {"v1": 1, "v2": 0}
-        with pytest.raises(RepError):
-            quotient(arrow_rep(f5, scalar=2), sub)
-
     def test_submodule_json(self, arrow, f5):
         m = arrow_rep(f5)
         sub = submodule_from_local(m, {"v2": [(1,)]})
@@ -216,14 +198,10 @@ class TestHom:
         # the other direction forces f_v1 = 0 instead
         assert hom_space(n, m) == [{"v1": ((0,),), "v2": ((1,),)}]
 
-    def test_hom_zn_exhaustive(self, arrow, z6):
+    def test_hom_over_zn_refused(self, arrow, z6):
         m = Representation(arrow, z6, {"v1": 1, "v2": 1}, {"a": ((1,),)})
-        homs = hom_space(m, m)
-        assert len(homs) == 1
         with pytest.raises(RepError):
-            hom_space(
-                m, Representation(arrow, z6, {"v1": 3, "v2": 3}, {}), zn_dim_cap=6
-            )
+            hom_space(m, m)
 
     def test_incompatible(self, f5, f3):
         with pytest.raises(RepError):
@@ -243,22 +221,60 @@ class TestHom:
                 assert hom_space(m, n) == []
 
 
+def n_paths(corner):
+    qs, _ = corner
+    return len(qs.all_paths())
+
+
 class TestCorner:
     def test_corner_algebra_dims(self, arrow, f5):
-        assert corner_algebra(vertex_idempotent(arrow, f5, {"v2"})).dim == 1
-        assert corner_algebra(vertex_idempotent(arrow, f5, arrow.vertices)).dim == 3
+        assert n_paths(corner_algebra(vertex_idempotent(arrow, f5, {"v2"}))) == 1
+        assert n_paths(corner_algebra(vertex_idempotent(arrow, f5, arrow.vertices))) == 3
+
+    def test_corner_quiver_arrows(self, a3, f2):
+        # S = {v1, v3}: the one arrow of Q_S is the path a then b through v2
+        qs, arrows = corner_algebra(vertex_idempotent(a3, f2, {"v1", "v3"}))
+        assert qs.vertices == ("v1", "v3")
+        assert [(src, dst) for _, src, dst in qs.edges] == [("v1", "v3")]
+        assert list(arrows.values()) == [Path(edges=("a", "b"))]
+        # S = all of A3: the arrows are the edges; the path a then b factors
+        qs, arrows = corner_algebra(vertex_idempotent(a3, f2, a3.vertices))
+        assert sorted(arrows.values(), key=Path.sort_key) == [
+            Path(edges=("a",)), Path(edges=("b",))
+        ]
 
     def test_corner_requires_acyclic(self, f5):
         loop = Quiver(("v1",), (("a", "v1", "v1"),))
         with pytest.raises(RepError):
             corner_algebra(vertex_idempotent(loop, f5, {"v1"}))
 
+    def test_corner_requires_a_field_and_an_idempotent(self, arrow, f5, z6):
+        # 3 * e_v2 is idempotent over Z/6, but Z/6 is not a field
+        e = vertex_idempotent(arrow, z6, {"v2"}).scale(3)
+        assert e.is_idempotent()
+        with pytest.raises(RepError):
+            corner_algebra(e)
+        with pytest.raises(RepError):
+            corner_algebra(vertex_idempotent(arrow, f5, {"v2"}).scale(2))
+
     def test_corner_module_actions(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, arrow.vertices)
-        m = arrow_rep(f5)
+        m = arrow_rep(f5, scalar=3)
         cm = corner_module(e, m)
-        assert cm.dim == 2
-        assert len(cm.actions) == cm.corner.dim
+        assert cm.dims == m.dims
+        assert list(cm.edge_maps.values()) == [((3,),)]
+
+    def test_corner_module_through_a_zero_space(self, a3, f3):
+        # dims (1, 0, 1): the arrow v1 -> v3 of Q_S runs through the zero
+        # space at v2, so it acts by the 1 x 1 zero matrix
+        e = vertex_idempotent(a3, f3, {"v1", "v3"})
+        m = Representation(a3, f3, {"v1": 1, "v2": 0, "v3": 1}, {})
+        cm = corner_module(e, m)
+        assert list(cm.edge_maps.values()) == [((0,),)]
+        n = Representation(a3, f3, {"v1": 1, "v2": 1, "v3": 1}, {"a": ((1,),), "b": ((2,),)})
+        for x in (m, n):
+            for y in (m, n):
+                assert morita_surrogate_check(e, x, y) == _reference_morita(e, x, y)
 
     def test_corner_module_shares_a_corner_ring(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, arrow.vertices)
@@ -266,22 +282,22 @@ class TestCorner:
         m = arrow_rep(f5)
         with pytest.raises(RepError):
             corner_module(e, m, corner_algebra(e2))
-        cm = corner_module(e, m, corner_algebra(e))
-        assert cm == corner_module(e, m)
-        assert cm.space.basis() == cm.basis
+        assert corner_module(e, m, corner_algebra(e)) == corner_module(e, m)
 
     def test_restriction_of_identity(self, arrow, f5):
-        e = vertex_idempotent(arrow, f5, arrow.vertices)
+        # End(M) is spanned by the identity; its restriction to e_S M = M_v2
+        # is the identity there, so the restriction has rank 1
+        e = vertex_idempotent(arrow, f5, {"v2"})
         m = arrow_rep(f5)
-        ident = {"v1": ((1,),), "v2": ((1,),)}
-        r = restrict_to_corner(e, m, m, ident)
-        assert r == ((1, 0), (0, 1))
+        assert hom_space(m, m) == [{"v1": ((1,),), "v2": ((1,),)}]
+        res = morita_surrogate_check(e, m, m)
+        assert (res["hom_dim"], res["corner_dim"], res["restricted_rank"]) == (1, 1, 1)
 
     def test_corner_intertwiners_match_homs(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, arrow.vertices)
         m, n = arrow_rep(f5), arrow_rep(f5, scalar=2)
         cm, cn = corner_module(e, m), corner_module(e, n)
-        assert len(corner_intertwiners(cm, cn)) == len(hom_space(m, n))
+        assert len(hom_space(cm, cn)) == len(hom_space(m, n))
 
     def test_restriction_bijective(self, arrow, f2, f5):
         # full idempotent: restriction is an isomorphism on every pair
@@ -303,61 +319,6 @@ class TestCorner:
         for m in reps:
             for n in reps:
                 assert morita_surrogate_check(e, m, n)["bijective"]
-
-
-class TestRawModules:
-    def raw_arrow(self, ring):
-        return RawModule(
-            q_arrow(),
-            ring,
-            2,
-            {"v1": ((1, 0), (0, 0)), "v2": ((0, 0), (0, 1))},
-            {"a": ((0, 0), (1, 0))},
-        )
-
-    def test_nu(self, f5):
-        rep = nu(self.raw_arrow(f5))
-        assert rep == arrow_rep(f5)
-
-    def test_nu_drops_degenerate_part(self, arrow, f5):
-        # rank 3 but the projections only cover a 2-dimensional subspace
-        raw = RawModule(
-            arrow,
-            f5,
-            3,
-            {
-                "v1": ((1, 0, 0), (0, 0, 0), (0, 0, 0)),
-                "v2": ((0, 0, 0), (0, 1, 0), (0, 0, 0)),
-            },
-            {},
-        )
-        assert nu(raw).dims == {"v1": 1, "v2": 1}
-
-    def test_validation(self, arrow, f5):
-        with pytest.raises(RepError):
-            RawModule(arrow, f5, 1, {"v1": ((2,),), "v2": ((0,),)}, {})
-        with pytest.raises(RepError):
-            RawModule(arrow, f5, 1, {"v1": ((1,),), "v2": ((1,),)}, {})
-        with pytest.raises(RepError):
-            RawModule(
-                arrow,
-                f5,
-                2,
-                {"v1": ((1, 0), (0, 0)), "v2": ((0, 0), (0, 1))},
-                {"a": ((1, 0), (0, 0))},
-            )
-
-    def test_round_trip(self, f5, z6):
-        for ring in (f5,):
-            for scalar in (0, 1, 3):
-                m = arrow_rep(ring, scalar)
-                assert nu(rep_to_raw(m)) == m
-
-    def test_round_trip_a3(self, a3, f3):
-        m = Representation(
-            a3, f3, {"v1": 2, "v2": 1, "v3": 1}, {"a": ((1, 2),), "b": ((2,),)}
-        )
-        assert nu(rep_to_raw(m)) == m
 
 
 class TestProjectives:
@@ -384,24 +345,6 @@ class TestProjectives:
             p = left_ideal_representation(e)
             for m in enumerate_reps(arrow, f2, budget):
                 assert len(hom_space(p, m)) == len(e_fixed(e, m))
-
-    def test_tensor_identity(self, arrow, a3, f5, f3):
-        assert tensor_identity_holds(arrow_rep(f5))
-        assert tensor_identity_holds(arrow_rep(f5, scalar=0))
-        m = Representation(
-            a3, f3, {"v1": 1, "v2": 2, "v3": 1}, {"a": ((1,), (0,)), "b": ((1, 2),)}
-        )
-        assert tensor_identity_holds(m)
-
-    def test_tensor_identity_guards(self, z6):
-        with pytest.raises(RepError):
-            tensor_identity_holds(
-                Representation(q_arrow(), z6, {"v1": 1, "v2": 1}, {})
-            )
-        loop = Quiver(("v1",), (("a", "v1", "v1"),))
-        f5 = Ring("Fp", 5)
-        with pytest.raises(RepError):
-            tensor_identity_holds(Representation(loop, f5, {"v1": 1}, {}))
 
 
 def _reference_hom_space_field(m, n):
@@ -441,12 +384,58 @@ def _reference_hom_space_field(m, n):
     return homs
 
 
+def _reference_action(e, m):
+    # the sum of c times the global matrix of each path c*p of e
+    ring = m.ring
+    act = [[ring.zero()] * m.total_dim for _ in range(m.total_dim)]
+    for p, c in e.terms:
+        for arow, row in zip(act, m.path_matrix(p)):
+            for j, x in enumerate(row):
+                arow[j] = ring.add(arow[j], ring.mul(c, x))
+    return tuple(map(tuple, act))
+
+
+def _reference_corner(e):
+    # a basis of eAe: the echelon span of e*p*e over every path p
+    q, ring = e.quiver, e.ring
+    paths = q.all_paths()
+    index = {p: i for i, p in enumerate(paths)}
+    space = FieldRowSpace(ring, len(paths))
+    for p in paths:
+        space.add(path_vector(e * path_element(q, ring, p) * e, index))
+    return [
+        AlgElem.make(q, ring, {paths[i]: c for i, c in enumerate(row) if c})
+        for row in space.basis()
+    ]
+
+
+def _in_basis(space, vectors):
+    # the matrix whose columns are the coordinates of vectors in space's basis
+    cols = [space.coords(y) for y in vectors]
+    assert None not in cols
+    return tuple(tuple(c[i] for c in cols) for i in range(space.rank))
+
+
+def _reference_corner_module(e, m, corner):
+    # eM as the column space of e's action, with one action matrix per
+    # element of the eAe basis, in the coordinates of that space's basis
+    space = FieldRowSpace(m.ring, m.total_dim)
+    for col in zip(*_reference_action(e, m)):
+        space.add(col)
+    actions = [
+        _in_basis(space, [mat_vec(m.ring, _reference_action(b, m), w) for w in space.basis()])
+        for b in corner
+    ]
+    return space, actions
+
+
 def _reference_corner_intertwiners(cm, cn):
     # g is dn x dm, row-major; one equation per corner basis element and entry
-    ring = cm.rep.ring
-    dm, dn = cm.dim, cn.dim
+    (space_m, actions_m), (space_n, actions_n) = cm, cn
+    ring = space_m.ring
+    dm, dn = space_m.rank, space_n.rank
     rows = []
-    for Am, An in zip(cm.actions, cn.actions):
+    for Am, An in zip(actions_m, actions_n):
         for i in range(dn):
             for j in range(dm):
                 row = [ring.zero()] * (dn * dm)
@@ -458,9 +447,40 @@ def _reference_corner_intertwiners(cm, cn):
     return nullspace(ring, rows, dn * dm)
 
 
+def _reference_morita(e, m, n):
+    # Hom(M, N), Hom_eAe(eM, eN) and the rank of the restriction to eM, all
+    # on the eAe basis, with no quiver Q_S
+    ring, corner = m.ring, _reference_corner(e)
+    cm, cn = _reference_corner_module(e, m, corner), _reference_corner_module(e, n, corner)
+    homs = _reference_hom_space_field(m, n)
+    restricted = FieldRowSpace(ring, cm[0].rank * cn[0].rank)
+    for f in homs:
+        images = [
+            tuple(x for v in m.quiver.vertices for x in mat_vec(ring, f[v], m.block(w, v)))
+            for w in cm[0].basis()
+        ]
+        restricted.add(tuple(x for row in _in_basis(cn[0], images) for x in row))
+    hom_dim = len(homs)
+    corner_dim = len(_reference_corner_intertwiners(cm, cn))
+    return {
+        "hom_dim": hom_dim,
+        "corner_dim": corner_dim,
+        "restricted_rank": restricted.rank,
+        "bijective": hom_dim == corner_dim == restricted.rank,
+    }
+
+
+def _nonempty_subsets(q):
+    return [
+        frozenset(v for i, v in enumerate(q.vertices) if bits >> i & 1)
+        for bits in range(1, 1 << len(q.vertices))
+    ]
+
+
 class TestIntertwinersAgainstReference:
-    """hom_space and corner_intertwiners against the equation builders written
-    out entry by entry with Ring arithmetic, on the reps of acceptance test 07
+    """hom_space over Q and over Q_S against the equation builders written out
+    entry by entry with Ring arithmetic, and Hom over Q_S against the
+    intertwiners of eM on the eAe basis, on the reps of acceptance test 07
     (arrow and A3 over F_2 and F_3, every nonempty left-closed S) at total
     dimension <= 2."""
 
@@ -477,15 +497,17 @@ class TestIntertwinersAgainstReference:
     @pytest.mark.parametrize("q, ring, s", CASES, ids=IDS)
     def test_same_solutions(self, q, ring, s):
         e = vertex_idempotent(q, ring, s)
-        corner = corner_algebra(e)
+        corner, ref_corner = corner_algebra(e), _reference_corner(e)
+        assert len(corner[0].all_paths()) == len(ref_corner)
         reps = [m for m in enumerate_reps(q, ring, self.BUDGET) if in_category_e(e, m)]
         cms = [corner_module(e, m, corner) for m in reps]
-        for m, cm in zip(reps, cms):
-            for n, cn in zip(reps, cms):
+        refs = [_reference_corner_module(e, m, ref_corner) for m in reps]
+        for m, cm, rm in zip(reps, cms, refs):
+            for n, cn, rn in zip(reps, cms, refs):
                 assert hom_space(m, n) == _reference_hom_space_field(m, n)
-                assert corner_intertwiners(cm, cn) == _reference_corner_intertwiners(
-                    cm, cn
-                )
+                corner_homs = hom_space(cm, cn)
+                assert corner_homs == _reference_hom_space_field(cm, cn)
+                assert len(corner_homs) == len(_reference_corner_intertwiners(rm, rn))
 
     @pytest.mark.parametrize("ring", [Ring("Fp", 5), Ring("Q")], ids=["F5", "Q"])
     def test_same_solutions_other_fields(self, a3, ring):
@@ -495,11 +517,80 @@ class TestIntertwinersAgainstReference:
         n = Representation(
             a3, ring, {"v1": 1, "v2": 2, "v3": 1}, {"a": ((1,), (4,)), "b": ((2, 1),)}
         )
-        e = vertex_idempotent(a3, ring, a3.vertices)
-        for x in (m, n):
-            for y in (m, n):
-                assert hom_space(x, y) == _reference_hom_space_field(x, y)
-                cx, cy = corner_module(e, x), corner_module(e, y)
-                assert corner_intertwiners(cx, cy) == _reference_corner_intertwiners(
-                    cx, cy
-                )
+        for s in ({"v1", "v3"}, a3.vertices):
+            e = vertex_idempotent(a3, ring, s)
+            for x in (m, n):
+                for y in (m, n):
+                    assert hom_space(x, y) == _reference_hom_space_field(x, y)
+                    cx, cy = corner_module(e, x), corner_module(e, y)
+                    assert hom_space(cx, cy) == _reference_hom_space_field(cx, cy)
+                    assert morita_surrogate_check(e, x, y) == _reference_morita(e, x, y)
+
+
+class TestGeneralIdempotents:
+    """morita_surrogate_check, which works on Q_S for the trivial support S of
+    e, against the eAe-basis reference for idempotents that are not e_S: the
+    conjugates u e_S u^-1 with u = 1 + (two path terms), and e_S + κ by the
+    rule of acceptance test 09, at total dimension <= 2."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+    QUIVERS = [q_arrow(), q_a3()] + [
+        q for q in sweep_quivers(3, 3, 60)
+        if q.is_acyclic and len(q.vertices) == 3 and len(q.edges) >= 2 and q != q_a3()
+    ][:3]  # the fork, the join, and a triangle whose Q_S can have two arrows
+    CASES = [(q, Ring("Fp", p)) for q in QUIVERS for p in (2, 3)]
+    IDS = [f"{q.edges}-F{r.modulus}" for q, r in CASES]
+
+    @staticmethod
+    def _conjugates(q, ring, rng):
+        one = vertex_idempotent(q, ring, q.vertices)
+        paths = [p for p in q.all_paths() if p.edges]
+        for s in _nonempty_subsets(q):
+            n = AlgElem.make(
+                q, ring, {rng.choice(paths): rng.randrange(1, ring.modulus) for _ in range(2)}
+            )
+            # n lies in the arrow ideal, so (1 + n)^-1 = sum of (-n)^k
+            inverse, power = one, one
+            for _ in range(len(q.vertices)):
+                power = power * n.scale(-1)
+                inverse = inverse + power
+            assert inverse * (one + n) == one
+            yield (one + n) * vertex_idempotent(q, ring, s) * inverse
+
+    @staticmethod
+    def _with_kappa(q, ring, rng):
+        # a path of length <= 2 from outside S into S may carry any x != 0
+        for s in _nonempty_subsets(q):
+            terms = {Path(vertex=v): 1 for v in s}
+            for p in q.paths_up_to(2):
+                if p.edges and q.path_target(p) in s and q.path_source(p) not in s:
+                    if rng.random() < 0.6:
+                        terms[p] = rng.randrange(1, ring.modulus)
+            yield AlgElem.make(q, ring, terms)
+
+    def _assert_matches_reference(self, q, ring, elements):
+        reps = list(enumerate_reps(q, ring, self.BUDGET))
+        nontrivial = 0
+        for e in elements:
+            assert e.is_idempotent()
+            s = {p.vertex for p, _ in e.terms if p.is_trivial}
+            nontrivial += e != vertex_idempotent(q, ring, s)
+            corner = corner_algebra(e)
+            assert len(corner[0].all_paths()) == len(_reference_corner(e))
+            inside = [m for m in reps if in_category_e(e, m)]
+            cms = [corner_module(e, m, corner) for m in inside]
+            for m, cm in zip(inside, cms):
+                for n, cn in zip(inside, cms):
+                    got = morita_surrogate_check(e, m, n, cm, cn)
+                    assert got == _reference_morita(e, m, n), (e, m, n)
+        return nontrivial
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_conjugates(self, q, ring):
+        rng = random.Random(f"conjugates-{q}-{ring}")
+        assert self._assert_matches_reference(q, ring, self._conjugates(q, ring, rng))
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_kappa_terms(self, q, ring):
+        rng = random.Random(f"kappa-{q}-{ring}")
+        assert self._assert_matches_reference(q, ring, self._with_kappa(q, ring, rng))
