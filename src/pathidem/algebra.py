@@ -19,7 +19,7 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgElem:
     """An element of the path algebra: canonical sorted sparse term list."""
 
@@ -31,7 +31,7 @@ class AlgElem:
     def make(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
         canon = {}
         for p, c in terms.items():
-            quiver.check_path(p)
+            p = quiver.check_path(p)
             c = ring.canon(c)
             if not ring.is_zero(c):
                 canon[p] = c

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgElem, edge_element, path_element, vertex_idempotent
+from .algebra import AlgElem, vertex_idempotent
 from .quivers import Path, Quiver
 from .rings import Ring
 
@@ -189,15 +189,24 @@ def _split_of_form(form: StandardForm) -> tuple[bool, Optional[Witness]]:
 
 
 def is_central(e: AlgElem) -> bool:
-    """Commutation with every generator (trivial paths and edges) suffices."""
-    q, ring = e.quiver, e.ring
-    for v in q.vertices:
-        g = path_element(q, ring, Path(vertex=v))
-        if e * g != g * e:
+    """Commutation with every generator, read off the terms of e.
+
+    e commutes with every trivial path e_v exactly when each term is a cycle.
+    Then, for an edge a: s -> t, a*e is the sum of c (p then a) over the
+    cycles p at s, and e*a the sum of c (a then p) over the cycles p at t;
+    distinct p give distinct products and the coefficients are canonical, so
+    comparing the two maps of edge sequences is exact."""
+    q = e.quiver
+    cycles: dict[str, list[tuple[tuple[str, ...], object]]] = {}
+    for p, c in e.terms:
+        v = q.path_source(p)
+        if q.path_target(p) != v:
             return False
-    for eid, _, _ in q.edges:
-        g = edge_element(q, ring, eid)
-        if e * g != g * e:
+        cycles.setdefault(v, []).append((p.edges, c))
+    for eid, src, dst in q.edges:
+        after = {edges + (eid,): c for edges, c in cycles.get(src, ())}
+        before = {(eid,) + edges: c for edges, c in cycles.get(dst, ())}
+        if after != before:
             return False
     return True
 

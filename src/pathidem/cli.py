@@ -317,12 +317,16 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out
         if args.element is None:
             args.element = []
-        needs_element = args.command in (
-            "classify", "standard-form", "orthogonal", "oracle-special",
-            "oracle-split", "morita-check",
+        one_element = args.command in (
+            "classify", "standard-form", "oracle-special", "oracle-split",
+            "morita-check",
         )
-        if needs_element and not args.element:
+        if (one_element or args.command == "orthogonal") and not args.element:
             raise InputError("bad-arguments", f"{args.command} needs --element")
+        if one_element and len(args.element) > 1:
+            raise InputError(
+                "bad-arguments", f"{args.command} takes exactly one --element"
+            )
         if args.command == "full-family" and not args.family:
             raise InputError("bad-arguments", "full-family needs --family")
         report, code = _run(args), EXIT_OK

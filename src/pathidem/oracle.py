@@ -252,9 +252,9 @@ def check_special_by_modules(
     checked = 0
     for m in enumerate_reps(q, ring, budget):
         checked += 1
-        if not in_category_e(e, m):
-            continue
         blocks = m.action_blocks(e)
+        if not in_category_e(e, m, blocks):
+            continue
         for sub in enumerate_submodules(m):
             bases = _bases(sub)
             if _generated(m, blocks, bases) != bases:

@@ -105,11 +105,18 @@ class Quiver:
 
     # ---- paths ----
 
+    @cached_property
+    def _trivial_paths(self) -> dict[str, Path]:
+        return {v: Path(vertex=v) for v in self.vertices}
+
     def check_path(self, p: Path) -> Path:
+        """p, validated; a trivial path is returned as the quiver's own copy,
+        so elements built from fresh trivial paths share one object each."""
         if p.is_trivial:
-            if p.vertex not in self.vertex_set:
+            own = self._trivial_paths.get(p.vertex)
+            if own is None:
                 raise QuiverError(f"unknown vertex {p.vertex!r}")
-            return p
+            return own
         for eid in p.edges:
             if eid not in self.edge_by_id:
                 raise QuiverError(f"unknown edge {eid!r}")

@@ -315,12 +315,19 @@ def gamma(e: AlgElem, m: Representation) -> Submodule:
     return submodule_from_local(m, bases, close=False)
 
 
-def in_category_e(e: AlgElem, m: Representation) -> bool:
+def in_category_e(
+    e: AlgElem,
+    m: Representation,
+    blocks: Optional[dict[tuple[str, str], tuple]] = None,
+) -> bool:
     """Whether M is generated by e*M (M = A e M), decided as Γ_e(M) = M
     basis for basis; for an idempotent e, e*M is the space of e-fixed
-    vectors. e need not be idempotent, and the ring may be any field."""
+    vectors. e need not be idempotent, and the ring may be any field. Pass
+    `blocks` = m.action_blocks(e) to share them with the caller."""
     whole = _whole(m)
-    return _generated(m, m.action_blocks(e), whole) == whole
+    if blocks is None:
+        blocks = m.action_blocks(e)
+    return _generated(m, blocks, whole) == whole
 
 
 def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:

@@ -64,6 +64,26 @@ class TestSpec:
         assert x.scale(0).is_zero
         assert x.scale(2) == x + x
 
+    def test_equal_from_fresh_paths(self, a3, z6):
+        # make stores the quiver's interned trivial paths; elements built from
+        # fresh Path objects stay equal, with equal hashes
+        def build():
+            return AlgElem.make(
+                a3, z6, {Path(vertex="v1"): 3, Path(edges=("a", "b")): 2}
+            )
+
+        x, y = build(), build()
+        assert x == y
+        assert hash(x) == hash(y)
+        assert x.terms[0][0] is y.terms[0][0] is a3.check_path(Path(vertex="v1"))
+        assert len({x, y, vertex_idempotent(a3, z6, {"v1"})}) == 2
+
+    def test_elements_have_no_instance_dict(self, a3, f5):
+        e = vertex_idempotent(a3, f5, {"v1"})
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(AttributeError):
+            e.terms = ()
+
     def test_mismatched_contexts_rejected(self, a3, f5, z6, arrow):
         x = vertex_idempotent(a3, f5, {"v1"})
         with pytest.raises(AlgebraError):

@@ -1,7 +1,11 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathidem.algebra import AlgElem, edge_element, path_element, vertex_idempotent
 from pathidem.classify import (
@@ -16,7 +20,7 @@ from pathidem.classify import (
     strongly_orthogonal,
     try_standard_form,
 )
-from pathidem.quivers import Path
+from pathidem.quivers import Path, Quiver
 from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
 
@@ -143,6 +147,143 @@ class TestCentral:
     def test_z6_scaled_unit_central(self, arrow, z6):
         e = vertex_idempotent(arrow, z6, arrow.vertices).scale(3)
         assert is_central(e)
+
+
+def _central_by_products(e):
+    """The reference: commutation with every generator e_v and every edge,
+    decided by algebra products."""
+    q, ring = e.quiver, e.ring
+    gens = [path_element(q, ring, Path(vertex=v)) for v in q.vertices]
+    gens += [edge_element(q, ring, eid) for eid, _, _ in q.edges]
+    return all(e * g == g * e for g in gens)
+
+
+ONE_LOOP = Quiver(("v1",), (("x", "v1", "v1"),))
+TWO_LOOPS = Quiver(("v1",), (("x", "v1", "v1"), ("y", "v1", "v1")))
+TWO_CYCLE = Quiver(("a", "b"), (("f", "a", "b"), ("g", "b", "a")))
+TWO_CYCLE_LOOP = Quiver(("a", "b"), (("f", "a", "b"), ("g", "b", "a"), ("x", "a", "a")))
+CENTRAL_QUIVERS = {
+    "one-loop": ONE_LOOP,
+    "two-loops": TWO_LOOPS,
+    "two-cycle": TWO_CYCLE,
+    "two-cycle-loop": TWO_CYCLE_LOOP,
+}
+CENTRAL_RINGS = {
+    "F2": (Ring("Fp", 2), (0, 1)),
+    "F3": (Ring("Fp", 3), (0, 1, 2)),
+    "Z6": (Ring("Zn", 6), (0, 1, 2, 3, 4, 5)),
+    "Q": (Ring("Q"), (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))),
+}
+
+
+def _rotation_sums(q, max_len):
+    """For each cycle of length <= max_len, the set of its rotations; on a
+    component that is one oriented cycle their sum is central."""
+    out = []
+    for p in q.paths_up_to(max_len, limit=2000):
+        if not p.is_trivial and q.path_source(p) == q.path_target(p):
+            out.append(
+                frozenset(Path(edges=p.edges[i:] + p.edges[:i]) for i in range(len(p)))
+            )
+    return out
+
+
+def _mixed_element(q, ring, coeffs, rng):
+    """A scalar on each weak component, plus up to two rotation sums, plus
+    (half of the time) one arbitrary path term: central elements with path
+    terms and near misses of them."""
+    terms = {}
+    for comp in q.weak_components():
+        c = rng.choice(coeffs)
+        for v in comp:
+            terms[Path(vertex=v)] = c
+    rotations = _rotation_sums(q, 3)
+    for rot in rng.sample(rotations, min(len(rotations), rng.randint(0, 2))):
+        c = ring.canon(rng.choice(coeffs))
+        for p in rot:
+            terms[p] = ring.add(ring.canon(terms.get(p, 0)), c)
+    if rng.random() < 0.5:
+        paths = q.paths_up_to(2, limit=2000)
+        terms[rng.choice(paths)] = rng.choice(coeffs)
+    return AlgElem.make(q, ring, terms)
+
+
+class TestCentralAgainstProducts:
+    """The term-level test agrees with the product test, on elements with
+    path terms and not only on diagonal ones."""
+
+    @pytest.mark.parametrize(
+        "ring", [r for r, _ in CENTRAL_RINGS.values()], ids=CENTRAL_RINGS.keys()
+    )
+    def test_non_diagonal_central(self, ring):
+        def elem(q, terms):
+            # edge ids are single letters: "fg" is the path f then g
+            return AlgElem.make(q, ring, {Path(edges=tuple(k)): c for k, c in terms})
+
+        x = elem(ONE_LOOP, [("x", 1)])
+        cyc = elem(TWO_CYCLE, [("fg", 1), ("gf", 1)])
+        for e in (x, x + elem(ONE_LOOP, [("xx", 1)]), cyc, cyc * cyc):
+            assert is_central(e) and _central_by_products(e)
+            assert not e.is_zero and e.max_degree() > 0
+        unit = vertex_idempotent(TWO_CYCLE, ring, TWO_CYCLE.vertices)
+        assert is_central(unit + cyc) and _central_by_products(unit + cyc)
+        # one rotation alone, a loop beside the 2-cycle, two loops that
+        # do not commute: none is central
+        looped = elem(TWO_CYCLE_LOOP, [("fg", 1), ("gf", 1)])
+        for e in (
+            elem(TWO_CYCLE, [("fg", 1)]),
+            looped,
+            elem(TWO_CYCLE_LOOP, [("x", 1)]),
+            elem(TWO_LOOPS, [("x", 1)]),
+            elem(TWO_LOOPS, [("xy", 1), ("yx", 1)]),
+        ):
+            assert not is_central(e) and not _central_by_products(e)
+
+    @pytest.mark.parametrize("ring,coeffs", CENTRAL_RINGS.values(), ids=CENTRAL_RINGS.keys())
+    @pytest.mark.parametrize("q", CENTRAL_QUIVERS.values(), ids=CENTRAL_QUIVERS.keys())
+    def test_small_quivers(self, q, ring, coeffs):
+        rng = random.Random(f"{q}{ring}")
+        seen = Counter()
+        for _ in range(150):
+            e = _mixed_element(q, ring, coeffs, rng)
+            central = is_central(e)
+            assert central == _central_by_products(e), e
+            seen[central, e.max_degree() > 0] += 1
+        assert seen[True, False] > 0
+        # k[x] is commutative; with two loops, or a loop beside the 2-cycle,
+        # the centre holds only scalars
+        if q is not ONE_LOOP:
+            assert seen[False, True] > 0
+        if q in (ONE_LOOP, TWO_CYCLE):
+            assert seen[True, True] > 0
+
+    @pytest.mark.parametrize("ring,coeffs", CENTRAL_RINGS.values(), ids=CENTRAL_RINGS.keys())
+    def test_sweep(self, ring, coeffs):
+        rng = random.Random(7)
+        seen = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            for _ in range(12):
+                e = _mixed_element(q, ring, coeffs, rng)
+                central = is_central(e)
+                assert central == _central_by_products(e), (q, e)
+                if e.max_degree() > 0:
+                    seen[central] += 1
+        assert seen[True] > 0 and seen[False] > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property_agrees_with_products(self, data):
+        q = data.draw(st.sampled_from(list(CENTRAL_QUIVERS.values())))
+        ring, coeffs = data.draw(st.sampled_from(list(CENTRAL_RINGS.values())))
+        paths = q.paths_up_to(3)
+        terms = data.draw(
+            st.dictionaries(st.sampled_from(paths), st.sampled_from(coeffs), max_size=5)
+        )
+        e = AlgElem.make(q, ring, terms)
+        rot = data.draw(st.sampled_from(_rotation_sums(q, 3)))
+        c = data.draw(st.sampled_from(coeffs))
+        for x in (e, e + AlgElem.make(q, ring, {p: c for p in rot})):
+            assert is_central(x) == _central_by_products(x)
 
 
 class TestOrthogonality:

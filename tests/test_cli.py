@@ -367,6 +367,29 @@ class TestErrors:
         assert code == 2
         assert report["error"]["code"] == "bad-input"
 
+    @pytest.mark.parametrize(
+        "command",
+        ["classify", "standard-form", "oracle-special", "oracle-split", "morita-check"],
+    )
+    def test_second_element_refused(self, capsys, command):
+        # a second --element was once dropped silently, with the input hash
+        # of the first alone
+        code, report = run(
+            capsys, command, "--quiver", ARROW, "--ring", "F2",
+            "--element", E_V2, "--element", E_V1,
+        )
+        assert code == 2
+        assert report["error"]["code"] == "bad-arguments"
+        assert "exactly one --element" in report["error"]["message"]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_orthogonal_needs_two_elements(self, capsys, count):
+        argv = ["orthogonal", "--quiver", ARROW, "--ring", "F2"]
+        argv += ["--element", E_V2] * count
+        code, report = run(capsys, *argv)
+        assert code == 2
+        assert report["error"]["code"] == "bad-arguments"
+
     def test_malformed_quiver(self, capsys):
         code, report = run(
             capsys, "validate", "--quiver", "{not json", "--ring", "F5"

@@ -353,6 +353,23 @@ class TestAgainstReference:
                     assert inside == in_category_e(e, sub_representation(sub)[0])
 
     @pytest.mark.parametrize("q, ring", CASES[:4], ids=IDS[:4])
+    def test_action_blocks_once_per_rep(self, q, ring, monkeypatch):
+        # the special oracle hands its blocks to in_category_e
+        calls = []
+        blocks_of = Representation.action_blocks
+
+        def counting(m, e):
+            calls.append(1)
+            return blocks_of(m, e)
+
+        monkeypatch.setattr(Representation, "action_blocks", counting)
+        for s in _subsets(q.vertices):
+            calls.clear()
+            e = vertex_idempotent(q, ring, s)
+            verdict = check_special_by_modules(e, q, ring, self.BUDGET)
+            assert len(calls) == verdict.reps_checked
+
+    @pytest.mark.parametrize("q, ring", CASES[:4], ids=IDS[:4])
     def test_one_submodule_built_per_submodule(self, q, ring, monkeypatch):
         calls = []
 

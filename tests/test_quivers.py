@@ -97,6 +97,19 @@ class TestPaths:
         with pytest.raises(QuiverError):
             Path()  # neither trivial nor an edge list
 
+    def test_trivial_paths_interned(self, a3):
+        # elements keep the quiver's own trivial path, not the caller's copy
+        first = a3.check_path(Path(vertex="v2"))
+        assert first == Path(vertex="v2")
+        assert a3.check_path(Path(vertex="v2")) is first
+        assert a3.check_path(first) is first
+        edge = Path(edges=("a",))
+        assert a3.check_path(edge) is edge
+        with pytest.raises(QuiverError, match="unknown vertex"):
+            a3.check_path(Path(vertex="vX"))
+        with pytest.raises(QuiverError, match="unknown edge"):
+            a3.check_path(Path(edges=("z",)))
+
     def test_endpoints(self, a3):
         p = Path(edges=("a", "b"))
         assert a3.path_source(p) == "v1"
