@@ -44,11 +44,6 @@ class StandardForm:
             terms[p] = c
         return AlgElem.make(self.quiver, self.ring, terms)
 
-    def diagonal_part(self) -> AlgElem:
-        return AlgElem.make(
-            self.quiver, self.ring, {Path(vertex=v): c for v, c in self.diag}
-        )
-
     def to_json(self) -> dict:
         return {
             "vertices": sorted(self.vertices),
@@ -108,10 +103,12 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
             )
 
     # lambda_v must generate a smaller ideal than lambda_{v'} along any path
-    # v -> v'; since S is left closed, reachability from v stays inside S
+    # v -> v', i.e. lambda_v * lambda_{v'} == lambda_v (`Ring.idem_leq`, whose
+    # idempotency checks the loop above has made); since S is left closed,
+    # reachability from v stays inside S
     for v in sorted(s):
         for w in sorted(q.reachable(v)):
-            if w in s and not ring.idem_leq(diag[v], diag[w]):
+            if w in s and ring.mul(diag[v], diag[w]) != diag[v]:
                 return None, Witness(
                     _COND_LAMBDA_MONO,
                     f"path {v} -> {w} but ({ring.fmt(diag[v])}) is not inside "

@@ -8,9 +8,12 @@ gcd pivots. This stays exact in the presence of zero divisors.
 
 Over a field the reduced echelon basis of a subspace is unique, so a tuple
 of its rows names the subspace: two subspaces are equal exactly when their
-bases are. `span`, `join` and `image` answer subspace questions on such
-bases; `image` keeps its answers in a fixed-size cache, so an image met
-once is not computed again.
+bases are. This is the one subspace format of the package: a
+`reps.Submodule` is such a basis per vertex. `span`, `join` and `image`
+answer subspace questions on such bases; `image` keeps its answers in a
+fixed-size cache, so an image met once is not computed again. A
+`FieldRowSpace` (seeded with spanning vectors) is kept only where rank,
+coordinates or membership are asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .rings import Ring
 
@@ -31,13 +34,16 @@ class LinAlgError(ValueError):
 
 class FieldRowSpace:
     """Incrementally maintained reduced echelon basis over a field (or over Z/n
-    while all pivots happen to be units; a non-unit pivot raises)."""
+    while all pivots happen to be units; a non-unit pivot raises), seeded
+    with `vectors`."""
 
-    def __init__(self, ring: Ring, ncols: int):
+    def __init__(self, ring: Ring, ncols: int, vectors: Iterable[Sequence] = ()):
         self.ring = ring
         self.ncols = ncols
         self.rows: list[tuple] = []  # reduced echelon order
         self.pivots: list[int] = []
+        for x in vectors:
+            self.add(x)
 
     def _reduce(self, vec: Sequence) -> tuple[list, list]:
         """Coordinates of vec along the echelon rows, and the residual left
@@ -97,13 +103,10 @@ class FieldRowSpace:
 # ---- subspaces as reduced echelon bases: tuples of row tuples ----
 
 
-def span(ring: Ring, ncols: int, vectors: tuple) -> tuple:
-    """The reduced echelon basis of the span of `vectors` (a tuple of tuples)
-    in ring^ncols."""
-    space = FieldRowSpace(ring, ncols)
-    for x in vectors:
-        space.add(x)
-    return tuple(space.rows)
+def span(ring: Ring, ncols: int, vectors: Iterable[Sequence]) -> tuple:
+    """The reduced echelon basis of the span of `vectors` in ring^ncols, a
+    tuple of row tuples."""
+    return tuple(FieldRowSpace(ring, ncols, vectors).rows)
 
 
 def join(ring: Ring, ncols: int, a: tuple, b: tuple) -> tuple:
@@ -261,9 +264,7 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
     if not ring.is_field:
         raise LinAlgError("nullspace computation requires a field")
     m = ring.modulus
-    space = FieldRowSpace(ring, ncols)
-    for row in rows:
-        space.add(row)
+    space = FieldRowSpace(ring, ncols, rows)
     pivots = set(space.pivots)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []

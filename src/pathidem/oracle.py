@@ -10,13 +10,14 @@ with a direct transcription of the definitions over F_2 and F_3 on e_S and
 on idempotents with path terms. Disagreements that need larger modules or
 other fields are not ruled out by that.
 
-Submodules are built vertex by vertex in declared vertex order, and a
-choice is dropped as soon as an edge between two chosen vertices is not
-closed, so only submodules are ever built; an edge image is tested by
-membership in a row space of the target subspace, built once per subspace.
-Every other subspace question (Γ_e(M) = M, N = AeN, complements) is
-answered on reduced echelon bases through `linalg.join` and `linalg.image`;
-images sit in a fixed-size cache that lives as long as the process. Γ_e
+Submodules are held as their reduced echelon bases per vertex
+(`reps.Submodule`). They are built vertex by vertex in declared vertex
+order, and a choice is dropped as soon as an edge between two chosen
+vertices is not closed, so only submodules are ever built; an edge image is
+tested by membership in a row space of the target subspace, built once per
+subspace. Every other subspace question (Γ_e(M) = M, N = AeN, complements)
+is answered on those bases through `linalg.join` and `linalg.image`; images
+sit in a fixed-size cache that lives as long as the process. Γ_e
 itself (`reps.gamma`) works over every field; the enumerators need a prime
 field.
 """
@@ -155,13 +156,10 @@ def _subspace_spaces(ring: Ring, dim: int) -> tuple[tuple[tuple, FieldRowSpace],
     """Each subspace of `_enumerate_subspaces(ring, dim)` with a row space of
     it, built once, for the membership queries of `_edge_closed`. The row
     spaces are shared: never add to them."""
-    out = []
-    for basis in _enumerate_subspaces(ring, dim):
-        space = FieldRowSpace(ring, dim)
-        for x in basis:
-            space.add(x)
-        out.append((basis, space))
-    return tuple(out)
+    return tuple(
+        (basis, FieldRowSpace(ring, dim, basis))
+        for basis in _enumerate_subspaces(ring, dim)
+    )
 
 
 def enumerate_submodules(m: Representation) -> list[Submodule]:
@@ -231,10 +229,6 @@ def _edge_closed(m: Representation, per_vertex: list) -> Iterator[Submodule]:
             i += 1
 
 
-def _bases(sub: Submodule) -> dict[str, tuple]:
-    return {v: tuple(sp.rows) for v, sp in sub.spaces.items()}
-
-
 def check_special_by_modules(
     e: AlgElem, q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
 ) -> Verdict:
@@ -256,8 +250,7 @@ def check_special_by_modules(
         if not in_category_e(e, m, blocks):
             continue
         for sub in enumerate_submodules(m):
-            bases = _bases(sub)
-            if _generated(m, blocks, bases) != bases:
+            if _generated(m, blocks, sub.bases) != sub.bases:
                 return Verdict("counterexample", checked, module=m, submodule=sub)
     return Verdict("consistent", checked)
 
@@ -266,12 +259,11 @@ def _graded_complements(m: Representation, g: Submodule) -> Iterator[Submodule]:
     """Every submodule C with C (+) g = M vertexwise, in enumeration order:
     C has rank dims(M)_v - dims(g)_v at each vertex v, and its join with g_v
     is all of M_v."""
-    verts, g_bases = m.quiver.vertices, _bases(g)
-    ranks = {v: m.dims[v] - len(g_bases[v]) for v in verts}
+    verts = m.quiver.vertices
+    ranks = {v: m.dims[v] - len(g.bases[v]) for v in verts}
     for c in _submodules(m, ranks):
-        c_bases = _bases(c)
         if all(
-            len(join(m.ring, m.dims[v], c_bases[v], g_bases[v])) == m.dims[v]
+            len(join(m.ring, m.dims[v], c.bases[v], g.bases[v])) == m.dims[v]
             for v in verts
         ):
             yield c
@@ -309,8 +301,7 @@ def split_complements_are_perp(
 
 def _kills(blocks: dict, c: Submodule) -> bool:
     """Whether the action blocks (t, s) of an element are zero on every C_s."""
-    bases = _bases(c)
-    return not any(image(c.rep.ring, b, bases[s]) for (_, s), b in blocks.items())
+    return not any(image(c.rep.ring, b, c.bases[s]) for (_, s), b in blocks.items())
 
 
 def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:

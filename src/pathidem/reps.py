@@ -11,7 +11,9 @@ basis spanned by the elements e p e.
 
 Matrices act on column vectors; the edge matrix for a has shape
 dims[target] x dims[source]. Global vectors concatenate the vertex blocks in
-the quiver's declared vertex order.
+the quiver's declared vertex order. A Submodule is its reduced echelon basis
+at each vertex (see `linalg`); Γ_e and the closure of a graded subspace are
+computed on such bases with `linalg.join` and `linalg.image`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    span,
     zero_matrix,
 )
 from .quivers import Path, Quiver
@@ -190,43 +193,40 @@ class Representation:
 
 @dataclass
 class Submodule:
-    """A graded, edge-closed subspace of a representation, one echelon basis
-    per vertex (vectors in the local coordinates of that vertex)."""
+    """A graded, edge-closed subspace of a representation over a field: the
+    reduced echelon basis of its space at each vertex, a tuple of vectors in
+    the local coordinates of that vertex. Such a basis names the subspace,
+    so two submodules are equal exactly when their bases are."""
 
     rep: Representation
-    spaces: dict[str, FieldRowSpace]
+    bases: dict[str, tuple]
 
     @property
     def dims(self) -> dict[str, int]:
-        return {v: sp.rank for v, sp in self.spaces.items()}
+        return {v: len(b) for v, b in self.bases.items()}
 
     @property
     def total_dim(self) -> int:
-        return sum(sp.rank for sp in self.spaces.values())
+        return sum(map(len, self.bases.values()))
 
     def basis(self, v: str) -> list[tuple]:
-        return self.spaces[v].basis()
+        return list(self.bases[v])
 
     def is_edge_closed(self) -> bool:
-        q = self.rep.quiver
-        for eid, src, dst in q.edges:
-            for x in self.spaces[src].basis():
-                if not self.spaces[dst].contains(self.rep.apply_edge(eid, x)):
-                    return False
+        """Whether span(C_t + a*C_s) == C_t for every edge a: s -> t, with
+        the images taken vector by vector through `apply_edge`."""
+        ring, dims = self.rep.ring, self.rep.dims
+        for eid, src, dst in self.rep.quiver.edges:
+            have = self.bases[dst]
+            images = tuple(self.rep.apply_edge(eid, x) for x in self.bases[src])
+            if span(ring, dims[dst], have + images) != have:
+                return False
         return True
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Submodule)
-            and self.rep == other.rep
-            and {v: sp.basis() for v, sp in self.spaces.items()}
-            == {v: sp.basis() for v, sp in other.spaces.items()}
-        )
 
     def to_json(self) -> dict:
         return {
-            v: [[self.rep.ring.fmt(x) for x in vec] for vec in sp.basis()]
-            for v, sp in self.spaces.items()
+            v: [[self.rep.ring.fmt(x) for x in vec] for vec in basis]
+            for v, basis in self.bases.items()
         }
 
 
@@ -235,16 +235,10 @@ def submodule_from_local(
 ) -> Submodule:
     """Build a submodule from per-vertex spanning vectors, optionally closing
     under the edge maps."""
-    spaces = {v: FieldRowSpace(rep.ring, rep.dims[v]) for v in rep.quiver.vertices}
+    bases = {v: () for v in rep.quiver.vertices}
     for v, vecs in vectors.items():
-        for x in vecs:
-            spaces[v].add(x)
-    if close:
-        closed = _closed(rep, {v: tuple(sp.rows) for v, sp in spaces.items()})
-        for v, basis in closed.items():
-            for x in basis:
-                spaces[v].add(x)
-    return Submodule(rep, spaces)
+        bases[v] = span(rep.ring, rep.dims[v], vecs)
+    return Submodule(rep, _closed(rep, bases) if close else bases)
 
 
 def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
@@ -268,20 +262,13 @@ def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
     return out
 
 
-def _column_space(ring: Ring, mat: tuple) -> FieldRowSpace:
-    """The echelon row space spanned by the columns of a matrix."""
-    space = FieldRowSpace(ring, len(mat))
-    for col in zip(*mat):
-        space.add(col)
-    return space
-
-
 def e_fixed(e: AlgElem, m: Representation) -> list[tuple]:
     """Echelon basis of the image e*M inside the total space. Not necessarily
     edge-closed (nor graded) on its own."""
     if not e.is_idempotent():
         raise RepError("e_fixed requires an idempotent element")
-    return _column_space(m.ring, m.action_matrix(e)).basis()
+    mat = m.action_matrix(e)
+    return FieldRowSpace(m.ring, len(mat), zip(*mat)).basis()
 
 
 def _whole(m: Representation) -> dict[str, tuple]:
@@ -298,7 +285,7 @@ def _generated(
     answer is again reduced echelon bases, equal to `bases` exactly when
     N = AeN (for a submodule N, AeN lies inside N)."""
     ring, dims = m.ring, m.dims
-    seed = {v: () for v in dims}
+    seed = {v: () for v in m.quiver.vertices}
     for (t, s), b in blocks.items():
         if bases[s]:
             seed[t] = join(ring, dims[t], seed[t], image(ring, b, bases[s]))
@@ -311,8 +298,7 @@ def gamma(e: AlgElem, m: Representation) -> Submodule:
     may be any field: at each vertex t the seed is the join of the column
     spaces of e's action blocks (t, s), closed under the edge maps on
     reduced echelon bases, with images cached (see `linalg.image`)."""
-    bases = _generated(m, m.action_blocks(e), _whole(m))
-    return submodule_from_local(m, bases, close=False)
+    return Submodule(m, _generated(m, m.action_blocks(e), _whole(m)))
 
 
 def in_category_e(
@@ -346,17 +332,18 @@ def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[t
     """The submodule as a representation in its own echelon bases, plus the
     per-vertex inclusion bases (local vectors of the ambient module)."""
     rep = sub.rep
+    spaces = {v: FieldRowSpace(rep.ring, rep.dims[v], b) for v, b in sub.bases.items()}
     maps = {
         eid: _induced_matrix(
-            (rep.apply_edge(eid, x) for x in sub.basis(src)),
-            sub.spaces[dst],
+            (rep.apply_edge(eid, x) for x in sub.bases[src]),
+            spaces[dst],
             "subspace is not closed under the edge maps",
         )
         for eid, src, dst in rep.quiver.edges
     }
     return (
         Representation(rep.quiver, rep.ring, sub.dims, maps),
-        {v: sub.spaces[v].basis() for v in rep.quiver.vertices},
+        {v: sub.basis(v) for v in rep.quiver.vertices},
     )
 
 
@@ -365,18 +352,13 @@ def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[t
 
 def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
     """Basis of the intertwiners f = (f_v) with f_{t(a)} M_a = N_a f_{s(a)},
-    over a field; RepError over Z/n."""
+    over a field; RepError over Z/n. It is the nullspace of one equation per
+    entry of f_{t(a)} M_a - N_a f_{s(a)}, in the unknowns f_v of shape
+    n.dims[v] x m.dims[v], stored row-major in vertex order."""
     if m.quiver != n.quiver or m.ring != n.ring:
         raise RepError("representations are incompatible")
     if not m.ring.is_field:
         raise RepError(f"hom_space needs a field, not {m.ring}")
-    return _hom_space_field(m, n)
-
-
-def _hom_space_field(m: Representation, n: Representation) -> list[dict[str, tuple]]:
-    """The nullspace of one equation per entry of f_{t(a)} M_a - N_a f_{s(a)},
-    in the unknowns f_v of shape n.dims[v] x m.dims[v], stored row-major in
-    vertex order."""
     ring, verts = m.ring, m.quiver.vertices
     offs, nunk = {}, 0
     for v in verts:

@@ -90,6 +90,21 @@ class TestStandardForm:
         ok = AlgElem.make(arrow, z6, {Path(vertex="v1"): 3, Path(vertex="v2"): 1})
         assert is_left_special(ok)
 
+    @pytest.mark.parametrize("n", [6, 12, 30])
+    def test_lambda_monotonicity_is_idem_leq(self, arrow, n):
+        ring = Ring("Zn", n)
+        nonzero = [x for x in ring.idempotents() if x]
+        assert len(nonzero) >= 3
+        for l1 in nonzero:
+            for l2 in nonzero:
+                e = AlgElem.make(
+                    arrow, ring, {Path(vertex="v1"): l1, Path(vertex="v2"): l2}
+                )
+                form, witness = try_standard_form(e)
+                assert (form is not None) == ring.idem_leq(l1, l2)
+                if form is None:
+                    assert witness.condition == "lambda-not-monotone-along-paths"
+
     def test_lambda_idempotent(self, arrow, z6):
         e = AlgElem.make(arrow, z6, {Path(vertex="v2"): 2})
         form, witness = try_standard_form(e)

@@ -186,6 +186,7 @@ class TestKernelsAgainstReference:
         for _ in range(60):
             ncols = rng.randint(1, 5)
             space, ref = FieldRowSpace(ring, ncols), _RefRowSpace(ring, ncols)
+            added = []
             for vec in _random_matrix(ring, rng, rng.randint(1, 6), ncols):
                 coords, residual = ref.reduce(vec)
                 assert space.contains(vec) == all(ring.is_zero(x) for x in residual)
@@ -201,9 +202,13 @@ class TestKernelsAgainstReference:
                         space.add(vec)
                     continue
                 assert space.add(vec) == expected
+                added.append(vec)
                 grown += expected
                 assert space.rows == ref.rows and space.pivots == ref.pivots
                 assert all(_is_canonical(ring, x) for row in space.rows for x in row)
+            # a space seeded with the accepted vectors is the incremental one
+            seeded = FieldRowSpace(ring, ncols, added)
+            assert seeded.rows == ref.rows and seeded.pivots == ref.pivots
         assert grown >= 50
 
     def test_dense_products(self, ring):

@@ -315,11 +315,11 @@ class TestAgainstReference:
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_pruned_submodules_match_product_filter(self, q, ring):
         for m in enumerate_reps(q, ring, self.BUDGET):
-            want = [_bases(s) for s in self._reference_submodules(m)]
-            assert [_bases(s) for s in oracle._submodules(m)] == want
+            want = [s.bases for s in self._reference_submodules(m)]
+            assert [s.bases for s in oracle._submodules(m)] == want
             for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
                 ranks = dict(zip(q.vertices, ranks))
-                got = [_bases(s) for s in oracle._submodules(m, ranks)]
+                got = [s.bases for s in oracle._submodules(m, ranks)]
                 assert got == [b for b in want if _rank_vector(b) == ranks]
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
@@ -349,7 +349,7 @@ class TestAgainstReference:
             for m in enumerate_reps(q, ring, self.BUDGET):
                 blocks = m.action_blocks(e)
                 for sub in enumerate_submodules(m):
-                    inside = _generated(m, blocks, _bases(sub)) == _bases(sub)
+                    inside = _generated(m, blocks, sub.bases) == sub.bases
                     assert inside == in_category_e(e, sub_representation(sub)[0])
 
     @pytest.mark.parametrize("q, ring", CASES[:4], ids=IDS[:4])
@@ -409,10 +409,6 @@ def _path_term_idempotents(q, ring, rng, count):
             if len(found) == count:
                 break
     return found
-
-
-def _bases(sub):
-    return {v: tuple(sub.basis(v)) for v in sub.rep.quiver.vertices}
 
 
 def _rank_vector(bases):

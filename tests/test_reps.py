@@ -169,6 +169,20 @@ class TestSubquotient:
         open_sub = submodule_from_local(m, {"v1": [(1,)]}, close=False)
         assert not open_sub.is_edge_closed()
 
+    def test_submodule_is_its_echelon_bases(self, arrow, f5):
+        m = Representation(arrow, f5, {"v1": 3, "v2": 1}, {"a": ((1, 0, 0),)})
+        plane = submodule_from_local(m, {"v1": [(0, 1, 2), (0, 1, 3)]})
+        same = submodule_from_local(m, {"v1": [(0, 2, 0), (0, 3, 1), (0, 0, 4)]})
+        assert plane == same
+        assert plane.bases == same.bases == {"v1": ((0, 1, 0), (0, 0, 1)), "v2": ()}
+        line = submodule_from_local(m, {"v1": [(0, 3, 0)]})
+        assert line != plane
+        assert line.bases == {"v1": ((0, 1, 0),), "v2": ()}
+        # closing adds the edge image at v2
+        closed = submodule_from_local(m, {"v1": [(2, 0, 1)]})
+        assert closed.bases == {"v1": ((1, 0, 3),), "v2": ((1,),)}
+        assert closed != submodule_from_local(m, {"v1": [(2, 0, 1)]}, close=False)
+
     def test_sub_representation(self, arrow, f5):
         m = arrow_rep(f5, scalar=2)
         sub = submodule_from_local(m, {"v1": [(1,)]})
