@@ -304,7 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--family", help="JSON file with a list of elements")
     parser.add_argument("--max-dim", type=int, default=None, help="oracle total-dimension cap")
-    parser.add_argument("--max-reps", type=int, default=None, help="oracle enumeration cap")
+    parser.add_argument(
+        "--max-reps",
+        type=int,
+        default=None,
+        help="oracle enumeration cap, counted in representations enumerated "
+        "up to isomorphism (at least one per class)",
+    )
     parser.add_argument("--degree", type=int, default=None, help="truncation degree")
     parser.add_argument("--out", help="write the report to this path (atomic)")
     return parser

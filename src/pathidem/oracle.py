@@ -4,11 +4,19 @@ cross-check the structural classifier against the categorical definitions.
 
 Consistency verdicts are evidence within the enumeration budget, not proof;
 counterexamples are certificates. What the tests show is agreement with the
-classifier over F_2 at total dimension <= 2, on the vertex idempotents e_S of
-small sweep quivers (up to three vertices and three edges), and agreement
-with a direct transcription of the definitions over F_2 and F_3 on e_S and
-on idempotents with path terms. Disagreements that need larger modules or
-other fields are not ruled out by that.
+classifier over F_2 and F_3 at total dimension <= 2, on the vertex
+idempotents e_S of small sweep quivers (up to three vertices and three
+edges) and on their conjugates u e_S u^-1, and agreement with a direct
+transcription of the definitions over F_2 and F_3 on e_S and on idempotents
+with path terms. Disagreements that need larger modules or other fields are
+not ruled out by that.
+
+Representations are enumerated up to isomorphism (`enumerate_reps`): at
+least one of each isomorphism class within the budget, not every matrix
+tuple. Every verdict here (specialness, splitness, perpendicular
+complements, Morita bijectivity) is invariant under isomorphism, so the
+budget caps, and `Verdict.reps_checked` and the `pairs_checked` of the CLI's
+morita-check count, those reduced representations.
 
 Submodules are held as their reduced echelon bases per vertex
 (`reps.Submodule`). They are built vertex by vertex in declared vertex
@@ -53,6 +61,11 @@ class BudgetExceeded(OracleError):
 
 @dataclass(frozen=True)
 class OracleBudget:
+    """Bounds of one enumeration: the total dimension of the representations,
+    and how many of them `enumerate_reps` may yield (at least one per
+    isomorphism class, so the cap counts reduced representations, not matrix
+    tuples) before it raises `BudgetExceeded`."""
+
     max_total_dim: int = 3
     max_reps: int = 200_000
 
@@ -63,6 +76,11 @@ class OracleBudget:
 
 @dataclass
 class Verdict:
+    """An oracle's answer. `reps_checked` counts the representations taken
+    from `enumerate_reps`, which yields at least one per isomorphism class;
+    a counterexample's `module` is the first of them that fails, one
+    representative of its class."""
+
     kind: str  # "consistent" | "counterexample" | "exhausted"
     reps_checked: int = 0
     module: Optional[Representation] = None
@@ -98,34 +116,140 @@ def _dim_vectors(nverts: int, total: int) -> Iterator[tuple[int, ...]]:
 def enumerate_reps(
     q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
 ) -> Iterator[Representation]:
-    """All representations with total dimension <= budget, in a deterministic
-    order: dimension vectors lexicographically, then matrices in row-major
-    counter order over the field elements."""
+    """At least one representation of each isomorphism class with total
+    dimension <= budget, in a deterministic order: dimension vectors by total
+    and then lexicographically, then edge matrices in row-major counter order
+    over the field elements.
+
+    Every verdict the oracles draw is invariant under isomorphism, so only
+    the anchor edges of each dimension vector (see `_anchor_forms`) are
+    restricted, each to one normal form per orbit; every other edge runs over
+    all its matrices, lazily. The output is a subsequence of the enumeration
+    of all matrix tuples in the same order. `budget.max_reps` counts the
+    representations yielded."""
     if ring.kind != "Fp":
         raise OracleError("representation enumeration requires a prime field")
-    elems = list(ring.elements())
+    elems = tuple(ring.elements())
     count = 0
     for total in range(budget.max_total_dim + 1):
         for dims_vec in sorted(_dim_vectors(len(q.vertices), total)):
             dims = dict(zip(q.vertices, dims_vec))
-            shapes = [
-                (eid, dims[dst], dims[src]) for eid, src, dst in q.edges
-            ]
-            entry_counts = [r * c for _, r, c in shapes]
-            for flat in product(elems, repeat=sum(entry_counts)):
+            anchors = _anchor_forms(q, ring, dims)
+            # one factor per anchor (its forms, r = None), one per entry of
+            # every other edge
+            factors, shapes = [], []
+            for eid, src, dst in q.edges:
+                r, c = dims[dst], dims[src]
+                if eid in anchors:
+                    factors.append(anchors[eid])
+                    r = None
+                else:
+                    factors.extend([elems] * (r * c))
+                shapes.append((eid, r, c))
+            for flat in product(*factors):
                 maps = {}
                 pos = 0
-                for (eid, r, c), k in zip(shapes, entry_counts):
-                    maps[eid] = tuple(
-                        flat[pos + i * c : pos + (i + 1) * c] for i in range(r)
-                    )
-                    pos += k
+                for eid, r, c in shapes:
+                    if r is None:
+                        maps[eid] = flat[pos]
+                        pos += 1
+                    else:
+                        maps[eid] = tuple(
+                            flat[pos + i * c : pos + (i + 1) * c] for i in range(r)
+                        )
+                        pos += r * c
                 count += 1
                 if count > budget.max_reps:
                     raise BudgetExceeded(
                         f"representation cap {budget.max_reps} exceeded"
                     )
                 yield Representation._from_canonical(q, ring, dims, maps)
+
+
+def _anchor_forms(q: Quiver, ring: Ring, dims: dict[str, int]) -> dict[str, tuple]:
+    """The anchor edges under `dims`, each with its normal forms, sorted.
+
+    Anchors are picked greedily in declared edge order: an edge whose ends
+    both have nonzero dimension and touch no earlier anchor (a loop uses its
+    one vertex). Anchors share no vertex, so the base changes at their ends
+    act on each anchor independently and bring all of them to normal form at
+    once: [I_k 0; 0 0] under GL(d_t) x GL(d_s) on an edge between two
+    vertices, the rational canonical form under conjugation on a loop
+    (Derksen-Weyman, An Introduction to Quiver Representations, 2017)."""
+    used: set[str] = set()
+    forms = {}
+    for eid, src, dst in q.edges:
+        if dims[src] and dims[dst] and src not in used and dst not in used:
+            used.update((src, dst))
+            if src == dst:
+                forms[eid] = _loop_forms(ring, dims[src])
+            else:
+                forms[eid] = _rank_forms(ring, dims[dst], dims[src])
+    return forms
+
+
+@lru_cache(maxsize=None)
+def _rank_forms(ring: Ring, rows: int, cols: int) -> tuple[tuple, ...]:
+    """[I_k 0; 0 0] for k = 0..min(rows, cols): one matrix per orbit of
+    GL(rows) x GL(cols), in lexicographic order."""
+    zero, one = ring.zero(), ring.one()
+    return tuple(
+        sorted(
+            tuple(
+                tuple(one if i == j < k else zero for j in range(cols))
+                for i in range(rows)
+            )
+            for k in range(min(rows, cols) + 1)
+        )
+    )
+
+
+@lru_cache(maxsize=None)
+def _loop_forms(ring: Ring, d: int) -> tuple[tuple, ...]:
+    """The rational canonical forms of d x d matrices over F_p, one per
+    similarity class, in lexicographic order: for each chain of monic
+    invariant factors f_1 | ... | f_m of positive degrees summing to d, the
+    block-diagonal matrix of their companion matrices."""
+    p = ring.modulus
+    forms = []
+    for chain in _invariant_factor_chains(p, d):
+        rows = [[0] * d for _ in range(d)]
+        off = 0
+        for f in chain:  # coefficients from the constant term up, monic
+            n = len(f) - 1
+            for i in range(n):
+                if i:
+                    rows[off + i][off + i - 1] = 1
+                rows[off + i][off + n - 1] = -f[i] % p
+            off += n
+        forms.append(tuple(map(tuple, rows)))
+    return tuple(sorted(forms))
+
+
+def _invariant_factor_chains(p: int, left: int, last: tuple = (1,)) -> Iterator[tuple]:
+    """The chains of monic polynomials over F_p, each a multiple of the one
+    before (the first a multiple of `last`) and of positive degree, whose
+    degrees sum to `left`. Polynomials are coefficient tuples, constant term
+    first."""
+    if not left:
+        yield ()
+        return
+    for extra in range(left - len(last) + 2):
+        for low in product(range(p), repeat=extra):
+            f = _poly_mul(p, last, low + (1,))
+            deg = len(f) - 1
+            # what is left must fit into factors of degree >= deg
+            if deg and (deg == left or 2 * deg <= left):
+                for rest in _invariant_factor_chains(p, left - deg, f):
+                    yield (f,) + rest
+
+
+def _poly_mul(p: int, f: tuple, g: tuple) -> tuple:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

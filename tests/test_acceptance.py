@@ -269,3 +269,24 @@ def test_10_orthogonality_is_symmetric():
     e4 = vertex_idempotent(arrow, Z6, arrow.vertices).scale(4)
     assert orthogonality_bruteforce(e3, e4, 2) == orthogonality_bruteforce(e4, e3, 2)
     _report(f"10: one-sided orthogonality tests agree ({checked + 1} pairs)", started)
+
+
+def test_11_oracles_reach_f3_at_dimension_two():
+    # the bodies of tests 04 and 05 over F_3, each oracle inside 60 s with
+    # no case over the representation cap (BudgetExceeded fails the test)
+    budget = OracleBudget(max_total_dim=2)
+    quivers = sweep_quivers(max_vertices=3, max_edges=3, count=60)
+    started, checked = time.monotonic(), 0
+    for q in quivers:
+        for s in _subsets(q.vertices):
+            verdict = check_special_by_modules(vertex_idempotent(q, F3, s), q, F3, budget)
+            assert verdict.is_counterexample == (not q.is_left_closed(s))
+            checked += 1
+    _report(f"11: module oracle over F3 agrees ({checked} cases)", started, 60.0)
+    started, checked = time.monotonic(), 0
+    for q in quivers:
+        for s in q.enumerate_left_closed():
+            verdict = check_split_by_sequences(vertex_idempotent(q, F3, s), q, F3, budget)
+            assert verdict.is_counterexample == (not q.is_right_closed(s))
+            checked += 1
+    _report(f"11: complement oracle over F3 agrees ({checked} cases)", started, 60.0)

@@ -208,6 +208,25 @@ class TestOracle:
         assert code == 3
         assert report["error"]["code"] == "budget-exhausted"
 
+    def test_budget_exit_code_at_high_dimension(self, capsys):
+        # a loop that is no anchor runs over 2^64 matrices at dimension 8:
+        # the cap must be reached lazily, long before that
+        two_loops = json.dumps(
+            {
+                "vertices": ["v1"],
+                "edges": [
+                    {"id": "l", "src": "v1", "dst": "v1"},
+                    {"id": "m", "src": "v1", "dst": "v1"},
+                ],
+            }
+        )
+        code, report = run(
+            capsys, "oracle-special", "--quiver", two_loops, "--ring", "F2",
+            "--element", E_V1, "--max-dim", "8", "--max-reps", "1000",
+        )
+        assert code == 3
+        assert report["error"]["code"] == "budget-exhausted"
+
     def test_morita_check(self, capsys):
         code, report = run(
             capsys, "morita-check", "--quiver", ARROW, "--ring", "F2",

@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
 from pathidem import oracle
 from pathidem.algebra import AlgElem, edge_element, path_element, vertex_idempotent
-from pathidem.classify import is_left_special, is_left_split, strongly_orthogonal
+from pathidem.classify import classify, is_left_special, is_left_split, strongly_orthogonal
 from pathidem.linalg import FieldRowSpace
 from pathidem.oracle import (
     BudgetExceeded,
@@ -435,3 +436,270 @@ def test_verdict_json(arrow, f2):
     c = Verdict("counterexample", 3, module=m)
     assert c.to_json()["verdict"] == "counterexample"
     assert c.to_json()["module"] == m.to_json()
+
+
+def _full_reps(q, ring, budget=OracleBudget()):
+    """Every representation with total dimension <= budget: all matrix tuples
+    in row-major counter order over the field elements, per dimension vector
+    in the order of `enumerate_reps`. The reference for its reduction by
+    isomorphism."""
+    elems = list(ring.elements())
+    count = 0
+    for total in range(budget.max_total_dim + 1):
+        for dims_vec in sorted(oracle._dim_vectors(len(q.vertices), total)):
+            dims = dict(zip(q.vertices, dims_vec))
+            shapes = [(eid, dims[dst], dims[src]) for eid, src, dst in q.edges]
+            for flat in product(elems, repeat=sum(r * c for _, r, c in shapes)):
+                maps, pos = {}, 0
+                for eid, r, c in shapes:
+                    maps[eid] = tuple(
+                        flat[pos + i * c : pos + (i + 1) * c] for i in range(r)
+                    )
+                    pos += r * c
+                count += 1
+                if count > budget.max_reps:
+                    raise BudgetExceeded(f"representation cap {budget.max_reps} exceeded")
+                yield Representation(q, ring, dims, maps)
+
+
+def _rep_key(m):
+    q = m.quiver
+    return (
+        tuple(m.dims[v] for v in q.vertices),
+        tuple(m.edge_maps[eid] for eid, _, _ in q.edges),
+    )
+
+
+TWO_LOOPS = Quiver(("v1",), (("l", "v1", "v1"), ("m", "v1", "v1")))
+
+
+class TestReductionByIsomorphism:
+    """`enumerate_reps` restricts one anchor edge per vertex to its normal
+    forms. The oracles must reach the same verdicts, and the same first
+    counterexample dimension vector, as on every matrix tuple."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+
+    def test_verdicts_match_full_enumeration(self, f2, monkeypatch):
+        # every e_S of the acceptance pool of tests 04/05, both oracles
+        compared = 0
+        for q in sweep_quivers(3, 3, 60):
+            for s in _subsets(q.vertices):
+                e = vertex_idempotent(q, f2, s)
+                for check in (check_special_by_modules, check_split_by_sequences):
+                    got = check(e, q, f2, self.BUDGET)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(oracle, "enumerate_reps", _full_reps)
+                        want = check(e, q, f2, self.BUDGET)
+                    assert got.kind == want.kind, (q, s, check.__name__)
+                    assert got.reps_checked <= want.reps_checked
+                    if want.is_counterexample:
+                        assert got.module.dims == want.module.dims
+                    compared += 1
+        assert compared == 760
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "q", TestAgainstReference.PATH_QUIVERS + [TWO_LOOPS], ids=lambda q: str(q.edges)
+    )
+    def test_subsequence_meeting_every_class(self, q, p):
+        ring = Ring("Fp", p)
+        full = [_rep_key(m) for m in _full_reps(q, ring, self.BUDGET)]
+        reduced = [_rep_key(m) for m in enumerate_reps(q, ring, self.BUDGET)]
+        # each reduced rep is found, in order, in the rest of the full sequence
+        rest = iter(full)
+        assert all(key in rest for key in reduced)
+        assert len(set(reduced)) == len(reduced)
+        # every orbit of the base changes at the vertices has a reduced rep
+        for dims in {d for d, _ in full}:
+            orbit = _orbits(
+                [maps for d, maps in full if d == dims],
+                _base_changes(q, dict(zip(q.vertices, dims)), p),
+            )
+            met = {orbit[maps] for d, maps in reduced if d == dims}
+            assert met == set(orbit.values()), dims
+
+    def test_anchors_share_no_vertex(self, f2):
+        # the arrow v1 -> v2 takes both ends, so the loop at v1 stays free
+        q = Quiver(("v1", "v2"), (("a", "v1", "v2"), ("l", "v1", "v1"), ("m", "v2", "v2")))
+        dims = {"v1": 2, "v2": 1}
+        assert set(oracle._anchor_forms(q, f2, dims)) == {"a"}
+        # a zero-dimensional end makes no anchor of the arrow
+        assert set(oracle._anchor_forms(q, f2, {"v1": 2, "v2": 0})) == {"l"}
+
+    def test_budget_counts_reduced_reps_lazily(self, f2):
+        # the non-anchor loop runs over 2^64 matrices at dimension 8; only
+        # the anchor's normal forms may be built before the cap is reached
+        started = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            for _ in enumerate_reps(TWO_LOOPS, f2, OracleBudget(max_total_dim=8, max_reps=1000)):
+                pass
+        assert time.monotonic() - started < 1.0
+
+
+def _primitive_root(p):
+    return next(
+        g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1
+    )
+
+
+def _orbits(matrices, moves):
+    """Orbit index of each matrix under the group generated by `moves`
+    (functions from a matrix to a matrix), by breadth-first search."""
+    orbit, count = {}, 0
+    for start in matrices:
+        if start in orbit:
+            continue
+        orbit[start] = count
+        frontier = [start]
+        while frontier:
+            found = []
+            for m in frontier:
+                for move in moves:
+                    x = move(m)
+                    if x not in orbit:
+                        orbit[x] = count
+                        found.append(x)
+            frontier = found
+        count += 1
+    return orbit
+
+
+def _row_op(p, i, j, g):
+    """Row i += g * row j when i != j; row i *= g when i == j."""
+
+    def move(m):
+        rows = list(m)
+        rows[i] = tuple(
+            (a * g if i == j else a + g * b) % p for a, b in zip(m[i], m[j])
+        )
+        return tuple(rows)
+
+    return move
+
+
+def _col_op(p, i, j, g):
+    """Column j += g * column i when i != j; column j *= g when i == j."""
+
+    def move(m):
+        return tuple(
+            r[:j] + (((r[j] * g) if i == j else r[j] + g * r[i]) % p,) + r[j + 1 :]
+            for r in m
+        )
+
+    return move
+
+
+def _base_changes(q, dims, p):
+    """Generators of the product of GL(dims[v]) over the vertices, acting on
+    a tuple of edge matrices (in declared edge order) by M -> g_t M g_s^-1."""
+    g = _primitive_root(p)
+    moves = []
+    for v in q.vertices:
+        d = dims[v]
+        # I + E_ij: row i += row j where v is the target, column j -= column
+        # i where v is the source; diag(g, 1, ..., 1) likewise
+        gens = [(i, j, 1, p - 1) for i in range(d) for j in range(d) if i != j]
+        gens += [(0, 0, g, pow(g, -1, p))] if d else []
+        for i, j, a, b in gens:
+
+            def move(maps, v=v, row=_row_op(p, i, j, a), col=_col_op(p, i, j, b)):
+                out = []
+                for m, (_, src, dst) in zip(maps, q.edges):
+                    m = row(m) if dst == v else m
+                    out.append(col(m) if src == v else m)
+                return tuple(out)
+
+            moves.append(move)
+    return moves
+
+
+def _all_matrices(p, rows, cols):
+    return [
+        tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+        for flat in product(range(p), repeat=rows * cols)
+    ]
+
+
+def _assert_one_per_orbit(forms, matrices, moves):
+    orbit = _orbits(matrices, moves)
+    assert list(forms) == sorted(forms)
+    assert sorted(orbit[f] for f in forms) == sorted(set(orbit.values()))
+
+
+class TestNormalForms:
+    """One normal form per orbit, against orbits found by search under the
+    transvections I + E_ij and diag(g, 1, ..., 1), g generating F_p^*."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_forms(self, p):
+        g = _primitive_root(p)
+        for rows, cols in product(range(1, 7), repeat=2):
+            if rows * cols > 6:
+                continue
+            # (A, B) . M = A M B for A in GL(rows), B in GL(cols)
+            moves = [_row_op(p, i, j, 1) for i in range(rows) for j in range(rows) if i != j]
+            moves += [_col_op(p, i, j, 1) for i in range(cols) for j in range(cols) if i != j]
+            moves += [_row_op(p, 0, 0, g), _col_op(p, 0, 0, g)]
+            forms = oracle._rank_forms(Ring("Fp", p), rows, cols)
+            assert len(forms) == min(rows, cols) + 1
+            _assert_one_per_orbit(forms, _all_matrices(p, rows, cols), moves)
+
+    @pytest.mark.parametrize("p, max_d", [(2, 3), (3, 3), (5, 2)])
+    def test_loop_forms(self, p, max_d):
+        g = _primitive_root(p)
+        for d in range(1, max_d + 1):
+            # conjugation T M T^-1 by T = I + E_ij: row i += row j, then
+            # column j -= column i
+            pairs = [
+                (_row_op(p, i, j, 1), _col_op(p, i, j, p - 1))
+                for i in range(d)
+                for j in range(d)
+                if i != j
+            ]
+            pairs.append((_row_op(p, 0, 0, g), _col_op(p, 0, 0, pow(g, -1, p))))
+            moves = [lambda m, r=r, c=c: c(r(m)) for r, c in pairs]
+            forms = oracle._loop_forms(Ring("Fp", p), d)
+            assert len(forms) == sum(p**k for k in range(1, d + 1))
+            _assert_one_per_orbit(forms, _all_matrices(p, d, d), moves)
+
+
+class TestConjugates:
+    """Both oracles agree with `classify` on conjugates u e_S u^-1, u = 1 + n
+    with n two random path terms, for every left-closed S of the acyclic
+    quivers of the acceptance pool: elements whose terms are not those of
+    a vertex idempotent, though the classifier reads S off them."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_oracles_agree_with_classify(self, p):
+        ring = Ring("Fp", p)
+        rng = random.Random(f"conjugates-F{p}")
+        budget = OracleBudget(max_total_dim=2)
+        checked = moved = 0
+        for q in sweep_quivers(3, 3, 60):
+            if not q.is_acyclic:
+                continue
+            one = vertex_idempotent(q, ring, q.vertices)
+            paths = [r for r in q.all_paths() if r.edges]
+            for s in q.enumerate_left_closed():
+                terms = {rng.choice(paths): rng.randrange(1, p) for _ in range(2)} if paths else {}
+                n = AlgElem.make(q, ring, terms)
+                # n lies in the arrow ideal, so (1 + n)^-1 = sum of (-n)^k
+                inverse, power = one, one
+                for _ in range(len(q.vertices)):
+                    power = power * n.scale(-1)
+                    inverse = inverse + power
+                assert inverse * (one + n) == one
+                e_s = vertex_idempotent(q, ring, s)
+                e = (one + n) * e_s * inverse
+                assert e.is_idempotent()
+                moved += e != e_s
+                report = classify(e)
+                special = check_special_by_modules(e, q, ring, budget)
+                assert special.is_counterexample == (not report.is_left_special)
+                split = check_split_by_sequences(e, q, ring, budget)
+                assert split.is_counterexample == (not report.is_left_split), (q, s, e)
+                checked += 1
+        assert checked == 91  # 19 quivers, the empty S included
+        # e = e_S when n and e_S commute, as for S empty or every vertex
+        assert moved >= 20
