@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathidem import __version__
-from pathidem import cli, quivers
+from pathidem import cli, oracle, quivers
 from pathidem.algebra import vertex_idempotent
 from pathidem.cli import main
 from pathidem.oracle import OracleBudget, enumerate_reps
@@ -208,9 +208,13 @@ class TestOracle:
         assert code == 3
         assert report["error"]["code"] == "budget-exhausted"
 
-    def test_budget_exit_code_at_high_dimension(self, capsys):
-        # a loop that is no anchor runs over 2^64 matrices at dimension 8:
-        # the cap must be reached lazily, long before that
+    def test_budget_exit_code_at_high_dimension(self, capsys, monkeypatch):
+        # restricted to the dimension vector (8,), the loop that is no anchor
+        # runs over 2^64 matrices; no rep but 0 lies in the category of e = 0,
+        # so each is skipped and the 1000-rep cap is reached there
+        monkeypatch.setattr(
+            oracle, "_dim_vectors", lambda n, total: [(8,)] if total == 8 else []
+        )
         two_loops = json.dumps(
             {
                 "vertices": ["v1"],
@@ -222,7 +226,7 @@ class TestOracle:
         )
         code, report = run(
             capsys, "oracle-special", "--quiver", two_loops, "--ring", "F2",
-            "--element", E_V1, "--max-dim", "8", "--max-reps", "1000",
+            "--element", ZERO, "--max-dim", "8", "--max-reps", "1000",
         )
         assert code == 3
         assert report["error"]["code"] == "budget-exhausted"

@@ -34,6 +34,8 @@ from pathidem.reps import (
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
+from conftest import conjugate, full_reps
+
 
 class TestEnumeration:
     def test_rep_counts(self, arrow, f2):
@@ -315,7 +317,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_pruned_submodules_match_product_filter(self, q, ring):
-        for m in enumerate_reps(q, ring, self.BUDGET):
+        for m in full_reps(q, ring, self.BUDGET):
             want = [s.bases for s in self._reference_submodules(m)]
             assert [s.bases for s in oracle._submodules(m)] == want
             for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
@@ -336,7 +338,7 @@ class TestAgainstReference:
                 elements.append(e)
                 break
         for e in elements:
-            for m in enumerate_reps(q, ring, self.BUDGET):
+            for m in full_reps(q, ring, self.BUDGET):
                 got, want = gamma(e, m), self._reference_gamma(e, m)
                 assert got == want
                 for v in q.vertices:
@@ -347,7 +349,7 @@ class TestAgainstReference:
         # N = AeN computed inside M agrees with N rebuilt on its own
         for s in _subsets(q.vertices):
             e = vertex_idempotent(q, ring, s)
-            for m in enumerate_reps(q, ring, self.BUDGET):
+            for m in full_reps(q, ring, self.BUDGET):
                 blocks = m.action_blocks(e)
                 for sub in enumerate_submodules(m):
                     inside = _generated(m, blocks, sub.bases) == sub.bases
@@ -379,7 +381,7 @@ class TestAgainstReference:
             return submodule_from_local(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "submodule_from_local", counting)
-        for m in enumerate_reps(q, ring, self.BUDGET):
+        for m in full_reps(q, ring, self.BUDGET):
             calls.clear()
             assert len(enumerate_submodules(m)) == len(calls)
             for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
@@ -438,30 +440,6 @@ def test_verdict_json(arrow, f2):
     assert c.to_json()["module"] == m.to_json()
 
 
-def _full_reps(q, ring, budget=OracleBudget()):
-    """Every representation with total dimension <= budget: all matrix tuples
-    in row-major counter order over the field elements, per dimension vector
-    in the order of `enumerate_reps`. The reference for its reduction by
-    isomorphism."""
-    elems = list(ring.elements())
-    count = 0
-    for total in range(budget.max_total_dim + 1):
-        for dims_vec in sorted(oracle._dim_vectors(len(q.vertices), total)):
-            dims = dict(zip(q.vertices, dims_vec))
-            shapes = [(eid, dims[dst], dims[src]) for eid, src, dst in q.edges]
-            for flat in product(elems, repeat=sum(r * c for _, r, c in shapes)):
-                maps, pos = {}, 0
-                for eid, r, c in shapes:
-                    maps[eid] = tuple(
-                        flat[pos + i * c : pos + (i + 1) * c] for i in range(r)
-                    )
-                    pos += r * c
-                count += 1
-                if count > budget.max_reps:
-                    raise BudgetExceeded(f"representation cap {budget.max_reps} exceeded")
-                yield Representation(q, ring, dims, maps)
-
-
 def _rep_key(m):
     q = m.quiver
     return (
@@ -489,7 +467,7 @@ class TestReductionByIsomorphism:
                 for check in (check_special_by_modules, check_split_by_sequences):
                     got = check(e, q, f2, self.BUDGET)
                     with monkeypatch.context() as patch:
-                        patch.setattr(oracle, "enumerate_reps", _full_reps)
+                        patch.setattr(oracle, "enumerate_reps", full_reps)
                         want = check(e, q, f2, self.BUDGET)
                     assert got.kind == want.kind, (q, s, check.__name__)
                     assert got.reps_checked <= want.reps_checked
@@ -504,7 +482,7 @@ class TestReductionByIsomorphism:
     )
     def test_subsequence_meeting_every_class(self, q, p):
         ring = Ring("Fp", p)
-        full = [_rep_key(m) for m in _full_reps(q, ring, self.BUDGET)]
+        full = [_rep_key(m) for m in full_reps(q, ring, self.BUDGET)]
         reduced = [_rep_key(m) for m in enumerate_reps(q, ring, self.BUDGET)]
         # each reduced rep is found, in order, in the rest of the full sequence
         rest = iter(full)
@@ -527,13 +505,17 @@ class TestReductionByIsomorphism:
         # a zero-dimensional end makes no anchor of the arrow
         assert set(oracle._anchor_forms(q, f2, {"v1": 2, "v2": 0})) == {"l"}
 
-    def test_budget_counts_reduced_reps_lazily(self, f2):
-        # the non-anchor loop runs over 2^64 matrices at dimension 8; only
-        # the anchor's normal forms may be built before the cap is reached
+    def test_budget_stops_a_lazy_enumeration(self, f2, monkeypatch):
+        # only the anchor's normal forms may be built up front: restricted to
+        # the dimension vector (8,), the loop that is no anchor runs over
+        # 2^64 matrices, and the cap must still be reached at once
+        monkeypatch.setattr(
+            oracle, "_dim_vectors", lambda n, total: [(8,)] if total == 8 else []
+        )
         started = time.monotonic()
         with pytest.raises(BudgetExceeded):
-            for _ in enumerate_reps(TWO_LOOPS, f2, OracleBudget(max_total_dim=8, max_reps=1000)):
-                pass
+            for m in enumerate_reps(TWO_LOOPS, f2, OracleBudget(max_total_dim=8, max_reps=1000)):
+                assert m.dims == {"v1": 8}
         assert time.monotonic() - started < 1.0
 
 
@@ -679,19 +661,9 @@ class TestConjugates:
         for q in sweep_quivers(3, 3, 60):
             if not q.is_acyclic:
                 continue
-            one = vertex_idempotent(q, ring, q.vertices)
-            paths = [r for r in q.all_paths() if r.edges]
             for s in q.enumerate_left_closed():
-                terms = {rng.choice(paths): rng.randrange(1, p) for _ in range(2)} if paths else {}
-                n = AlgElem.make(q, ring, terms)
-                # n lies in the arrow ideal, so (1 + n)^-1 = sum of (-n)^k
-                inverse, power = one, one
-                for _ in range(len(q.vertices)):
-                    power = power * n.scale(-1)
-                    inverse = inverse + power
-                assert inverse * (one + n) == one
                 e_s = vertex_idempotent(q, ring, s)
-                e = (one + n) * e_s * inverse
+                e = conjugate(e_s, rng)
                 assert e.is_idempotent()
                 moved += e != e_s
                 report = classify(e)

@@ -11,7 +11,7 @@ from pathidem.algebra import (
 )
 from pathidem.linalg import FieldRowSpace, mat_vec, nullspace
 from pathidem.classify import strongly_orthogonal
-from pathidem.oracle import OracleBudget, enumerate_reps
+from pathidem.oracle import OracleBudget
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import (
     RepError,
@@ -30,6 +30,8 @@ from pathidem.reps import (
 )
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, sweep_quivers
+
+from conftest import conjugate, full_reps
 
 
 def arrow_rep(ring, scalar=1):
@@ -100,7 +102,7 @@ class TestRepresentation:
         for q, e, idempotent in cases:
             assert e.is_idempotent() == idempotent
             if max_dim is not None:
-                reps = enumerate_reps(q, ring, OracleBudget(max_total_dim=max_dim))
+                reps = full_reps(q, ring, OracleBudget(max_total_dim=max_dim))
             else:
                 reps = [
                     Representation(
@@ -226,7 +228,7 @@ class TestHom:
         e2 = vertex_idempotent(two_isolated, f2, {"v2"})
         assert strongly_orthogonal(e1, e2)
         budget = OracleBudget(max_total_dim=2)
-        reps = list(enumerate_reps(two_isolated, f2, budget))
+        reps = list(full_reps(two_isolated, f2, budget))
         m_side = [m for m in reps if m.total_dim and in_category_e(e1, m)]
         n_side = [n for n in reps if n.total_dim and in_category_e(e2, n)]
         assert m_side and n_side
@@ -326,7 +328,7 @@ class TestCorner:
         budget = OracleBudget(max_total_dim=2)
         reps = [
             m
-            for m in enumerate_reps(arrow, f2, budget)
+            for m in full_reps(arrow, f2, budget)
             if in_category_e(e, m)
         ]
         assert reps
@@ -357,7 +359,7 @@ class TestProjectives:
         for v in arrow.vertices:
             e = vertex_idempotent(arrow, f2, {v})
             p = left_ideal_representation(e)
-            for m in enumerate_reps(arrow, f2, budget):
+            for m in full_reps(arrow, f2, budget):
                 assert len(hom_space(p, m)) == len(e_fixed(e, m))
 
 
@@ -513,7 +515,7 @@ class TestIntertwinersAgainstReference:
         e = vertex_idempotent(q, ring, s)
         corner, ref_corner = corner_algebra(e), _reference_corner(e)
         assert len(corner[0].all_paths()) == len(ref_corner)
-        reps = [m for m in enumerate_reps(q, ring, self.BUDGET) if in_category_e(e, m)]
+        reps = [m for m in full_reps(q, ring, self.BUDGET) if in_category_e(e, m)]
         cms = [corner_module(e, m, corner) for m in reps]
         refs = [_reference_corner_module(e, m, ref_corner) for m in reps]
         for m, cm, rm in zip(reps, cms, refs):
@@ -557,19 +559,8 @@ class TestGeneralIdempotents:
 
     @staticmethod
     def _conjugates(q, ring, rng):
-        one = vertex_idempotent(q, ring, q.vertices)
-        paths = [p for p in q.all_paths() if p.edges]
         for s in _nonempty_subsets(q):
-            n = AlgElem.make(
-                q, ring, {rng.choice(paths): rng.randrange(1, ring.modulus) for _ in range(2)}
-            )
-            # n lies in the arrow ideal, so (1 + n)^-1 = sum of (-n)^k
-            inverse, power = one, one
-            for _ in range(len(q.vertices)):
-                power = power * n.scale(-1)
-                inverse = inverse + power
-            assert inverse * (one + n) == one
-            yield (one + n) * vertex_idempotent(q, ring, s) * inverse
+            yield conjugate(vertex_idempotent(q, ring, s), rng)
 
     @staticmethod
     def _with_kappa(q, ring, rng):
@@ -583,7 +574,7 @@ class TestGeneralIdempotents:
             yield AlgElem.make(q, ring, terms)
 
     def _assert_matches_reference(self, q, ring, elements):
-        reps = list(enumerate_reps(q, ring, self.BUDGET))
+        reps = list(full_reps(q, ring, self.BUDGET))
         nontrivial = 0
         for e in elements:
             assert e.is_idempotent()
