@@ -6,13 +6,22 @@ concatenation bilinearly, with trivial paths acting as local units.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import row_space
+from .linalg import FieldRowSpace, ZnRowSpace
 from .quivers import Path, Quiver, QuiverError, concat
 from .rings import Ring
+
+# the most paths a `TruncatedIdeal` indexes, in its window and in its sandwiches
+_MAX_IDEAL_PATHS = 20_000
+
+# coefficient strings, ASCII digits only: an integer, and over Q also "a/b"
+# or a plain decimal (no exponent, no digit separator, no surrounding space)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
 class AlgebraError(ValueError):
@@ -145,16 +154,15 @@ class AlgElem:
 
 
 def _coeff_from_json(ring: Ring, c):
-    """A JSON coefficient: an int, or a string holding an integer (over Q also
-    "a/b" or a decimal without exponent). Floats and bools are refused, not
-    rounded."""
+    """A JSON coefficient: an int, or a string matching `_INTEGER` (over Q,
+    `_RATIONAL`). Floats and bools are refused, not rounded. The grammar has
+    no exponent: Fraction("1e999999999") would build 10**999999999 first."""
     if type(c) is int:
         return ring.canon(c)
     if not isinstance(c, str):
         raise AlgebraError(f"coefficient must be a string or an integer, got {c!r}")
-    if "e" in c.lower():
-        # Fraction("1e999999999") would build 10**999999999 before failing
-        raise AlgebraError(f"coefficient {c!r}: exponent notation is not accepted")
+    if not (_RATIONAL if ring.kind == "Q" else _INTEGER).fullmatch(c):
+        raise AlgebraError(f"bad coefficient {c!r} over {ring}")
     try:
         return ring.canon(Fraction(c) if ring.kind == "Q" else int(c))
     except (ValueError, ZeroDivisionError) as exc:
@@ -202,12 +210,7 @@ class TruncatedIdeal:
     cancel. For a loop x over F_5 and generators 1 + x and x^2, the element
     e_v = (1 - x)(1 + x) + x^2 is missed at degree 0 and found at degree 1."""
 
-    def __init__(
-        self,
-        gens: list[AlgElem],
-        degree: int,
-        max_paths: int = 20000,
-    ):
+    def __init__(self, gens: list[AlgElem], degree: int):
         if degree < 0:
             raise AlgebraError("degree must be nonnegative")
         if not gens:
@@ -218,11 +221,12 @@ class TruncatedIdeal:
         self.quiver, self.ring, self.degree = quiver, ring, degree
 
         gen_deg = max(g.max_degree() for g in gens)
-        paths = quiver.paths_up_to(degree, limit=max_paths)
+        paths = quiver.paths_up_to(degree, limit=_MAX_IDEAL_PATHS)
         # index the coordinate space by all paths that can occur in a sandwich
-        coord_paths = quiver.paths_up_to(degree + gen_deg, limit=max_paths)
+        coord_paths = quiver.paths_up_to(degree + gen_deg, limit=_MAX_IDEAL_PATHS)
         self._index = {p: i for i, p in enumerate(coord_paths)}
-        self._space = row_space(ring, len(coord_paths))
+        space = FieldRowSpace if ring.is_field else ZnRowSpace
+        self._space = space(ring, len(coord_paths))
         for g in gens:
             for p in paths:
                 left = path_element(quiver, ring, p)
@@ -242,9 +246,3 @@ class TruncatedIdeal:
                 f"element degree {elem.max_degree()} exceeds truncation {self.degree}"
             )
         return self._space.contains(path_vector(elem, self._index))
-
-
-def truncated_two_sided_ideal(
-    gens: list[AlgElem], degree: int, max_paths: int = 20000
-) -> TruncatedIdeal:
-    return TruncatedIdeal(gens, degree, max_paths=max_paths)

@@ -103,8 +103,8 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
             )
 
     # lambda_v must generate a smaller ideal than lambda_{v'} along any path
-    # v -> v', i.e. lambda_v * lambda_{v'} == lambda_v (`Ring.idem_leq`, whose
-    # idempotency checks the loop above has made); since S is left closed,
+    # v -> v'; for idempotents (the loop above has checked them) that is
+    # lambda_v * lambda_{v'} == lambda_v. Since S is left closed,
     # reachability from v stays inside S
     for v in sorted(s):
         for w in sorted(q.reachable(v)):
@@ -253,16 +253,14 @@ def is_full_family(es: list[AlgElem]) -> bool:
     return True
 
 
-def enumerate_full_families_trivial_idem(
-    q: Quiver, ring: Ring, max_vertices: int = 16
-) -> list[list[AlgElem]]:
+def enumerate_full_families_trivial_idem(q: Quiver, ring: Ring) -> list[list[AlgElem]]:
     """All full families over a ring with only trivial idempotents: exactly the
     partitions of the vertex set into left-closed parts, as {e_S_i} families."""
     if len(ring.idempotents()) != 2:
         raise ClassifyError(
             "full-family enumeration requires a ring with only trivial idempotents"
         )
-    closed = [s for s in q.enumerate_left_closed(max_vertices) if s]
+    closed = [s for s in q.enumerate_left_closed() if s]
     order = list(q.vertices)
 
     def extend(remaining: frozenset[str], parts: list[frozenset[str]], out):

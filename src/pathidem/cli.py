@@ -50,7 +50,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-_RING_SHORTHAND = re.compile(r"^(F|Z)(\d+)$|^Q$")
+_RING_SHORTHAND = re.compile(r"^(F|Z)([0-9]+)$|^Q$")
 
 
 class InputError(ValueError):
@@ -93,7 +93,12 @@ def _parse_ring(spec: str) -> Ring:
             except ValueError as exc:  # more digits than int() converts
                 raise RingError(f"modulus has {len(m.group(2))} digits, too many") from exc
             return Ring(kind, modulus)
-        return Ring.from_json(_load_json(spec))
+        try:
+            return Ring.from_json(_load_json(spec))
+        except InputError as exc:  # "F٥": no shorthand (ASCII digits), no file
+            if exc.code != "missing-file":
+                raise
+            raise RingError(f"{spec!r} is no ring shorthand, JSON or file") from exc
     except RingError as exc:
         raise InputError("bad-ring", str(exc)) from exc
 

@@ -207,13 +207,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def row_space(ring: Ring, ncols: int):
-    """A membership-queryable span over the given ring."""
-    if ring.is_field:
-        return FieldRowSpace(ring, ncols)
-    return ZnRowSpace(ring, ncols)
-
-
 # ---- dense matrix helpers (tuples of tuples, row major) ----
 
 

@@ -13,10 +13,10 @@ not ruled out by that.
 
 Representations are enumerated up to isomorphism (`enumerate_reps`): at
 least one of each isomorphism class within the budget, not every matrix
-tuple. Every verdict here (specialness, splitness, perpendicular
-complements, Morita bijectivity) is invariant under isomorphism, so the
-budget caps, and `Verdict.reps_checked` and the `pairs_checked` of the CLI's
-morita-check count, those reduced representations.
+tuple. Every verdict here (specialness, splitness, Morita bijectivity) is
+invariant under isomorphism, so the budget caps, and `Verdict.reps_checked`
+and the `pairs_checked` of the CLI's morita-check count, those reduced
+representations.
 
 Submodules are held as their reduced echelon bases per vertex
 (`reps.Submodule`). They are built vertex by vertex in declared vertex
@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .algebra import AlgElem, path_element, truncated_two_sided_ideal, vertex_idempotent
+from .algebra import AlgElem, TruncatedIdeal, path_element, vertex_idempotent
 from .linalg import FieldRowSpace, image, join
 from .quivers import Quiver
 from .reps import (
@@ -87,10 +87,6 @@ class Verdict:
     submodule: Optional[Submodule] = None
 
     @property
-    def is_consistent(self) -> bool:
-        return self.kind == "consistent"
-
-    @property
     def is_counterexample(self) -> bool:
         return self.kind == "counterexample"
 
@@ -104,13 +100,17 @@ class Verdict:
 
 
 def _dim_vectors(nverts: int, total: int) -> Iterator[tuple[int, ...]]:
-    if nverts == 0:
-        if total == 0:
+    """The vectors of `nverts` nonnegative integers summing to `total`, in
+    lexicographic order: the gaps between nverts - 1 bars set among
+    total + nverts - 1 slots (stars and bars)."""
+    if not nverts:
+        if not total:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _dim_vectors(nverts - 1, total - first):
-            yield (first,) + rest
+    end = total + nverts - 1
+    for bars in combinations(range(end), nverts - 1):
+        cuts = (-1, *bars, end)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
 
 
 def enumerate_reps(
@@ -132,7 +132,7 @@ def enumerate_reps(
     elems = tuple(ring.elements())
     count = 0
     for total in range(budget.max_total_dim + 1):
-        for dims_vec in sorted(_dim_vectors(len(q.vertices), total)):
+        for dims_vec in _dim_vectors(len(q.vertices), total):
             dims = dict(zip(q.vertices, dims_vec))
             anchors = _anchor_forms(q, ring, dims)
             # one factor per anchor (its forms, r = None), one per entry of
@@ -409,25 +409,6 @@ def check_split_by_sequences(
     return Verdict("consistent", checked)
 
 
-def split_complements_are_perp(
-    e: AlgElem, q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
-) -> bool:
-    """For a split element: every enumerated M decomposes as AeM (+) C with
-    e acting by zero on some complement C."""
-    if not e.is_idempotent():
-        raise OracleError("oracle requires an idempotent element")
-    for m in enumerate_reps(q, ring, budget):
-        blocks = m.action_blocks(e)
-        if not any(_kills(blocks, c) for c in _graded_complements(m, gamma(e, m))):
-            return False
-    return True
-
-
-def _kills(blocks: dict, c: Submodule) -> bool:
-    """Whether the action blocks (t, s) of an element are zero on every C_s."""
-    return not any(image(c.rep.ring, b, c.bases[s]) for (_, s), b in blocks.items())
-
-
 def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
     """Whether e1 * p * e2 == 0 for every path p of length <= degree."""
     if e1.quiver != e2.quiver or e1.ring != e2.ring:
@@ -451,7 +432,7 @@ def fullness_bruteforce(es: list[AlgElem], degree: int) -> bool:
     if not es:
         return False
     q, ring = es[0].quiver, es[0].ring
-    ideal = truncated_two_sided_ideal(list(es), degree)
+    ideal = TruncatedIdeal(list(es), degree)
     return all(
         ideal.contains(vertex_idempotent(q, ring, {v})) for v in q.vertices
     )

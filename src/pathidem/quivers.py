@@ -14,6 +14,8 @@ class QuiverError(ValueError):
 # the most edge ids `Quiver.paths_up_to` holds over all its paths (about 80 MB
 # of references)
 _MAX_EDGE_IDS = 10**7
+# the most vertices `Quiver.enumerate_left_closed` runs its 2^n subsets over
+_MAX_SUBSET_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -172,20 +174,20 @@ class Quiver:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        color = {v: 0 for v in self.vertices}
-
-        def visit(v: str) -> bool:
-            color[v] = 1
+        """Kahn's algorithm: remove vertices with no incoming edge left until
+        none remains; the quiver is acyclic exactly when all are removed."""
+        indegree = {v: len(es) for v, es in self.in_edges.items()}
+        free = [v for v, d in indegree.items() if not d]
+        removed = 0
+        while free:
+            v = free.pop()
+            removed += 1
             for eid in self.out_edges[v]:
                 w = self.edge_target(eid)
-                if color[w] == 1:
-                    return False
-                if color[w] == 0 and not visit(w):
-                    return False
-            color[v] = 2
-            return True
-
-        return all(visit(v) for v in self.vertices if color[v] == 0)
+                indegree[w] -= 1
+                if not indegree[w]:
+                    free.append(w)
+        return removed == len(self.vertices)
 
     def all_paths(self) -> list[Path]:
         """Every path of an acyclic quiver, in canonical order."""
@@ -255,12 +257,13 @@ class Quiver:
             comps.append(frozenset(comp))
         return comps
 
-    def enumerate_left_closed(self, max_vertices: int = 16) -> list[frozenset[str]]:
+    def enumerate_left_closed(self) -> list[frozenset[str]]:
         """All left-closed vertex subsets, by exhaustive subset enumeration."""
         n = len(self.vertices)
-        if n > max_vertices:
+        if n > _MAX_SUBSET_VERTICES:
             raise QuiverError(
-                f"quiver has {n} vertices, above the enumeration bound {max_vertices}"
+                f"quiver has {n} vertices, above the enumeration bound"
+                f" {_MAX_SUBSET_VERTICES}"
             )
         out = []
         for mask in range(1 << n):

@@ -10,10 +10,9 @@ the unit u = e e_S + (1 - e)(1 - e_S); the tests pin this against the eAe
 basis spanned by the elements e p e.
 
 Matrices act on column vectors; the edge matrix for a has shape
-dims[target] x dims[source]. Global vectors concatenate the vertex blocks in
-the quiver's declared vertex order. A Submodule is its reduced echelon basis
-at each vertex (see `linalg`); Γ_e and the closure of a graded subspace are
-computed on such bases with `linalg.join` and `linalg.image`.
+dims[target] x dims[source]. A Submodule is its reduced echelon basis at each
+vertex (see `linalg`); Γ_e and the closure of a graded subspace are computed
+on such bases with `linalg.join` and `linalg.image`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import AlgElem, path_element, path_vector
+from .algebra import AlgElem
 from .linalg import (
     FieldRowSpace,
     identity_matrix,
@@ -29,7 +28,6 @@ from .linalg import (
     join,
     mat_canon,
     mat_mul,
-    mat_vec,
     nullspace,
     span,
     zero_matrix,
@@ -85,57 +83,6 @@ class Representation:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def offset(self, v: str) -> int:
-        off = 0
-        for w in self.quiver.vertices:
-            if w == v:
-                return off
-            off += self.dims[w]
-        raise RepError(f"unknown vertex {v!r}")
-
-    def block(self, vec: Sequence, v: str) -> tuple:
-        off = self.offset(v)
-        return tuple(vec[off : off + self.dims[v]])
-
-    def embed(self, local: Sequence, v: str) -> tuple:
-        out = [self.ring.zero()] * self.total_dim
-        off = self.offset(v)
-        for i, x in enumerate(local):
-            out[off + i] = x
-        return tuple(out)
-
-    def path_matrix(self, p: Path) -> tuple:
-        """Global action matrix of a single path."""
-        D = self.total_dim
-        out = [[self.ring.zero()] * D for _ in range(D)]
-        if p.is_trivial:
-            v = p.vertex
-            off = self.offset(v)
-            for i in range(self.dims[v]):
-                out[off + i][off + i] = self.ring.one()
-            return tuple(tuple(r) for r in out)
-        src = self.quiver.path_source(p)
-        dst = self.quiver.path_target(p)
-        comp = identity_matrix(self.ring, self.dims[src])
-        for eid in p.edges:
-            comp = mat_mul(self.ring, self.edge_maps[eid], comp)
-        roff, coff = self.offset(dst), self.offset(src)
-        for i, row in enumerate(comp):
-            for j, x in enumerate(row):
-                out[roff + i][coff + j] = x
-        return tuple(tuple(r) for r in out)
-
-    def action_matrix(self, e: AlgElem) -> tuple:
-        """The global D x D matrix of e's action: its `action_blocks` placed
-        at their vertex offsets, zeros elsewhere."""
-        D = self.total_dim
-        out = [[self.ring.zero()] * D for _ in range(D)]
-        for (t, s), block in self.action_blocks(e).items():
-            roff, coff = self.offset(t), self.offset(s)
-            for i, row in enumerate(block):
-                out[roff + i][coff : coff + len(row)] = row
-        return tuple(tuple(r) for r in out)
-
     def action_blocks(self, e: AlgElem) -> dict[tuple[str, str], tuple]:
         """The blocks of e's action: (t, s) -> the dims[t] x dims[s] matrix
         sum of c * M_p over the terms c*p of e from s to t. A pair has an
@@ -176,9 +123,6 @@ class Representation:
             mat = mat_mul(ring, self.edge_maps[eid], mat)
         return mat
 
-    def apply_edge(self, eid: str, local: Sequence) -> tuple:
-        return mat_vec(self.ring, self.edge_maps[eid], local)
-
     # ---- serialization ----
 
     def to_json(self) -> dict:
@@ -211,17 +155,6 @@ class Submodule:
 
     def basis(self, v: str) -> list[tuple]:
         return list(self.bases[v])
-
-    def is_edge_closed(self) -> bool:
-        """Whether span(C_t + a*C_s) == C_t for every edge a: s -> t, with
-        the images taken vector by vector through `apply_edge`."""
-        ring, dims = self.rep.ring, self.rep.dims
-        for eid, src, dst in self.rep.quiver.edges:
-            have = self.bases[dst]
-            images = tuple(self.rep.apply_edge(eid, x) for x in self.bases[src])
-            if span(ring, dims[dst], have + images) != have:
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -260,15 +193,6 @@ def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
                 if len(grown) > len(have):
                     out[dst], changed = grown, True
     return out
-
-
-def e_fixed(e: AlgElem, m: Representation) -> list[tuple]:
-    """Echelon basis of the image e*M inside the total space. Not necessarily
-    edge-closed (nor graded) on its own."""
-    if not e.is_idempotent():
-        raise RepError("e_fixed requires an idempotent element")
-    mat = m.action_matrix(e)
-    return FieldRowSpace(m.ring, len(mat), zip(*mat)).basis()
 
 
 def _whole(m: Representation) -> dict[str, tuple]:
@@ -314,37 +238,6 @@ def in_category_e(
     if blocks is None:
         blocks = m.action_blocks(e)
     return _generated(m, blocks, whole) == whole
-
-
-def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:
-    """The matrix whose columns are the coordinates of `images` in target's
-    echelon basis; RepError(msg) when an image lies outside target."""
-    cols = []
-    for y in images:
-        coords = target.coords(y)
-        if coords is None:
-            raise RepError(msg)
-        cols.append(coords)
-    return tuple(tuple(c[i] for c in cols) for i in range(target.rank))
-
-
-def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[tuple]]]:
-    """The submodule as a representation in its own echelon bases, plus the
-    per-vertex inclusion bases (local vectors of the ambient module)."""
-    rep = sub.rep
-    spaces = {v: FieldRowSpace(rep.ring, rep.dims[v], b) for v, b in sub.bases.items()}
-    maps = {
-        eid: _induced_matrix(
-            (rep.apply_edge(eid, x) for x in sub.bases[src]),
-            spaces[dst],
-            "subspace is not closed under the edge maps",
-        )
-        for eid, src, dst in rep.quiver.edges
-    }
-    return (
-        Representation(rep.quiver, rep.ring, sub.dims, maps),
-        {v: sub.basis(v) for v in rep.quiver.vertices},
-    )
 
 
 # ---- Hom spaces ----
@@ -478,37 +371,3 @@ def morita_surrogate_check(
         "restricted_rank": rank,
         "bijective": len(homs) == corner_dim == rank,
     }
-
-
-# ---- desk-scale categorical checks (acyclic quivers) ----
-
-
-def left_ideal_representation(e: AlgElem) -> Representation:
-    """The cyclic projective A*e as a representation, graded by path targets.
-    Finite-dimensional exactly because the quiver is acyclic."""
-    q, ring = e.quiver, e.ring
-    if not q.is_acyclic:
-        raise RepError("A*e is infinite-dimensional on cyclic quivers")
-    paths = q.all_paths()
-    index = {p: i for i, p in enumerate(paths)}
-    bases: dict[str, FieldRowSpace] = {
-        v: FieldRowSpace(ring, len(paths)) for v in q.vertices
-    }
-    for p in paths:
-        x = path_element(q, ring, p) * e
-        if not x.is_zero:
-            bases[q.path_target(p)].add(path_vector(x, index))
-    maps = {}
-    for eid, src, dst in q.edges:
-        a = path_element(q, ring, Path(edges=(eid,)))
-        images = []
-        for row in bases[src].basis():
-            x = AlgElem.make(
-                q, ring, {paths[i]: c for i, c in enumerate(row) if not ring.is_zero(c)}
-            )
-            images.append(path_vector(a * x, index))
-        maps[eid] = _induced_matrix(
-            images, bases[dst], "edge action escaped the graded piece of A*e"
-        )
-    dims = {v: bases[v].rank for v in q.vertices}
-    return Representation(q, ring, dims, maps)

@@ -149,16 +149,6 @@ class Ring:
     def is_idempotent(self, a: Elem) -> bool:
         return self.mul(a, a) == self.canon(a)
 
-    def idem_leq(self, a: Elem, b: Elem) -> bool:
-        """Whether the principal ideal (a) is contained in (b), for idempotents.
-
-        Since b*b == b, containment is equivalent to a*b == a.
-        """
-        a, b = self.canon(a), self.canon(b)
-        if not (self.is_idempotent(a) and self.is_idempotent(b)):
-            raise RingError("idem_leq requires idempotent arguments")
-        return self.mul(a, b) == a
-
     def idem_join(self, a: Elem, b: Elem) -> Elem:
         return self.sub(self.add(a, b), self.mul(a, b))
 

@@ -1,0 +1,162 @@
+"""The global-coordinate reference layer the tests compare the library with.
+
+The library works vertex by vertex on reduced echelon bases. Here the total
+space of a representation concatenates its vertex blocks in the quiver's
+declared vertex order, and an element acts by one global matrix: the direct
+transcription of the definitions, kept out of `src/` because no command,
+oracle or library function needs it.
+"""
+
+from typing import Sequence
+
+from pathidem.algebra import AlgElem, path_element, path_vector
+from pathidem.linalg import FieldRowSpace, identity_matrix, mat_mul, mat_vec, span
+from pathidem.quivers import Path
+from pathidem.reps import Representation, RepError, Submodule
+from pathidem.rings import Ring, RingError
+
+
+def offset(m: Representation, v: str) -> int:
+    off = 0
+    for w in m.quiver.vertices:
+        if w == v:
+            return off
+        off += m.dims[w]
+    raise RepError(f"unknown vertex {v!r}")
+
+
+def block(m: Representation, vec: Sequence, v: str) -> tuple:
+    off = offset(m, v)
+    return tuple(vec[off : off + m.dims[v]])
+
+
+def path_matrix(m: Representation, p: Path) -> tuple:
+    """Global action matrix of a single path."""
+    D = m.total_dim
+    out = [[m.ring.zero()] * D for _ in range(D)]
+    if p.is_trivial:
+        v = p.vertex
+        off = offset(m, v)
+        for i in range(m.dims[v]):
+            out[off + i][off + i] = m.ring.one()
+        return tuple(tuple(r) for r in out)
+    src = m.quiver.path_source(p)
+    dst = m.quiver.path_target(p)
+    comp = identity_matrix(m.ring, m.dims[src])
+    for eid in p.edges:
+        comp = mat_mul(m.ring, m.edge_maps[eid], comp)
+    roff, coff = offset(m, dst), offset(m, src)
+    for i, row in enumerate(comp):
+        for j, x in enumerate(row):
+            out[roff + i][coff + j] = x
+    return tuple(tuple(r) for r in out)
+
+
+def action_matrix(m: Representation, e: AlgElem) -> tuple:
+    """The global D x D matrix of e's action: its `action_blocks` placed
+    at their vertex offsets, zeros elsewhere."""
+    D = m.total_dim
+    out = [[m.ring.zero()] * D for _ in range(D)]
+    for (t, s), blk in m.action_blocks(e).items():
+        roff, coff = offset(m, t), offset(m, s)
+        for i, row in enumerate(blk):
+            out[roff + i][coff : coff + len(row)] = row
+    return tuple(tuple(r) for r in out)
+
+
+def apply_edge(m: Representation, eid: str, local: Sequence) -> tuple:
+    return mat_vec(m.ring, m.edge_maps[eid], local)
+
+
+def is_edge_closed(sub: Submodule) -> bool:
+    """Whether span(C_t + a*C_s) == C_t for every edge a: s -> t, with
+    the images taken vector by vector through `apply_edge`."""
+    ring, dims = sub.rep.ring, sub.rep.dims
+    for eid, src, dst in sub.rep.quiver.edges:
+        have = sub.bases[dst]
+        images = tuple(apply_edge(sub.rep, eid, x) for x in sub.bases[src])
+        if span(ring, dims[dst], have + images) != have:
+            return False
+    return True
+
+
+def e_fixed(e: AlgElem, m: Representation) -> list[tuple]:
+    """Echelon basis of the image e*M inside the total space. Not necessarily
+    edge-closed (nor graded) on its own."""
+    if not e.is_idempotent():
+        raise RepError("e_fixed requires an idempotent element")
+    mat = action_matrix(m, e)
+    return FieldRowSpace(m.ring, len(mat), zip(*mat)).basis()
+
+
+def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:
+    """The matrix whose columns are the coordinates of `images` in target's
+    echelon basis; RepError(msg) when an image lies outside target."""
+    cols = []
+    for y in images:
+        coords = target.coords(y)
+        if coords is None:
+            raise RepError(msg)
+        cols.append(coords)
+    return tuple(tuple(c[i] for c in cols) for i in range(target.rank))
+
+
+def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[tuple]]]:
+    """The submodule as a representation in its own echelon bases, plus the
+    per-vertex inclusion bases (local vectors of the ambient module)."""
+    rep = sub.rep
+    spaces = {v: FieldRowSpace(rep.ring, rep.dims[v], b) for v, b in sub.bases.items()}
+    maps = {
+        eid: _induced_matrix(
+            (apply_edge(rep, eid, x) for x in sub.bases[src]),
+            spaces[dst],
+            "subspace is not closed under the edge maps",
+        )
+        for eid, src, dst in rep.quiver.edges
+    }
+    return (
+        Representation(rep.quiver, rep.ring, sub.dims, maps),
+        {v: sub.basis(v) for v in rep.quiver.vertices},
+    )
+
+
+def left_ideal_representation(e: AlgElem) -> Representation:
+    """The cyclic projective A*e as a representation, graded by path targets.
+    Finite-dimensional exactly because the quiver is acyclic."""
+    q, ring = e.quiver, e.ring
+    if not q.is_acyclic:
+        raise RepError("A*e is infinite-dimensional on cyclic quivers")
+    paths = q.all_paths()
+    index = {p: i for i, p in enumerate(paths)}
+    bases: dict[str, FieldRowSpace] = {
+        v: FieldRowSpace(ring, len(paths)) for v in q.vertices
+    }
+    for p in paths:
+        x = path_element(q, ring, p) * e
+        if not x.is_zero:
+            bases[q.path_target(p)].add(path_vector(x, index))
+    maps = {}
+    for eid, src, dst in q.edges:
+        a = path_element(q, ring, Path(edges=(eid,)))
+        images = []
+        for row in bases[src].basis():
+            x = AlgElem.make(
+                q, ring, {paths[i]: c for i, c in enumerate(row) if not ring.is_zero(c)}
+            )
+            images.append(path_vector(a * x, index))
+        maps[eid] = _induced_matrix(
+            images, bases[dst], "edge action escaped the graded piece of A*e"
+        )
+    dims = {v: bases[v].rank for v in q.vertices}
+    return Representation(q, ring, dims, maps)
+
+
+def idem_leq(ring: Ring, a, b) -> bool:
+    """Whether the principal ideal (a) is contained in (b), for idempotents.
+
+    Since b*b == b, containment is equivalent to a*b == a.
+    """
+    a, b = ring.canon(a), ring.canon(b)
+    if not (ring.is_idempotent(a) and ring.is_idempotent(b)):
+        raise RingError("idem_leq requires idempotent arguments")
+    return ring.mul(a, b) == a

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 from pathidem.algebra import (
     AlgebraError,
     AlgElem,
+    TruncatedIdeal,
     edge_element,
     path_element,
-    truncated_two_sided_ideal,
     vertex_idempotent,
 )
 from pathidem.quivers import Path, Quiver, concat
@@ -172,7 +174,7 @@ class TestProduct:
 class TestTruncatedIdeal:
     def test_membership(self, a3, f5):
         e2 = vertex_idempotent(a3, f5, {"v2"})
-        ideal = truncated_two_sided_ideal([e2], degree=1)
+        ideal = TruncatedIdeal([e2], degree=1)
         a = edge_element(a3, f5, "a")
         b = edge_element(a3, f5, "b")
         # a = e2 * a and b = b * e2 both land in the ideal; e1 does not
@@ -184,14 +186,14 @@ class TestTruncatedIdeal:
 
     def test_degree_guard(self, a3, f5):
         e2 = vertex_idempotent(a3, f5, {"v2"})
-        ideal = truncated_two_sided_ideal([e2], degree=0)
+        ideal = TruncatedIdeal([e2], degree=0)
         with pytest.raises(AlgebraError):
             ideal.contains(edge_element(a3, f5, "a"))
 
     def test_path_outside_window(self, arrow, a3, f5):
         # e_v3 has degree 0, but the window of an ideal of the arrow quiver
         # indexes only the arrow's paths
-        ideal = truncated_two_sided_ideal(
+        ideal = TruncatedIdeal(
             [vertex_idempotent(arrow, f5, {"v1"})], degree=0
         )
         with pytest.raises(AlgebraError):
@@ -199,17 +201,38 @@ class TestTruncatedIdeal:
 
     def test_bad_arguments(self, a3, f5):
         with pytest.raises(AlgebraError):
-            truncated_two_sided_ideal([], 1)
+            TruncatedIdeal([], 1)
         with pytest.raises(AlgebraError):
-            truncated_two_sided_ideal([vertex_idempotent(a3, f5, {"v1"})], -1)
+            TruncatedIdeal([vertex_idempotent(a3, f5, {"v1"})], -1)
 
     def test_unit_family_spans_everything(self, a3, z6):
         # 3·e_V and 4·e_V generate the unit ideal over Z6 since 3 + 4 - 3·4 = 1
         g1 = vertex_idempotent(a3, z6, a3.vertices).scale(3)
         g2 = vertex_idempotent(a3, z6, a3.vertices).scale(4)
-        ideal = truncated_two_sided_ideal([g1, g2], degree=0)
+        ideal = TruncatedIdeal([g1, g2], degree=0)
         for v in a3.vertices:
             assert ideal.contains(vertex_idempotent(a3, z6, {v}))
+
+
+@pytest.mark.parametrize(
+    "ring, text, value",
+    [
+        (Ring("Q"), "1/3", Fraction(1, 3)),
+        (Ring("Q"), "-2.50", Fraction(-5, 2)),
+        (Ring("Q"), ".5", Fraction(1, 2)),
+        (Ring("Q"), "3.", Fraction(3)),
+        (Ring("Q"), "+7", Fraction(7)),
+        (F5, "-1", 4),
+        (F5, "+7", 2),
+        (Z6, "0012", 0),
+    ],
+)
+def test_coefficient_strings(ring, text, value):
+    # the ASCII grammar keeps every form the README names; the CLI tests
+    # hold the refused ones
+    term = {"path": {"trivial": "v1"}, "coeff": text}
+    e = AlgElem.from_json(A3, ring, {"terms": [term]})
+    assert e.coeff(Path(vertex="v1")) == value
 
 
 def test_element_str(a3, f5):

@@ -1,6 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +306,15 @@ MALFORMED = {
     "coeff-1/2-over-f5": ("classify", ARROW, "F5", _element(coeff="1/2"), "bad-element"),
     "coeff-float-over-f5": ("classify", ARROW, "F5", _element(coeff=1.5), "bad-element"),
     "coeff-bool-over-f5": ("classify", ARROW, "F5", _element(coeff=True), "bad-element"),
+    # digits are ASCII only: int() and Fraction() also take other scripts'
+    # digits and "_" separators
+    "ring-arabic-indic-five": ("validate", ARROW, "F\u0665", None, "bad-ring"),
+    "coeff-1_000-over-f5": ("classify", ARROW, "F5", _element(coeff="1_000"), "bad-element"),
+    "coeff-arabic-indic-three-over-f5": (
+        "classify", ARROW, "F5", _element(coeff="\u0663"), "bad-element"
+    ),
+    "coeff-1_0/3-over-q": ("classify", ARROW, "Q", _element(coeff="1_0/3"), "bad-element"),
+    "coeff-padded-over-f5": ("classify", ARROW, "F5", _element(coeff=" 1"), "bad-element"),
     # longer than int() converts (4300 digits by default from Python 3.11 on)
     "ring-F-5000-digits": ("validate", ARROW, "F" + "7" * 5000, None, "bad-ring"),
     "ring-Z-5000-digits": ("validate", ARROW, "Z" + "7" * 5000, None, "bad-ring"),
@@ -547,3 +561,79 @@ def test_json_inputs_never_crash(command, quiver, ring, element):
     assert "Traceback" not in err.getvalue()
     report = json.loads(out.getvalue())
     assert ("error" in report) == (code != 0)
+
+
+CHAIN = json.dumps(
+    {
+        "vertices": [f"v{i}" for i in range(1200)],
+        "edges": [
+            {"id": f"a{i}", "src": f"v{i}", "dst": f"v{i + 1}"} for i in range(1199)
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("oracle-special", 0), ("oracle-split", 0), ("morita-check", 2)],
+)
+def test_long_chain_gives_a_report(capsys, command, code):
+    # 1200 vertices, deeper than the recursion limit: acyclicity and the
+    # dimension vectors are found without recursion. morita-check needs every
+    # path of the chain for Q_S, and the edge id bound of `paths_up_to`
+    # refuses them
+    sink = json.dumps({"terms": [{"path": {"trivial": "v1199"}, "coeff": "1"}]})
+    exit_code = main(
+        [command, "--quiver", CHAIN, "--ring", "F2", "--element", sink, "--max-dim", "0"]
+    )
+    captured = capsys.readouterr()
+    assert exit_code == code
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    if code:
+        assert report["error"]["code"] == "bad-input"
+    else:
+        assert report["result"] == {"verdict": "consistent", "reps_checked": 1}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_example() -> list[str]:
+    """The arguments of the `pathidem classify` example in the README."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = text.split("```sh\npathidem classify", 1)[1].split("```", 1)[0]
+    return ["classify", *shlex.split(example.replace("\\\n", " "))]
+
+
+@pytest.mark.parametrize(
+    "argv, code, key, value",
+    [
+        (None, 0, "result", {"split": False, "special": True}),
+        (
+            ["classify", "--quiver", ARROW, "--ring", "F5", "--element",
+             _element(coeff="abc")],
+            2, "error", {"code": "bad-element"},
+        ),
+        (
+            ["oracle-special", "--quiver", ARROW, "--ring", "F2", "--element", E_V1,
+             "--max-reps", "1"],
+            3, "error", {"code": "budget-exhausted"},
+        ),
+    ],
+    ids=["readme-example", "malformed-element", "budget"],
+)
+def test_cli_process(tmp_path, argv, code, key, value):
+    # a fresh interpreter with only src on the path, outside the checkout
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathidem.cli", *(argv or _readme_example())],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert value.items() <= report[key].items()

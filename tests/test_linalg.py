@@ -13,7 +13,6 @@ from pathidem.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    row_space,
     span,
 )
 from pathidem.oracle import _enumerate_subspaces
@@ -61,10 +60,6 @@ class TestZnRowSpace:
         sp.add((2,))
         sp.add((3,))
         assert sp.contains((1,))
-
-    def test_dispatcher(self, f5, z6):
-        assert isinstance(row_space(f5, 2), FieldRowSpace)
-        assert isinstance(row_space(z6, 2), ZnRowSpace)
 
 
 class TestDense:

@@ -43,9 +43,10 @@ class TestClosure:
             frozenset({"v1", "v2", "v3"}),
         ]
 
-    def test_enumeration_bound(self, arrow):
-        with pytest.raises(QuiverError):
-            arrow.enumerate_left_closed(max_vertices=1)
+    def test_enumeration_bound(self):
+        # 2^17 subsets are refused before any is built
+        with pytest.raises(QuiverError, match="above the enumeration bound 16"):
+            q_isolated(17).enumerate_left_closed()
 
 
 class TestConnectivity:
@@ -127,6 +128,16 @@ class TestPaths:
         assert not loop.is_acyclic
         with pytest.raises(QuiverError):
             loop.all_paths()
+
+    def test_acyclic_deeper_than_the_recursion_limit(self):
+        verts = tuple(f"v{i}" for i in range(3000))
+        edges = tuple((f"a{i}", u, w) for i, (u, w) in enumerate(zip(verts, verts[1:])))
+        assert Quiver(verts, edges).is_acyclic
+        assert not Quiver(verts, edges + (("back", verts[-1], verts[0]),)).is_acyclic
+        # a second arrow between the same vertices, and a cycle off a source
+        assert Quiver(("v1", "v2"), (("a", "v1", "v2"), ("b", "v1", "v2"))).is_acyclic
+        two_cycle = (("a", "v2", "v3"), ("b", "v3", "v2"), ("c", "v1", "v2"))
+        assert not Quiver(("v1", "v2", "v3"), two_cycle).is_acyclic
 
     def test_path_limit(self):
         loop = Quiver(("v1",), (("a", "v1", "v1"), ("b", "v1", "v1")))
