@@ -9,6 +9,7 @@ Exit codes: 0 successful evaluation (whatever the boolean outcome),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -321,10 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and reused by every
+    later one in the process: `parse_args` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     out = None
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         out = args.out
         if args.element is None:
             args.element = []
@@ -347,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         report, code = _error("bad-input", exc), EXIT_INPUT
     except BudgetExceeded as exc:
         report, code = _error("budget-exhausted", exc), EXIT_BUDGET
+        report["error"].update(reps_checked=exc.reps_checked, dims=exc.dims)
     except OracleError as exc:
         report, code = _error("oracle-error", exc), EXIT_INPUT
     try:

@@ -56,7 +56,19 @@ class OracleError(ValueError):
 
 
 class BudgetExceeded(OracleError):
-    pass
+    """The representation cap was reached: `reps_checked` is that cap, the
+    number of representations yielded, and `dims` the dimension vector
+    (vertex -> dimension) being enumerated; both None when not given."""
+
+    def __init__(
+        self,
+        message: str,
+        reps_checked: Optional[int] = None,
+        dims: Optional[dict[str, int]] = None,
+    ):
+        super().__init__(message)
+        self.reps_checked = reps_checked
+        self.dims = dims
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ class Verdict:
     a counterexample's `module` is the first of them that fails, one
     representative of its class."""
 
-    kind: str  # "consistent" | "counterexample" | "exhausted"
+    kind: str  # "consistent" | "counterexample"
     reps_checked: int = 0
     module: Optional[Representation] = None
     submodule: Optional[Submodule] = None
@@ -161,7 +173,9 @@ def enumerate_reps(
                 count += 1
                 if count > budget.max_reps:
                     raise BudgetExceeded(
-                        f"representation cap {budget.max_reps} exceeded"
+                        f"representation cap {budget.max_reps} exceeded",
+                        budget.max_reps,
+                        dims,
                     )
                 yield Representation._from_canonical(q, ring, dims, maps)
 

@@ -247,18 +247,50 @@ def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
     """Basis of the intertwiners f = (f_v) with f_{t(a)} M_a = N_a f_{s(a)},
     over a field; RepError over Z/n. It is the nullspace of one equation per
     entry of f_{t(a)} M_a - N_a f_{s(a)}, in the unknowns f_v of shape
-    n.dims[v] x m.dims[v], stored row-major in vertex order."""
+    n.dims[v] x m.dims[v], stored row-major in vertex order. When there are
+    no unknowns (dims[v] of m or of n is 0 at every vertex) the answer is []
+    with no elimination."""
+    offs, nunk, rows = _hom_equations(m, n)
+    if not nunk:
+        return []
+    return [
+        {
+            v: tuple(
+                tuple(sol[offs[v] + i * m.dims[v] : offs[v] + (i + 1) * m.dims[v]])
+                for i in range(n.dims[v])
+            )
+            for v in m.quiver.vertices
+        }
+        for sol in nullspace(m.ring, rows, nunk)
+    ]
+
+
+def _hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N), as the number of unknowns of `hom_space`'s equations
+    minus their rank: one echelon pass, no nullspace basis."""
+    _, nunk, rows = _hom_equations(m, n)
+    return nunk - FieldRowSpace(m.ring, nunk, rows).rank if nunk else 0
+
+
+def _hom_equations(
+    m: Representation, n: Representation
+) -> tuple[dict[str, int], int, list[list]]:
+    """The equations of Hom(M, N) over a field: the offset of each f_v among
+    the unknowns, their number, and one row per entry of
+    f_{t(a)} M_a - N_a f_{s(a)} (no rows when there are no unknowns).
+    RepError on reps of different quivers or rings, and over Z/n."""
     if m.quiver != n.quiver or m.ring != n.ring:
         raise RepError("representations are incompatible")
     if not m.ring.is_field:
         raise RepError(f"hom_space needs a field, not {m.ring}")
-    ring, verts = m.ring, m.quiver.vertices
     offs, nunk = {}, 0
-    for v in verts:
+    for v in m.quiver.vertices:
         offs[v] = nunk
         nunk += n.dims[v] * m.dims[v]
-    zero = ring.zero()
     rows = []
+    if not nunk:
+        return offs, nunk, rows
+    zero = m.ring.zero()
     for eid, src, dst in m.quiver.edges:
         A, B = m.edge_maps[eid], n.edge_maps[eid]
         md, ms, ns = m.dims[dst], m.dims[src], n.dims[src]
@@ -271,16 +303,7 @@ def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
                 for l in range(ns):
                     row[os_ + l * ms + j] -= B[i][l]
                 rows.append(row)
-    return [
-        {
-            v: tuple(
-                tuple(sol[offs[v] + i * m.dims[v] : offs[v] + (i + 1) * m.dims[v]])
-                for i in range(n.dims[v])
-            )
-            for v in verts
-        }
-        for sol in nullspace(ring, rows, nunk)
-    ]
+    return offs, nunk, rows
 
 
 # ---- the corner ring eAe as the path algebra of a quiver Q_S ----
@@ -304,7 +327,13 @@ def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
     algebra of Q_S. For a general e, the diagonal part of e is e_S, and
     u = e e_S + (1 - e)(1 - e_S) is a unit with u e_S u^-1 = e (lifting of
     idempotents), so conjugation by u carries e_S A e_S onto eAe and e_S M
-    onto eM. test_reps pins this against the eAe basis spanned by the e p e."""
+    onto eM. test_reps pins this against the eAe basis spanned by the e p e.
+
+    The arrows are found by walking out of each s in S through vertices
+    outside S until the walk enters S, so no other path of Q is built; they
+    are numbered in canonical path order (length, then edge ids). That
+    ring is what `morita_surrogate_check` solves Hom(e_S M, e_S N) over,
+    and only for its dimension."""
     q = e.quiver
     if not q.is_acyclic:
         raise RepError("corner computations require an acyclic quiver")
@@ -313,14 +342,19 @@ def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
     if not e.is_idempotent():
         raise RepError("corner ring needs an idempotent element")
     s = _trivial_support(e)
-    arrows = [
-        p
-        for p in q.all_paths()
-        if p.edges
-        and q.path_source(p) in s
-        and q.path_target(p) in s
-        and not any(q.edge_target(eid) in s for eid in p.edges[:-1])
-    ]
+    inside = set(s)
+    walks = [(v, ()) for v in s]  # (vertex reached, edges from a vertex of S)
+    found = []
+    while walks:
+        v, edges = walks.pop()
+        for eid in q.out_edges[v]:
+            w, path = q.edge_target(eid), edges + (eid,)
+            if w in inside:
+                found.append(path)
+            else:
+                walks.append((w, path))
+    found.sort(key=lambda path: (len(path), path))
+    arrows = [Path(edges=path) for path in found]
     ids = [str(i) for i in range(len(arrows))]
     edges = tuple((i, q.path_source(p), q.path_target(p)) for i, p in zip(ids, arrows))
     return Quiver(s, edges), dict(zip(ids, arrows))
@@ -355,16 +389,23 @@ def morita_surrogate_check(
     quiver; cm, cn are the corner modules of m, n. The restriction of f is
     its blocks f_v for v in S. Conjugation by the unit u of `corner_algebra`
     carries it onto the restriction to eM, so the dimensions are those of
-    Hom(M, N) -> Hom_eAe(eM, eN)."""
+    Hom(M, N) -> Hom_eAe(eM, eN).
+
+    Per pair, Hom(M, N) is solved as a nullspace, since the restriction's
+    rank needs its basis; Hom(e_S M, e_S N) is solved only for its
+    dimension, as the rank of its equations. A Hom system with no unknowns
+    is not eliminated, and a zero Hom(M, N) restricts with rank 0."""
     homs = hom_space(m, n)
     cm = corner_module(e, m) if cm is None else cm
     cn = corner_module(e, n) if cn is None else cn
-    corner_dim = len(hom_space(cm, cn))
-    s = cm.quiver.vertices
-    restricted = FieldRowSpace(m.ring, sum(cn.dims[v] * cm.dims[v] for v in s))
-    for f in homs:
-        restricted.add(tuple(x for v in s for row in f[v] for x in row))
-    rank = restricted.rank
+    corner_dim = _hom_dim(cm, cn)
+    rank = 0
+    if homs:
+        s = cm.quiver.vertices
+        restricted = FieldRowSpace(m.ring, sum(cn.dims[v] * cm.dims[v] for v in s))
+        for f in homs:
+            restricted.add(tuple(x for v in s for row in f[v] for x in row))
+        rank = restricted.rank
     return {
         "hom_dim": len(homs),
         "corner_dim": corner_dim,

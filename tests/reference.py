@@ -11,7 +11,7 @@ from typing import Sequence
 
 from pathidem.algebra import AlgElem, path_element, path_vector
 from pathidem.linalg import FieldRowSpace, identity_matrix, mat_mul, mat_vec, span
-from pathidem.quivers import Path
+from pathidem.quivers import Path, Quiver
 from pathidem.reps import Representation, RepError, Submodule
 from pathidem.rings import Ring, RingError
 
@@ -160,3 +160,17 @@ def idem_leq(ring: Ring, a, b) -> bool:
     if not (ring.is_idempotent(a) and ring.is_idempotent(b)):
         raise RingError("idem_leq requires idempotent arguments")
     return ring.mul(a, b) == a
+
+
+def corner_arrows(q: Quiver, s) -> list[Path]:
+    """The arrows of Q_S for a vertex set s of an acyclic quiver: the paths
+    of Q from s to s with no interior vertex in s, filtered out of every
+    path of Q in canonical order."""
+    return [
+        p
+        for p in q.all_paths()
+        if p.edges
+        and q.path_source(p) in s
+        and q.path_target(p) in s
+        and not any(q.edge_target(eid) in s for eid in p.edges[:-1])
+    ]

@@ -211,7 +211,13 @@ class TestOracle:
             "--element", E_V1, "--max-dim", "3", "--max-reps", "2",
         )
         assert code == 3
-        assert report["error"]["code"] == "budget-exhausted"
+        # (0,0) and (0,1) were checked; the cap stopped the walk at (1,0)
+        assert report["error"] == {
+            "code": "budget-exhausted",
+            "message": "representation cap 2 exceeded",
+            "reps_checked": 2,
+            "dims": {"v1": 1, "v2": 0},
+        }
 
     def test_budget_exit_code_at_high_dimension(self, capsys, monkeypatch):
         # restricted to the dimension vector (8,), the loop that is no anchor
@@ -235,6 +241,9 @@ class TestOracle:
         )
         assert code == 3
         assert report["error"]["code"] == "budget-exhausted"
+        assert (report["error"]["reps_checked"], report["error"]["dims"]) == (
+            1000, {"v1": 8}
+        )
 
     def test_morita_check(self, capsys):
         code, report = run(
@@ -478,10 +487,12 @@ class TestErrors:
         assert "Traceback" not in err.getvalue()
 
     def test_help_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        assert "usage" in capsys.readouterr().out
+        # twice, through the one parser `main` keeps for the process
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert "usage" in capsys.readouterr().out
 
     def test_missing_element(self, capsys):
         code, report = run(capsys, "classify", "--quiver", ARROW, "--ring", "F5")
@@ -502,6 +513,34 @@ class TestErrors:
         )
         assert code == 2
         assert report["error"]["code"] == "not-special"
+
+
+class TestParserReuse:
+    """`main` parses every call with the one parser it built on its first:
+    no option of a call may reach the next."""
+
+    CLASSIFY = ["classify", "--quiver", ARROW, "--ring", "F5"]
+
+    def test_element_is_not_carried_over(self, capsys):
+        assert run(capsys, *self.CLASSIFY, "--element", E_V2)[0] == 0
+        code, report = run(capsys, *self.CLASSIFY)
+        assert code == 2
+        assert report["error"]["code"] == "bad-arguments"
+
+    def test_out_is_not_carried_over(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([*self.CLASSIFY, "--element", E_V2, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        code, report = run(capsys, *self.CLASSIFY, "--element", E_V2)
+        assert code == 0
+        assert report == json.loads(out.read_text())
+
+    def test_valid_call_after_a_usage_error(self, capsys):
+        code, report = run(capsys, "classify", "--quiver", ARROW)
+        assert (code, report["error"]["code"]) == (2, "bad-arguments")
+        code, report = run(capsys, *self.CLASSIFY, "--element", E_V2)
+        assert code == 0
+        assert report["result"]["special"] is True
 
 
 def test_validate_reports_sizes(capsys):
@@ -575,13 +614,13 @@ CHAIN = json.dumps(
 
 @pytest.mark.parametrize(
     "command, code",
-    [("oracle-special", 0), ("oracle-split", 0), ("morita-check", 2)],
+    [("oracle-special", 0), ("oracle-split", 0), ("morita-check", 0)],
 )
 def test_long_chain_gives_a_report(capsys, command, code):
     # 1200 vertices, deeper than the recursion limit: acyclicity and the
-    # dimension vectors are found without recursion. morita-check needs every
-    # path of the chain for Q_S, and the edge id bound of `paths_up_to`
-    # refuses them
+    # dimension vectors are found without recursion. Q_S of the sink is one
+    # vertex with no arrow, found without building the paths of the chain
+    # (together they exceed the edge id bound of `paths_up_to`)
     sink = json.dumps({"terms": [{"path": {"trivial": "v1199"}, "coeff": "1"}]})
     exit_code = main(
         [command, "--quiver", CHAIN, "--ring", "F2", "--element", sink, "--max-dim", "0"]
@@ -590,8 +629,8 @@ def test_long_chain_gives_a_report(capsys, command, code):
     assert exit_code == code
     assert captured.err == ""
     report = json.loads(captured.out)
-    if code:
-        assert report["error"]["code"] == "bad-input"
+    if command == "morita-check":
+        assert report["result"] == {"pairs_checked": 1, "all_bijective": True}
     else:
         assert report["result"] == {"verdict": "consistent", "reps_checked": 1}
 
@@ -618,7 +657,8 @@ def _readme_example() -> list[str]:
         (
             ["oracle-special", "--quiver", ARROW, "--ring", "F2", "--element", E_V1,
              "--max-reps", "1"],
-            3, "error", {"code": "budget-exhausted"},
+            3, "error",
+            {"code": "budget-exhausted", "reps_checked": 1, "dims": {"v1": 0, "v2": 1}},
         ),
     ],
     ids=["readme-example", "malformed-element", "budget"],

@@ -50,8 +50,18 @@ class TestEnumeration:
             next(enumerate_reps(arrow, z6))
 
     def test_budget_exhaustion(self, arrow, f2):
-        with pytest.raises(BudgetExceeded):
+        # (0,0), (0,1), (1,0), (0,2) and the rank-0 form at (1,1) are the
+        # five reps yielded; the rank-1 form at (1,1) would be the sixth
+        with pytest.raises(BudgetExceeded) as info:
             list(enumerate_reps(arrow, f2, OracleBudget(max_total_dim=2, max_reps=5)))
+        assert str(info.value) == "representation cap 5 exceeded"
+        assert info.value.reps_checked == 5
+        assert info.value.dims == {"v1": 1, "v2": 1}
+
+    def test_budget_exceeded_from_a_message(self):
+        exc = BudgetExceeded("representation cap 3 exceeded")
+        assert str(exc) == "representation cap 3 exceeded"
+        assert exc.reps_checked is None and exc.dims is None
 
     def test_submodule_counts(self, arrow, f2):
         # M = (K, K, a=1): submodules are 0, the v2 line, and M itself
@@ -501,10 +511,11 @@ class TestReductionByIsomorphism:
             oracle, "_dim_vectors", lambda n, total: [(8,)] if total == 8 else []
         )
         started = time.monotonic()
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             for m in enumerate_reps(TWO_LOOPS, f2, OracleBudget(max_total_dim=8, max_reps=1000)):
                 assert m.dims == {"v1": 8}
         assert time.monotonic() - started < 1.0
+        assert (info.value.reps_checked, info.value.dims) == (1000, {"v1": 8})
 
 
 def _primitive_root(p):

@@ -17,6 +17,7 @@ from pathidem.reps import (
     RepError,
     Representation,
     Submodule,
+    _hom_dim,
     corner_algebra,
     corner_module,
     gamma,
@@ -32,6 +33,7 @@ from conftest import conjugate, full_reps
 from reference import (
     action_matrix,
     block,
+    corner_arrows,
     e_fixed,
     is_edge_closed,
     left_ideal_representation,
@@ -229,6 +231,37 @@ class TestHom:
         with pytest.raises(RepError):
             hom_space(arrow_rep(f5), arrow_rep(f3))
 
+    @pytest.mark.parametrize("ring", ["F2", "F3", "F5", "Q"])
+    @pytest.mark.parametrize("q", [q_arrow(), q_a3()], ids=["arrow", "A3"])
+    def test_dimension_query_matches_hom_space(self, q, ring):
+        # every pair of the reps of acceptance test 07 at total dimension
+        # <= 2; over Q those are the F_3 reps with entries 0, 1, 2 read in Q
+        if ring == "Q":
+            reps = [
+                Representation(q, Ring("Q"), m.dims, m.edge_maps)
+                for m in full_reps(q, Ring("Fp", 3), OracleBudget(max_total_dim=2))
+            ]
+        else:
+            field = Ring("Fp", int(ring[1:]))
+            reps = list(full_reps(q, field, OracleBudget(max_total_dim=2)))
+        no_unknowns = 0
+        for m in reps:
+            for n in reps:
+                assert _hom_dim(m, n) == len(hom_space(m, n))
+                no_unknowns += not any(m.dims[v] * n.dims[v] for v in q.vertices)
+        assert no_unknowns
+
+    def test_no_unknowns_still_refused(self, arrow, a3, z6, f5):
+        # Hom(M, N) has no unknowns here, and the pair is refused all the same
+        m = Representation(arrow, z6, {"v1": 1, "v2": 0}, {})
+        n = Representation(arrow, z6, {"v1": 0, "v2": 1}, {})
+        other = Representation(a3, f5, {"v1": 0, "v2": 0, "v3": 1}, {})
+        for x, y in ((m, n), (arrow_rep(f5), other), (other, arrow_rep(f5))):
+            with pytest.raises(RepError):
+                hom_space(x, y)
+            with pytest.raises(RepError):
+                _hom_dim(x, y)
+
     def test_orthogonal_supports_have_no_homs(self, two_isolated, f2):
         e1 = vertex_idempotent(two_isolated, f2, {"v1"})
         e2 = vertex_idempotent(two_isolated, f2, {"v2"})
@@ -264,6 +297,26 @@ class TestCorner:
         assert sorted(arrows.values(), key=Path.sort_key) == [
             Path(edges=("a",)), Path(edges=("b",))
         ]
+
+    @pytest.mark.parametrize(
+        "quivers",
+        [sweep_quivers(3, 3, 60), sweep_quivers(4, 4, 200)],
+        ids=["sweep3", "sweep4"],
+    )
+    def test_arrows_match_the_path_filter(self, quivers, f2):
+        # the walk out of S against the filter over every path of Q, for
+        # every vertex set S, the empty one included
+        checked = 0
+        for q in (q for q in quivers if q.is_acyclic):
+            for s in _subsets(q):
+                qs, arrows = corner_algebra(vertex_idempotent(q, f2, s))
+                assert list(arrows.values()) == corner_arrows(q, s)
+                assert list(arrows) == [str(i) for i in range(len(arrows))]
+                assert [(src, dst) for _, src, dst in qs.edges] == [
+                    (q.path_source(p), q.path_target(p)) for p in arrows.values()
+                ]
+                checked += len(arrows) > 1
+        assert checked
 
     def test_corner_requires_acyclic(self, f5):
         loop = Quiver(("v1",), (("a", "v1", "v1"),))
@@ -492,11 +545,15 @@ def _reference_morita(e, m, n):
     }
 
 
-def _nonempty_subsets(q):
+def _subsets(q):
     return [
         frozenset(v for i, v in enumerate(q.vertices) if bits >> i & 1)
-        for bits in range(1, 1 << len(q.vertices))
+        for bits in range(1 << len(q.vertices))
     ]
+
+
+def _nonempty_subsets(q):
+    return _subsets(q)[1:]
 
 
 class TestIntertwinersAgainstReference:
