@@ -9,7 +9,6 @@ Exit codes: 0 successful evaluation (whatever the boolean outcome),
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -322,17 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built on its first call and reused by every
-    later one in the process: `parse_args` keeps no state between calls."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     out = None
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         out = args.out
         if args.element is None:
             args.element = []

@@ -32,7 +32,8 @@ from .linalg import (
     span,
     zero_matrix,
 )
-from .quivers import Path, Quiver
+from . import quivers
+from .quivers import Path, Quiver, QuiverError
 from .rings import Ring
 
 
@@ -251,7 +252,7 @@ def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
     no unknowns (dims[v] of m or of n is 0 at every vertex) the answer is []
     with no elimination."""
     offs, nunk, rows = _hom_equations(m, n)
-    if not nunk:
+    if not nunk:  # keeps `nullspace` (and its traced count) off empty systems
         return []
     return [
         {
@@ -269,7 +270,7 @@ def _hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(M, N), as the number of unknowns of `hom_space`'s equations
     minus their rank: one echelon pass, no nullspace basis."""
     _, nunk, rows = _hom_equations(m, n)
-    return nunk - FieldRowSpace(m.ring, nunk, rows).rank if nunk else 0
+    return nunk - FieldRowSpace(m.ring, nunk, rows).rank
 
 
 def _hom_equations(
@@ -331,7 +332,10 @@ def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
 
     The arrows are found by walking out of each s in S through vertices
     outside S until the walk enters S, so no other path of Q is built; they
-    are numbered in canonical path order (length, then edge ids). That
+    are numbered in canonical path order (length, then edge ids). Like
+    `Quiver.paths_up_to`, the walk raises QuiverError once the paths it has
+    built hold more than `quivers._MAX_EDGE_IDS` edge ids in all, which
+    bounds its time and memory where Q has exponentially many paths. That
     ring is what `morita_surrogate_check` solves Hom(e_S M, e_S N) over,
     and only for its dimension."""
     q = e.quiver
@@ -345,10 +349,16 @@ def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
     inside = set(s)
     walks = [(v, ()) for v in s]  # (vertex reached, edges from a vertex of S)
     found = []
+    held = 0  # edge ids over all paths built so far
     while walks:
         v, edges = walks.pop()
         for eid in q.out_edges[v]:
             w, path = q.edge_target(eid), edges + (eid,)
+            held += len(path)
+            if held > quivers._MAX_EDGE_IDS:
+                raise QuiverError(
+                    f"paths out of S hold more than {quivers._MAX_EDGE_IDS} edge ids"
+                )
             if w in inside:
                 found.append(path)
             else:
@@ -394,18 +404,17 @@ def morita_surrogate_check(
     Per pair, Hom(M, N) is solved as a nullspace, since the restriction's
     rank needs its basis; Hom(e_S M, e_S N) is solved only for its
     dimension, as the rank of its equations. A Hom system with no unknowns
-    is not eliminated, and a zero Hom(M, N) restricts with rank 0."""
+    is not eliminated."""
     homs = hom_space(m, n)
     cm = corner_module(e, m) if cm is None else cm
     cn = corner_module(e, n) if cn is None else cn
     corner_dim = _hom_dim(cm, cn)
-    rank = 0
-    if homs:
-        s = cm.quiver.vertices
-        restricted = FieldRowSpace(m.ring, sum(cn.dims[v] * cm.dims[v] for v in s))
-        for f in homs:
-            restricted.add(tuple(x for v in s for row in f[v] for x in row))
-        rank = restricted.rank
+    s = cm.quiver.vertices
+    rank = FieldRowSpace(
+        m.ring,
+        sum(cn.dims[v] * cm.dims[v] for v in s),
+        (tuple(x for v in s for row in f[v] for x in row) for f in homs),
+    ).rank
     return {
         "hom_dim": len(homs),
         "corner_dim": corner_dim,

@@ -487,7 +487,7 @@ class TestErrors:
         assert "Traceback" not in err.getvalue()
 
     def test_help_exits_0(self, capsys):
-        # twice, through the one parser `main` keeps for the process
+        # twice in one process: the first exit leaves nothing behind
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:
                 main(["--help"])
@@ -515,9 +515,9 @@ class TestErrors:
         assert report["error"]["code"] == "not-special"
 
 
-class TestParserReuse:
-    """`main` parses every call with the one parser it built on its first:
-    no option of a call may reach the next."""
+class TestCallsInSequence:
+    """Calls of `main` in one process, as the benchmark and these tests make
+    them: no option of a call may reach the next."""
 
     CLASSIFY = ["classify", "--quiver", ARROW, "--ring", "F5"]
 
@@ -633,6 +633,43 @@ def test_long_chain_gives_a_report(capsys, command, code):
         assert report["result"] == {"pairs_checked": 1, "all_bijective": True}
     else:
         assert report["result"] == {"verdict": "consistent", "reps_checked": 1}
+
+
+# 40 diamonds in series, v0 -> {x_i, y_i} -> v40: 2^40 paths from v0 to v40
+DIAMONDS = json.dumps(
+    {
+        "vertices": [f"v{i}" for i in range(41)]
+        + [f"{c}{i}" for i in range(40) for c in "xy"],
+        "edges": [
+            {"id": f"{c}{d}{i}", "src": src, "dst": dst}
+            for i in range(40)
+            for c in "xy"
+            for d, src, dst in (
+                ("in", f"v{i}", f"{c}{i}"), ("out", f"{c}{i}", f"v{i + 1}")
+            )
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize("support", [["v0", "v40"], ["v0"]])
+def test_diamond_chain_is_refused(capsys, support):
+    # Q_S has 2^40 arrows (S = {v0, v40}), or the walk out of S = {v0}
+    # meets 2^40 paths that never return to S: both stop at the edge id
+    # bound instead of exhausting time or memory
+    element = json.dumps(
+        {"terms": [{"path": {"trivial": v}, "coeff": "1"} for v in support]}
+    )
+    exit_code = main(
+        ["morita-check", "--quiver", DIAMONDS, "--ring", "F2",
+         "--element", element, "--max-dim", "1"]
+    )
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["error"]["code"] == "bad-input"
+    assert "paths out of S hold more than" in report["error"]["message"]
 
 
 ROOT = Path(__file__).resolve().parents[1]
