@@ -88,13 +88,12 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
             kappa.append((p, c))
     s = frozenset(diag)
 
-    if not q.is_left_closed(s):
-        for v in sorted(s):
-            for eid in q.out_edges[v]:
-                if q.edge_target(eid) not in s:
-                    return None, Witness(
-                        _COND_LEFT_CLOSED, f"edge {eid} leaves the support at {v}"
-                    )
+    for v in sorted(s):
+        for eid in q.out_edges[v]:
+            if q.edge_target(eid) not in s:
+                return None, Witness(
+                    _COND_LEFT_CLOSED, f"edge {eid} leaves the support at {v}"
+                )
 
     for v in sorted(s):
         if not ring.is_idempotent(diag[v]):
@@ -165,14 +164,12 @@ def is_left_split(e: AlgElem) -> bool:
 
 def _split_of_form(form: StandardForm) -> tuple[bool, Optional[Witness]]:
     q, ring, s = form.quiver, form.ring, form.vertices
-    if not q.is_right_closed(s):
-        for v in sorted(s):
-            for eid in q.in_edges[v]:
-                if q.edge_source(eid) not in s:
-                    return False, Witness(
-                        "support-not-right-closed",
-                        f"edge {eid} enters the support at {v}",
-                    )
+    for v in sorted(s):
+        for eid in q.in_edges[v]:
+            if q.edge_source(eid) not in s:
+                return False, Witness(
+                    "support-not-right-closed", f"edge {eid} enters the support at {v}"
+                )
     for comp in q.weak_components():
         met = sorted(comp & s)
         for v, w in zip(met, met[1:]):

@@ -127,11 +127,6 @@ def _parse_family(q: Quiver, ring: Ring, spec: str) -> list[AlgElem]:
         raise InputError("bad-element", str(exc)) from exc
 
 
-def _input_hash(*parts) -> str:
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
@@ -148,127 +143,128 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, result: dict, *hash_parts) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "input_hash": _input_hash(*hash_parts),
-        "result": result,
-    }
-
-
 def _error(code: str, exc) -> dict:
     return {"error": {"code": code, "message": str(exc)}}
 
 
-def _budget(args) -> OracleBudget:
-    kwargs = {}
-    if getattr(args, "max_dim", None) is not None:
-        kwargs["max_total_dim"] = args.max_dim
-    if getattr(args, "max_reps", None) is not None:
-        kwargs["max_reps"] = args.max_reps
-    return OracleBudget(**kwargs)
+# Each handler takes (args, quiver, ring) and returns the result followed by
+# what the input hash covers beyond the quiver and the ring.
 
 
-def _run(args) -> dict:
+def _validate(args, quiver, ring):
+    elements = [_parse_element(quiver, ring, spec).to_json() for spec in args.element]
+    result = {"ok": True, "vertices": len(quiver.vertices), "edges": len(quiver.edges)}
+    if elements:
+        result["elements"] = len(elements)
+    return result, elements
+
+
+def _classify(args, quiver, ring):
+    e = _parse_element(quiver, ring, args.element[0])
+    return classify(e).to_json(), e.to_json()
+
+
+def _standard_form(args, quiver, ring):
+    e = _parse_element(quiver, ring, args.element[0])
+    form, witness = try_standard_form(e)
+    result = {
+        "special": form is not None,
+        "standard_form": form.to_json() if form else None,
+        "witness": witness.to_json() if witness else None,
+    }
+    return result, e.to_json()
+
+
+def _orthogonal(args, quiver, ring):
+    e1, e2 = (_parse_element(quiver, ring, spec) for spec in args.element)
+    try:
+        structural = strongly_orthogonal(e1, e2)
+    except ClassifyError as exc:
+        raise InputError("not-special", str(exc)) from exc
+    degree = len(quiver.vertices) if args.degree is None else args.degree
+    result = {
+        "strongly_orthogonal": structural,
+        "bruteforce_degree": degree,
+        "bruteforce": orthogonality_bruteforce(e1, e2, degree),
+    }
+    return result, e1.to_json(), e2.to_json(), degree
+
+
+def _full_family(args, quiver, ring):
+    family = _parse_family(quiver, ring, args.family)
+    try:
+        full = is_full_family(family)
+    except ClassifyError as exc:
+        raise InputError("not-special", str(exc)) from exc
+    return {"full": full}, [e.to_json() for e in family]
+
+
+def _enumerate_families(args, quiver, ring):
+    try:
+        families = enumerate_full_families_trivial_idem(quiver, ring)
+    except ClassifyError as exc:
+        raise InputError("nontrivial-idempotents", str(exc)) from exc
+    result = {
+        "families": [
+            [sorted(p.vertex for p, _ in e.terms) for e in fam] for fam in families
+        ]
+    }
+    return (result,)
+
+
+def _oracle(check):
+    def run(args, quiver, ring):
+        e = _parse_element(quiver, ring, args.element[0])
+        budget = OracleBudget(args.max_dim, args.max_reps)
+        return check(e, quiver, ring, budget).to_json(), e.to_json(), vars(budget)
+
+    return run
+
+
+def _morita_check(args, quiver, ring):
+    if not quiver.is_acyclic:
+        raise InputError("cyclic-quiver", f"{args.command} needs an acyclic quiver")
+    e = _parse_element(quiver, ring, args.element[0])
+    budget = OracleBudget(args.max_dim, args.max_reps)
+    corner = corner_algebra(e)  # refuses a non-idempotent e and Z/n
+    reps = [m for m in enumerate_reps(quiver, ring, budget) if in_category_e(e, m)]
+    cms = [corner_module(e, m, corner) for m in reps]
+    bijective = [
+        morita_surrogate_check(e, m, n, cm, cn)["bijective"]
+        for m, cm in zip(reps, cms)
+        for n, cn in zip(reps, cms)
+    ]
+    result = {"pairs_checked": len(bijective), "all_bijective": all(bijective)}
+    return result, e.to_json(), vars(budget)
+
+
+# command -> (how many --element it takes, None for any number; handler)
+_COMMANDS = {
+    "validate": (None, _validate),
+    "classify": (1, _classify),
+    "standard-form": (1, _standard_form),
+    "orthogonal": (2, _orthogonal),
+    "full-family": (None, _full_family),
+    "enumerate-families": (None, _enumerate_families),
+    "oracle-special": (1, _oracle(check_special_by_modules)),
+    "oracle-split": (1, _oracle(check_split_by_sequences)),
+    "morita-check": (1, _morita_check),
+}
+
+
+def _run(args, handler) -> dict:
     ring = _parse_ring(args.ring)
     quiver = _parse_quiver(args.quiver)
-    qj, rj = quiver.to_json(), ring.to_json()
-
-    if args.command == "validate":
-        result = {"ok": True, "vertices": len(quiver.vertices), "edges": len(quiver.edges)}
-        if args.element:
-            for spec in args.element:
-                _parse_element(quiver, ring, spec)
-            result["elements"] = len(args.element)
-        return _report("validate", result, qj, rj, args.element)
-
-    if args.command == "classify":
-        e = _parse_element(quiver, ring, args.element[0])
-        return _report("classify", classify(e).to_json(), qj, rj, e.to_json())
-
-    if args.command == "standard-form":
-        e = _parse_element(quiver, ring, args.element[0])
-        form, witness = try_standard_form(e)
-        result = {
-            "special": form is not None,
-            "standard_form": form.to_json() if form else None,
-            "witness": witness.to_json() if witness else None,
-        }
-        return _report("standard-form", result, qj, rj, e.to_json())
-
-    if args.command == "orthogonal":
-        if len(args.element) != 2:
-            raise InputError("bad-arguments", "orthogonal needs exactly two --element")
-        e1 = _parse_element(quiver, ring, args.element[0])
-        e2 = _parse_element(quiver, ring, args.element[1])
-        try:
-            structural = strongly_orthogonal(e1, e2)
-        except ClassifyError as exc:
-            raise InputError("not-special", str(exc)) from exc
-        degree = args.degree if args.degree is not None else len(quiver.vertices)
-        result = {
-            "strongly_orthogonal": structural,
-            "bruteforce_degree": degree,
-            "bruteforce": orthogonality_bruteforce(e1, e2, degree),
-        }
-        return _report("orthogonal", result, qj, rj, e1.to_json(), e2.to_json())
-
-    if args.command == "full-family":
-        family = _parse_family(quiver, ring, args.family)
-        try:
-            full = is_full_family(family)
-        except ClassifyError as exc:
-            raise InputError("not-special", str(exc)) from exc
-        return _report(
-            "full-family", {"full": full}, qj, rj, [e.to_json() for e in family]
-        )
-
-    if args.command == "enumerate-families":
-        try:
-            families = enumerate_full_families_trivial_idem(quiver, ring)
-        except ClassifyError as exc:
-            raise InputError("nontrivial-idempotents", str(exc)) from exc
-        result = {
-            "families": [
-                [sorted(p.vertex for p, _ in e.terms) for e in fam]
-                for fam in families
-            ]
-        }
-        return _report("enumerate-families", result, qj, rj)
-
-    if args.command in ("oracle-special", "oracle-split"):
-        e = _parse_element(quiver, ring, args.element[0])
-        budget = _budget(args)
-        if args.command == "oracle-special":
-            verdict = check_special_by_modules(e, quiver, ring, budget)
-        else:
-            verdict = check_split_by_sequences(e, quiver, ring, budget)
-        return _report(args.command, verdict.to_json(), qj, rj, e.to_json())
-
-    if args.command == "morita-check":
-        if not quiver.is_acyclic:
-            raise InputError(
-                "cyclic-quiver", "morita-check needs an acyclic quiver"
-            )
-        e = _parse_element(quiver, ring, args.element[0])
-        budget = _budget(args)
-        corner = corner_algebra(e)  # refuses a non-idempotent e and Z/n
-        reps = [
-            m for m in enumerate_reps(quiver, ring, budget) if in_category_e(e, m)
-        ]
-        cms = [corner_module(e, m, corner) for m in reps]
-        pairs = 0
-        all_bijective = True
-        for m, cm in zip(reps, cms):
-            for n, cn in zip(reps, cms):
-                pairs += 1
-                res = morita_surrogate_check(e, m, n, cm, cn)
-                all_bijective = all_bijective and res["bijective"]
-        result = {"pairs_checked": pairs, "all_bijective": all_bijective}
-        return _report("morita-check", result, qj, rj, e.to_json())
-
-    raise InputError("bad-arguments", f"unknown command {args.command!r}")
+    result, *parts = handler(args, quiver, ring)
+    blob = json.dumps(
+        [quiver.to_json(), ring.to_json(), *parts], sort_keys=True, separators=(",", ":")
+    )
+    return {
+        "command": args.command,
+        "version": __version__,
+        "input_hash": hashlib.sha256(blob.encode()).hexdigest(),
+        "result": result,
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,20 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify special and split idempotents in path algebras, "
         "with brute-force cross-checks.",
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "validate",
-            "classify",
-            "standard-form",
-            "orthogonal",
-            "full-family",
-            "enumerate-families",
-            "oracle-special",
-            "oracle-split",
-            "morita-check",
-        ],
-    )
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--quiver", required=True, help="quiver JSON file or inline JSON")
     parser.add_argument("--ring", required=True, help='e.g. F5, Z6, Q or {"ring":"Fp","p":5}')
     parser.add_argument(
@@ -308,11 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="element JSON file or inline JSON (repeatable)",
     )
     parser.add_argument("--family", help="JSON file with a list of elements")
-    parser.add_argument("--max-dim", type=int, default=None, help="oracle total-dimension cap")
+    parser.add_argument(
+        "--max-dim",
+        type=int,
+        default=OracleBudget.max_total_dim,
+        help="oracle total-dimension cap",
+    )
     parser.add_argument(
         "--max-reps",
         type=int,
-        default=None,
+        default=OracleBudget.max_reps,
         help="oracle enumeration cap, counted in representations enumerated "
         "up to isomorphism (at least one per class)",
     )
@@ -326,21 +314,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out = args.out
-        if args.element is None:
-            args.element = []
-        one_element = args.command in (
-            "classify", "standard-form", "oracle-special", "oracle-split",
-            "morita-check",
-        )
-        if (one_element or args.command == "orthogonal") and not args.element:
-            raise InputError("bad-arguments", f"{args.command} needs --element")
-        if one_element and len(args.element) > 1:
+        args.element = args.element or []
+        count, handler = _COMMANDS[args.command]
+        if count is not None and len(args.element) != count:
             raise InputError(
-                "bad-arguments", f"{args.command} takes exactly one --element"
+                "bad-arguments",
+                f"{args.command} takes exactly {('one', 'two')[count - 1]} --element",
             )
-        if args.command == "full-family" and not args.family:
-            raise InputError("bad-arguments", "full-family needs --family")
-        report, code = _run(args), EXIT_OK
+        if handler is _full_family and not args.family:
+            raise InputError("bad-arguments", f"{args.command} needs --family")
+        report, code = _run(args, handler), EXIT_OK
     except InputError as exc:
         report, code = _error(exc.code, exc), EXIT_INPUT
     except (RingError, QuiverError, AlgebraError, RepError, ClassifyError) as exc:

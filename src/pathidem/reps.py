@@ -384,7 +384,9 @@ def corner_module(
     if qs.vertices != _trivial_support(e):
         raise RepError("corner ring belongs to a different idempotent")
     maps = {a: m._path_block(p) for a, p in arrows.items()}
-    return Representation(qs, m.ring, {v: m.dims[v] for v in qs.vertices}, maps)
+    return Representation._from_canonical(
+        qs, m.ring, {v: m.dims[v] for v in qs.vertices}, maps
+    )
 
 
 def morita_surrogate_check(

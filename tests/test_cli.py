@@ -543,6 +543,57 @@ class TestCallsInSequence:
         assert report["result"]["special"] is True
 
 
+class TestInputHash:
+    """The input hash covers what decides the result: the parsed elements,
+    the resolved oracle budget and the resolved truncation degree."""
+
+    @staticmethod
+    def hash_of(capsys, *argv) -> str:
+        code, report = run(capsys, *argv)
+        assert code == 0
+        return report["input_hash"]
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_file_and_inline_element_hash_alike(self, capsys, tmp_path, command):
+        path = tmp_path / "e.json"
+        path.write_text(E_V2)
+        argv = [command, "--quiver", ARROW, "--ring", "F5", "--element"]
+        spread = json.dumps(json.loads(E_V2), indent=4)
+        assert (
+            self.hash_of(capsys, *argv, str(path))
+            == self.hash_of(capsys, *argv, E_V2)
+            == self.hash_of(capsys, *argv, spread)
+        )
+
+    def test_one_path_with_two_contents_hashes_apart(self, capsys, tmp_path):
+        path = tmp_path / "e.json"
+        argv = ["validate", "--quiver", ARROW, "--ring", "F5", "--element", str(path)]
+        path.write_text(E_V1)
+        first = self.hash_of(capsys, *argv)
+        path.write_text(E_V2)
+        assert self.hash_of(capsys, *argv) != first
+
+    @pytest.mark.parametrize("command", ["oracle-special", "oracle-split", "morita-check"])
+    def test_budget_is_hashed(self, capsys, command):
+        argv = [command, "--quiver", ARROW, "--ring", "F2", "--element", E_V2]
+        assert self.hash_of(capsys, *argv, "--max-dim", "1") != self.hash_of(
+            capsys, *argv, "--max-dim", "2"
+        )
+        # the defaults given explicitly resolve to the same budget
+        assert self.hash_of(
+            capsys, *argv, "--max-dim", "3", "--max-reps", "200000"
+        ) == self.hash_of(capsys, *argv)
+
+    def test_degree_is_hashed(self, capsys):
+        argv = ["orthogonal", "--quiver", ARROW, "--ring", "F2"]
+        argv += ["--element", E_V2, "--element", E_V2]
+        assert self.hash_of(capsys, *argv, "--degree", "1") != self.hash_of(
+            capsys, *argv, "--degree", "2"
+        )
+        # the default degree is the vertex count, 2 on the arrow
+        assert self.hash_of(capsys, *argv, "--degree", "2") == self.hash_of(capsys, *argv)
+
+
 def test_validate_reports_sizes(capsys):
     code, report = run(
         capsys, "validate", "--quiver", ARROW, "--ring", "Q", "--element", E_V2
@@ -582,17 +633,34 @@ _RINGS = st.sampled_from(
 )
 
 
+COMMANDS = [
+    "validate", "classify", "standard-form", "orthogonal", "full-family",
+    "enumerate-families", "oracle-special", "oracle-split", "morita-check",
+]
+BUDGETED = {"oracle-special", "oracle-split", "morita-check"}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(["validate", "classify"]),
+    command=st.sampled_from(COMMANDS),
     quiver=_QUIVERS,
     ring=_RINGS,
-    element=_ELEMENTS,
+    elements=st.lists(_ELEMENTS, min_size=2, max_size=2),
+    degree=st.integers(-1, 3),
+    max_dim=st.integers(0, 2),
 )
-def test_json_inputs_never_crash(command, quiver, ring, element):
+def test_json_inputs_never_crash(command, quiver, ring, elements, degree, max_dim):
+    argv = [command, "--quiver", json.dumps(quiver), "--ring", ring]
     # "--element=..." so that a bare negative number is not read as an option
-    argv = [command, "--quiver", json.dumps(quiver), "--ring", ring,
-            f"--element={json.dumps(element)}"]
+    given_elements = [f"--element={json.dumps(e)}" for e in elements]
+    if command == "orthogonal":
+        argv += [*given_elements, f"--degree={degree}"]
+    elif command == "full-family":
+        argv.append(f"--family={json.dumps(elements)}")
+    elif command != "enumerate-families":
+        argv.append(given_elements[0])
+    if command in BUDGETED:
+        argv += [f"--max-dim={max_dim}", "--max-reps=2000"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -697,11 +765,17 @@ def _readme_example() -> list[str]:
             3, "error",
             {"code": "budget-exhausted", "reps_checked": 1, "dims": {"v1": 0, "v2": 1}},
         ),
+        (
+            ["morita-check", "--quiver", ARROW, "--ring", "F2", "--max-dim", "2",
+             "--element", E_V2],
+            0, "result", {"all_bijective": True},
+        ),
     ],
-    ids=["readme-example", "malformed-element", "budget"],
+    ids=["readme-example", "malformed-element", "budget", "morita-check"],
 )
 def test_cli_process(tmp_path, argv, code, key, value):
-    # a fresh interpreter with only src on the path, outside the checkout
+    # a fresh interpreter with only src on the path, outside the checkout: one
+    # call per process, as the console script makes it
     proc = subprocess.run(
         [sys.executable, "-m", "pathidem.cli", *(argv or _readme_example())],
         cwd=tmp_path,
