@@ -3,39 +3,3 @@ in path algebras of quivers, cross-checked by brute-force enumeration of
 finite-dimensional representations."""
 
 __version__ = "0.1.0"
-
-from .rings import Ring, RingError
-from .quivers import Quiver, Path, QuiverError
-from .algebra import AlgElem, vertex_idempotent, edge_element, path_element
-from .classify import (
-    StandardForm,
-    classify,
-    try_standard_form,
-    is_left_special,
-    is_left_split,
-    is_central,
-    strongly_orthogonal,
-    is_full_family,
-    enumerate_full_families_trivial_idem,
-)
-
-__all__ = [
-    "Ring",
-    "RingError",
-    "Quiver",
-    "Path",
-    "QuiverError",
-    "AlgElem",
-    "vertex_idempotent",
-    "edge_element",
-    "path_element",
-    "StandardForm",
-    "classify",
-    "try_standard_form",
-    "is_left_special",
-    "is_left_split",
-    "is_central",
-    "strongly_orthogonal",
-    "is_full_family",
-    "enumerate_full_families_trivial_idem",
-]

@@ -48,11 +48,12 @@ class AlgElem:
         return AlgElem(quiver, ring, ordered)
 
     @staticmethod
-    def _from_canonical(
-        quiver: Quiver, ring: Ring, terms: Mapping[Path, object]
-    ) -> "AlgElem":
-        """`make` for valid paths and canonical coefficients: drops the zero
-        terms and sorts, without re-validating."""
+    def _reduced(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
+        """`make` for valid paths and coefficients computed from canonical ones:
+        reduces by the modulus, drops zeros and sorts, without re-validating."""
+        m = ring.modulus
+        if m is not None:
+            terms = {p: c % m for p, c in terms.items()}
         kept = sorted(
             ((p, c) for p, c in terms.items() if c), key=lambda pc: pc[0].sort_key()
         )
@@ -83,35 +84,30 @@ class AlgElem:
         self._check_compatible(other)
         acc = dict(self.terms)
         for p, c in other.terms:
-            acc[p] = self.ring.add(acc.get(p, self.ring.zero()), c)
-        return AlgElem.make(self.quiver, self.ring, acc)
+            acc[p] = acc.get(p, 0) + c
+        return AlgElem._reduced(self.quiver, self.ring, acc)
 
     def __neg__(self) -> "AlgElem":
-        return AlgElem.make(
-            self.quiver, self.ring, {p: self.ring.neg(c) for p, c in self.terms}
-        )
+        return AlgElem._reduced(self.quiver, self.ring, {p: -c for p, c in self.terms})
 
     def __sub__(self, other: "AlgElem") -> "AlgElem":
         return self + (-other)
 
     def scale(self, c) -> "AlgElem":
         c = self.ring.canon(c)
-        return AlgElem.make(
-            self.quiver, self.ring, {p: self.ring.mul(c, x) for p, x in self.terms}
+        return AlgElem._reduced(
+            self.quiver, self.ring, {p: c * x for p, x in self.terms}
         )
 
     def __mul__(self, other: "AlgElem") -> "AlgElem":
         self._check_compatible(other)
-        m = self.ring.modulus
         acc: dict[Path, object] = {}
         for p, c in self.terms:
             for q, d in other.terms:
                 pq = concat(self.quiver, p, q)
                 if pq is not None:
                     acc[pq] = acc.get(pq, 0) + c * d
-        if m is not None:
-            acc = {p: c % m for p, c in acc.items()}
-        return AlgElem._from_canonical(self.quiver, self.ring, acc)
+        return AlgElem._reduced(self.quiver, self.ring, acc)
 
     def is_idempotent(self) -> bool:
         return self * self == self

@@ -11,11 +11,12 @@ and fullness are then read off the (S, lambda) diagonal data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .algebra import AlgElem, vertex_idempotent
 from .quivers import Path, Quiver
-from .rings import Ring
+from .rings import Ring, _is_prime_power
 
 
 class ClassifyError(ValueError):
@@ -66,15 +67,6 @@ class Witness:
         return {"condition": self.condition, "detail": self.detail}
 
 
-# condition order is fixed so reports are deterministic
-_COND_LEFT_CLOSED = "support-not-left-closed"
-_COND_LAMBDA_IDEM = "lambda-not-idempotent"
-_COND_LAMBDA_MONO = "lambda-not-monotone-along-paths"
-_COND_KAPPA_TARGET = "kappa-target-outside-support"
-_COND_KAPPA_FIX = "kappa-not-fixed-by-target-lambda"
-_COND_KAPPA_ANN = "kappa-not-annihilated-by-source-lambda"
-
-
 def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witness]]:
     """Attempt to certify a standard form; the support of the trivial paths is
     read off as S, with no search. Returns (form, None) or (None, witness)."""
@@ -92,13 +84,13 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
         for eid in q.out_edges[v]:
             if q.edge_target(eid) not in s:
                 return None, Witness(
-                    _COND_LEFT_CLOSED, f"edge {eid} leaves the support at {v}"
+                    "support-not-left-closed", f"edge {eid} leaves the support at {v}"
                 )
 
     for v in sorted(s):
         if not ring.is_idempotent(diag[v]):
             return None, Witness(
-                _COND_LAMBDA_IDEM, f"coefficient {ring.fmt(diag[v])} at {v}"
+                "lambda-not-idempotent", f"coefficient {ring.fmt(diag[v])} at {v}"
             )
 
     # lambda_v must generate a smaller ideal than lambda_{v'} along any path
@@ -109,7 +101,7 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
         for w in sorted(q.reachable(v)):
             if w in s and ring.mul(diag[v], diag[w]) != diag[v]:
                 return None, Witness(
-                    _COND_LAMBDA_MONO,
+                    "lambda-not-monotone-along-paths",
                     f"path {v} -> {w} but ({ring.fmt(diag[v])}) is not inside "
                     f"({ring.fmt(diag[w])})",
                 )
@@ -118,17 +110,18 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
         t = q.path_target(p)
         if t not in s:
             return None, Witness(
-                _COND_KAPPA_TARGET, f"path term {p.to_json()} ends at {t} outside S"
+                "kappa-target-outside-support",
+                f"path term {p.to_json()} ends at {t} outside S",
             )
         if ring.mul(diag[t], c) != c:
             return None, Witness(
-                _COND_KAPPA_FIX,
+                "kappa-not-fixed-by-target-lambda",
                 f"lambda at {t} does not fix coefficient {ring.fmt(c)}",
             )
         src = q.path_source(p)
         if src in s and not ring.is_zero(ring.mul(diag[src], c)):
             return None, Witness(
-                _COND_KAPPA_ANN,
+                "kappa-not-annihilated-by-source-lambda",
                 f"lambda at {src} does not annihilate coefficient {ring.fmt(c)}",
             )
 
@@ -210,9 +203,12 @@ def strongly_orthogonal(e1: AlgElem, e2: AlgElem) -> bool:
 
     Reduced to the diagonal data: e1*A*e2 is nonzero exactly when some path p
     runs from the support of e2 into the support of e1 with
-    lambda1(t(p)) * lambda2(s(p)) != 0; directed reachability decides this.
-    Both one-sided tests are computed (they must agree)."""
-    f1, f2 = standard_form(e1), standard_form(e2)
+    lambda1(t(p)) * lambda2(s(p)) != 0; directed reachability decides this."""
+    return _forms_orthogonal(standard_form(e1), standard_form(e2))
+
+
+def _forms_orthogonal(f1: StandardForm, f2: StandardForm) -> bool:
+    """`strongly_orthogonal` on standard forms; both one-sided tests must agree."""
     left = _one_sided_nonzero(f1, f2)
     right = _one_sided_nonzero(f2, f1)
     if left != right:  # pragma: no cover - contradiction with the symmetry theorem
@@ -239,10 +235,8 @@ def is_full_family(es: list[AlgElem]) -> bool:
         return False
     forms = [standard_form(e) for e in es]
     q, ring = forms[0].quiver, forms[0].ring
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if not strongly_orthogonal(es[i], es[j]):
-                return False
+    if not all(_forms_orthogonal(f1, f2) for f1, f2 in combinations(forms, 2)):
+        return False
     for v in q.vertices:
         lams = [f.lam(v) for f in forms if v in f.vertices]
         if not lams or not ring.idem_join_is_unit(lams):
@@ -253,7 +247,8 @@ def is_full_family(es: list[AlgElem]) -> bool:
 def enumerate_full_families_trivial_idem(q: Quiver, ring: Ring) -> list[list[AlgElem]]:
     """All full families over a ring with only trivial idempotents: exactly the
     partitions of the vertex set into left-closed parts, as {e_S_i} families."""
-    if len(ring.idempotents()) != 2:
+    # a field has only 0 and 1; Z/n exactly when n is a prime power
+    if not (ring.is_field or _is_prime_power(ring.modulus)):
         raise ClassifyError(
             "full-family enumeration requires a ring with only trivial idempotents"
         )

@@ -204,6 +204,8 @@ def _enumerate_families(args, quiver, ring):
         families = enumerate_full_families_trivial_idem(quiver, ring)
     except ClassifyError as exc:
         raise InputError("nontrivial-idempotents", str(exc)) from exc
+    except RingError as exc:  # a Z/n modulus too large to test as a prime power
+        raise InputError("bad-ring", str(exc)) from exc
     result = {
         "families": [
             [sorted(p.vertex for p, _ in e.terms) for e in fam] for fam in families
@@ -244,8 +246,8 @@ _COMMANDS = {
     "classify": (1, _classify),
     "standard-form": (1, _standard_form),
     "orthogonal": (2, _orthogonal),
-    "full-family": (None, _full_family),
-    "enumerate-families": (None, _enumerate_families),
+    "full-family": (0, _full_family),
+    "enumerate-families": (0, _enumerate_families),
     "oracle-special": (1, _oracle(check_special_by_modules)),
     "oracle-split": (1, _oracle(check_split_by_sequences)),
     "morita-check": (1, _morita_check),
@@ -317,10 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         args.element = args.element or []
         count, handler = _COMMANDS[args.command]
         if count is not None and len(args.element) != count:
-            raise InputError(
-                "bad-arguments",
-                f"{args.command} takes exactly {('one', 'two')[count - 1]} --element",
-            )
+            wanted = ("no", "exactly one", "exactly two")[count]
+            raise InputError("bad-arguments", f"{args.command} takes {wanted} --element")
         if handler is _full_family and not args.family:
             raise InputError("bad-arguments", f"{args.command} needs --family")
         report, code = _run(args, handler), EXIT_OK

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
 from .algebra import AlgElem, TruncatedIdeal, path_element, vertex_idempotent
@@ -147,29 +147,19 @@ def enumerate_reps(
         for dims_vec in _dim_vectors(len(q.vertices), total):
             dims = dict(zip(q.vertices, dims_vec))
             anchors = _anchor_forms(q, ring, dims)
-            # one factor per anchor (its forms, r = None), one per entry of
-            # every other edge
-            factors, shapes = [], []
-            for eid, src, dst in q.edges:
-                r, c = dims[dst], dims[src]
-                if eid in anchors:
-                    factors.append(anchors[eid])
-                    r = None
-                else:
-                    factors.extend([elems] * (r * c))
-                shapes.append((eid, r, c))
+            shapes = [(eid, dims[dst], dims[src]) for eid, src, dst in q.edges]
+            # one factor per anchor (its forms), one per entry of every other edge
+            factors = []
+            for eid, r, c in shapes:
+                factors += [anchors[eid]] if eid in anchors else [elems] * (r * c)
             for flat in product(*factors):
+                it = iter(flat)
                 maps = {}
-                pos = 0
                 for eid, r, c in shapes:
-                    if r is None:
-                        maps[eid] = flat[pos]
-                        pos += 1
+                    if eid in anchors:
+                        maps[eid] = next(it)
                     else:
-                        maps[eid] = tuple(
-                            flat[pos + i * c : pos + (i + 1) * c] for i in range(r)
-                        )
-                        pos += r * c
+                        maps[eid] = tuple([tuple(islice(it, c)) for _ in range(r)])
                 count += 1
                 if count > budget.max_reps:
                     raise BudgetExceeded(

@@ -48,6 +48,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and k >= 1, from the integer k-th roots
+    of n; refuses n >= _MR_BOUND, where `_is_prime` is no longer exact."""
+    if n >= _MR_BOUND:
+        raise RingError(f"modulus {n} is too large to certify as a prime power")
+    if _is_prime(n):
+        return True
+    # for k >= 2 the root is below 2^53, so the float guess is off by at most 1
+    for k in range(2, n.bit_length() + 1):
+        r = round(n ** (1 / k))
+        if any(c**k == n and _is_prime(c) for c in (r - 1, r, r + 1)):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class Ring:
     """A base ring: kind is "Fp", "Zn" or "Q"; modulus applies to the finite kinds."""

@@ -171,6 +171,61 @@ class TestProduct:
         check()
 
 
+# references for +, negation and scale: every coefficient goes through the
+# Ring methods and every result through the validating AlgElem.make
+
+
+def _reference_add(x: AlgElem, y: AlgElem) -> AlgElem:
+    ring = x.ring
+    acc = dict(x.terms)
+    for p, c in y.terms:
+        acc[p] = ring.add(acc.get(p, ring.zero()), c)
+    return AlgElem.make(x.quiver, ring, acc)
+
+
+def _reference_neg(x: AlgElem) -> AlgElem:
+    return AlgElem.make(x.quiver, x.ring, {p: x.ring.neg(c) for p, c in x.terms})
+
+
+def _reference_scale(x: AlgElem, c) -> AlgElem:
+    c = x.ring.canon(c)
+    return AlgElem.make(x.quiver, x.ring, {p: x.ring.mul(c, d) for p, d in x.terms})
+
+
+def _assert_same(got: AlgElem, want: AlgElem) -> None:
+    # equal terms with equal coefficient types: Fraction(1) == 1 would hide an
+    # int coefficient over Q
+    assert got == want
+    assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+
+
+class TestLinearOperators:
+    @pytest.mark.parametrize(
+        "ring, coeffs",
+        [
+            (F5, st.integers(-12, 12)),
+            (Z6, st.integers(-12, 12)),
+            (Ring("Q"), st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+        ],
+        ids=["F5", "Z6", "Q"],
+    )
+    def test_match_term_by_term_reference(self, ring, coeffs):
+        elems = st.dictionaries(
+            st.sampled_from(LOOP.paths_up_to(3)), coeffs, max_size=5
+        ).map(lambda d: AlgElem.make(LOOP, ring, d))
+
+        @settings(max_examples=60, deadline=None)
+        @given(x=elems, y=elems, c=coeffs)
+        def check(x, y, c):
+            _assert_same(x + y, _reference_add(x, y))
+            _assert_same(x - y, _reference_add(x, _reference_neg(y)))
+            _assert_same(-x, _reference_neg(x))
+            _assert_same(x.scale(c), _reference_scale(x, c))
+            _assert_same(x - x, AlgElem.zero(LOOP, ring))
+
+        check()
+
+
 class TestTruncatedIdeal:
     def test_membership(self, a3, f5):
         e2 = vertex_idempotent(a3, f5, {"v2"})

@@ -365,6 +365,17 @@ class TestFullFamily:
         with pytest.raises(ClassifyError):
             enumerate_full_families_trivial_idem(arrow, z6)
 
+    def test_enumerate_accepts_zn_as_the_idempotent_scan_does(self, arrow):
+        # Z/n has only trivial idempotents exactly when n is a prime power
+        for n in range(2, 200):
+            ring = Ring("Zn", n)
+            if len(ring.idempotents()) == 2:
+                fams = enumerate_full_families_trivial_idem(arrow, ring)
+                assert fams == [[vertex_idempotent(arrow, ring, arrow.vertices)]]
+            else:
+                with pytest.raises(ClassifyError):
+                    enumerate_full_families_trivial_idem(arrow, ring)
+
     @pytest.mark.parametrize("q", sweep_quivers(max_vertices=3, count=12))
     def test_enumerated_families_are_full(self, q, f3):
         for fam in enumerate_full_families_trivial_idem(q, f3):

@@ -179,6 +179,13 @@ class TestFamilies:
         assert code == 0
         assert report["result"]["families"] == [[["v1", "v2"]]]
 
+    def test_enumerate_families_refuses_zn_beyond_certified_range(self, capsys):
+        code, report = run(
+            capsys, "enumerate-families", "--quiver", ARROW, "--ring", f"Z{2**89}"
+        )
+        assert code == 2
+        assert report["error"]["code"] == "bad-ring"
+
 
 class TestOracle:
     def test_special_counterexample(self, capsys):
@@ -428,6 +435,20 @@ class TestErrors:
         assert report["error"]["code"] == "bad-arguments"
         assert "exactly one --element" in report["error"]["message"]
 
+    @pytest.mark.parametrize("element", [E_V2, "{junk"], ids=["well-formed", "malformed"])
+    @pytest.mark.parametrize("command", ["full-family", "enumerate-families"])
+    def test_element_refused_where_none_is_read(self, capsys, tmp_path, command, element):
+        # once accepted, ignored and left out of the input hash
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps([json.loads(E_V2)]))
+        code, report = run(
+            capsys, command, "--quiver", ARROW, "--ring", "F5",
+            "--family", str(fam), "--element", element,
+        )
+        assert code == 2
+        assert report["error"]["code"] == "bad-arguments"
+        assert report["error"]["message"] == f"{command} takes no --element"
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_orthogonal_needs_two_elements(self, capsys, count):
         argv = ["orthogonal", "--quiver", ARROW, "--ring", "F2"]
@@ -610,10 +631,23 @@ _EDGES = st.lists(
     st.dictionaries(st.sampled_from(["id", "src", "dst"]), _NAME_OR_JUNK, max_size=3),
     max_size=3,
 )
-_QUIVERS = st.fixed_dictionaries(
+_MALFORMED_QUIVERS = st.fixed_dictionaries(
     {"vertices": st.lists(_NAME_OR_JUNK, max_size=3)},
     optional={"edges": st.one_of(_EDGES, _JUNK, _NAMES)},
 )
+# distinct vertices among v1..v3 with edges a, b, c between them, so that a
+# good share of the examples gets past the quiver parser into the handlers
+_WELL_FORMED_QUIVERS = st.lists(
+    st.sampled_from(["v1", "v2", "v3"]), min_size=1, max_size=3, unique=True
+).flatmap(
+    lambda vs: st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=3).map(
+        lambda ends: {
+            "vertices": vs,
+            "edges": [{"id": e, "src": s, "dst": t} for e, (s, t) in zip("abc", ends)],
+        }
+    )
+)
+_QUIVERS = st.one_of(_WELL_FORMED_QUIVERS, _MALFORMED_QUIVERS)
 _PATHS = st.one_of(
     st.fixed_dictionaries({"trivial": _NAME_OR_JUNK}),
     st.fixed_dictionaries({"edges": st.lists(_NAME_OR_JUNK, max_size=3)}),
@@ -628,8 +662,12 @@ _TERMS = st.fixed_dictionaries({}, optional={"path": _PATHS, "coeff": _COEFFS})
 _ELEMENTS = st.one_of(
     st.fixed_dictionaries({"terms": st.lists(_TERMS, max_size=3)}), _JUNK
 )
+# six valid rings to two malformed ones
 _RINGS = st.sampled_from(
-    ["F2", "F5", "Z6", "Q", '{"ring":"Fp","p":3}', '{"ring":"Zn","n":4.5}', '{"ring":"Fp"}']
+    [
+        "F2", "F3", "F5", "Z6", "Q", '{"ring":"Fp","p":3}',
+        '{"ring":"Zn","n":4.5}', '{"ring":"Fp"}',
+    ]
 )
 
 
@@ -741,6 +779,30 @@ def test_diamond_chain_is_refused(capsys, support):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "ring, code, key, value",
+    [
+        ("F1000000007", 0, "result", {"families": [[["v1", "v2"]]]}),
+        ("Z10000000000", 2, "error", {"code": "nontrivial-idempotents"}),
+        (f"Z{1000000007**2}", 0, "result", {"families": [[["v1", "v2"]]]}),
+    ],
+)
+def test_enumerate_families_on_a_large_ring(tmp_path, ring, code, key, value):
+    # the ring's idempotents are never listed: scanning every residue ran
+    # past 20 s for the first two
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathidem.cli", "enumerate-families",
+         "--quiver", ARROW, "--ring", ring],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == code
+    assert value.items() <= json.loads(proc.stdout)[key].items()
 
 
 def _readme_example() -> list[str]:

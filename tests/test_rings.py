@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from pathidem.rings import Ring, RingError, _is_prime
+from pathidem.rings import _MR_BOUND, Ring, RingError, _is_prime, _is_prime_power
 
 from reference import idem_leq
 
@@ -148,3 +148,36 @@ class TestPrimality:
             Ring("Fp", psi13)
         with pytest.raises(RingError, match="too large"):
             Ring("Fp", 2**89 - 1)
+
+
+class TestPrimePower:
+    def test_agrees_with_trial_division(self):
+        def prime_power(n):
+            return len({d for d in range(2, n + 1) if n % d == 0 and _trial_division(d)}) == 1
+
+        assert [n for n in range(2, 3000) if _is_prime_power(n)] == [
+            n for n in range(2, 3000) if prime_power(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2**80, True),
+            (3**51, True),
+            (1000003**3, True),
+            ((10**12 + 39) ** 2, True),
+            (2**61 - 1, True),
+            (3 * 2**79, False),
+            (2 * 3**50, False),
+            (2 * 1000003**3, False),
+            (10**10, False),
+            ((2**61 - 1) * 1000003, False),
+        ],
+    )
+    def test_large_moduli(self, n, expected):
+        assert _is_prime_power(n) is expected
+
+    def test_beyond_certified_range_refused(self):
+        assert not _is_prime_power(_MR_BOUND - 1)
+        with pytest.raises(RingError, match="too large"):
+            _is_prime_power(_MR_BOUND)
