@@ -28,6 +28,13 @@ is answered on those bases through `linalg.join` and `linalg.image`; images
 sit in a fixed-size cache that lives as long as the process. Γ_e
 itself (`reps.gamma`) works over every field; the enumerators need a prime
 field.
+
+Two searches are skipped where the module axioms force their answer. The
+special oracle enumerates no submodule of an M on which e acts as the
+identity: every submodule N then has N = eN ⊆ AeN ⊆ N. The split oracle
+searches no complement when Γ_e(M) is 0 or M: then M, respectively 0, is
+one. Every rep is still enumerated, and `reps_checked`, the verdicts and
+their witnesses are those of the full search.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
 from .algebra import AlgElem, TruncatedIdeal, path_element, vertex_idempotent
-from .linalg import FieldRowSpace, image, join
+from .linalg import FieldRowSpace, identity_matrix, image, join
 from .quivers import Quiver
 from .reps import (
     Representation,
@@ -138,10 +145,11 @@ def enumerate_reps(
     restricted, each to one normal form per orbit; every other edge runs over
     all its matrices, lazily. The output is a subsequence of the enumeration
     of all matrix tuples in the same order. `budget.max_reps` counts the
-    representations yielded."""
+    representations yielded. The field elements are held only from the
+    first dimension vector with a matrix entry outside the anchors."""
     if ring.kind != "Fp":
         raise OracleError("representation enumeration requires a prime field")
-    elems = tuple(ring.elements())
+    elems = None  # the field elements, held once an edge runs over them
     count = 0
     for total in range(budget.max_total_dim + 1):
         for dims_vec in _dim_vectors(len(q.vertices), total):
@@ -151,7 +159,11 @@ def enumerate_reps(
             # one factor per anchor (its forms), one per entry of every other edge
             factors = []
             for eid, r, c in shapes:
-                factors += [anchors[eid]] if eid in anchors else [elems] * (r * c)
+                if eid in anchors:
+                    factors.append(anchors[eid])
+                elif r * c:
+                    elems = elems or tuple(ring.elements())
+                    factors += [elems] * (r * c)
             for flat in product(*factors):
                 it = iter(flat)
                 maps = {}
@@ -357,6 +369,23 @@ def _edge_closed(m: Representation, per_vertex: list) -> Iterator[Submodule]:
             i += 1
 
 
+def _check_element(e: AlgElem, q: Quiver, ring: Ring) -> None:
+    if e.quiver != q or e.ring != ring:
+        raise OracleError("element is over another quiver or ring")
+    if not e.is_idempotent():
+        raise OracleError("oracle requires an idempotent element")
+
+
+def _acts_as_identity(m: Representation, blocks: dict[tuple[str, str], tuple]) -> bool:
+    """Whether e, with action blocks `blocks` on m, acts on m as the
+    identity: an identity block at each vertex of nonzero dimension and no
+    other block. A zero block left by cancelling terms makes the answer
+    False, though e may act as the identity."""
+    return blocks == {
+        (v, v): identity_matrix(m.ring, d) for v, d in m.dims.items() if d
+    }
+
+
 def check_special_by_modules(
     e: AlgElem, q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
 ) -> Verdict:
@@ -368,14 +397,19 @@ def check_special_by_modules(
     the images of N_s under e's action blocks (t, s), closed under the edge
     maps, and N = AeN exactly when the two have the same reduced echelon
     basis at every vertex. Images are cached (see `linalg.image`); no action
-    matrix of e is built."""
-    if not e.is_idempotent():
-        raise OracleError("oracle requires an idempotent element")
+    matrix of e is built.
+
+    Where e acts on M as the identity (see `_acts_as_identity`), as e_S does
+    on every M = Ae_S M for a left-closed S, every submodule N has
+    N = eN ⊆ AeN ⊆ N, so M's submodules are not enumerated. Every rep is
+    still enumerated and counted in `reps_checked`; verdicts and witnesses
+    are those of the full search."""
+    _check_element(e, q, ring)
     checked = 0
     for m in enumerate_reps(q, ring, budget):
         checked += 1
         blocks = m.action_blocks(e)
-        if not in_category_e(e, m, blocks):
+        if not in_category_e(e, m, blocks) or _acts_as_identity(m, blocks):
             continue
         for sub in enumerate_submodules(m):
             if _generated(m, blocks, sub.bases) != sub.bases:
@@ -401,13 +435,18 @@ def check_split_by_sequences(
     e: AlgElem, q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
 ) -> Verdict:
     """Search for a module M in which the generated submodule AeM has no
-    edge-closed complement: such an M certifies that e is not left split."""
-    if not e.is_idempotent():
-        raise OracleError("oracle requires an idempotent element")
+    edge-closed complement: such an M certifies that e is not left split.
+
+    Where Γ_e(M) is 0 or M, M respectively 0 is a complement, so no
+    complement is searched for. Every rep is still enumerated and counted in
+    `reps_checked`; verdicts and witnesses are those of the full search."""
+    _check_element(e, q, ring)
     checked = 0
     for m in enumerate_reps(q, ring, budget):
         checked += 1
         g = gamma(e, m)
+        if g.total_dim in (0, m.total_dim):
+            continue
         if next(_graded_complements(m, g), None) is None:
             return Verdict("counterexample", checked, module=m, submodule=g)
     return Verdict("consistent", checked)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -88,6 +89,21 @@ class TestEnumeration:
         m = Representation(arrow, f2, {"v1": 1, "v2": 1}, {})
         assert len(enumerate_submodules(m)) == 4
 
+    def test_no_field_elements_held_without_a_free_entry(self, arrow):
+        # no dimension vector up to total 0 has an entry to run over F_p, so
+        # the residues of a large field are never built
+        ring = Ring("Fp", 4_000_037)
+        tracemalloc.start()
+        try:
+            reps = list(enumerate_reps(arrow, ring, OracleBudget(max_total_dim=0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [m.to_json() for m in reps] == [
+            {"dims": {"v1": 0, "v2": 0}, "edges": {"a": []}}
+        ]
+        assert peak < 1 << 20
+
     def test_dim_vectors_in_lexicographic_order(self):
         # enumerate_reps takes them as they come, unsorted
         for n in range(6):
@@ -125,6 +141,11 @@ class TestSpecialOracle:
         with pytest.raises(OracleError):
             check_split_by_sequences(edge_element(arrow, f2, "a"), arrow, f2)
 
+    def test_refuses_a_foreign_element(self, arrow, a3, f2, f3):
+        for e in (vertex_idempotent(a3, f2, {"v1"}), vertex_idempotent(arrow, f3, {"v1"})):
+            with pytest.raises(OracleError, match="another quiver or ring"):
+                check_special_by_modules(e, arrow, f2)
+
 
 class TestSplitOracle:
     def test_counterexample_for_sink_vertex(self, arrow, f2):
@@ -141,6 +162,11 @@ class TestSplitOracle:
         e = vertex_idempotent(arrow, f2, arrow.vertices)
         verdict = check_split_by_sequences(e, arrow, f2, OracleBudget(max_total_dim=2))
         assert verdict.kind == "consistent"
+
+    def test_refuses_a_foreign_element(self, arrow, a3, f2, f3):
+        for e in (vertex_idempotent(a3, f2, {"v1"}), vertex_idempotent(arrow, f3, {"v1"})):
+            with pytest.raises(OracleError, match="another quiver or ring"):
+                check_split_by_sequences(e, arrow, f2)
 
 
 class TestBruteForce:
@@ -372,13 +398,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("q, ring", CASES[:4], ids=IDS[:4])
     def test_one_submodule_built_per_submodule(self, q, ring, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return submodule_from_local(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "submodule_from_local", counting)
+        calls = _count_submodules_built(monkeypatch)
         for m in full_reps(q, ring, self.BUDGET):
             calls.clear()
             assert len(enumerate_submodules(m)) == len(calls)
@@ -386,6 +406,92 @@ class TestAgainstReference:
                 calls.clear()
                 got = list(oracle._submodules(m, dict(zip(q.vertices, ranks))))
                 assert len(got) == len(calls)
+
+
+class TestForcedAnswers:
+    """The searches the oracles skip have forced answers: where e acts on M
+    as the identity every submodule is generated by its e-part, and where
+    Γ_e(M) is 0 or M a complement exists. Checked against the reference
+    layer on every matrix tuple, for e_S, idempotents with path terms and
+    conjugates u e_S u^-1."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+    CASES = TestAgainstReference.CASES + TestAgainstReference.PATH_CASES
+    IDS = TestAgainstReference.IDS + [
+        f"{q.edges}-F{r.modulus}" for q, r in TestAgainstReference.PATH_CASES
+    ]
+
+    @staticmethod
+    def _elements(q, ring):
+        out = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        out += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        if q.is_acyclic:
+            rng = random.Random(f"forced-{q}-{ring}")
+            out += [conjugate(vertex_idempotent(q, ring, s), rng) for s in _subsets(q.vertices)]
+        return out
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_identity_action_forces_special(self, q, ring):
+        ref = TestAgainstReference
+        elements = self._elements(q, ring)
+        skipped = 0
+        for m in full_reps(q, ring, self.BUDGET):
+            subs = None  # every submodule of m as a representation, when needed
+            for e in elements:
+                if not oracle._acts_as_identity(m, m.action_blocks(e)):
+                    continue
+                if subs is None:
+                    subs = [sub_representation(n)[0] for n in ref._reference_submodules(m)]
+                assert all(ref._reference_in_category(e, n) for n in subs), (e, m)
+                skipped += 1
+        assert skipped
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_trivial_gamma_forces_a_complement(self, q, ring):
+        ref = TestAgainstReference
+        elements = self._elements(q, ring)
+        skipped = 0
+        for m in full_reps(q, ring, self.BUDGET):
+            for e in elements:
+                g = gamma(e, m)
+                if g.total_dim not in (0, m.total_dim):
+                    continue
+                assert next(ref._reference_complements(m, g), None) is not None
+                skipped += 1
+        assert skipped
+
+    def test_special_skips_every_left_closed_vertex_set(self, f2, monkeypatch):
+        # e_S acts as the identity on each M = Ae_S M for S left-closed; for
+        # any other S a counterexample needs a submodule
+        calls = _count_submodules_built(monkeypatch)
+        for q in sweep_quivers(3, 3, 60):
+            for s in _subsets(q.vertices):
+                calls.clear()
+                e = vertex_idempotent(q, f2, s)
+                check_special_by_modules(e, q, f2, self.BUDGET)
+                assert bool(calls) != q.is_left_closed(s), (q, s)
+
+    def test_split_skips_zero_and_one(self, f2, monkeypatch):
+        calls = _count_submodules_built(monkeypatch)
+        for q in sweep_quivers(3, 3, 60):
+            for s in (set(), q.vertices):
+                verdict = check_split_by_sequences(
+                    vertex_idempotent(q, f2, s), q, f2, self.BUDGET
+                )
+                assert verdict.kind == "consistent" and verdict.reps_checked
+        assert not calls
+
+
+def _count_submodules_built(monkeypatch):
+    """A list that grows by one at each submodule the oracle module builds."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return submodule_from_local(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "submodule_from_local", counting)
+    return calls
 
 
 def _path_term_idempotents(q, ring, rng, count):
