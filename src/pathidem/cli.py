@@ -31,6 +31,7 @@ from .oracle import (
     BudgetExceeded,
     OracleBudget,
     OracleError,
+    _outside_reach,
     check_special_by_modules,
     check_split_by_sequences,
     enumerate_reps,
@@ -229,7 +230,12 @@ def _morita_check(args, quiver, ring):
     e = _parse_element(quiver, ring, args.element[0])
     budget = OracleBudget(args.max_dim, args.max_reps)
     corner = corner_algebra(e)  # refuses a non-idempotent e and Z/n
-    reps = [m for m in enumerate_reps(quiver, ring, budget) if in_category_e(e, m)]
+    # a counted dimension vector (an int) holds no rep in the category
+    reps = [
+        m
+        for m in enumerate_reps(quiver, ring, budget, skip=_outside_reach(e))
+        if not isinstance(m, int) and in_category_e(e, m)
+    ]
     cms = [corner_module(e, m, corner) for m in reps]
     bijective = [
         morita_surrogate_check(e, m, n, cm, cn)["bijective"]

@@ -29,12 +29,19 @@ sit in a fixed-size cache that lives as long as the process. Γ_e
 itself (`reps.gamma`) works over every field; the enumerators need a prime
 field.
 
-Two searches are skipped where the module axioms force their answer. The
+Where the answer for a whole dimension vector follows from its support
+and from the ends of e's live terms (the terms whose source and target
+both have nonzero dimension), its reps are counted, not built (see the
+`skip` of `enumerate_reps`). The special oracle counts a vector with a
+vertex of nonzero dimension that AeM cannot reach (`_outside_reach`): no
+M with those dims has M = AeM. The split oracle counts a vector on which
+Γ_e(M) is 0 or M for every M (`_gamma_forced`): M, respectively 0, is then
+a complement. Two searches are skipped in the reps that are built. The
 special oracle enumerates no submodule of an M on which e acts as the
 identity: every submodule N then has N = eN ⊆ AeN ⊆ N. The split oracle
-searches no complement when Γ_e(M) is 0 or M: then M, respectively 0, is
-one. Every rep is still enumerated, and `reps_checked`, the verdicts and
-their witnesses are those of the full search.
+searches no complement when Γ_e(M) is 0 or M. `reps_checked`, the
+verdicts, their witnesses and every `BudgetExceeded` are those of the full
+search over every rep.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product
-from typing import Iterator, Optional
+from math import prod
+from typing import Callable, Iterator, Optional
 
 from .algebra import AlgElem, TruncatedIdeal, path_element, vertex_idempotent
 from .linalg import FieldRowSpace, identity_matrix, image, join
@@ -64,8 +72,9 @@ class OracleError(ValueError):
 
 class BudgetExceeded(OracleError):
     """The representation cap was reached: `reps_checked` is that cap, the
-    number of representations yielded, and `dims` the dimension vector
-    (vertex -> dimension) being enumerated; both None when not given."""
+    number of representations yielded or counted, and `dims` the dimension
+    vector (vertex -> dimension) being enumerated; both None when not
+    given."""
 
     def __init__(
         self,
@@ -81,9 +90,9 @@ class BudgetExceeded(OracleError):
 @dataclass(frozen=True)
 class OracleBudget:
     """Bounds of one enumeration: the total dimension of the representations,
-    and how many of them `enumerate_reps` may yield (at least one per
-    isomorphism class, so the cap counts reduced representations, not matrix
-    tuples) before it raises `BudgetExceeded`."""
+    and how many of them `enumerate_reps` may yield or count (at least one
+    per isomorphism class, so the cap counts reduced representations, not
+    matrix tuples) before it raises `BudgetExceeded`."""
 
     max_total_dim: int = 3
     max_reps: int = 200_000
@@ -95,10 +104,10 @@ class OracleBudget:
 
 @dataclass
 class Verdict:
-    """An oracle's answer. `reps_checked` counts the representations taken
-    from `enumerate_reps`, which yields at least one per isomorphism class;
-    a counterexample's `module` is the first of them that fails, one
-    representative of its class."""
+    """An oracle's answer. `reps_checked` counts the representations
+    `enumerate_reps` stands for, at least one per isomorphism class, built
+    or only counted; a counterexample's `module` is the first of them that
+    fails, one representative of its class."""
 
     kind: str  # "consistent" | "counterexample"
     reps_checked: int = 0
@@ -133,8 +142,11 @@ def _dim_vectors(nverts: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_reps(
-    q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
-) -> Iterator[Representation]:
+    q: Quiver,
+    ring: Ring,
+    budget: OracleBudget = OracleBudget(),
+    skip: Optional[Callable[[dict[str, int]], bool]] = None,
+) -> Iterator[Representation | int]:
     """At least one representation of each isomorphism class with total
     dimension <= budget, in a deterministic order: dimension vectors by total
     and then lexicographically, then edge matrices in row-major counter order
@@ -145,8 +157,16 @@ def enumerate_reps(
     restricted, each to one normal form per orbit; every other edge runs over
     all its matrices, lazily. The output is a subsequence of the enumeration
     of all matrix tuples in the same order. `budget.max_reps` counts the
-    representations yielded. The field elements are held only from the
-    first dimension vector with a matrix entry outside the anchors."""
+    representations yielded or counted. The field elements are held only from the
+    first dimension vector with a matrix entry outside the anchors.
+
+    `skip`, when given, is called once with each dimension vector (vertex ->
+    dimension) before any of its reps is built. Where it returns True, the
+    reps of that vector are counted, not built: one int, their number, is
+    yielded in their place, and the cap is checked on the count as if each
+    had been yielded, so a `BudgetExceeded` raised there carries the cap and
+    dims it would carry without `skip`. Without `skip` only representations
+    are yielded."""
     if ring.kind != "Fp":
         raise OracleError("representation enumeration requires a prime field")
     elems = None  # the field elements, held once an edge runs over them
@@ -156,6 +176,14 @@ def enumerate_reps(
             dims = dict(zip(q.vertices, dims_vec))
             anchors = _anchor_forms(q, ring, dims)
             shapes = [(eid, dims[dst], dims[src]) for eid, src, dst in q.edges]
+            if skip is not None and skip(dims):
+                free = sum(r * c for eid, r, c in shapes if eid not in anchors)
+                size = prod(map(len, anchors.values()), start=ring.modulus**free)
+                count += size
+                if count > budget.max_reps:
+                    raise _cap_exceeded(budget, dims)
+                yield size
+                continue
             # one factor per anchor (its forms), one per entry of every other edge
             factors = []
             for eid, r, c in shapes:
@@ -174,12 +202,56 @@ def enumerate_reps(
                         maps[eid] = tuple([tuple(islice(it, c)) for _ in range(r)])
                 count += 1
                 if count > budget.max_reps:
-                    raise BudgetExceeded(
-                        f"representation cap {budget.max_reps} exceeded",
-                        budget.max_reps,
-                        dims,
-                    )
+                    raise _cap_exceeded(budget, dims)
                 yield Representation._from_canonical(q, ring, dims, maps)
+
+
+def _cap_exceeded(budget: OracleBudget, dims: dict[str, int]) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"representation cap {budget.max_reps} exceeded", budget.max_reps, dims
+    )
+
+
+def _outside_reach(e: AlgElem) -> Callable[[dict[str, int]], bool]:
+    """The `skip` of `enumerate_reps` that passes over every M outside
+    Ae-Mod: whether dims has a vertex of nonzero dimension outside the
+    reach, the vertices reachable from the targets of e's live terms along
+    edges between vertices of nonzero dimension. AeM lies in the reach (an
+    edge into or out of a zero space acts as 0), so no M with these dims
+    has M = AeM."""
+    q = e.quiver
+    ends = [(q.path_source(p), q.path_target(p)) for p, _ in e.terms]
+    succ = {v: [q.edge_target(eid) for eid in out] for v, out in q.out_edges.items()}
+
+    def skip(dims: dict[str, int]) -> bool:
+        seen = {t for s, t in ends if dims[s] and dims[t]}
+        stack = list(seen)
+        while stack:
+            for w in succ[stack.pop()]:
+                if dims[w] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return any(d and v not in seen for v, d in dims.items())
+
+    return skip
+
+
+def _gamma_forced(e: AlgElem) -> Callable[[dict[str, int]], bool]:
+    """The `skip` of `enumerate_reps` that passes over every M where
+    Γ_e(M) is 0 or M: whether e has no live term under dims (then eM = 0),
+    or its live terms are exactly the trivial paths e_v, with coefficient 1,
+    of the vertices v of nonzero dimension (then e acts as the identity)."""
+    q, one = e.quiver, e.ring.one()
+    ends = [
+        (q.path_source(p), q.path_target(p), p.is_trivial and c == one)
+        for p, c in e.terms
+    ]
+
+    def skip(dims: dict[str, int]) -> bool:
+        live = [unit for s, t, unit in ends if dims[s] and dims[t]]
+        return not live or (all(live) and len(live) == sum(map(bool, dims.values())))
+
+    return skip
 
 
 def _anchor_forms(q: Quiver, ring: Ring, dims: dict[str, int]) -> dict[str, tuple]:
@@ -399,14 +471,19 @@ def check_special_by_modules(
     basis at every vertex. Images are cached (see `linalg.image`); no action
     matrix of e is built.
 
-    Where e acts on M as the identity (see `_acts_as_identity`), as e_S does
-    on every M = Ae_S M for a left-closed S, every submodule N has
-    N = eN ⊆ AeN ⊆ N, so M's submodules are not enumerated. Every rep is
-    still enumerated and counted in `reps_checked`; verdicts and witnesses
+    The reps of a dimension vector with a vertex that AeM cannot reach are
+    counted, not built (see `_outside_reach`): none of them lies in Ae-Mod.
+    Where e acts on a built M as the identity (see `_acts_as_identity`), as
+    e_S does on every M = Ae_S M for a left-closed S, every submodule N has
+    N = eN ⊆ AeN ⊆ N, so M's submodules are not enumerated. Every rep,
+    built or counted, is counted in `reps_checked`; verdicts and witnesses
     are those of the full search."""
     _check_element(e, q, ring)
     checked = 0
-    for m in enumerate_reps(q, ring, budget):
+    for m in enumerate_reps(q, ring, budget, skip=_outside_reach(e)):
+        if isinstance(m, int):
+            checked += m
+            continue
         checked += 1
         blocks = m.action_blocks(e)
         if not in_category_e(e, m, blocks) or _acts_as_identity(m, blocks):
@@ -438,11 +515,16 @@ def check_split_by_sequences(
     edge-closed complement: such an M certifies that e is not left split.
 
     Where Γ_e(M) is 0 or M, M respectively 0 is a complement, so no
-    complement is searched for. Every rep is still enumerated and counted in
-    `reps_checked`; verdicts and witnesses are those of the full search."""
+    complement is searched for. Where the dimension vector alone forces
+    that (see `_gamma_forced`), its reps are counted, not built. Every rep,
+    built or counted, is counted in `reps_checked`; verdicts and witnesses
+    are those of the full search."""
     _check_element(e, q, ring)
     checked = 0
-    for m in enumerate_reps(q, ring, budget):
+    for m in enumerate_reps(q, ring, budget, skip=_gamma_forced(e)):
+        if isinstance(m, int):
+            checked += m
+            continue
         checked += 1
         g = gamma(e, m)
         if g.total_dim in (0, m.total_dim):

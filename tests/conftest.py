@@ -50,19 +50,28 @@ def two_isolated():
     return q_isolated(2)
 
 
-def full_reps(q, ring, budget=OracleBudget()):
+def full_reps(q, ring, budget=OracleBudget(), skip=None):
     """Every representation with total dimension <= budget: all matrix tuples
     in row-major counter order over the field elements, per dimension vector
     in the order of `enumerate_reps`. `enumerate_reps` yields a subsequence,
     one or more reps per isomorphism class; tests of functions on arbitrary
-    reps take their inputs from here."""
+    reps take their inputs from here. `skip` is that of `enumerate_reps`: a
+    dimension vector it accepts yields the number of its matrix tuples."""
     elems = list(ring.elements())
     count = 0
     for total in range(budget.max_total_dim + 1):
         for dims_vec in sorted(oracle._dim_vectors(len(q.vertices), total)):
             dims = dict(zip(q.vertices, dims_vec))
             shapes = [(eid, dims[dst], dims[src]) for eid, src, dst in q.edges]
-            for flat in product(elems, repeat=sum(r * c for _, r, c in shapes)):
+            entries = sum(r * c for _, r, c in shapes)
+            if skip is not None and skip(dims):
+                size = len(elems) ** entries
+                count += size
+                if count > budget.max_reps:
+                    raise BudgetExceeded(f"representation cap {budget.max_reps} exceeded")
+                yield size
+                continue
+            for flat in product(elems, repeat=entries):
                 maps, pos = {}, 0
                 for eid, r, c in shapes:
                     maps[eid] = tuple(

@@ -250,7 +250,8 @@ class TestAgainstReference:
     def _reference_gamma(e, m):
         # the closure seeded from the echelon basis of e*M, the column space
         # of e's global action matrix
-        seed = {v: [block(m, w, v) for w in e_fixed(e, m)] for v in m.quiver.vertices}
+        fixed = e_fixed(e, m)
+        seed = {v: [block(m, w, v) for w in fixed] for v in m.quiver.vertices}
         return submodule_from_local(m, seed, close=True)
 
     @classmethod
@@ -381,20 +382,30 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("q, ring", CASES[:4], ids=IDS[:4])
     def test_action_blocks_once_per_rep(self, q, ring, monkeypatch):
-        # the special oracle hands its blocks to in_category_e
-        calls = []
+        # the special oracle hands its blocks to in_category_e, once per rep
+        # it builds; the reps of a counted dimension vector are never acted on
+        calls, built = [], []
         blocks_of = Representation.action_blocks
+        reps_of = oracle.enumerate_reps
 
         def counting(m, e):
             calls.append(1)
             return blocks_of(m, e)
 
+        def counting_reps(*args, **kwargs):
+            for m in reps_of(*args, **kwargs):
+                if not isinstance(m, int):
+                    built.append(1)
+                yield m
+
         monkeypatch.setattr(Representation, "action_blocks", counting)
+        monkeypatch.setattr(oracle, "enumerate_reps", counting_reps)
         for s in _subsets(q.vertices):
             calls.clear()
+            built.clear()
             e = vertex_idempotent(q, ring, s)
-            verdict = check_special_by_modules(e, q, ring, self.BUDGET)
-            assert len(calls) == verdict.reps_checked
+            check_special_by_modules(e, q, ring, self.BUDGET)
+            assert len(calls) == len(built)
 
     @pytest.mark.parametrize("q, ring", CASES[:4], ids=IDS[:4])
     def test_one_submodule_built_per_submodule(self, q, ring, monkeypatch):
@@ -780,3 +791,139 @@ class TestConjugates:
         assert checked == 91  # 19 quivers, the empty S included
         # e = e_S when n and e_S commute, as for S empty or every vertex
         assert moved >= 20
+
+
+SWEEP3 = sweep_quivers(3, 3, 60)
+
+
+def _sweep_cases():
+    """Every quiver of the pool over F_2 and F_3. The cases with more than
+    2,000 matrix tuples up to total dimension 2, all over F_3 and with two
+    or three loops at one vertex (6,571 to 531,469 tuples), run only with
+    the slow tests."""
+    for i, q in enumerate(SWEEP3):
+        for p in (2, 3):
+            tuples = 0
+            for total in range(3):
+                for vec in oracle._dim_vectors(len(q.vertices), total):
+                    dims = dict(zip(q.vertices, vec))
+                    tuples += p ** sum(dims[s] * dims[t] for _, s, t in q.edges)
+            marks = [pytest.mark.slow] if tuples > 2_000 else []
+            yield pytest.param(q, Ring("Fp", p), id=f"q{i}-F{p}", marks=marks)
+
+
+def _no_skip(monkeypatch):
+    """Makes the oracles build every rep: their `skip` is dropped."""
+    reps_of = oracle.enumerate_reps
+    monkeypatch.setattr(
+        oracle, "enumerate_reps", lambda q, ring, budget, skip=None: reps_of(q, ring, budget)
+    )
+
+
+def _outcome(check, e, q, ring, budget):
+    try:
+        v = check(e, q, ring, budget)
+    except BudgetExceeded as exc:
+        return str(exc), exc.reps_checked, exc.dims
+    return v.to_json(), v.reps_checked
+
+
+class TestCountedVectors:
+    """The dimension vectors the oracles count without building: the rules
+    that pick them (`_outside_reach` for the special oracle, `_gamma_forced`
+    for the split oracle), checked against the reference layer on every
+    matrix tuple, and the counts, verdicts and budget stops against the
+    oracles with no vector skipped."""
+
+    BUDGET = OracleBudget(max_total_dim=2, max_reps=10**6)
+
+    @pytest.mark.parametrize("q, ring", list(_sweep_cases()))
+    def test_skipped_vectors_have_forced_answers(self, q, ring):
+        # outside the reach M != AeM; with no live term or identity terms
+        # only, Γ_e(M) is 0 or M. e runs over every e_S, idempotents with
+        # path terms and, on acyclic quivers, conjugates u e_S u^-1
+        ref = TestAgainstReference
+        elements = TestForcedAnswers._elements(q, ring)
+        rules = [(oracle._outside_reach(e), oracle._gamma_forced(e), e) for e in elements]
+        per_dims = {}  # dims -> (elements whose reach skips, whose Γ is forced)
+        reached = forced = 0
+        for m in full_reps(q, ring, self.BUDGET):
+            key = tuple(m.dims.values())
+            if key not in per_dims:
+                per_dims[key] = (
+                    [e for reach, _, e in rules if reach(m.dims)],
+                    [e for _, gamma_forced, e in rules if gamma_forced(m.dims)],
+                )
+            outside, trivial = per_dims[key]
+            for e in outside:
+                assert not ref._reference_in_category(e, m), (e, m)
+            for e in trivial:
+                assert ref._reference_gamma(e, m).total_dim in (0, m.total_dim), (e, m)
+            reached += len(outside)
+            forced += len(trivial)
+        assert reached and forced
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "q", TestAgainstReference.PATH_QUIVERS + [TWO_LOOPS], ids=lambda q: str(q.edges)
+    )
+    def test_count_is_the_number_of_reps(self, q, p):
+        # a skipped vector yields exactly as many reps as it holds unskipped
+        ring = Ring("Fp", p)
+        budget = OracleBudget(max_total_dim=2)
+        counts = list(enumerate_reps(q, ring, budget, skip=lambda dims: True))
+        built = {}
+        for m in enumerate_reps(q, ring, budget):
+            key = tuple(m.dims.values())
+            built[key] = built.get(key, 0) + 1
+        assert counts == list(built.values())
+
+    @pytest.mark.parametrize(
+        "q, ring",
+        TestAgainstReference.PATH_CASES,
+        ids=[f"{q.edges}-{r}" for q, r in TestAgainstReference.PATH_CASES],
+    )
+    def test_budget_stops_as_without_skip(self, q, ring, monkeypatch):
+        # every cap from 1 to one past the reps of q: the same verdict, or the
+        # same BudgetExceeded (message, cap, dims), with and without skipping,
+        # also where the cap falls inside a counted dimension vector
+        elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        elements += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        reps = sum(1 for _ in enumerate_reps(q, ring, OracleBudget(max_total_dim=2)))
+        inside = 0
+        for cap in range(1, reps + 2):
+            budget = OracleBudget(max_total_dim=2, max_reps=cap)
+            for e in elements:
+                for check, rule in [
+                    (check_special_by_modules, oracle._outside_reach),
+                    (check_split_by_sequences, oracle._gamma_forced),
+                ]:
+                    got = _outcome(check, e, q, ring, budget)
+                    with monkeypatch.context() as patch:
+                        _no_skip(patch)
+                        want = _outcome(check, e, q, ring, budget)
+                    assert got == want, (e, cap, check.__name__)
+                    inside += len(got) == 3 and rule(e)(got[2])
+        assert inside
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "p, max_dim, max_reps", [(2, 2, 200_000), (3, 2, 200_000), (2, 3, 20_000)]
+    )
+    def test_sweep_verdicts_match_no_skip(self, p, max_dim, max_reps, monkeypatch):
+        # every e_S of the acceptance pool of tests 04/05, both oracles: the
+        # same verdict JSON and reps_checked, or the same BudgetExceeded
+        ring = Ring("Fp", p)
+        budget = OracleBudget(max_total_dim=max_dim, max_reps=max_reps)
+        compared = 0
+        for q in SWEEP3:
+            for s in _subsets(q.vertices):
+                e = vertex_idempotent(q, ring, s)
+                for check in (check_special_by_modules, check_split_by_sequences):
+                    got = _outcome(check, e, q, ring, budget)
+                    with monkeypatch.context() as patch:
+                        _no_skip(patch)
+                        want = _outcome(check, e, q, ring, budget)
+                    assert got == want, (q, s, check.__name__)
+                    compared += 1
+        assert compared == 760
