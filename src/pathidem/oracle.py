@@ -32,16 +32,19 @@ field.
 Where the answer for a whole dimension vector follows from its support
 and from the ends of e's live terms (the terms whose source and target
 both have nonzero dimension), its reps are counted, not built (see the
-`skip` of `enumerate_reps`). The special oracle counts a vector with a
+`skip` of `enumerate_reps`). Both oracles count a vector on which e acts
+as 0 or as the identity on every M (`_acts_as_zero_or_identity`). Under
+0, Γ_e(M) = AeM = 0: M is a complement, and only M = 0 lies in Ae-Mod.
+Under the identity, Γ_e(M) = M: 0 is a complement, and every submodule N
+has N = eN ⊆ AeN ⊆ N. The special oracle also counts a vector with a
 vertex of nonzero dimension that AeM cannot reach (`_outside_reach`): no
-M with those dims has M = AeM. The split oracle counts a vector on which
-Γ_e(M) is 0 or M for every M (`_gamma_forced`): M, respectively 0, is then
-a complement. Two searches are skipped in the reps that are built. The
-special oracle enumerates no submodule of an M on which e acts as the
-identity: every submodule N then has N = eN ⊆ AeN ⊆ N. The split oracle
-searches no complement when Γ_e(M) is 0 or M. `reps_checked`, the
-verdicts, their witnesses and every `BudgetExceeded` are those of the full
-search over every rep.
+M with those dims has M = AeM. For a left-closed S every vector is one of
+these, so the special oracle builds no rep for e_S. Two searches are
+skipped in the reps that are still built: the special oracle enumerates
+no submodule of an M on which e acts as the identity (terms along cycles
+may sum to it on one M), and the split oracle searches no complement when
+Γ_e(M) is 0 or M. `reps_checked`, the verdicts, their witnesses and every
+`BudgetExceeded` are those of the full search over every rep.
 """
 
 from __future__ import annotations
@@ -98,8 +101,10 @@ class OracleBudget:
     max_reps: int = 200_000
 
     def __post_init__(self):
-        if self.max_total_dim < 0 or self.max_reps <= 0:
-            raise OracleError("budget bounds must be positive")
+        if self.max_total_dim < 0:
+            raise OracleError("max_total_dim must be >= 0")
+        if self.max_reps < 1:
+            raise OracleError("max_reps must be >= 1")
 
 
 @dataclass
@@ -236,11 +241,12 @@ def _outside_reach(e: AlgElem) -> Callable[[dict[str, int]], bool]:
     return skip
 
 
-def _gamma_forced(e: AlgElem) -> Callable[[dict[str, int]], bool]:
-    """The `skip` of `enumerate_reps` that passes over every M where
-    Γ_e(M) is 0 or M: whether e has no live term under dims (then eM = 0),
-    or its live terms are exactly the trivial paths e_v, with coefficient 1,
-    of the vertices v of nonzero dimension (then e acts as the identity)."""
+def _acts_as_zero_or_identity(e: AlgElem) -> Callable[[dict[str, int]], bool]:
+    """The `skip` of `enumerate_reps` that passes over every dimension
+    vector on which e acts as 0 or as the identity on every M: whether e has
+    no live term under dims (then eM = 0), or its live terms are exactly the
+    trivial paths e_v, with coefficient 1, of the vertices v of nonzero
+    dimension (then eM = M, e acting at each such v as the identity)."""
     q, one = e.quiver, e.ring.one()
     ends = [
         (q.path_source(p), q.path_target(p), p.is_trivial and c == one)
@@ -252,6 +258,14 @@ def _gamma_forced(e: AlgElem) -> Callable[[dict[str, int]], bool]:
         return not live or (all(live) and len(live) == sum(map(bool, dims.values())))
 
     return skip
+
+
+def _special_skip(e: AlgElem) -> Callable[[dict[str, int]], bool]:
+    """The `skip` of `check_special_by_modules`: the vectors outside the
+    reach (no M in Ae-Mod) and those on which e acts as 0 or as the
+    identity (M = 0 or every N = AeN)."""
+    outside, trivial = _outside_reach(e), _acts_as_zero_or_identity(e)
+    return lambda dims: outside(dims) or trivial(dims)
 
 
 def _anchor_forms(q: Quiver, ring: Ring, dims: dict[str, int]) -> dict[str, tuple]:
@@ -471,16 +485,17 @@ def check_special_by_modules(
     basis at every vertex. Images are cached (see `linalg.image`); no action
     matrix of e is built.
 
-    The reps of a dimension vector with a vertex that AeM cannot reach are
-    counted, not built (see `_outside_reach`): none of them lies in Ae-Mod.
-    Where e acts on a built M as the identity (see `_acts_as_identity`), as
-    e_S does on every M = Ae_S M for a left-closed S, every submodule N has
-    N = eN ⊆ AeN ⊆ N, so M's submodules are not enumerated. Every rep,
-    built or counted, is counted in `reps_checked`; verdicts and witnesses
-    are those of the full search."""
+    The reps of a dimension vector are counted, not built, where it has a
+    vertex that AeM cannot reach (none of them lies in Ae-Mod) or where e
+    acts on each of them as 0 or as the identity (see `_special_skip`). For
+    a left-closed S that covers every vector, so no rep is built for e_S.
+    Where e acts on a built M as the identity (see `_acts_as_identity`),
+    every submodule N has N = eN ⊆ AeN ⊆ N, so M's submodules are not
+    enumerated. Every rep, built or counted, is counted in `reps_checked`;
+    verdicts and witnesses are those of the full search."""
     _check_element(e, q, ring)
     checked = 0
-    for m in enumerate_reps(q, ring, budget, skip=_outside_reach(e)):
+    for m in enumerate_reps(q, ring, budget, skip=_special_skip(e)):
         if isinstance(m, int):
             checked += m
             continue
@@ -516,12 +531,12 @@ def check_split_by_sequences(
 
     Where Γ_e(M) is 0 or M, M respectively 0 is a complement, so no
     complement is searched for. Where the dimension vector alone forces
-    that (see `_gamma_forced`), its reps are counted, not built. Every rep,
-    built or counted, is counted in `reps_checked`; verdicts and witnesses
-    are those of the full search."""
+    that (see `_acts_as_zero_or_identity`), its reps are counted, not
+    built. Every rep, built or counted, is counted in `reps_checked`;
+    verdicts and witnesses are those of the full search."""
     _check_element(e, q, ring)
     checked = 0
-    for m in enumerate_reps(q, ring, budget, skip=_gamma_forced(e)):
+    for m in enumerate_reps(q, ring, budget, skip=_acts_as_zero_or_identity(e)):
         if isinstance(m, int):
             checked += m
             continue

@@ -252,6 +252,15 @@ class TestOracle:
             1000, {"v1": 8}
         )
 
+    def test_zero_max_dim_answers(self, capsys):
+        # only the zero rep is checked; it lies in every category
+        code, report = run(
+            capsys, "oracle-special", "--quiver", ARROW, "--ring", "F2",
+            "--element", E_V1, "--max-dim", "0",
+        )
+        assert code == 0
+        assert report["result"] == {"verdict": "consistent", "reps_checked": 1}
+
     def test_morita_check(self, capsys):
         code, report = run(
             capsys, "morita-check", "--quiver", ARROW, "--ring", "F2",
@@ -400,6 +409,19 @@ class TestErrors:
         )
         assert code == 2
         assert report["error"]["code"] == "oracle-error"
+
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [("--max-dim", "-1", "max_total_dim must be >= 0"),
+         ("--max-reps", "0", "max_reps must be >= 1")],
+    )
+    def test_bad_budget_names_its_bound(self, capsys, flag, value, bound):
+        code, report = run(
+            capsys, "oracle-special", "--quiver", ARROW, "--ring", "F2",
+            "--element", E_V1, flag, value,
+        )
+        assert code == 2
+        assert report["error"] == {"code": "oracle-error", "message": bound}
 
     def test_morita_check_non_idempotent(self, capsys):
         two_e_v2 = json.dumps({"terms": [{"path": {"trivial": "v2"}, "coeff": "2"}]})

@@ -8,7 +8,7 @@ import pytest
 from pathidem import oracle
 from pathidem.algebra import AlgElem, edge_element, path_element, vertex_idempotent
 from pathidem.classify import classify, is_left_special, is_left_split, strongly_orthogonal
-from pathidem.linalg import FieldRowSpace
+from pathidem.linalg import FieldRowSpace, identity_matrix
 from pathidem.oracle import (
     BudgetExceeded,
     OracleBudget,
@@ -33,7 +33,7 @@ from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
 from conftest import conjugate, full_reps
-from reference import block, e_fixed, is_edge_closed, sub_representation
+from reference import action_matrix, block, e_fixed, is_edge_closed, sub_representation
 
 
 class TestEnumeration:
@@ -114,8 +114,13 @@ class TestEnumeration:
         assert next(oracle._dim_vectors(1200, 1)) == (0,) * 1199 + (1,)
 
     def test_bad_budget(self):
-        with pytest.raises(OracleError):
+        # the message names the bound that failed; dimension 0 is a budget
+        with pytest.raises(OracleError, match=r"^max_total_dim must be >= 0$"):
             OracleBudget(max_total_dim=-1)
+        for reps in (0, -1):
+            with pytest.raises(OracleError, match=r"^max_reps must be >= 1$"):
+                OracleBudget(max_reps=reps)
+        assert OracleBudget(max_total_dim=0, max_reps=1).max_total_dim == 0
 
 
 class TestSpecialOracle:
@@ -384,22 +389,15 @@ class TestAgainstReference:
     def test_action_blocks_once_per_rep(self, q, ring, monkeypatch):
         # the special oracle hands its blocks to in_category_e, once per rep
         # it builds; the reps of a counted dimension vector are never acted on
-        calls, built = [], []
+        calls = []
         blocks_of = Representation.action_blocks
-        reps_of = oracle.enumerate_reps
 
         def counting(m, e):
             calls.append(1)
             return blocks_of(m, e)
 
-        def counting_reps(*args, **kwargs):
-            for m in reps_of(*args, **kwargs):
-                if not isinstance(m, int):
-                    built.append(1)
-                yield m
-
         monkeypatch.setattr(Representation, "action_blocks", counting)
-        monkeypatch.setattr(oracle, "enumerate_reps", counting_reps)
+        built = _count_reps_built(monkeypatch)
         for s in _subsets(q.vertices):
             calls.clear()
             built.clear()
@@ -503,6 +501,22 @@ def _count_submodules_built(monkeypatch):
 
     monkeypatch.setattr(oracle, "submodule_from_local", counting)
     return calls
+
+
+def _count_reps_built(monkeypatch):
+    """A list that grows by one at each rep the oracles' enumerator builds;
+    a counted dimension vector adds nothing."""
+    built = []
+    reps_of = oracle.enumerate_reps
+
+    def counting(*args, **kwargs):
+        for m in reps_of(*args, **kwargs):
+            if not isinstance(m, int):
+                built.append(1)
+            yield m
+
+    monkeypatch.setattr(oracle, "enumerate_reps", counting)
+    return built
 
 
 def _path_term_idempotents(q, ring, rng, count):
@@ -828,40 +842,64 @@ def _outcome(check, e, q, ring, budget):
     return v.to_json(), v.reps_checked
 
 
+def _live_terms(e, dims):
+    """The terms of e whose source and target both have nonzero dimension."""
+    q = e.quiver
+    return [(p, c) for p, c in e.terms if dims[q.path_source(p)] and dims[q.path_target(p)]]
+
+
 class TestCountedVectors:
     """The dimension vectors the oracles count without building: the rules
-    that pick them (`_outside_reach` for the special oracle, `_gamma_forced`
-    for the split oracle), checked against the reference layer on every
-    matrix tuple, and the counts, verdicts and budget stops against the
-    oracles with no vector skipped."""
+    that pick them (`_special_skip` for the special oracle,
+    `_acts_as_zero_or_identity` for the split oracle), checked against the
+    reference layer on every matrix tuple, and the counts, verdicts and
+    budget stops against the oracles with no vector skipped."""
 
     BUDGET = OracleBudget(max_total_dim=2, max_reps=10**6)
 
     @pytest.mark.parametrize("q, ring", list(_sweep_cases()))
     def test_skipped_vectors_have_forced_answers(self, q, ring):
         # outside the reach M != AeM; with no live term or identity terms
-        # only, Γ_e(M) is 0 or M. e runs over every e_S, idempotents with
-        # path terms and, on acyclic quivers, conjugates u e_S u^-1
+        # only, Γ_e(M) is 0 or M. Of the other vectors the special oracle
+        # counts, those with no live term hold only M = 0 or M != AeM, and on
+        # those with identity terms only e acts as the identity. e runs over
+        # every e_S, idempotents with path terms and, on acyclic quivers,
+        # conjugates u e_S u^-1
         ref = TestAgainstReference
         elements = TestForcedAnswers._elements(q, ring)
-        rules = [(oracle._outside_reach(e), oracle._gamma_forced(e), e) for e in elements]
-        per_dims = {}  # dims -> (elements whose reach skips, whose Γ is forced)
-        reached = forced = 0
+        rules = [
+            (oracle._outside_reach(e), oracle._acts_as_zero_or_identity(e),
+             oracle._special_skip(e), e)
+            for e in elements
+        ]
+        # dims -> (elements whose reach skips, whose action is forced, and
+        # whose special skip takes dims inside the reach)
+        per_dims = {}
+        reached = forced = no_live = identity = 0
         for m in full_reps(q, ring, self.BUDGET):
             key = tuple(m.dims.values())
             if key not in per_dims:
                 per_dims[key] = (
-                    [e for reach, _, e in rules if reach(m.dims)],
-                    [e for _, gamma_forced, e in rules if gamma_forced(m.dims)],
+                    [e for reach, _, _, e in rules if reach(m.dims)],
+                    [e for _, trivial, _, e in rules if trivial(m.dims)],
+                    [e for reach, _, special, e in rules
+                     if special(m.dims) and not reach(m.dims)],
                 )
-            outside, trivial = per_dims[key]
+            outside, trivial, special = per_dims[key]
             for e in outside:
                 assert not ref._reference_in_category(e, m), (e, m)
             for e in trivial:
                 assert ref._reference_gamma(e, m).total_dim in (0, m.total_dim), (e, m)
+            for e in special:
+                if _live_terms(e, m.dims):
+                    assert action_matrix(m, e) == identity_matrix(ring, m.total_dim), (e, m)
+                    identity += 1
+                else:
+                    assert not m.total_dim or not ref._reference_in_category(e, m), (e, m)
+                    no_live += 1
             reached += len(outside)
             forced += len(trivial)
-        assert reached and forced
+        assert reached and forced and no_live and identity
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize(
@@ -886,44 +924,73 @@ class TestCountedVectors:
     def test_budget_stops_as_without_skip(self, q, ring, monkeypatch):
         # every cap from 1 to one past the reps of q: the same verdict, or the
         # same BudgetExceeded (message, cap, dims), with and without skipping,
-        # also where the cap falls inside a counted dimension vector
+        # also where the cap falls inside a counted dimension vector, and
+        # inside one the special oracle counts within the reach
         elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
         elements += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         reps = sum(1 for _ in enumerate_reps(q, ring, OracleBudget(max_total_dim=2)))
-        inside = 0
+        inside = inside_reach = 0
         for cap in range(1, reps + 2):
             budget = OracleBudget(max_total_dim=2, max_reps=cap)
             for e in elements:
                 for check, rule in [
-                    (check_special_by_modules, oracle._outside_reach),
-                    (check_split_by_sequences, oracle._gamma_forced),
+                    (check_special_by_modules, oracle._special_skip),
+                    (check_split_by_sequences, oracle._acts_as_zero_or_identity),
                 ]:
                     got = _outcome(check, e, q, ring, budget)
                     with monkeypatch.context() as patch:
                         _no_skip(patch)
                         want = _outcome(check, e, q, ring, budget)
                     assert got == want, (e, cap, check.__name__)
-                    inside += len(got) == 3 and rule(e)(got[2])
-        assert inside
+                    if len(got) == 3 and rule(e)(got[2]):
+                        inside += 1
+                        inside_reach += (
+                            check is check_special_by_modules
+                            and not oracle._outside_reach(e)(got[2])
+                        )
+        assert inside and inside_reach
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_special_builds_no_rep_for_left_closed(self, p, monkeypatch):
+        # for a left-closed S every vector is outside the reach or one on
+        # which e_S acts as the identity; for any other S some edge leaves S,
+        # and the vector with dimension 1 at its two ends is built
+        ring = Ring("Fp", p)
+        built = _count_reps_built(monkeypatch)
+        closed = 0
+        for q in SWEEP3:
+            for s in _subsets(q.vertices):
+                built.clear()
+                check_special_by_modules(vertex_idempotent(q, ring, s), q, ring, self.BUDGET)
+                assert bool(built) != q.is_left_closed(s), (q, s)
+                closed += not built
+        assert closed == 262
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "p, max_dim, max_reps", [(2, 2, 200_000), (3, 2, 200_000), (2, 3, 20_000)]
+        "p, max_dim, max_reps, path_terms, total",
+        [(2, 2, 200_000, True, 1078), (3, 2, 200_000, True, 1120), (2, 3, 20_000, False, 760)],
     )
-    def test_sweep_verdicts_match_no_skip(self, p, max_dim, max_reps, monkeypatch):
-        # every e_S of the acceptance pool of tests 04/05, both oracles: the
+    def test_sweep_verdicts_match_no_skip(
+        self, p, max_dim, max_reps, path_terms, total, monkeypatch
+    ):
+        # every e_S of the acceptance pool of tests 04/05 and, at dimension
+        # <= 2, the path-term idempotents of each quiver, both oracles: the
         # same verdict JSON and reps_checked, or the same BudgetExceeded
         ring = Ring("Fp", p)
         budget = OracleBudget(max_total_dim=max_dim, max_reps=max_reps)
         compared = 0
         for q in SWEEP3:
-            for s in _subsets(q.vertices):
-                e = vertex_idempotent(q, ring, s)
+            elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+            if path_terms:
+                rng = random.Random(f"{q}-{ring}")
+                elements += _path_term_idempotents(q, ring, rng, 4)
+            for e in elements:
                 for check in (check_special_by_modules, check_split_by_sequences):
                     got = _outcome(check, e, q, ring, budget)
                     with monkeypatch.context() as patch:
                         _no_skip(patch)
                         want = _outcome(check, e, q, ring, budget)
-                    assert got == want, (q, s, check.__name__)
+                    assert got == want, (e, check.__name__)
                     compared += 1
-        assert compared == 760
+        assert compared == total
