@@ -18,6 +18,16 @@ invariant under isomorphism, so the budget caps, and `Verdict.reps_checked`
 and the `pairs_checked` of the CLI's morita-check count, those reduced
 representations.
 
+Each total dimension is walked through a plan (`_vector_plans`): per
+dimension vector, the vector, its anchor edge ids, its edge shapes and its
+number of reduced reps. A total of at most 64 vectors keeps its plan per
+(quiver, field, total) in a cache of at most 512 plans that lives as long
+as the process (`_plan`, at most about 13 MB on quivers of three vertices
+and three edges); a larger total is planned as it is walked and not kept.
+Only repeated oracle calls on one quiver and field gain. A counted vector
+(see below) builds no normal form: its count needs only how many forms each
+anchor has.
+
 Submodules are held as their reduced echelon bases per vertex
 (`reps.Submodule`). They are built vertex by vertex in declared vertex
 order, and a choice is dropped as soon as an edge between two chosen
@@ -52,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product
-from math import prod
+from math import comb
 from typing import Callable, Iterator, Optional
 
 from .algebra import AlgElem, TruncatedIdeal, path_element, vertex_idempotent
@@ -158,32 +168,47 @@ def enumerate_reps(
     over the field elements.
 
     Every verdict the oracles draw is invariant under isomorphism, so only
-    the anchor edges of each dimension vector (see `_anchor_forms`) are
+    the anchor edges of each dimension vector (see `_vector_plans`) are
     restricted, each to one normal form per orbit; every other edge runs over
     all its matrices, lazily. The output is a subsequence of the enumeration
     of all matrix tuples in the same order. `budget.max_reps` counts the
     representations yielded or counted. The field elements are held only from the
-    first dimension vector with a matrix entry outside the anchors.
+    first dimension vector with a matrix entry outside the anchors, and an
+    anchor's normal forms only from the first vector whose reps are built.
+
+    Each total is walked through its plan (`_vector_plans`): per dimension
+    vector, the vector, its anchor edge ids, its edge shapes and its number
+    of reps, and no normal form, rep or field element. A total of at most
+    `_PLAN_VECTORS` (64) vectors is planned once per (quiver, field, total)
+    and kept for the life of the process by `_plan`, at most `_PLANS` (512)
+    plans: 0.2 to 0.4 kB per vector on quivers of three vertices and three
+    edges, about 72 bytes more per further edge, so at most about 13 MB
+    there. A larger total is planned vector by vector as the walk meets it
+    and is not kept, so no plan runs ahead of the cap by more than 64
+    vectors. Only repeated calls on one quiver and field gain; one call
+    plans each of its totals once either way. Each call builds its own dims
+    dict per vector, so no caller can change a plan.
 
     `skip`, when given, is called once with each dimension vector (vertex ->
     dimension) before any of its reps is built. Where it returns True, the
     reps of that vector are counted, not built: one int, their number, is
     yielded in their place, and the cap is checked on the count as if each
     had been yielded, so a `BudgetExceeded` raised there carries the cap and
-    dims it would carry without `skip`. Without `skip` only representations
-    are yielded."""
+    dims it would carry without `skip`. A counted vector builds no normal
+    form. Without `skip` only representations are yielded."""
     if ring.kind != "Fp":
         raise OracleError("representation enumeration requires a prime field")
+    n = len(q.vertices)
     elems = None  # the field elements, held once an edge runs over them
     count = 0
     for total in range(budget.max_total_dim + 1):
-        for dims_vec in _dim_vectors(len(q.vertices), total):
-            dims = dict(zip(q.vertices, dims_vec))
-            anchors = _anchor_forms(q, ring, dims)
-            shapes = [(eid, dims[dst], dims[src]) for eid, src, dst in q.edges]
+        if not n or comb(total + n - 1, n - 1) <= _PLAN_VECTORS:
+            plan = _plan(q, ring, total)
+        else:
+            plan = _vector_plans(q, ring, total)
+        for vec, anchors, shapes, size in plan:
+            dims = dict(zip(q.vertices, vec))
             if skip is not None and skip(dims):
-                free = sum(r * c for eid, r, c in shapes if eid not in anchors)
-                size = prod(map(len, anchors.values()), start=ring.modulus**free)
                 count += size
                 if count > budget.max_reps:
                     raise _cap_exceeded(budget, dims)
@@ -193,7 +218,10 @@ def enumerate_reps(
             factors = []
             for eid, r, c in shapes:
                 if eid in anchors:
-                    factors.append(anchors[eid])
+                    src, dst = q.edge_by_id[eid]
+                    factors.append(
+                        _loop_forms(ring, r) if src == dst else _rank_forms(ring, r, c)
+                    )
                 elif r * c:
                     elems = elems or tuple(ring.elements())
                     factors += [elems] * (r * c)
@@ -209,6 +237,51 @@ def enumerate_reps(
                 if count > budget.max_reps:
                     raise _cap_exceeded(budget, dims)
                 yield Representation._from_canonical(q, ring, dims, maps)
+
+
+# A total of at most _PLAN_VECTORS dimension vectors has its plan kept, in a
+# cache of at most _PLANS plans; a larger total is planned as it is walked
+_PLAN_VECTORS = 64
+_PLANS = 512
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(q: Quiver, ring: Ring, total: int) -> tuple[tuple, ...]:
+    """`_vector_plans(q, ring, total)`, kept. Only tuples are kept: callers
+    build their own dicts from them."""
+    return tuple(_vector_plans(q, ring, total))
+
+
+def _vector_plans(q: Quiver, ring: Ring, total: int) -> Iterator[tuple]:
+    """For each dimension vector of `total`, in enumeration order: the
+    vector, its anchor edge ids, the shape (edge id, rows, columns) of every
+    edge, and how many reps `enumerate_reps` yields for it, the product of
+    the anchors' form counts and of p to the entries of every other edge.
+    No normal form is built.
+
+    Anchors are picked greedily in declared edge order: an edge whose ends
+    both have nonzero dimension and touch no earlier anchor (a loop uses its
+    one vertex). Anchors share no vertex, so the base changes at their ends
+    act on each anchor independently and bring all of them to normal form at
+    once: [I_k 0; 0 0] under GL(d_t) x GL(d_s) on an edge between two
+    vertices (`_rank_forms`, min(d_t, d_s) + 1 of them), the rational
+    canonical form under conjugation on a loop (`_loop_forms`, counted by
+    `_loop_count`) (Derksen-Weyman, An Introduction to Quiver
+    Representations, 2017)."""
+    p = ring.modulus
+    at = {v: i for i, v in enumerate(q.vertices)}
+    edges = [(eid, at[src], at[dst]) for eid, src, dst in q.edges]
+    for vec in _dim_vectors(len(q.vertices), total):
+        anchors, used, size = [], set(), 1
+        for eid, s, t in edges:
+            if vec[s] and vec[t] and s not in used and t not in used:
+                used.update((s, t))
+                anchors.append(eid)
+                size *= _loop_count(p, vec[s]) if s == t else min(vec[s], vec[t]) + 1
+            else:
+                size *= p ** (vec[s] * vec[t])
+        shapes = tuple((eid, vec[t], vec[s]) for eid, s, t in edges)
+        yield vec, tuple(anchors), shapes, size
 
 
 def _cap_exceeded(budget: OracleBudget, dims: dict[str, int]) -> BudgetExceeded:
@@ -268,28 +341,6 @@ def _special_skip(e: AlgElem) -> Callable[[dict[str, int]], bool]:
     return lambda dims: outside(dims) or trivial(dims)
 
 
-def _anchor_forms(q: Quiver, ring: Ring, dims: dict[str, int]) -> dict[str, tuple]:
-    """The anchor edges under `dims`, each with its normal forms, sorted.
-
-    Anchors are picked greedily in declared edge order: an edge whose ends
-    both have nonzero dimension and touch no earlier anchor (a loop uses its
-    one vertex). Anchors share no vertex, so the base changes at their ends
-    act on each anchor independently and bring all of them to normal form at
-    once: [I_k 0; 0 0] under GL(d_t) x GL(d_s) on an edge between two
-    vertices, the rational canonical form under conjugation on a loop
-    (Derksen-Weyman, An Introduction to Quiver Representations, 2017)."""
-    used: set[str] = set()
-    forms = {}
-    for eid, src, dst in q.edges:
-        if dims[src] and dims[dst] and src not in used and dst not in used:
-            used.update((src, dst))
-            if src == dst:
-                forms[eid] = _loop_forms(ring, dims[src])
-            else:
-                forms[eid] = _rank_forms(ring, dims[dst], dims[src])
-    return forms
-
-
 @lru_cache(maxsize=None)
 def _rank_forms(ring: Ring, rows: int, cols: int) -> tuple[tuple, ...]:
     """[I_k 0; 0 0] for k = 0..min(rows, cols): one matrix per orbit of
@@ -326,6 +377,20 @@ def _loop_forms(ring: Ring, d: int) -> tuple[tuple, ...]:
             off += n
         forms.append(tuple(map(tuple, rows)))
     return tuple(sorted(forms))
+
+
+def _loop_count(p: int, d: int) -> int:
+    """len(_loop_forms(F_p, d)), the number of similarity classes of d x d
+    matrices over F_p, without building them: the coefficient of x^d in
+    prod_{i >= 1} 1 / (1 - p x^i). A class is a choice of a partition per
+    monic irreducible f, with the degrees of f times the sizes of the
+    partitions summing to d, and F_p[x] has p^k monic polynomials of degree
+    k."""
+    coeffs = [1] + [0] * d
+    for i in range(1, d + 1):
+        for k in range(i, d + 1):
+            coeffs[k] += p * coeffs[k - i]
+    return coeffs[d]
 
 
 def _invariant_factor_chains(p: int, left: int, last: tuple = (1,)) -> Iterator[tuple]:

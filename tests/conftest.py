@@ -36,6 +36,16 @@ def rationals():
 
 
 @pytest.fixture
+def fresh_plans():
+    """An empty `oracle._plan` cache before and after the test, for a test
+    that patches what plans are made from (`oracle._dim_vectors`) or that
+    watches what is planned: the cache lives as long as the process."""
+    oracle._plan.cache_clear()
+    yield
+    oracle._plan.cache_clear()
+
+
+@pytest.fixture
 def arrow():
     return q_arrow()
 

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,23 @@ class TestOracle:
         assert code == 0
         assert report["result"]["verdict"] == "consistent"
 
+    def test_counted_vectors_build_no_normal_form(self, capsys):
+        # e_v2 on the arrow: every dimension vector up to total 80 is counted,
+        # and the count of a vector (a, b) needs only min(a, b) + 1, not its
+        # forms [I_k 0; 0 0] (365 MB traced for all of them)
+        tracemalloc.start()
+        try:
+            code, report = run(
+                capsys, "oracle-special", "--quiver", ARROW, "--ring", "F2",
+                "--element", E_V2, "--max-dim", "80",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert report["result"] == {"reps_checked": 46_781, "verdict": "consistent"}
+        assert peak < 5 << 20
+
     def test_budget_exit_code(self, capsys):
         code, report = run(
             capsys, "oracle-special", "--quiver", ARROW, "--ring", "F2",
@@ -226,7 +244,7 @@ class TestOracle:
             "dims": {"v1": 1, "v2": 0},
         }
 
-    def test_budget_exit_code_at_high_dimension(self, capsys, monkeypatch):
+    def test_budget_exit_code_at_high_dimension(self, capsys, monkeypatch, fresh_plans):
         # restricted to the dimension vector (8,), the loop that is no anchor
         # runs over 2^64 matrices; no rep but 0 lies in the category of e = 0,
         # so each is skipped and the 1000-rep cap is reached there

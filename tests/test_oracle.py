@@ -629,12 +629,16 @@ class TestReductionByIsomorphism:
     def test_anchors_share_no_vertex(self, f2):
         # the arrow v1 -> v2 takes both ends, so the loop at v1 stays free
         q = Quiver(("v1", "v2"), (("a", "v1", "v2"), ("l", "v1", "v1"), ("m", "v2", "v2")))
-        dims = {"v1": 2, "v2": 1}
-        assert set(oracle._anchor_forms(q, f2, dims)) == {"a"}
-        # a zero-dimensional end makes no anchor of the arrow
-        assert set(oracle._anchor_forms(q, f2, {"v1": 2, "v2": 0})) == {"l"}
 
-    def test_budget_stops_a_lazy_enumeration(self, f2, monkeypatch):
+        def anchors(vec):
+            plans = oracle._vector_plans(q, f2, sum(vec))
+            return next(a for v, a, _, _ in plans if v == vec)
+
+        assert set(anchors((2, 1))) == {"a"}
+        # a zero-dimensional end makes no anchor of the arrow
+        assert set(anchors((2, 0))) == {"l"}
+
+    def test_budget_stops_a_lazy_enumeration(self, f2, monkeypatch, fresh_plans):
         # only the anchor's normal forms may be built up front: restricted to
         # the dimension vector (8,), the loop that is no anchor runs over
         # 2^64 matrices, and the cap must still be reached at once
@@ -774,6 +778,12 @@ class TestNormalForms:
             forms = oracle._loop_forms(Ring("Fp", p), d)
             assert len(forms) == sum(p**k for k in range(1, d + 1))
             _assert_one_per_orbit(forms, _all_matrices(p, d, d), moves)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_loop_count(self, p):
+        # what a counted vector multiplies by for a loop anchor
+        for d in range(5):
+            assert oracle._loop_count(p, d) == len(oracle._loop_forms(Ring("Fp", p), d))
 
 
 class TestConjugates:
@@ -994,3 +1004,106 @@ class TestCountedVectors:
                     assert got == want, (e, check.__name__)
                     compared += 1
         assert compared == total
+
+
+def _enumeration(q, ring, budget, skip=None):
+    """The items of one `enumerate_reps` call, each rep as copies of its
+    dims and edge maps and each count as its int, and the payload (message,
+    cap, dims) of the `BudgetExceeded` that ended it, or None."""
+    items = []
+    try:
+        for m in enumerate_reps(q, ring, budget, skip):
+            items.append(m if isinstance(m, int) else (dict(m.dims), dict(m.edge_maps)))
+    except BudgetExceeded as exc:
+        return items, (str(exc), exc.reps_checked, dict(exc.dims))
+    return items, None
+
+
+class TestPlans:
+    """`enumerate_reps` keeps the plan of each (quiver, field, total) of at
+    most `_PLAN_VECTORS` dimension vectors (`oracle._plan`). A kept plan
+    gives the enumeration a new one gives, no caller can change it, and a
+    larger total is walked without being kept."""
+
+    BUDGET = OracleBudget(max_total_dim=2, max_reps=10**6)
+    RULES = (oracle._special_skip, oracle._acts_as_zero_or_identity, oracle._outside_reach)
+
+    @pytest.mark.parametrize(
+        "q, ring",
+        [
+            *(case for case in _sweep_cases() if not case.marks),
+            *(
+                pytest.param(q, r, id=f"{q.edges}-{r}")
+                for q, r in TestAgainstReference.PATH_CASES
+            ),
+        ],
+    )
+    def test_cold_and_warm_caches_agree(self, q, ring, fresh_plans):
+        # without skip and with each rule of each e_S: the same items and
+        # the same BudgetExceeded for every cap from 1 to one past the reps,
+        # from an empty cache, from one that holds only the plans of the
+        # other field, and from one that holds the plans of the run before.
+        # A rule acts only through what it says of each vector, so one rule
+        # per distinct set of skipped vectors is run. The caps cost the
+        # square of the reps, so the pool's slow cases (about 1,000 to 79,000
+        # reps) are left out
+        other = Ring("Fp", 3 if ring.modulus == 2 else 2)
+        vectors = [
+            dict(zip(q.vertices, vec))
+            for total in range(3)
+            for vec in oracle._dim_vectors(len(q.vertices), total)
+        ]
+        rules = {(False,) * len(vectors): None}
+        for s in _subsets(q.vertices):
+            for make in self.RULES:
+                rule = make(vertex_idempotent(q, ring, s))
+                rules.setdefault(tuple(map(rule, vectors)), rule)
+        for skip in rules.values():
+            oracle._plan.cache_clear()
+            want = _enumeration(q, ring, self.BUDGET, skip)
+            oracle._plan.cache_clear()
+            list(enumerate_reps(q, other, self.BUDGET, skip=lambda dims: True))
+            assert _enumeration(q, ring, self.BUDGET, skip) == want
+            assert _enumeration(q, ring, self.BUDGET, skip) == want
+            reps = sum(x if isinstance(x, int) else 1 for x in want[0])
+            for cap in range(1, reps + 2):
+                budget = OracleBudget(max_total_dim=2, max_reps=cap)
+                oracle._plan.cache_clear()
+                cold = _enumeration(q, ring, budget, skip)
+                assert _enumeration(q, ring, budget, skip) == cold, cap
+                assert (cold[1] is None) == (cap >= reps)
+
+    def test_callers_cannot_change_a_plan(self, arrow, f2, fresh_plans):
+        # a rep's dims, the dims passed to skip and a BudgetExceeded's dims
+        # are the caller's own
+        want = _enumeration(arrow, f2, self.BUDGET)
+        for m in enumerate_reps(arrow, f2, self.BUDGET):
+            m.dims["v1"] += 1
+
+        def skip(dims):
+            dims["v2"] += 1
+            return True
+
+        list(enumerate_reps(arrow, f2, self.BUDGET, skip))
+        with pytest.raises(BudgetExceeded) as info:
+            list(enumerate_reps(arrow, f2, OracleBudget(max_total_dim=2, max_reps=1)))
+        info.value.dims["v1"] = 9
+        assert _enumeration(arrow, f2, self.BUDGET) == want
+
+    def test_large_total_is_walked_unkept(self, f2, fresh_plans):
+        # 30 isolated vertices: totals 0 to 4 hold 1, 30, 465, 4,960 and
+        # 40,920 dimension vectors of one rep each, so the cap falls inside
+        # total 4; only totals 0 and 1 have at most _PLAN_VECTORS vectors
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                for _ in enumerate_reps(
+                    q_isolated(30), f2, OracleBudget(max_total_dim=4, max_reps=20_000)
+                ):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(info.value.dims.values()) == 4
+        assert peak < 1 << 20
+        assert oracle._plan.cache_info().currsize == 2
