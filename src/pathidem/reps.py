@@ -337,7 +337,7 @@ def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
     built hold more than `quivers._MAX_EDGE_IDS` edge ids in all, which
     bounds its time and memory where Q has exponentially many paths. That
     ring is what `morita_surrogate_check` solves Hom(e_S M, e_S N) over,
-    and only for its dimension."""
+    only for its dimension and only where M or N is nonzero outside S."""
     q = e.quiver
     if not q.is_acyclic:
         raise RepError("corner computations require an acyclic quiver")
@@ -403,23 +403,46 @@ def morita_surrogate_check(
     carries it onto the restriction to eM, so the dimensions are those of
     Hom(M, N) -> Hom_eAe(eM, eN).
 
-    Per pair, Hom(M, N) is solved as a nullspace, since the restriction's
-    rank needs its basis; Hom(e_S M, e_S N) is solved only for its
-    dimension, as the rank of its equations. A Hom system with no unknowns
-    is not eliminated."""
+    Per pair, Hom(M, N) is solved as a nullspace. The restriction's kernel
+    is the f in Hom(M, N) with f_v = 0 for v in S, the nullspace of the
+    columns of Hom's equations at the n_off unknowns outside S (E_off). So
+    the restriction's rank is dim Hom(M, N) - (n_off - rank E_off), with no
+    elimination when n_off is 0. Hom(e_S M, e_S N) is solved only for its
+    dimension, as the rank of its equations, except where M and N are 0 at
+    every vertex outside S: then it is dim Hom(M, N). There the edges inside
+    S are arrows of Q_S with the same equations, every other arrow of Q_S
+    runs through a zero space and adds only zero rows, and an edge touching
+    a vertex outside S adds no row to Hom(M, N). A Hom system with no
+    unknowns is not eliminated."""
     homs = hom_space(m, n)
     cm = corner_module(e, m) if cm is None else cm
     cn = corner_module(e, n) if cn is None else cn
-    corner_dim = _hom_dim(cm, cn)
-    s = cm.quiver.vertices
-    rank = FieldRowSpace(
-        m.ring,
-        sum(cn.dims[v] * cm.dims[v] for v in s),
-        (tuple(x for v in s for row in f[v] for x in row) for f in homs),
-    ).rank
+    inside = set(cm.quiver.vertices)
+    outside = [v for v in m.quiver.vertices if v not in inside]
+    hom_dim = len(homs)
+    if any(m.dims[v] or n.dims[v] for v in outside):
+        corner_dim = _hom_dim(cm, cn)
+    else:
+        corner_dim = hom_dim
+    rank = hom_dim - _kernel_outside(m, n, outside)
     return {
-        "hom_dim": len(homs),
+        "hom_dim": hom_dim,
         "corner_dim": corner_dim,
         "restricted_rank": rank,
-        "bijective": len(homs) == corner_dim == rank,
+        "bijective": hom_dim == corner_dim == rank,
     }
+
+
+def _kernel_outside(m: Representation, n: Representation, outside: list[str]) -> int:
+    """dim of the f in Hom(M, N) with f_v = 0 at every v not in `outside`:
+    the number of unknowns f_v with v in `outside` minus the rank of the
+    columns of `_hom_equations` at them; 0, with no elimination, when there
+    are no such unknowns."""
+    if not any(m.dims[v] * n.dims[v] for v in outside):
+        return 0
+    offs, _, rows = _hom_equations(m, n)
+    cols = [
+        j for v in outside for j in range(offs[v], offs[v] + m.dims[v] * n.dims[v])
+    ]
+    restricted = (tuple(row[j] for j in cols) for row in rows)
+    return len(cols) - FieldRowSpace(m.ring, len(cols), filter(any, restricted)).rank

@@ -287,6 +287,16 @@ class TestOracle:
         assert code == 0
         assert report["result"]["all_bijective"] is True
 
+    def test_morita_check_not_bijective(self, capsys):
+        # S = {v1} on the arrow: Hom(S_v1, P_v1) is 0, while its corner
+        # Hom(e S_v1, e P_v1) = Hom(F3, F3) is not
+        code, report = run(
+            capsys, "morita-check", "--quiver", ARROW, "--ring", "F3",
+            "--element", E_V1, "--max-dim", "2",
+        )
+        assert code == 0
+        assert report["result"] == {"pairs_checked": 16, "all_bijective": False}
+
 
 class TestMoritaCheckCorners:
     def test_one_corner_ring_and_one_module_per_rep(self, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from pathidem.algebra import (
 )
 from pathidem.linalg import FieldRowSpace, mat_vec, nullspace
 from pathidem.classify import strongly_orthogonal
-from pathidem.oracle import OracleBudget
+from pathidem.oracle import OracleBudget, enumerate_reps
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import (
     RepError,
@@ -522,11 +522,14 @@ def _reference_corner_intertwiners(cm, cn):
     return nullspace(ring, rows, dn * dm)
 
 
-def _reference_morita(e, m, n):
+def _reference_morita(e, m, n, cm=None, cn=None):
     # Hom(M, N), Hom_eAe(eM, eN) and the rank of the restriction to eM, all
-    # on the eAe basis, with no quiver Q_S
-    ring, corner = m.ring, _reference_corner(e)
-    cm, cn = _reference_corner_module(e, m, corner), _reference_corner_module(e, n, corner)
+    # on the eAe basis, with no quiver Q_S; cm, cn are the
+    # _reference_corner_module of m and n, to share them between pairs
+    ring = m.ring
+    if cm is None or cn is None:
+        corner = _reference_corner(e)
+        cm, cn = _reference_corner_module(e, m, corner), _reference_corner_module(e, n, corner)
     homs = _reference_hom_space_field(m, n)
     restricted = FieldRowSpace(ring, cm[0].rank * cn[0].rank)
     for f in homs:
@@ -604,6 +607,50 @@ class TestIntertwinersAgainstReference:
                     cx, cy = corner_module(e, x), corner_module(e, y)
                     assert hom_space(cx, cy) == _reference_hom_space_field(cx, cy)
                     assert morita_surrogate_check(e, x, y) == _reference_morita(e, x, y)
+
+
+class TestRestrictionRank:
+    """morita_surrogate_check reads the restriction's rank by rank-nullity
+    and takes Hom over Q_S from Hom over Q where M and N vanish off S; both
+    against the eAe-basis reference, for every nonempty S, left-closed or
+    not."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+    CASES = [
+        (q, Ring("Fp", p))
+        for q in sweep_quivers(3, 3, 60)
+        if q.is_acyclic
+        for p in (2, 3)
+    ]
+
+    def test_every_in_category_pair_of_the_pool(self):
+        pairs = not_bijective = 0
+        for q, ring in self.CASES:
+            reps = [
+                m for m in enumerate_reps(q, ring, self.BUDGET) if not isinstance(m, int)
+            ]
+            for s in _nonempty_subsets(q):
+                e = vertex_idempotent(q, ring, s)
+                corner, ref_corner = corner_algebra(e), _reference_corner(e)
+                inside = [m for m in reps if in_category_e(e, m)]
+                cms = [corner_module(e, m, corner) for m in inside]
+                refs = [_reference_corner_module(e, m, ref_corner) for m in inside]
+                for m, cm, rm in zip(inside, cms, refs):
+                    for n, cn, rn in zip(inside, cms, refs):
+                        got = morita_surrogate_check(e, m, n, cm, cn)
+                        assert got == _reference_morita(e, m, n, rm, rn), (e, m, n)
+                        pairs += 1
+                        not_bijective += not got["bijective"]
+        assert (pairs, not_bijective) == (12_924, 1_054)
+
+    def test_nonzero_kernel(self, arrow, f3):
+        # e = e_v1 and M = N = the simple at v2: f_v2 = 1 is an intertwiner
+        # that restricts to 0 on e_S M = 0, so the kernel is all of Hom(M, N)
+        e = vertex_idempotent(arrow, f3, {"v1"})
+        m = Representation(arrow, f3, {"v1": 0, "v2": 1}, {})
+        res = morita_surrogate_check(e, m, m)
+        assert (res["hom_dim"], res["corner_dim"], res["restricted_rank"]) == (1, 0, 0)
+        assert res == _reference_morita(e, m, m)
 
 
 class TestGeneralIdempotents:
