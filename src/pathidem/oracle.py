@@ -43,18 +43,23 @@ Where the answer for a whole dimension vector follows from its support
 and from the ends of e's live terms (the terms whose source and target
 both have nonzero dimension), its reps are counted, not built (see the
 `skip` of `enumerate_reps`). Both oracles count a vector on which e acts
-as 0 or as the identity on every M (`_acts_as_zero_or_identity`). Under
-0, Γ_e(M) = AeM = 0: M is a complement, and only M = 0 lies in Ae-Mod.
-Under the identity, Γ_e(M) = M: 0 is a complement, and every submodule N
-has N = eN ⊆ AeN ⊆ N. The special oracle also counts a vector with a
-vertex of nonzero dimension that AeM cannot reach (`_outside_reach`): no
-M with those dims has M = AeM. For a left-closed S every vector is one of
-these, so the special oracle builds no rep for e_S. Two searches are
-skipped in the reps that are still built: the special oracle enumerates
-no submodule of an M on which e acts as the identity (terms along cycles
-may sum to it on one M), and the split oracle searches no complement when
-Γ_e(M) is 0 or M. `reps_checked`, the verdicts, their witnesses and every
-`BudgetExceeded` are those of the full search over every rep.
+on every M as the projection onto a summand M|_L (`_acts_on_a_summand`):
+every live term is some e_v with coefficient 1, L is the set of those v,
+and no edge between vertices of nonzero dimension joins L to the rest.
+Then Γ_e(M) = AeM = M|_L, and M restricted to the other vertices is a
+complement. L = ∅ (e acts as 0) leaves only M = 0 in Ae-Mod; under L =
+the support e acts as the identity, and every submodule N has N = eN ⊆
+AeN ⊆ N; any other L leaves no M in Ae-Mod. The special oracle also
+counts a vector with a vertex of nonzero dimension that AeM cannot reach
+(`_outside_reach`): no M with those dims has M = AeM. For a left-closed S
+every vector is one of these, so the special oracle builds no rep for
+e_S; for S closed on both sides (a union of weak components) the split
+oracle builds none either. Two searches are skipped in the reps that are
+still built: the special oracle enumerates no submodule of an M on which
+e acts as the identity (terms along cycles may sum to it on one M), and
+the split oracle searches no complement when Γ_e(M) is 0 or M.
+`reps_checked`, the verdicts, their witnesses and every `BudgetExceeded`
+are those of the full search over every rep.
 """
 
 from __future__ import annotations
@@ -314,31 +319,47 @@ def _outside_reach(e: AlgElem) -> Callable[[dict[str, int]], bool]:
     return skip
 
 
-def _acts_as_zero_or_identity(e: AlgElem) -> Callable[[dict[str, int]], bool]:
+def _acts_on_a_summand(e: AlgElem) -> Callable[[dict[str, int]], bool]:
     """The `skip` of `enumerate_reps` that passes over every dimension
-    vector on which e acts as 0 or as the identity on every M: whether e has
-    no live term under dims (then eM = 0), or its live terms are exactly the
-    trivial paths e_v, with coefficient 1, of the vertices v of nonzero
-    dimension (then eM = M, e acting at each such v as the identity)."""
+    vector on which e acts on every M as the projection onto a summand.
+    Let L be the vertices v of nonzero dimension whose e_v is a live term.
+    The rule holds when every live term is a trivial path with coefficient
+    1 and no edge between two vertices of nonzero dimension joins L to a
+    vertex outside L, in either direction. Then eM = M|_L, which is
+    edge-closed, so Γ_e(M) = AeM = M|_L, and M restricted to the other
+    vertices is a submodule complement of it. L = ∅ (no live term, eM = 0)
+    and L = the support (e acts as the identity) are the extreme cases; for
+    any other L no M with these dims lies in Ae-Mod."""
     q, one = e.quiver, e.ring.one()
     ends = [
         (q.path_source(p), q.path_target(p), p.is_trivial and c == one)
         for p, c in e.terms
     ]
+    links = [(s, t) for _, s, t in q.edges if s != t]  # a loop joins nothing
 
     def skip(dims: dict[str, int]) -> bool:
-        live = [unit for s, t, unit in ends if dims[s] and dims[t]]
-        return not live or (all(live) and len(live) == sum(map(bool, dims.values())))
+        part = set()  # L
+        for s, t, unit in ends:
+            if dims[s] and dims[t]:
+                if not unit:
+                    return False
+                part.add(s)
+        if part:  # L = ∅ joins nothing
+            for s, t in links:
+                if dims[s] and dims[t] and (s in part) != (t in part):
+                    return False
+        return True
 
     return skip
 
 
 def _special_skip(e: AlgElem) -> Callable[[dict[str, int]], bool]:
     """The `skip` of `check_special_by_modules`: the vectors outside the
-    reach (no M in Ae-Mod) and those on which e acts as 0 or as the
-    identity (M = 0 or every N = AeN)."""
-    outside, trivial = _outside_reach(e), _acts_as_zero_or_identity(e)
-    return lambda dims: outside(dims) or trivial(dims)
+    reach (no M in Ae-Mod) and those on which e acts as the projection onto
+    a summand (`_acts_on_a_summand`: only M = 0 lies in Ae-Mod, or e acts
+    as the identity and every N = AeN)."""
+    outside, summand = _outside_reach(e), _acts_on_a_summand(e)
+    return lambda dims: summand(dims) or outside(dims)  # the cheaper rule first
 
 
 @lru_cache(maxsize=None)
@@ -552,8 +573,9 @@ def check_special_by_modules(
 
     The reps of a dimension vector are counted, not built, where it has a
     vertex that AeM cannot reach (none of them lies in Ae-Mod) or where e
-    acts on each of them as 0 or as the identity (see `_special_skip`). For
-    a left-closed S that covers every vector, so no rep is built for e_S.
+    acts on each of them as the projection onto a summand, the identity
+    being one (see `_special_skip`). For a left-closed S that covers every
+    vector, so no rep is built for e_S.
     Where e acts on a built M as the identity (see `_acts_as_identity`),
     every submodule N has N = eN ⊆ AeN ⊆ N, so M's submodules are not
     enumerated. Every rep, built or counted, is counted in `reps_checked`;
@@ -595,13 +617,16 @@ def check_split_by_sequences(
     edge-closed complement: such an M certifies that e is not left split.
 
     Where Γ_e(M) is 0 or M, M respectively 0 is a complement, so no
-    complement is searched for. Where the dimension vector alone forces
-    that (see `_acts_as_zero_or_identity`), its reps are counted, not
-    built. Every rep, built or counted, is counted in `reps_checked`;
+    complement is searched for. Where the dimension vector alone makes e
+    act on every M as the projection onto a summand M|_L (see
+    `_acts_on_a_summand`), Γ_e(M) = M|_L and the rest of M is a complement,
+    so its reps are counted, not built. For e_S with S a union of weak
+    components (closed on both sides) that covers every vector, so no rep
+    is built. Every rep, built or counted, is counted in `reps_checked`;
     verdicts and witnesses are those of the full search."""
     _check_element(e, q, ring)
     checked = 0
-    for m in enumerate_reps(q, ring, budget, skip=_acts_as_zero_or_identity(e)):
+    for m in enumerate_reps(q, ring, budget, skip=_acts_on_a_summand(e)):
         if isinstance(m, int):
             checked += m
             continue

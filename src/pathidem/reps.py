@@ -413,7 +413,12 @@ def morita_surrogate_check(
     S are arrows of Q_S with the same equations, every other arrow of Q_S
     runs through a zero space and adds only zero rows, and an edge touching
     a vertex outside S adds no row to Hom(M, N). A Hom system with no
-    unknowns is not eliminated."""
+    unknowns is not eliminated.
+
+    For M = AeM the restriction is injective, so restricted_rank ==
+    hom_dim: an f that is 0 on e_S M is 0 on eM = u e_S M, hence, being
+    A-linear, on M = A eM. The kernel is still solved for, so a pair outside the
+    category gets its true rank."""
     homs = hom_space(m, n)
     cm = corner_module(e, m) if cm is None else cm
     cn = corner_module(e, n) if cn is None else cn

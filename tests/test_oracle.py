@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -553,8 +553,6 @@ def _independent(ring, dim, vectors):
 
 
 def _subsets(vertices):
-    from itertools import combinations
-
     for k in range(len(vertices) + 1):
         for c in combinations(vertices, k):
             yield frozenset(c)
@@ -858,10 +856,20 @@ def _live_terms(e, dims):
     return [(p, c) for p, c in e.terms if dims[q.path_source(p)] and dims[q.path_target(p)]]
 
 
+def _has_apart_pair(q):
+    """Whether two vertices of q share no edge: exactly then some vector has
+    live terms on a proper nonempty part L of its support that no edge joins
+    to the rest (dimension 1 at both, e = e_v for one of them)."""
+    return any(
+        not any({s, t} == {v, w} for _, s, t in q.edges)
+        for v, w in combinations(q.vertices, 2)
+    )
+
+
 class TestCountedVectors:
     """The dimension vectors the oracles count without building: the rules
     that pick them (`_special_skip` for the special oracle,
-    `_acts_as_zero_or_identity` for the split oracle), checked against the
+    `_acts_on_a_summand` for the split oracle), checked against the
     reference layer on every matrix tuple, and the counts, verdicts and
     budget stops against the oracles with no vector skipped."""
 
@@ -869,37 +877,48 @@ class TestCountedVectors:
 
     @pytest.mark.parametrize("q, ring", list(_sweep_cases()))
     def test_skipped_vectors_have_forced_answers(self, q, ring):
-        # outside the reach M != AeM; with no live term or identity terms
-        # only, Γ_e(M) is 0 or M. Of the other vectors the special oracle
-        # counts, those with no live term hold only M = 0 or M != AeM, and on
-        # those with identity terms only e acts as the identity. e runs over
-        # every e_S, idempotents with path terms and, on acyclic quivers,
-        # conjugates u e_S u^-1
+        # outside the reach M != AeM. Where e acts as the projection onto a
+        # summand, L being the vertices of its live terms, Γ_e(M) = M|_L and
+        # M restricted to the other vertices is a submodule. Of the other
+        # vectors the special oracle counts, those with no live term hold
+        # only M = 0 or M != AeM, and on those with live terms e acts as the
+        # identity. e runs over every e_S, idempotents with path terms and,
+        # on acyclic quivers, conjugates u e_S u^-1
         ref = TestAgainstReference
         elements = TestForcedAnswers._elements(q, ring)
         rules = [
-            (oracle._outside_reach(e), oracle._acts_as_zero_or_identity(e),
+            (oracle._outside_reach(e), oracle._acts_on_a_summand(e),
              oracle._special_skip(e), e)
             for e in elements
         ]
         # dims -> (elements whose reach skips, whose action is forced, and
         # whose special skip takes dims inside the reach)
         per_dims = {}
-        reached = forced = no_live = identity = 0
+        reached = no_live = identity = 0
+        parts = set()  # which of: L empty, a proper part of the support, all of it
         for m in full_reps(q, ring, self.BUDGET):
             key = tuple(m.dims.values())
             if key not in per_dims:
                 per_dims[key] = (
                     [e for reach, _, _, e in rules if reach(m.dims)],
-                    [e for _, trivial, _, e in rules if trivial(m.dims)],
+                    [e for _, summand, _, e in rules if summand(m.dims)],
                     [e for reach, _, special, e in rules
                      if special(m.dims) and not reach(m.dims)],
                 )
-            outside, trivial, special = per_dims[key]
+            outside, summand, special = per_dims[key]
+            support = {v for v, d in m.dims.items() if d}
             for e in outside:
                 assert not ref._reference_in_category(e, m), (e, m)
-            for e in trivial:
-                assert ref._reference_gamma(e, m).total_dim in (0, m.total_dim), (e, m)
+            for e in summand:
+                part = {p.vertex for p, _ in _live_terms(e, m.dims)}
+                want = {v: d if v in part else 0 for v, d in m.dims.items()}
+                assert ref._reference_gamma(e, m).dims == want, (e, m)
+                if not part or part == support:  # the rest is M or 0
+                    parts.add("all" if part else "empty")
+                    continue
+                rest = {v: identity_matrix(ring, d) for v, d in m.dims.items() if v not in part}
+                assert is_edge_closed(submodule_from_local(m, rest, close=False)), (e, m)
+                parts.add("proper")
             for e in special:
                 if _live_terms(e, m.dims):
                     assert action_matrix(m, e) == identity_matrix(ring, m.total_dim), (e, m)
@@ -908,8 +927,9 @@ class TestCountedVectors:
                     assert not m.total_dim or not ref._reference_in_category(e, m), (e, m)
                     no_live += 1
             reached += len(outside)
-            forced += len(trivial)
-        assert reached and forced and no_live and identity
+        assert reached and no_live and identity
+        want = {"empty", "all", "proper"} if _has_apart_pair(q) else {"empty", "all"}
+        assert parts == want
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize(
@@ -934,18 +954,19 @@ class TestCountedVectors:
     def test_budget_stops_as_without_skip(self, q, ring, monkeypatch):
         # every cap from 1 to one past the reps of q: the same verdict, or the
         # same BudgetExceeded (message, cap, dims), with and without skipping,
-        # also where the cap falls inside a counted dimension vector, and
-        # inside one the special oracle counts within the reach
+        # also where the cap falls inside a counted dimension vector, inside
+        # one the special oracle counts within the reach, and inside one the
+        # split oracle counts where L is neither empty nor the support
         elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
         elements += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         reps = sum(1 for _ in enumerate_reps(q, ring, OracleBudget(max_total_dim=2)))
-        inside = inside_reach = 0
+        inside = inside_reach = inside_part = 0
         for cap in range(1, reps + 2):
             budget = OracleBudget(max_total_dim=2, max_reps=cap)
             for e in elements:
                 for check, rule in [
                     (check_special_by_modules, oracle._special_skip),
-                    (check_split_by_sequences, oracle._acts_as_zero_or_identity),
+                    (check_split_by_sequences, oracle._acts_on_a_summand),
                 ]:
                     got = _outcome(check, e, q, ring, budget)
                     with monkeypatch.context() as patch:
@@ -954,17 +975,20 @@ class TestCountedVectors:
                     assert got == want, (e, cap, check.__name__)
                     if len(got) == 3 and rule(e)(got[2]):
                         inside += 1
-                        inside_reach += (
-                            check is check_special_by_modules
-                            and not oracle._outside_reach(e)(got[2])
-                        )
-        assert inside and inside_reach
+                        if check is check_special_by_modules:
+                            inside_reach += not oracle._outside_reach(e)(got[2])
+                        else:
+                            part = {p.vertex for p, _ in _live_terms(e, got[2])}
+                            support = {v for v, d in got[2].items() if d}
+                            inside_part += bool(part) and part != support
+        assert inside and inside_reach and bool(inside_part) == _has_apart_pair(q)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_special_builds_no_rep_for_left_closed(self, p, monkeypatch):
         # for a left-closed S every vector is outside the reach or one on
-        # which e_S acts as the identity; for any other S some edge leaves S,
-        # and the vector with dimension 1 at its two ends is built
+        # which e_S acts as the projection onto a summand; for any other S
+        # some edge leaves S, and the vector with dimension 1 at its two ends
+        # is built
         ring = Ring("Fp", p)
         built = _count_reps_built(monkeypatch)
         closed = 0
@@ -975,6 +999,45 @@ class TestCountedVectors:
                 assert bool(built) != q.is_left_closed(s), (q, s)
                 closed += not built
         assert closed == 262
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_split_builds_no_rep_for_components(self, p, monkeypatch):
+        # for S closed on both sides (a union of weak components) e_S acts on
+        # every M as the projection onto the summand M|_S; for a left-closed
+        # S that is not right-closed some edge enters S, and the vector with
+        # dimension 1 at its two ends is built
+        ring = Ring("Fp", p)
+        built = _count_reps_built(monkeypatch)
+        closed = 0
+        for q in SWEEP3:
+            for s in q.enumerate_left_closed():
+                built.clear()
+                check_split_by_sequences(vertex_idempotent(q, ring, s), q, ring, self.BUDGET)
+                assert bool(built) != q.is_right_closed(s), (q, s)
+                closed += not built
+        assert closed == 190
+
+    def test_no_skip_builds_every_rep(self, monkeypatch):
+        # under `_no_skip` each oracle builds every rep it counts, also on
+        # the vectors its rule passes over; without it both rules count
+        # vectors of these e
+        ring = Ring("Fp", 2)
+        counted = set()
+        for q in SWEEP3[:10]:
+            for s in _subsets(q.vertices):
+                e = vertex_idempotent(q, ring, s)
+                for check in (check_special_by_modules, check_split_by_sequences):
+                    with monkeypatch.context() as patch:
+                        _no_skip(patch)
+                        built = _count_reps_built(patch)
+                        checked = check(e, q, ring, self.BUDGET).reps_checked
+                        assert len(built) == checked, (e, check.__name__)
+                    with monkeypatch.context() as patch:
+                        built = _count_reps_built(patch)
+                        checked = check(e, q, ring, self.BUDGET).reps_checked
+                        if len(built) < checked:
+                            counted.add(check)
+        assert counted == {check_special_by_modules, check_split_by_sequences}
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
@@ -1000,10 +1063,64 @@ class TestCountedVectors:
                     got = _outcome(check, e, q, ring, budget)
                     with monkeypatch.context() as patch:
                         _no_skip(patch)
+                        built = _count_reps_built(patch)
                         want = _outcome(check, e, q, ring, budget)
                     assert got == want, (e, check.__name__)
+                    assert len(built) == want[1], (e, check.__name__)
                     compared += 1
         assert compared == total
+
+
+class TestLines:
+    """For M = AeM, some submodule N has N != AeN exactly when some x in a
+    single vertex space M_w has x not in Ae(Ax), Ax being the submodule x
+    generates. If x is not in Ae(Ax), N = Ax is such a submodule. If
+    N != AeN, then, both being graded, some x in some N_w lies outside AeN,
+    and Ae(Ax) lies in AeN. x and cx generate the same submodule, so the
+    lines of each M_w decide it. The oracles do not use this yet. Checked
+    against `enumerate_submodules` on every in-category rep of
+    `enumerate_reps` at total dimension <= 2, for every e_S and, over F_2,
+    the idempotents with path terms: 7,633 (e, M) pairs over F_2, 276 of
+    them with some N != AeN, and 98,010 over F_3 (slow), 452 of them."""
+
+    BUDGET = OracleBudget(max_total_dim=2, max_reps=10**6)
+
+    @classmethod
+    def _pairs(cls, ring):
+        # (in-category (e, M) pairs, those with some N != AeN) over the pool
+        pairs = failing = 0
+        for q in SWEEP3:
+            elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+            if ring.modulus == 2:
+                rng = random.Random(f"{q}-{ring}")
+                elements += _path_term_idempotents(q, ring, rng, 4)
+            for m in enumerate_reps(q, ring, cls.BUDGET):
+                lines = [
+                    submodule_from_local(m, {w: basis})
+                    for w in q.vertices
+                    for basis in oracle._enumerate_subspaces(ring, m.dims[w])
+                    if len(basis) == 1
+                ]
+                for e in elements:
+                    blocks = m.action_blocks(e)
+                    if not in_category_e(e, m, blocks):
+                        continue
+                    some_n = any(
+                        _generated(m, blocks, n.bases) != n.bases
+                        for n in enumerate_submodules(m)
+                    )
+                    some_line = any(_generated(m, blocks, x.bases) != x.bases for x in lines)
+                    assert some_n == some_line, (e, m)
+                    pairs += 1
+                    failing += some_n
+        return pairs, failing
+
+    def test_lines_decide_over_f2(self, f2):
+        assert self._pairs(f2) == (7_633, 276)
+
+    @pytest.mark.slow
+    def test_lines_decide_over_f3(self, f3):
+        assert self._pairs(f3) == (98_010, 452)
 
 
 def _enumeration(q, ring, budget, skip=None):
@@ -1026,7 +1143,7 @@ class TestPlans:
     larger total is walked without being kept."""
 
     BUDGET = OracleBudget(max_total_dim=2, max_reps=10**6)
-    RULES = (oracle._special_skip, oracle._acts_as_zero_or_identity, oracle._outside_reach)
+    RULES = (oracle._special_skip, oracle._acts_on_a_summand, oracle._outside_reach)
 
     @pytest.mark.parametrize(
         "q, ring",

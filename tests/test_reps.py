@@ -643,6 +643,30 @@ class TestRestrictionRank:
                         not_bijective += not got["bijective"]
         assert (pairs, not_bijective) == (12_924, 1_054)
 
+    def test_injective_on_the_category(self):
+        # for M = AeM an f that is 0 on e_S M is 0 on eM = u e_S M, hence on
+        # M = A eM: restricted_rank == hom_dim on every in-category pair, for
+        # every nonempty S, left-closed or not, and for a conjugate of each e_S
+        pairs = moved = 0
+        for q, ring in self.CASES:
+            reps = [
+                m for m in enumerate_reps(q, ring, self.BUDGET) if not isinstance(m, int)
+            ]
+            rng = random.Random(f"injective-{q}-{ring}")
+            for s in _nonempty_subsets(q):
+                e_s = vertex_idempotent(q, ring, s)
+                for e in (e_s, conjugate(e_s, rng)):
+                    moved += e != e_s
+                    corner = corner_algebra(e)
+                    inside = [m for m in reps if in_category_e(e, m)]
+                    cms = [corner_module(e, m, corner) for m in inside]
+                    for m, cm in zip(inside, cms):
+                        for n, cn in zip(inside, cms):
+                            got = morita_surrogate_check(e, m, n, cm, cn)
+                            assert got["restricted_rank"] == got["hom_dim"], (e, m, n)
+                            pairs += 1
+        assert (pairs, moved) == (25_848, 137)
+
     def test_nonzero_kernel(self, arrow, f3):
         # e = e_v1 and M = N = the simple at v2: f_v2 = 1 is an intertwiner
         # that restricts to 0 on e_S M = 0, so the kernel is all of Hom(M, N)
