@@ -38,14 +38,31 @@ class AlgElem:
 
     @staticmethod
     def make(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
+        """The element with these terms: paths validated, coefficients
+        canonicalised, zeros dropped, sorted by `Path.sort_key`.
+
+        Over a ring with a modulus, a term (e_v, c) with c idempotent is the
+        quiver's shared pair for (v, c), so e_S and diagonal elements built
+        separately hold the same pair objects; that is at most |V|·2^ω(n)
+        pairs per ring Z/n. Over Q nothing is shared: Fraction(1) == 1 with
+        equal hashes, so a table shared with an F_p element could hand a Q
+        element an int."""
         canon = {}
         for p, c in terms.items():
             p = quiver.check_path(p)
             c = ring.canon(c)
             if not ring.is_zero(c):
                 canon[p] = c
-        ordered = tuple(sorted(canon.items(), key=lambda pc: pc[0].sort_key()))
-        return AlgElem(quiver, ring, ordered)
+        ordered = sorted(canon.items(), key=lambda pc: pc[0].sort_key())
+        m = ring.modulus
+        if m is not None:
+            shared = quiver._trivial_terms
+            for i, (p, c) in enumerate(ordered):
+                if not p.is_trivial:
+                    break  # trivial paths sort first
+                if c * c % m == c:
+                    ordered[i] = shared.setdefault((p.vertex, c), ordered[i])
+        return AlgElem(quiver, ring, tuple(ordered))
 
     @staticmethod
     def _reduced(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":

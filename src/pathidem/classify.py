@@ -132,7 +132,11 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
         diag=tuple(sorted(diag.items())),
         kappa_terms=tuple(sorted(kappa, key=lambda pc: pc[0].sort_key())),
     )
-    assert form.reassemble() == e
+    # the form's canonical terms, trivial paths by vertex and then the kappa
+    # terms, are exactly e's sorted terms (what `reassemble` would rebuild)
+    k = len(form.diag)
+    assert [(p.vertex, c) for p, c in e.terms[:k]] == list(form.diag)
+    assert e.terms[k:] == form.kappa_terms
     return form, None
 
 
@@ -296,12 +300,21 @@ class ClassificationReport:
 
 
 def classify(e: AlgElem) -> ClassificationReport:
+    """Every decision on e, with the first failing condition of each.
+
+    Idempotency is read off the standard form where one exists. Write
+    e = D + K with D the diagonal and K the kappa part: D² = D as each
+    lambda_v is idempotent, DK = K as lambda at each kappa target fixes
+    kappa, KD = 0 as lambda at each kappa source in S annihilates kappa, and
+    K² = 0 as p_i·p_j needs t(p_j) = s(p_i) in S, where
+    kappa_i kappa_j = kappa_i lambda_{s(p_i)} kappa_j = 0. So e² = e, and
+    only an element with no standard form pays for the product e·e."""
     witnesses: list[Witness] = []
-    idem = e.is_idempotent()
-    if not idem:
-        witnesses.append(Witness("not-idempotent", "e*e differs from e"))
     form, w = try_standard_form(e)
     special = form is not None
+    idem = special or e.is_idempotent()
+    if not idem:
+        witnesses.append(Witness("not-idempotent", "e*e differs from e"))
     if w is not None:
         witnesses.append(w)
     split: Optional[bool] = None

@@ -54,10 +54,8 @@ counts a vector with a vertex of nonzero dimension that AeM cannot reach
 (`_outside_reach`): no M with those dims has M = AeM. For a left-closed S
 every vector is one of these, so the special oracle builds no rep for
 e_S; for S closed on both sides (a union of weak components) the split
-oracle builds none either. Two searches are skipped in the reps that are
-still built: the special oracle enumerates no submodule of an M on which
-e acts as the identity (terms along cycles may sum to it on one M), and
-the split oracle searches no complement when Γ_e(M) is 0 or M.
+oracle builds none either. In the reps that are still built, the split
+oracle searches no complement when Γ_e(M) is 0 or M.
 `reps_checked`, the verdicts, their witnesses and every `BudgetExceeded`
 are those of the full search over every rep.
 """
@@ -71,7 +69,7 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .algebra import AlgElem, TruncatedIdeal, path_element, vertex_idempotent
-from .linalg import FieldRowSpace, identity_matrix, image, join
+from .linalg import FieldRowSpace, image, join
 from .quivers import Quiver
 from .reps import (
     Representation,
@@ -548,16 +546,6 @@ def _check_element(e: AlgElem, q: Quiver, ring: Ring) -> None:
         raise OracleError("oracle requires an idempotent element")
 
 
-def _acts_as_identity(m: Representation, blocks: dict[tuple[str, str], tuple]) -> bool:
-    """Whether e, with action blocks `blocks` on m, acts on m as the
-    identity: an identity block at each vertex of nonzero dimension and no
-    other block. A zero block left by cancelling terms makes the answer
-    False, though e may act as the identity."""
-    return blocks == {
-        (v, v): identity_matrix(m.ring, d) for v, d in m.dims.items() if d
-    }
-
-
 def check_special_by_modules(
     e: AlgElem, q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
 ) -> Verdict:
@@ -575,11 +563,9 @@ def check_special_by_modules(
     vertex that AeM cannot reach (none of them lies in Ae-Mod) or where e
     acts on each of them as the projection onto a summand, the identity
     being one (see `_special_skip`). For a left-closed S that covers every
-    vector, so no rep is built for e_S.
-    Where e acts on a built M as the identity (see `_acts_as_identity`),
-    every submodule N has N = eN ⊆ AeN ⊆ N, so M's submodules are not
-    enumerated. Every rep, built or counted, is counted in `reps_checked`;
-    verdicts and witnesses are those of the full search."""
+    vector, so no rep is built for e_S. Every rep, built or counted, is
+    counted in `reps_checked`; verdicts and witnesses are those of the full
+    search."""
     _check_element(e, q, ring)
     checked = 0
     for m in enumerate_reps(q, ring, budget, skip=_special_skip(e)):
@@ -588,7 +574,7 @@ def check_special_by_modules(
             continue
         checked += 1
         blocks = m.action_blocks(e)
-        if not in_category_e(e, m, blocks) or _acts_as_identity(m, blocks):
+        if not in_category_e(e, m, blocks):
             continue
         for sub in enumerate_submodules(m):
             if _generated(m, blocks, sub.bases) != sub.bases:

@@ -111,6 +111,12 @@ class Quiver:
     def _trivial_paths(self) -> dict[str, Path]:
         return {v: Path(vertex=v) for v in self.vertices}
 
+    @cached_property
+    def _trivial_terms(self) -> dict[tuple[str, object], tuple[Path, object]]:
+        """(trivial path, coefficient) term pairs, keyed by (vertex,
+        coefficient), that `algebra.AlgElem.make` shares between elements."""
+        return {}
+
     def check_path(self, p: Path) -> Path:
         """p, validated; a trivial path is returned as the quiver's own copy,
         so elements built from fresh trivial paths share one object each."""
@@ -220,21 +226,34 @@ class Quiver:
 
     def reachable(self, start: str) -> frozenset[str]:
         """Vertices reachable from `start` by a directed path of length >= 0."""
-        if start not in self.vertex_set:
+        reach = self._reachable.get(start)
+        if reach is None:
             raise QuiverError(f"unknown vertex {start!r}")
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for eid in self.out_edges[v]:
-                w = self.edge_target(eid)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+        return reach
+
+    @cached_property
+    def _reachable(self) -> dict[str, frozenset[str]]:
+        out = {}
+        for start in self.vertices:
+            seen = {start}
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for eid in self.out_edges[v]:
+                    w = self.edge_target(eid)
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            out[start] = frozenset(seen)
+        return out
 
     def weak_components(self) -> list[frozenset[str]]:
-        """Partition of the vertices under the symmetric closure of the edge relation."""
+        """Partition of the vertices under the symmetric closure of the edge
+        relation, in the order of their first vertex; a new list each call."""
+        return list(self._weak_components)
+
+    @cached_property
+    def _weak_components(self) -> tuple[frozenset[str], ...]:
         nbrs = {v: set() for v in self.vertices}
         for _, src, dst in self.edges:
             nbrs[src].add(dst)
@@ -255,7 +274,7 @@ class Quiver:
                         comp.add(w)
                         stack.append(w)
             comps.append(frozenset(comp))
-        return comps
+        return tuple(comps)
 
     def enumerate_left_closed(self) -> list[frozenset[str]]:
         """All left-closed vertex subsets, by exhaustive subset enumeration."""

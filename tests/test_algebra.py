@@ -94,6 +94,56 @@ class TestSpec:
             x * vertex_idempotent(arrow, f5, {"v1"})
 
 
+class TestSharedTerms:
+    """`AlgElem.make` over a ring with a modulus hands out the quiver's own
+    (e_v, c) pair for an idempotent c; over Q it shares nothing."""
+
+    def test_separately_built_elements_share_pairs(self, a3, f5):
+        x = vertex_idempotent(a3, f5, {"v1", "v3"})
+        y = AlgElem.make(
+            a3, f5, {Path(vertex="v3"): 6, Path(vertex="v1"): 1, Path(edges=("a",)): 2}
+        )
+        assert x.terms[0] is y.terms[0]
+        assert x.terms[1] is y.terms[1]
+        assert x == AlgElem.make(a3, f5, {Path(vertex="v1"): 1, Path(vertex="v3"): 1})
+
+    def test_only_idempotent_coefficients_are_shared(self, a3, z6):
+        two = AlgElem.make(a3, z6, {Path(vertex="v1"): 2})
+        assert two.terms[0] is not AlgElem.make(a3, z6, {Path(vertex="v1"): 2}).terms[0]
+        three = AlgElem.make(a3, z6, {Path(vertex="v1"): 3})
+        assert three.terms[0] is AlgElem.make(a3, z6, {Path(vertex="v1"): 9}).terms[0]
+
+    def test_rationals_keep_fractions(self, a3, f5):
+        vertex_idempotent(a3, f5, a3.vertices)
+        AlgElem.make(a3, Z6, {Path(vertex=v): 4 for v in a3.vertices})
+        for e in (
+            vertex_idempotent(a3, Ring("Q"), a3.vertices),
+            AlgElem.make(a3, Ring("Q"), {Path(vertex="v2"): 1, Path(vertex="v3"): 0}),
+        ):
+            assert e.terms
+            assert all(type(c) is Fraction for _, c in e.terms)
+            assert all(
+                pair is not shared
+                for pair in e.terms
+                for shared in a3._trivial_terms.values()
+            )
+
+    def test_table_stays_within_its_bound(self):
+        # at most |V| pairs for each nonzero idempotent of the rings used:
+        # Z/6 has 1, 3, 4 and Z/12 adds 9 (4 is idempotent in both)
+        q = Quiver(("v1", "v2", "v3"), (("a", "v1", "v2"), ("b", "v2", "v1")))
+        for n in (6, 12):
+            ring = Ring("Zn", n)
+            for c in range(n):
+                for v in q.vertices:
+                    AlgElem.make(q, ring, {Path(vertex=v): c, Path(edges=("a",)): c})
+        assert set(q._trivial_terms) == {
+            (v, c) for v in q.vertices for c in (1, 3, 4, 9)
+        }
+        for (v, c), (p, d) in q._trivial_terms.items():
+            assert p is q.check_path(Path(vertex=v)) and d == c
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(x=elements(A3, Z6), y=elements(A3, Z6), z=elements(A3, Z6))

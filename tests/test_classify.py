@@ -25,6 +25,7 @@ from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
 
 from reference import idem_leq
+from test_acceptance import _random_special
 
 
 def subsets(vertices):
@@ -496,3 +497,124 @@ class TestChineseRemainder:
                 assert getattr(whole, field) == all(getattr(r, field) for r in parts)
             if whole.is_left_special:
                 assert whole.is_left_split == all(r.is_left_split for r in parts)
+
+
+def _check_idempotency(e):
+    """classify's idempotent bit against the product e·e, and the form's
+    reassembly against e; the reassembly is asserted here too, so it stays
+    checked where the library's own assert is compiled out (python -O).
+    Returns the report."""
+    report = classify(e)
+    assert report.is_idempotent == (e * e == e), e
+    if report.standard_form is not None:
+        assert report.standard_form.reassemble() == e
+    return report
+
+
+class TestIdempotencyFromForm:
+    """classify reads idempotency off the standard form (a form implies
+    e² = e) and multiplies e·e only where no form exists. Both branches
+    against the product, on the inputs classify gets."""
+
+    SWEEP = sweep_quivers(4, 4, 200)
+    RINGS = [Ring("Fp", 2), Ring("Fp", 3), Ring("Zn", 6), Ring("Zn", 12), Ring("Q")]
+    IDS = ["F2", "F3", "Z6", "Z12", "Q"]
+
+    def test_sweep_pool(self, f5, rationals, z6):
+        # the classify-sweep pool: e_S over F_5 and Q, and every diagonal Z/6
+        # element with idempotent coefficients; all idempotent, and both
+        # branches are reached
+        special = Counter()
+        for q in self.SWEEP:
+            elements = [
+                vertex_idempotent(q, ring, s)
+                for ring in (f5, rationals)
+                for s in subsets(q.vertices)
+            ]
+            elements += [
+                AlgElem.make(q, z6, {Path(vertex=v): c for v, c in lam.items()})
+                for lam in _assignments(q.vertices, z6.idempotents())
+            ]
+            for e in elements:
+                report = _check_idempotency(e)
+                assert report.is_idempotent
+                special[report.is_left_special] += 1
+        assert special[True] and special[False]
+
+    def test_z6_standard_forms(self):
+        # the generated special elements of acceptance test 09
+        rng = random.Random(9)
+        quivers = sweep_quivers(max_vertices=4, max_edges=4, count=60)
+        for _ in range(1000):
+            report = _check_idempotency(_random_special(rng, quivers))
+            assert report.is_left_special and report.is_idempotent
+
+    def test_z12_diagonals(self):
+        z12 = Ring("Zn", 12)
+        special = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            for lam in _assignments(q.vertices, (0, 1, 4, 9)):
+                e = AlgElem.make(q, z12, {Path(vertex=v): c for v, c in lam.items()})
+                report = _check_idempotency(e)
+                assert report.is_idempotent
+                special[report.is_left_special] += 1
+        assert special[True] and special[False]
+
+    def test_rationals_with_kappa_terms(self, rationals):
+        rng = random.Random(17)
+        with_kappa = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
+            for s in subsets(q.vertices):
+                terms = {Path(vertex=v): 1 for v in s}
+                for p in paths:
+                    if q.path_target(p) in s and rng.random() < 0.5:
+                        terms[p] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                e = AlgElem.make(q, rationals, terms)
+                report = _check_idempotency(e)
+                if len(e.terms) > len(s):
+                    with_kappa[report.is_left_special, report.is_idempotent] += 1
+        # special with path terms, and path terms starting inside S, which
+        # leave no form and fail the product
+        assert with_kappa[True, True] and with_kappa[False, False]
+
+    @pytest.mark.parametrize("ring", RINGS[2:], ids=IDS[2:])
+    def test_product_branch(self, arrow, ring):
+        # 2·e_v: no form, not idempotent; the product decides
+        report = _check_idempotency(vertex_idempotent(arrow, ring, {"v2"}).scale(2))
+        assert not report.is_idempotent and not report.is_left_special
+        assert [w.condition for w in report.witnesses] == [
+            "not-idempotent",
+            "lambda-not-idempotent",
+        ]
+        # e_v1 + 2a: no form (support not left closed), idempotent
+        e = vertex_idempotent(arrow, ring, {"v1"}) + edge_element(arrow, ring, "a").scale(2)
+        report = _check_idempotency(e)
+        assert report.is_idempotent and not report.is_left_special
+        assert [w.condition for w in report.witnesses] == ["support-not-left-closed"]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
+    def test_random_elements(self, ring):
+        rng = random.Random(f"idempotency-{ring}")
+        quivers = sweep_quivers(3, 3, 60) + self.SWEEP[:40]
+        idems = ring.idempotents()
+
+        def coeff():
+            if ring.kind == "Q":
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            return rng.randrange(ring.modulus)
+
+        seen = Counter()
+        for _ in range(400):
+            q = rng.choice(quivers)
+            terms = {
+                Path(vertex=v): rng.choice(idems) if rng.random() < 0.85 else coeff()
+                for v in q.vertices
+                if rng.random() < 0.6
+            }
+            for p in q.paths_up_to(2, limit=500):
+                if not p.is_trivial and rng.random() < 0.25:
+                    terms[p] = coeff()
+            report = _check_idempotency(AlgElem.make(q, ring, terms))
+            seen[report.is_left_special, report.is_idempotent] += 1
+        assert seen.keys() == {(True, True), (False, True), (False, False)}

@@ -63,6 +63,23 @@ class TestConnectivity:
         with pytest.raises(QuiverError):
             arrow.reachable("vX")
 
+    def test_cached_reachable_still_rejects_unknown_vertices(self, a3):
+        # every vertex's set is kept after the first call; an unknown start
+        # raises before and after
+        with pytest.raises(QuiverError, match="unknown vertex"):
+            a3.reachable("vX")
+        assert a3.reachable("v2") == {"v2", "v3"}
+        assert a3.reachable("v2") is a3.reachable("v2")
+        with pytest.raises(QuiverError, match="unknown vertex"):
+            a3.reachable("vX")
+
+    def test_weak_components_returns_a_fresh_list(self, arrow):
+        comps = arrow.weak_components()
+        comps.append(frozenset({"vX"}))
+        comps[0] = frozenset()
+        assert arrow.weak_components() == [frozenset({"v1", "v2"})]
+        assert arrow.weak_components() is not arrow.weak_components()
+
 
 class TestInvariants:
     @pytest.mark.parametrize("q", sweep_quivers(max_vertices=5, max_edges=5, count=40))
