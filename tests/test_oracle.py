@@ -418,10 +418,12 @@ class TestAgainstReference:
 
 
 class TestForcedAnswers:
-    """The complement search the split oracle skips has a forced answer:
-    where Γ_e(M) is 0 or M a complement exists. Checked against the
-    reference layer on every matrix tuple, for e_S, idempotents with path
-    terms and conjugates u e_S u^-1."""
+    """Two searches have forced answers: where e acts on M as the identity
+    every submodule is generated by its e-part (the special oracle still
+    searches such M, and must find no counterexample there), and where
+    Γ_e(M) is 0 or M a complement exists (the split oracle skips that
+    search). Checked against the reference layer on every matrix tuple, for
+    e_S, idempotents with path terms and conjugates u e_S u^-1."""
 
     BUDGET = OracleBudget(max_total_dim=2)
     CASES = TestAgainstReference.CASES + TestAgainstReference.PATH_CASES
@@ -437,6 +439,28 @@ class TestForcedAnswers:
             rng = random.Random(f"forced-{q}-{ring}")
             out += [conjugate(vertex_idempotent(q, ring, s), rng) for s in _subsets(q.vertices)]
         return out
+
+    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
+    def test_identity_action_forces_special(self, q, ring):
+        # e acts as the identity: an identity block at each vertex of nonzero
+        # dimension and no other block; then N = eN ⊆ AeN ⊆ N for every N
+        ref = TestAgainstReference
+        elements = self._elements(q, ring)
+        identity = 0
+        for m in full_reps(q, ring, self.BUDGET):
+            ones = {(v, v): identity_matrix(ring, d) for v, d in m.dims.items() if d}
+            subs = None  # every submodule of m, when needed
+            for e in elements:
+                blocks = m.action_blocks(e)
+                if blocks != ones:
+                    continue
+                if subs is None:
+                    subs = list(ref._reference_submodules(m))
+                for n in subs:
+                    assert _generated(m, blocks, n.bases) == n.bases, (e, m)
+                    assert ref._reference_in_category(e, sub_representation(n)[0]), (e, m)
+                identity += 1
+        assert identity
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_trivial_gamma_forces_a_complement(self, q, ring):
