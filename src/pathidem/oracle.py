@@ -11,51 +11,12 @@ transcription of the definitions over F_2 and F_3 on e_S and on idempotents
 with path terms. Disagreements that need larger modules or other fields are
 not ruled out by that.
 
-Representations are enumerated up to isomorphism (`enumerate_reps`): at
-least one of each isomorphism class within the budget, not every matrix
-tuple. Every verdict here (specialness, splitness, Morita bijectivity) is
-invariant under isomorphism, so the budget caps, and `Verdict.reps_checked`
-and the `pairs_checked` of the CLI's morita-check count, those reduced
-representations.
-
-Each total dimension is walked through a plan (`_vector_plans`): per
-dimension vector, the vector, its anchor edge ids, its edge shapes and its
-number of reduced reps. A total of at most 64 vectors keeps its plan per
-(quiver, field, total) in a cache of at most 512 plans that lives as long
-as the process (`_plan`, at most about 13 MB on quivers of three vertices
-and three edges); a larger total is planned as it is walked and not kept.
-Only repeated oracle calls on one quiver and field gain. A counted vector
-(see below) builds no normal form: its count needs only how many forms each
-anchor has.
-
-Submodules are held as their reduced echelon bases per vertex
-(`reps.Submodule`). They are built vertex by vertex in declared vertex
-order, and a choice is dropped as soon as an edge between two chosen
-vertices is not closed, so only submodules are ever built; an edge image is
-tested by membership in a row space of the target subspace, built once per
-subspace. Every other subspace question (Γ_e(M) = M, N = AeN, complements)
-is answered on those bases through `linalg.join` and `linalg.image`; images
-sit in a fixed-size cache that lives as long as the process. Γ_e
-itself (`reps.gamma`) works over every field; the enumerators need a prime
-field.
-
-Where the answer for a whole dimension vector follows from its support
-and from the ends of e's live terms (the terms whose source and target
-both have nonzero dimension), its reps are counted, not built (see the
-`skip` of `enumerate_reps`). Both oracles count a vector on which e acts
-on every M as the projection onto a summand M|_L (`_acts_on_a_summand`):
-every live term is some e_v with coefficient 1, L is the set of those v,
-and no edge between vertices of nonzero dimension joins L to the rest.
-Then Γ_e(M) = AeM = M|_L, and M restricted to the other vertices is a
-complement. L = ∅ (e acts as 0) leaves only M = 0 in Ae-Mod; under L =
-the support e acts as the identity, and every submodule N has N = eN ⊆
-AeN ⊆ N; any other L leaves no M in Ae-Mod. The special oracle also
-counts a vector with a vertex of nonzero dimension that AeM cannot reach
-(`_outside_reach`): no M with those dims has M = AeM. For a left-closed S
-every vector is one of these, so the special oracle builds no rep for
-e_S; for S closed on both sides (a union of weak components) the split
-oracle builds none either. In the reps that are still built, the split
-oracle searches no complement when Γ_e(M) is 0 or M.
+Representations are enumerated up to isomorphism (`enumerate_reps`), and a
+dimension vector whose answer its support and e's live terms force is
+counted, not built. README "The oracles" gives the isomorphism reduction,
+the plan cache (`_plan`), the submodule format (`reps.Submodule`) and the
+counting rules (`_acts_on_a_summand`, `_outside_reach`). The enumerators
+need a prime field.
 `reps_checked`, the verdicts, their witnesses and every `BudgetExceeded`
 are those of the full search over every rep.
 """
@@ -179,18 +140,11 @@ def enumerate_reps(
     first dimension vector with a matrix entry outside the anchors, and an
     anchor's normal forms only from the first vector whose reps are built.
 
-    Each total is walked through its plan (`_vector_plans`): per dimension
-    vector, the vector, its anchor edge ids, its edge shapes and its number
-    of reps, and no normal form, rep or field element. A total of at most
-    `_PLAN_VECTORS` (64) vectors is planned once per (quiver, field, total)
-    and kept for the life of the process by `_plan`, at most `_PLANS` (512)
-    plans: 0.2 to 0.4 kB per vector on quivers of three vertices and three
-    edges, about 72 bytes more per further edge, so at most about 13 MB
-    there. A larger total is planned vector by vector as the walk meets it
-    and is not kept, so no plan runs ahead of the cap by more than 64
-    vectors. Only repeated calls on one quiver and field gain; one call
-    plans each of its totals once either way. Each call builds its own dims
-    dict per vector, so no caller can change a plan.
+    Each total is walked through its plan (`_vector_plans`), kept per
+    (quiver, field, total) by `_plan` where the total has at most
+    `_PLAN_VECTORS` vectors (README "The oracles" gives its size); a larger
+    total is planned vector by vector as the walk meets it. Each call builds
+    its own dims dict per vector, so no caller can change a plan.
 
     `skip`, when given, is called once with each dimension vector (vertex ->
     dimension) before any of its reps is built. Where it returns True, the

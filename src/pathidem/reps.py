@@ -246,40 +246,12 @@ def in_category_e(
 
 def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
     """Basis of the intertwiners f = (f_v) with f_{t(a)} M_a = N_a f_{s(a)},
-    over a field; RepError over Z/n. It is the nullspace of one equation per
-    entry of f_{t(a)} M_a - N_a f_{s(a)}, in the unknowns f_v of shape
+    over a field; RepError on reps of different quivers or rings, and over
+    Z/n. It is the nullspace of one equation per entry of
+    f_{t(a)} M_a - N_a f_{s(a)}, in the unknowns f_v of shape
     n.dims[v] x m.dims[v], stored row-major in vertex order. When there are
     no unknowns (dims[v] of m or of n is 0 at every vertex) the answer is []
     with no elimination."""
-    offs, nunk, rows = _hom_equations(m, n)
-    if not nunk:  # keeps `nullspace` (and its traced count) off empty systems
-        return []
-    return [
-        {
-            v: tuple(
-                tuple(sol[offs[v] + i * m.dims[v] : offs[v] + (i + 1) * m.dims[v]])
-                for i in range(n.dims[v])
-            )
-            for v in m.quiver.vertices
-        }
-        for sol in nullspace(m.ring, rows, nunk)
-    ]
-
-
-def _hom_dim(m: Representation, n: Representation) -> int:
-    """dim Hom(M, N), as the number of unknowns of `hom_space`'s equations
-    minus their rank: one echelon pass, no nullspace basis."""
-    _, nunk, rows = _hom_equations(m, n)
-    return nunk - FieldRowSpace(m.ring, nunk, rows).rank
-
-
-def _hom_equations(
-    m: Representation, n: Representation
-) -> tuple[dict[str, int], int, list[list]]:
-    """The equations of Hom(M, N) over a field: the offset of each f_v among
-    the unknowns, their number, and one row per entry of
-    f_{t(a)} M_a - N_a f_{s(a)} (no rows when there are no unknowns).
-    RepError on reps of different quivers or rings, and over Z/n."""
     if m.quiver != n.quiver or m.ring != n.ring:
         raise RepError("representations are incompatible")
     if not m.ring.is_field:
@@ -288,10 +260,10 @@ def _hom_equations(
     for v in m.quiver.vertices:
         offs[v] = nunk
         nunk += n.dims[v] * m.dims[v]
-    rows = []
-    if not nunk:
-        return offs, nunk, rows
+    if not nunk:  # keeps `nullspace` (and its traced count) off empty systems
+        return []
     zero = m.ring.zero()
+    rows = []
     for eid, src, dst in m.quiver.edges:
         A, B = m.edge_maps[eid], n.edge_maps[eid]
         md, ms, ns = m.dims[dst], m.dims[src], n.dims[src]
@@ -304,7 +276,16 @@ def _hom_equations(
                 for l in range(ns):
                     row[os_ + l * ms + j] -= B[i][l]
                 rows.append(row)
-    return offs, nunk, rows
+    return [
+        {
+            v: tuple(
+                tuple(sol[offs[v] + i * m.dims[v] : offs[v] + (i + 1) * m.dims[v]])
+                for i in range(n.dims[v])
+            )
+            for v in m.quiver.vertices
+        }
+        for sol in nullspace(m.ring, rows, nunk)
+    ]
 
 
 # ---- the corner ring eAe as the path algebra of a quiver Q_S ----
@@ -335,9 +316,9 @@ def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
     are numbered in canonical path order (length, then edge ids). Like
     `Quiver.paths_up_to`, the walk raises QuiverError once the paths it has
     built hold more than `quivers._MAX_EDGE_IDS` edge ids in all, which
-    bounds its time and memory where Q has exponentially many paths. That
-    ring is what `morita_surrogate_check` solves Hom(e_S M, e_S N) over,
-    only for its dimension and only where M or N is nonzero outside S."""
+    bounds its time and memory where Q has exponentially many paths.
+    `morita_surrogate_check` solves Hom(e_S M, e_S N) over Q_S with
+    `hom_space` only where M or N is nonzero outside S."""
     q = e.quiver
     if not q.is_acyclic:
         raise RepError("corner computations require an acyclic quiver")
@@ -403,51 +384,30 @@ def morita_surrogate_check(
     carries it onto the restriction to eM, so the dimensions are those of
     Hom(M, N) -> Hom_eAe(eM, eN).
 
-    Per pair, Hom(M, N) is solved as a nullspace. The restriction's kernel
-    is the f in Hom(M, N) with f_v = 0 for v in S, the nullspace of the
-    columns of Hom's equations at the n_off unknowns outside S (E_off). So
-    the restriction's rank is dim Hom(M, N) - (n_off - rank E_off), with no
-    elimination when n_off is 0. Hom(e_S M, e_S N) is solved only for its
-    dimension, as the rank of its equations, except where M and N are 0 at
-    every vertex outside S: then it is dim Hom(M, N). There the edges inside
-    S are arrows of Q_S with the same equations, every other arrow of Q_S
-    runs through a zero space and adds only zero rows, and an edge touching
-    a vertex outside S adds no row to Hom(M, N). A Hom system with no
-    unknowns is not eliminated.
+    Per pair, `hom_space` solves Hom(M, N), and Hom(e_S M, e_S N) only where
+    M or N is nonzero at a vertex outside S; there the restriction's rank is
+    the rank of the images of Hom(M, N)'s basis, their blocks at S.
+    Where M and N vanish off S, both numbers are dim Hom(M, N): the edges
+    inside S are arrows of Q_S with the same equations, every other arrow of
+    Q_S runs through a zero space and adds only zero rows, and every f is its
+    blocks at S.
 
     For M = AeM the restriction is injective, so restricted_rank ==
     hom_dim: an f that is 0 on e_S M is 0 on eM = u e_S M, hence, being
-    A-linear, on M = A eM. The kernel is still solved for, so a pair outside the
-    category gets its true rank."""
+    A-linear, on M = A eM."""
     homs = hom_space(m, n)
     cm = corner_module(e, m) if cm is None else cm
     cn = corner_module(e, n) if cn is None else cn
-    inside = set(cm.quiver.vertices)
-    outside = [v for v in m.quiver.vertices if v not in inside]
-    hom_dim = len(homs)
-    if any(m.dims[v] or n.dims[v] for v in outside):
-        corner_dim = _hom_dim(cm, cn)
-    else:
-        corner_dim = hom_dim
-    rank = hom_dim - _kernel_outside(m, n, outside)
+    inside = cm.quiver.vertices
+    hom_dim = corner_dim = rank = len(homs)
+    if any(m.dims[v] or n.dims[v] for v in m.quiver.vertices if v not in inside):
+        corner_dim = len(hom_space(cm, cn))
+        width = sum(m.dims[v] * n.dims[v] for v in inside)
+        blocks = (tuple(x for v in inside for row in f[v] for x in row) for f in homs)
+        rank = FieldRowSpace(m.ring, width, blocks).rank
     return {
         "hom_dim": hom_dim,
         "corner_dim": corner_dim,
         "restricted_rank": rank,
         "bijective": hom_dim == corner_dim == rank,
     }
-
-
-def _kernel_outside(m: Representation, n: Representation, outside: list[str]) -> int:
-    """dim of the f in Hom(M, N) with f_v = 0 at every v not in `outside`:
-    the number of unknowns f_v with v in `outside` minus the rank of the
-    columns of `_hom_equations` at them; 0, with no elimination, when there
-    are no such unknowns."""
-    if not any(m.dims[v] * n.dims[v] for v in outside):
-        return 0
-    offs, _, rows = _hom_equations(m, n)
-    cols = [
-        j for v in outside for j in range(offs[v], offs[v] + m.dims[v] * n.dims[v])
-    ]
-    restricted = (tuple(row[j] for j in cols) for row in rows)
-    return len(cols) - FieldRowSpace(m.ring, len(cols), filter(any, restricted)).rank
