@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import FieldRowSpace, ZnRowSpace
+from .linalg import FieldRowSpace, ZnRowSpace, _canon
 from .quivers import Path, Quiver, QuiverError, concat
 from .rings import Ring
 
@@ -67,12 +67,11 @@ class AlgElem:
     @staticmethod
     def _reduced(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
         """`make` for valid paths and coefficients computed from canonical ones:
-        reduces by the modulus, drops zeros and sorts, without re-validating."""
-        m = ring.modulus
-        if m is not None:
-            terms = {p: c % m for p, c in terms.items()}
+        reduces them by the vector gate `linalg._canon`, drops zeros and sorts,
+        without re-validating the paths."""
         kept = sorted(
-            ((p, c) for p, c in terms.items() if c), key=lambda pc: pc[0].sort_key()
+            ((p, c) for p, c in zip(terms, _canon(ring, terms.values())) if c),
+            key=lambda pc: pc[0].sort_key(),
         )
         return AlgElem(quiver, ring, tuple(kept))
 

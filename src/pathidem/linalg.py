@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .rings import Ring
+from .rings import Ring, RingError
 
 
 class LinAlgError(ValueError):
@@ -48,14 +48,14 @@ class FieldRowSpace:
     def _reduce(self, vec: Sequence) -> tuple[list, list]:
         """Coordinates of vec along the echelon rows, and the residual left
         after subtracting them (all zero exactly when vec is in the span)."""
-        m = self.ring.modulus
-        v = _canon(self.ring, vec)
+        R = self.ring
+        v = _canon(R, vec)
         coords = []
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             coords.append(c)
             if c:
-                v = _sub_multiple(m, v, c, row)
+                v = _combine(R, v, -c, row)
         return coords, v
 
     def contains(self, vec: Sequence) -> bool:
@@ -64,22 +64,22 @@ class FieldRowSpace:
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; returns True when the span grew."""
         R = self.ring
-        m = R.modulus
         v = self._reduce(vec)[1]
         for piv, x in enumerate(v):
             if x:
                 break
         else:
             return False
-        if not R.is_unit(v[piv]):
+        try:
+            inv = R.inv(v[piv])
+        except RingError as exc:
             raise LinAlgError(
                 f"pivot {v[piv]} is not a unit in {R}; module is not free here"
-            )
-        inv = R.inv(v[piv])
-        v = tuple(inv * x for x in v) if m is None else tuple(inv * x % m for x in v)
+            ) from exc
+        v = tuple(_canon(R, [inv * x for x in v]))
         # clear the new pivot column in the existing rows
         self.rows = [
-            tuple(_sub_multiple(m, row, row[piv], v)) if row[piv] else row
+            tuple(_combine(R, row, -row[piv], v)) if row[piv] else row
             for row in self.rows
         ]
         idx = bisect(self.pivots, piv)
@@ -126,21 +126,23 @@ def image(ring: Ring, mat: tuple, basis: tuple) -> tuple:
     return span(ring, len(mat), tuple(mat_vec(ring, mat, x) for x in basis))
 
 
-def _canon(ring: Ring, vec: Sequence) -> list:
-    """vec in canonical form: over Z/n and F_p ints are reduced mod the
-    modulus, over Q Fractions are kept; anything else goes through
-    `Ring.canon`."""
+def _canon(ring: Ring, vec: Iterable) -> list:
+    """The coefficient gate for a whole vector, `Ring.canon` entrywise: an int
+    over F_p or Z/n and a Fraction over Q are handled inline, anything else
+    goes through `Ring.canon`."""
     m = ring.modulus
     if m is None:
         return [x if type(x) is Fraction else ring.canon(x) for x in vec]
     return [x % m if type(x) is int else ring.canon(x) for x in vec]
 
 
-def _sub_multiple(m: int | None, u: Sequence, c, w: Sequence) -> list:
-    """u - c*w entrywise, reduced mod m (no reduction over Q, where m is None)."""
+def _combine(ring: Ring, u: Sequence, c, w: Sequence) -> list:
+    """u + c*w entrywise, reduced mod the modulus (exact over Q), for
+    coefficients that have already passed the gate."""
+    m = ring.modulus
     if m is None:
-        return [a - c * b for a, b in zip(u, w)]
-    return [(a - c * b) % m for a, b in zip(u, w)]
+        return [a + c * b for a, b in zip(u, w)]
+    return [(a + c * b) % m for a, b in zip(u, w)]
 
 
 class ZnRowSpace:
@@ -175,14 +177,14 @@ class ZnRowSpace:
             ]
 
     def add(self, vec: Sequence) -> bool:
-        v = [int(x) % self.n for x in vec]
+        v = _canon(self.ring, vec)
         if self.contains(v):
             return False
         self._insert(v)
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        v = [int(x) % self.n for x in vec]
+        v = _canon(self.ring, vec)
         for i in range(self.ncols):
             if v[i] == 0:
                 continue
@@ -233,30 +235,25 @@ def mat_mul(ring: Ring, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     len(a) x c zero matrix; a caller that needs the shape builds it."""
     if a and b and len(a[0]) != len(b):
         raise LinAlgError("shape mismatch in matrix product")
-    m = ring.modulus
     ncols = len(b[0]) if b else 0
     out = []
     for row in a:
         acc = [ring.zero()] * ncols
         for c, brow in zip(row, b):
             if c:
-                acc = [x + c * y for x, y in zip(acc, brow)]
-        out.append(tuple(acc) if m is None else tuple(x % m for x in acc))
+                acc = _combine(ring, acc, c, brow)
+        out.append(tuple(acc))
     return tuple(out)
 
 
 def mat_vec(ring: Ring, a: Sequence[Sequence], v: Sequence) -> tuple:
-    m = ring.modulus
-    if m is None:
-        return tuple([sum(map(mul, row, v), ring.zero()) for row in a])
-    return tuple([sum(map(mul, row, v)) % m for row in a])
+    return tuple(_canon(ring, [sum(map(mul, row, v)) for row in a]))
 
 
 def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
     """Basis of {v : rows @ v == 0} over a field."""
     if not ring.is_field:
         raise LinAlgError("nullspace computation requires a field")
-    m = ring.modulus
     space = FieldRowSpace(ring, ncols, rows)
     pivots = set(space.pivots)
     free = [j for j in range(ncols) if j not in pivots]
@@ -265,6 +262,6 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
         v = [ring.zero()] * ncols
         v[f] = ring.one()
         for row, piv in zip(space.rows, space.pivots):
-            v[piv] = -row[f] if m is None else -row[f] % m
-        basis.append(tuple(v))
+            v[piv] = -row[f]
+        basis.append(tuple(_canon(ring, v)))
     return basis

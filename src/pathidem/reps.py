@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .algebra import AlgElem
 from .linalg import (
     FieldRowSpace,
+    _combine,
     identity_matrix,
     image,
     join,
@@ -90,24 +91,17 @@ class Representation:
         entry only when dims[t] and dims[s] are both nonzero."""
         if e.quiver != self.quiver or e.ring != self.ring:
             raise RepError("element and representation are incompatible")
-        q, dims = self.quiver, self.dims
-        m, one = self.ring.modulus, self.ring.one()
+        q, ring, dims = self.quiver, self.ring, self.dims
         blocks: dict[tuple[str, str], tuple] = {}
         for p, c in e.terms:
             s, t = q.path_source(p), q.path_target(p)
             if not dims[s] or not dims[t]:
                 continue
             mat = self._path_block(p)
-            if c != one:
-                mat = tuple(
-                    tuple(c * x if m is None else c * x % m for x in row) for row in mat
-                )
             prev = blocks.get((t, s))
-            if prev is not None:
-                mat = tuple(
-                    tuple(a + b if m is None else (a + b) % m for a, b in zip(u, w))
-                    for u, w in zip(prev, mat)
-                )
+            if prev is not None or c != ring.one():
+                prev = prev or zero_matrix(ring, dims[t], dims[s])
+                mat = tuple(tuple(_combine(ring, u, c, w)) for u, w in zip(prev, mat))
             blocks[(t, s)] = mat
         return blocks
 

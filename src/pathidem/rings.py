@@ -3,6 +3,11 @@
 Supported rings: prime fields F_p, residue rings Z/n, and the rationals.
 Elements are plain ints (canonical residues in [0, n)) for the finite rings
 and `fractions.Fraction` for the rationals, so equality is bit-exact.
+
+A library coefficient is an int that is not a bool, or over Q also a
+Fraction. `Ring.canon` is the one gate: anything else (a float, bool, string,
+or a Fraction over F_p or Z/n) raises `RingError`, never rounded. Strings are
+read only from JSON, by the CLI or `algebra.AlgElem.from_json`.
 """
 
 from __future__ import annotations
@@ -63,9 +68,13 @@ def _is_prime_power(n: int) -> bool:
     return False
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True)
 class Ring:
-    """A base ring: kind is "Fp", "Zn" or "Q"; modulus applies to the finite kinds."""
+    """A base ring: kind is "Fp", "Zn" or "Q"; modulus applies to the finite
+    kinds. Arithmetic reduces mod the modulus, and is exact over Q (None)."""
 
     kind: str
     modulus: int | None = None
@@ -94,26 +103,24 @@ class Ring:
     # ---- basic structure ----
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind != "Q"
-
-    @property
     def is_field(self) -> bool:
         return self.kind in ("Fp", "Q")
 
     def zero(self) -> Elem:
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.modulus is None else 0
 
     def one(self) -> Elem:
-        return Fraction(1) if self.kind == "Q" else 1
+        return _Q_ONE if self.modulus is None else 1
 
     def canon(self, x) -> Elem:
-        """Canonicalize an int, Fraction, or string into this ring."""
-        if isinstance(x, str):
-            x = Fraction(x) if self.kind == "Q" else int(x)
-        if self.kind == "Q":
-            return Fraction(x)
-        return int(x) % self.modulus
+        """x as an element of this ring: an int reduced mod the modulus, or
+        over Q an int or Fraction as a Fraction. Anything else is refused."""
+        m = self.modulus
+        if isinstance(x, int) and not isinstance(x, bool):
+            return Fraction(x) if m is None else x % m
+        if m is None and isinstance(x, Fraction):
+            return x
+        raise RingError(f"{x!r} is not a coefficient over {self}")
 
     def add(self, a: Elem, b: Elem) -> Elem:
         return self.canon(a + b)
@@ -128,25 +135,25 @@ class Ring:
         return self.canon(a * b)
 
     def is_zero(self, a: Elem) -> bool:
-        return a == self.zero()
+        return not a
 
     def is_unit(self, a: Elem) -> bool:
-        if self.kind == "Q":
-            return a != 0
-        return gcd(int(a), self.modulus) == 1
+        a, m = self.canon(a), self.modulus
+        return a != 0 if m is None else gcd(a, m) == 1
 
     def inv(self, a: Elem) -> Elem:
-        if self.kind == "Q":
-            if a == 0:
+        a, m = self.canon(a), self.modulus
+        if m is None:
+            if not a:
                 raise RingError("division by zero")
-            return Fraction(1) / a
+            return _Q_ONE / a
         try:
-            return pow(int(a), -1, self.modulus)
+            return pow(a, -1, m)
         except ValueError as exc:
-            raise RingError(f"{a} is not a unit mod {self.modulus}") from exc
+            raise RingError(f"{a} is not a unit mod {m}") from exc
 
     def elements(self) -> Iterable[Elem]:
-        if not self.is_finite:
+        if self.modulus is None:
             raise RingError("cannot enumerate an infinite ring")
         return range(self.modulus)
 
@@ -157,8 +164,8 @@ class Ring:
 
     def idempotents(self) -> list[Elem]:
         """All x with x*x == x, in canonical order."""
-        if self.kind == "Q":
-            return [Fraction(0), Fraction(1)]
+        if self.modulus is None:
+            return [_Q_ZERO, _Q_ONE]
         return [x for x in self.elements() if self.mul(x, x) == x]
 
     def is_idempotent(self, a: Elem) -> bool:

@@ -13,7 +13,7 @@ from pathidem.algebra import (
     vertex_idempotent,
 )
 from pathidem.quivers import Path, Quiver, concat
-from pathidem.rings import Ring
+from pathidem.rings import Ring, RingError
 from pathidem.sweep import q_a3
 
 A3 = q_a3()
@@ -92,6 +92,26 @@ class TestSpec:
             x + vertex_idempotent(a3, z6, {"v1"})
         with pytest.raises(AlgebraError):
             x * vertex_idempotent(arrow, f5, {"v1"})
+
+
+class TestCoefficientGate:
+    """Library coefficients pass `Ring.canon`: a float, bool or string is
+    refused, never rounded or parsed."""
+
+    @pytest.mark.parametrize("c", [2.5, True, "\u0664", "1/2"], ids=repr)
+    def test_make_refuses(self, a3, f5, c):
+        with pytest.raises(RingError):
+            AlgElem.make(a3, f5, {Path(vertex="v1"): c})
+
+    def test_scale_refuses_a_float(self, a3, f5):
+        with pytest.raises(RingError):
+            vertex_idempotent(a3, f5, {"v1"}).scale(2.5)
+
+    def test_ints_and_rationals_accepted(self, a3, f5, rationals):
+        v1 = Path(vertex="v1")
+        assert AlgElem.make(a3, f5, {v1: 7}).coeff(v1) == 2
+        half = AlgElem.make(a3, rationals, {v1: Fraction(1, 2)})
+        assert half.scale(4).coeff(v1) == Fraction(2)
 
 
 class TestSharedTerms:

@@ -16,7 +16,7 @@ from pathidem.linalg import (
     span,
 )
 from pathidem.oracle import _enumerate_subspaces
-from pathidem.rings import Ring
+from pathidem.rings import Ring, RingError
 
 
 class TestFieldRowSpace:
@@ -60,6 +60,27 @@ class TestZnRowSpace:
         sp.add((2,))
         sp.add((3,))
         assert sp.contains((1,))
+
+
+class TestCoefficientGate:
+    def test_row_spaces_refuse_a_fraction_over_a_finite_ring(self, f5, z6):
+        with pytest.raises(RingError):
+            FieldRowSpace(f5, 2, [(Fraction(7, 2), 1)])
+        sp = ZnRowSpace(z6, 2)
+        with pytest.raises(RingError):
+            sp.add((Fraction(7, 2), 1))
+        with pytest.raises(RingError):
+            sp.contains((Fraction(7, 2), 1))
+
+    def test_row_spaces_refuse_floats(self, z6, rationals):
+        with pytest.raises(RingError):
+            FieldRowSpace(rationals, 2, [(0.5, 1)])
+        with pytest.raises(RingError):
+            ZnRowSpace(z6, 1).add((2.0,))
+
+    def test_ints_accepted(self, f5, rationals):
+        assert FieldRowSpace(f5, 2, [(7, 1)]).basis() == [(1, 3)]
+        assert FieldRowSpace(rationals, 2, [(2, 1)]).basis() == [(1, Fraction(1, 2))]
 
 
 class TestDense:

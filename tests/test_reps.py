@@ -25,7 +25,7 @@ from pathidem.reps import (
     morita_surrogate_check,
     submodule_from_local,
 )
-from pathidem.rings import Ring
+from pathidem.rings import Ring, RingError
 from pathidem.sweep import q_a3, q_arrow, sweep_quivers
 
 from conftest import conjugate, full_reps
@@ -58,6 +58,12 @@ class TestRepresentation:
             Representation(arrow, f5, {"v1": 1, "v2": 1}, {"a": ((1, 1),)})
         with pytest.raises(RepError):
             Representation(arrow, f5, {"v1": 1, "v2": 1}, {"zz": ((1,),)})
+
+    def test_edge_entries_pass_the_coefficient_gate(self, arrow, f5):
+        with pytest.raises(RingError):
+            Representation(arrow, f5, {"v1": 1, "v2": 1}, {"a": ((2.5,),)})
+        m = Representation(arrow, f5, {"v1": 1, "v2": 1}, {"a": ((7,),)})
+        assert m.edge_maps["a"] == ((2,),)
 
     def test_missing_edge_defaults_to_zero(self, arrow, f5):
         m = Representation(arrow, f5, {"v1": 1, "v2": 1}, {})

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -100,9 +101,105 @@ class TestInvariants:
                 assert ring.idem_join(a, b) in idems
 
 
+# the differential check of the ring arithmetic: every element of these
+# finite rings, and a grid of rationals with both signs and small denominators
+FINITE_RINGS = [Ring("Fp", 2), Ring("Fp", 5), Ring("Zn", 6), Ring("Zn", 9)]
+RATIONAL_GRID = sorted({Fraction(a, b) for a in range(-6, 7) for b in range(1, 5)})
+
+
+class TestArithmeticReference:
+    """`Ring` arithmetic against plain `%` over the finite rings and plain
+    `Fraction` arithmetic over Q: same value, canonical type and range."""
+
+    @pytest.mark.parametrize("ring", FINITE_RINGS, ids=str)
+    def test_finite_ring(self, ring):
+        n = ring.modulus
+
+        def residue(x, want):
+            return type(x) is int and 0 <= x < n and x == want
+
+        assert list(ring.elements()) == list(range(n))
+        assert residue(ring.zero(), 0) and residue(ring.one(), 1)
+        for x in range(-2 * n, 2 * n):
+            assert residue(ring.canon(x), x % n)
+        for a in range(n):
+            assert ring.is_zero(a) is (a == 0)
+            assert residue(ring.neg(a), -a % n)
+            unit = gcd(a, n) == 1
+            assert ring.is_unit(a) is unit
+            if unit:
+                assert residue(ring.inv(a), pow(a, -1, n))
+            else:
+                with pytest.raises(RingError):
+                    ring.inv(a)
+            for b in range(n):
+                assert residue(ring.add(a, b), (a + b) % n)
+                assert residue(ring.sub(a, b), (a - b) % n)
+                assert residue(ring.mul(a, b), a * b % n)
+        assert ring.idempotents() == [x for x in range(n) if x * x % n == x]
+
+    def test_rationals(self, rationals):
+        R = rationals
+
+        def exact(x, want):
+            return type(x) is Fraction and x == want
+
+        assert exact(R.zero(), 0) and exact(R.one(), 1)
+        assert all(exact(x, want) for x, want in zip(R.idempotents(), [0, 1], strict=True))
+        for x in range(-5, 6):
+            assert exact(R.canon(x), Fraction(x))
+        for a in RATIONAL_GRID:
+            assert exact(R.canon(a), a)
+            assert R.is_zero(a) is (a == 0)
+            assert exact(R.neg(a), -a)
+            assert R.is_unit(a) is (a != 0)
+            if a:
+                assert exact(R.inv(a), 1 / a)
+            else:
+                with pytest.raises(RingError):
+                    R.inv(a)
+            for b in RATIONAL_GRID:
+                assert exact(R.add(a, b), a + b)
+                assert exact(R.sub(a, b), a - b)
+                assert exact(R.mul(a, b), a * b)
+
+
 def test_rational_canonical_form(rationals):
-    assert rationals.canon("2/4") == Fraction(1, 2)
+    # strings are parsed only from JSON (`algebra.AlgElem.from_json`)
+    with pytest.raises(RingError):
+        rationals.canon("2/4")
     assert rationals.canon(Fraction(-3, -6)) == Fraction(1, 2)
+
+
+class TestCoefficientGate:
+    """`canon` takes an int that is not a bool over every ring, and a
+    Fraction over Q; everything else raises `RingError`, never a rounding."""
+
+    @pytest.mark.parametrize(
+        "ring, x",
+        [
+            (Ring("Fp", 5), 2.5),
+            (Ring("Fp", 5), True),
+            (Ring("Fp", 5), "\u0664"),  # ARABIC-INDIC DIGIT FOUR, int() reads 4
+            (Ring("Fp", 5), "1/2"),
+            (Ring("Fp", 5), Fraction(1, 2)),
+            (Ring("Fp", 5), Fraction(4)),
+            (Ring("Zn", 6), 5.0),
+            (Ring("Q"), 0.1),
+            (Ring("Q"), False),
+        ],
+        ids=repr,
+    )
+    def test_refused(self, ring, x):
+        with pytest.raises(RingError):
+            ring.canon(x)
+
+    @pytest.mark.parametrize("ring", [Ring("Zn", 6), Ring("Fp", 5), Ring("Q")], ids=str)
+    def test_is_unit_and_inv_refuse_floats(self, ring):
+        with pytest.raises(RingError):
+            ring.is_unit(5.7)
+        with pytest.raises(RingError):
+            ring.inv(2.9)
 
 
 def test_json_round_trip():
