@@ -393,10 +393,14 @@ def _poly_mul(p: int, f: tuple, g: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, ...], ...]:
-    """All subspaces of the column space F_p^dim, as reduced echelon bases,
-    ordered by (rank, basis). A basis is fixed by its pivot columns and by the
-    entries of each row in the non-pivot columns right of its pivot."""
+def _subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, FieldRowSpace], ...]:
+    """All subspaces of the column space F_p^dim, ordered by (rank, basis),
+    each as its reduced echelon basis with a row space of it for the
+    membership queries of `_edge_closed`. A basis is fixed by its pivot
+    columns and by the entries of each row in the non-pivot columns right of
+    its pivot. The row spaces are shared: never add to them."""
+    if ring.kind != "Fp":
+        raise OracleError("submodule enumeration requires a prime field")
     zero, one = ring.zero(), ring.one()
     out = []
     for rank in range(dim + 1):
@@ -412,54 +416,26 @@ def _enumerate_subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, ...], ...]:
                 for (i, j), x in zip(free, values):
                     rows[i][j] = x
                 out.append(tuple(tuple(r) for r in rows))
-    return tuple(sorted(out, key=lambda basis: (len(basis), basis)))
-
-
-@lru_cache(maxsize=None)
-def _subspace_spaces(ring: Ring, dim: int) -> tuple[tuple[tuple, FieldRowSpace], ...]:
-    """Each subspace of `_enumerate_subspaces(ring, dim)` with a row space of
-    it, built once, for the membership queries of `_edge_closed`. The row
-    spaces are shared: never add to them."""
-    return tuple(
-        (basis, FieldRowSpace(ring, dim, basis))
-        for basis in _enumerate_subspaces(ring, dim)
-    )
+    out.sort(key=lambda basis: (len(basis), basis))
+    return tuple((basis, FieldRowSpace(ring, dim, basis)) for basis in out)
 
 
 def enumerate_submodules(m: Representation) -> list[Submodule]:
     """All edge-closed graded subspaces (equivalently, all submodules), in
-    the product order of the per-vertex subspaces. They are built vertex by
-    vertex: a choice for the first k vertices is dropped as soon as an edge
-    between two of them is not closed, so only submodules are built. Edge
-    images are cached reduced echelon bases (see `linalg.image`)."""
-    return list(_submodules(m))
-
-
-def _submodules(
-    m: Representation, ranks: Optional[dict[str, int]] = None
-) -> Iterator[Submodule]:
-    """The submodules of m in enumeration order; with `ranks`, only those of
-    that dimension vector."""
-    if m.ring.kind != "Fp":
-        raise OracleError("submodule enumeration requires a prime field")
-    per_vertex = [
-        [
-            (basis, space)
-            for basis, space in _subspace_spaces(m.ring, m.dims[v])
-            if ranks is None or len(basis) == ranks[v]
-        ]
-        for v in m.quiver.vertices
-    ]
-    return _edge_closed(m, per_vertex)
+    the product order of the per-vertex subspaces: `_edge_closed` on the
+    whole `_subspaces` table at each vertex, in quiver vertex order."""
+    tables = [_subspaces(m.ring, m.dims[v]) for v in m.quiver.vertices]
+    return list(_edge_closed(m, tables))
 
 
 def _edge_closed(m: Representation, per_vertex: list) -> Iterator[Submodule]:
-    """The edge-closed choices of one (basis, row space) per vertex from
-    `per_vertex` (in vertex order), in product order, as submodules of m.
-    An edge is tested once both its ends are chosen: every vector of the
-    image of the source subspace must lie in the target's row space. A
-    choice for the first k vertices that fails a test is dropped with every
-    extension of it."""
+    """The edge-closed choices of one (basis, row space) per vertex, from
+    one sequence of `_subspaces` entries per quiver vertex, in product order,
+    as submodules of m. An edge is tested once both its ends are chosen:
+    every vector of the image of the source subspace must lie in the
+    target's row space. A choice for the first k vertices that fails a test
+    is dropped with every extension of it, so only submodules are built.
+    Edge images are cached reduced echelon bases (see `linalg.image`)."""
     ring, verts = m.ring, m.quiver.vertices
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
@@ -536,34 +512,22 @@ def check_special_by_modules(
     return Verdict("consistent", checked)
 
 
-def _graded_complements(m: Representation, g: Submodule) -> Iterator[Submodule]:
-    """Every submodule C with C (+) g = M vertexwise, in enumeration order:
-    C has rank dims(M)_v - dims(g)_v at each vertex v, and its join with g_v
-    is all of M_v."""
-    verts = m.quiver.vertices
-    ranks = {v: m.dims[v] - len(g.bases[v]) for v in verts}
-    for c in _submodules(m, ranks):
-        if all(
-            len(join(m.ring, m.dims[v], c.bases[v], g.bases[v])) == m.dims[v]
-            for v in verts
-        ):
-            yield c
-
-
 def check_split_by_sequences(
     e: AlgElem, q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
 ) -> Verdict:
-    """Search for a module M in which the generated submodule AeM has no
+    """Search for a module M in which the generated submodule Γ = AeM has no
     edge-closed complement: such an M certifies that e is not left split.
 
-    Where Γ_e(M) is 0 or M, M respectively 0 is a complement, so no
-    complement is searched for. Where the dimension vector alone makes e
-    act on every M as the projection onto a summand M|_L (see
-    `_acts_on_a_summand`), Γ_e(M) = M|_L and the rest of M is a complement,
-    so its reps are counted, not built. For e_S with S a union of weak
-    components (closed on both sides) that covers every vector, so no rep
-    is built. Every rep, built or counted, is counted in `reps_checked`;
-    verdicts and witnesses are those of the full search."""
+    C (+) Γ = M holds exactly when it holds at each vertex, so a complement
+    is an `_edge_closed` choice of one C_v per vertex v among the subspaces
+    of M_v with rank C_v + rank Γ_v = d_v = rank (C_v + Γ_v). Where Γ is 0
+    or M, M respectively 0 is one, so none is searched for. Where the
+    dimension vector alone makes e act on every M as the projection onto a
+    summand M|_L (see `_acts_on_a_summand`), Γ = M|_L and the rest of M is
+    a complement, so its reps are counted, not built. For e_S with S a
+    union of weak components (closed on both sides) that covers every
+    vector, so no rep is built. Every rep, built or counted, is counted in
+    `reps_checked`; verdicts and witnesses are those of the full search."""
     _check_element(e, q, ring)
     checked = 0
     for m in enumerate_reps(q, ring, budget, skip=_acts_on_a_summand(e)):
@@ -574,7 +538,14 @@ def check_split_by_sequences(
         g = gamma(e, m)
         if g.total_dim in (0, m.total_dim):
             continue
-        if next(_graded_complements(m, g), None) is None:
+        per_vertex = []  # at each vertex v, the C_v with C_v (+) Γ_v = M_v
+        for v in q.vertices:
+            d, gv = m.dims[v], g.bases[v]
+            per_vertex.append([
+                c for c in _subspaces(ring, d)
+                if len(c[0]) + len(gv) == d == len(join(ring, d, c[0], gv))
+            ])
+        if next(_edge_closed(m, per_vertex), None) is None:
             return Verdict("counterexample", checked, module=m, submodule=g)
     return Verdict("consistent", checked)
 

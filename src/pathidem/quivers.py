@@ -50,11 +50,12 @@ class Path:
 
     @staticmethod
     def from_json(obj) -> "Path":
-        if not isinstance(obj, dict):
+        # exactly one of "trivial" and "edges": a path with both is ambiguous
+        if not isinstance(obj, dict) or ("trivial" in obj) == ("edges" in obj):
             raise QuiverError(f"bad path: {obj!r}")
-        if "trivial" in obj and isinstance(obj["trivial"], str):
+        if isinstance(obj.get("trivial"), str):
             return Path(vertex=obj["trivial"])
-        if "edges" in obj and _is_str_list(obj["edges"]):
+        if _is_str_list(obj.get("edges")):
             return Path(edges=tuple(obj["edges"]))
         raise QuiverError(f"bad path: {obj!r}")
 

@@ -198,11 +198,15 @@ class Ring:
         if not isinstance(obj, dict) or "ring" not in obj:
             raise RingError(f"bad ring spec: {obj!r}")
         kind = obj["ring"]
+        if kind not in ("Q", "Fp", "Zn"):
+            raise RingError(f"unknown ring kind {kind!r}")
+        key = {"Fp": "p", "Zn": "n"}.get(kind)
+        # a modulus key of another kind is refused, not dropped
+        for stray in ("p", "n"):
+            if stray != key and stray in obj:
+                raise RingError(f"{kind} takes no {stray!r}: {obj!r}")
         if kind == "Q":
             return Ring("Q")
-        if kind not in ("Fp", "Zn"):
-            raise RingError(f"unknown ring kind {kind!r}")
-        key = "p" if kind == "Fp" else "n"
         modulus = obj.get(key)
         # bool is an int subclass: JSON true must not read as modulus 1
         if type(modulus) is not int:

@@ -348,6 +348,14 @@ class TestFullFamily:
     def test_empty_family(self):
         assert not is_full_family([])
 
+    def test_non_orthogonal_pair_not_full(self, arrow, f5):
+        # both special, and the diagonal at each vertex generates the unit
+        # ideal; but e_v2 * 1 = e_v2 != 0, so the pair is not orthogonal
+        fam = [vertex_idempotent(arrow, f5, s) for s in ({"v2"}, arrow.vertices)]
+        assert all(is_left_special(e) for e in fam)
+        assert not strongly_orthogonal(*fam)
+        assert not is_full_family(fam)
+
     def test_enumerate_arrow(self, arrow, f5):
         fams = enumerate_full_families_trivial_idem(arrow, f5)
         assert fams == [[vertex_idempotent(arrow, f5, arrow.vertices)]]

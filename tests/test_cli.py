@@ -343,6 +343,10 @@ def _element(**term):
     return json.dumps({"terms": [{"path": {"trivial": "v1"}, **term}]})
 
 
+def _element_at(path):
+    return json.dumps({"terms": [{"path": path, "coeff": "1"}]})
+
+
 MALFORMED = {
     "edge-without-dst": ("validate", ARROW_NO_DST, "F5", None, "bad-quiver"),
     "edges-not-a-list": (
@@ -350,6 +354,16 @@ MALFORMED = {
         "bad-quiver",
     ),
     "fp-without-p": ("validate", ARROW, '{"ring":"Fp"}', None, "bad-ring"),
+    # ambiguous objects: a second modulus key, a path with both keys
+    "q-with-p": ("validate", ARROW, '{"ring":"Q","p":5}', None, "bad-ring"),
+    "path-trivial-and-edges": (
+        "classify", ARROW, "F5", _element_at({"trivial": "v2", "edges": ["a"]}),
+        "bad-element",
+    ),
+    "path-trivial-and-junk-edges": (
+        "classify", ARROW, "F5", _element_at({"trivial": "v2", "edges": "junk"}),
+        "bad-element",
+    ),
     "term-without-coeff": ("classify", ARROW, "F5", _element(), "bad-element"),
     "coeff-abc-over-f5": ("classify", ARROW, "F5", _element(coeff="abc"), "bad-element"),
     "coeff-1/0-over-q": ("classify", ARROW, "Q", _element(coeff="1/0"), "bad-element"),
@@ -576,6 +590,27 @@ class TestErrors:
             "--element", E_V2,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "family,want",
+        [
+            ({"terms": []}, "bad-family"),  # not a JSON list
+            ([json.loads(E_V1)], "not-special"),  # e_v1 on the arrow
+        ],
+        ids=["not-a-list", "non-special-member"],
+    )
+    def test_bad_family(self, capsys, tmp_path, family, want):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(family))
+        code, report = run(
+            capsys, "full-family", "--quiver", ARROW, "--ring", "F5", "--family", str(fam)
+        )
+        assert (code, report["error"]["code"]) == (2, want)
+
+    def test_full_family_needs_family(self, capsys):
+        code, report = run(capsys, "full-family", "--quiver", ARROW, "--ring", "F5")
+        assert (code, report["error"]["code"]) == (2, "bad-arguments")
+        assert report["error"]["message"] == "full-family needs --family"
 
     def test_orthogonal_rejects_non_special(self, capsys):
         code, report = run(

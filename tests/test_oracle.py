@@ -89,6 +89,11 @@ class TestEnumeration:
         m = Representation(arrow, f2, {"v1": 1, "v2": 1}, {})
         assert len(enumerate_submodules(m)) == 4
 
+    def test_submodule_enumeration_rejects_non_prime_field(self, arrow, rationals):
+        m = Representation(arrow, rationals, {"v1": 1, "v2": 1}, {"a": ((1,),)})
+        with pytest.raises(OracleError, match="prime field"):
+            enumerate_submodules(m)
+
     def test_no_field_elements_held_without_a_free_entry(self, arrow):
         # no dimension vector up to total 0 has an entry to run over F_p, so
         # the residues of a large field are never built
@@ -181,6 +186,11 @@ class TestBruteForce:
         assert orthogonality_bruteforce(e1, e2, 2)
         assert orthogonality_bruteforce(e2, e1, 2)
 
+    def test_orthogonality_rejects_incompatible_elements(self, arrow, a3, f5):
+        e = vertex_idempotent(arrow, f5, {"v2"})
+        with pytest.raises(OracleError, match="incompatible"):
+            orthogonality_bruteforce(e, vertex_idempotent(a3, f5, {"v2"}), 1)
+
     def test_orthogonality_rejects_negative_degree(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, {"v2"})
         with pytest.raises(OracleError):
@@ -267,7 +277,9 @@ class TestAgainstReference:
     def _reference_submodules(m):
         # every product of per-vertex subspaces, kept when edge-closed
         verts = m.quiver.vertices
-        per_vertex = [oracle._enumerate_subspaces(m.ring, m.dims[v]) for v in verts]
+        per_vertex = [
+            [basis for basis, _ in oracle._subspaces(m.ring, m.dims[v])] for v in verts
+        ]
         for choice in product(*per_vertex):
             sub = submodule_from_local(m, dict(zip(verts, choice)), close=False)
             if is_edge_closed(sub):
@@ -345,15 +357,66 @@ class TestAgainstReference:
             assert e.is_idempotent()
             self._assert_oracles_match(e, q, ring)
 
+    @staticmethod
+    def _rank_tables(m, ranks):
+        # the `_subspaces` table of each vertex v, cut to rank ranks[v]
+        return [
+            [c for c in oracle._subspaces(m.ring, m.dims[v]) if len(c[0]) == ranks[v]]
+            for v in m.quiver.vertices
+        ]
+
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_pruned_submodules_match_product_filter(self, q, ring):
         for m in full_reps(q, ring, self.BUDGET):
             want = [s.bases for s in self._reference_submodules(m)]
-            assert [s.bases for s in oracle._submodules(m)] == want
+            assert [s.bases for s in enumerate_submodules(m)] == want
             for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
                 ranks = dict(zip(q.vertices, ranks))
-                got = [s.bases for s in oracle._submodules(m, ranks)]
+                got = [s.bases for s in oracle._edge_closed(m, self._rank_tables(m, ranks))]
                 assert got == [b for b in want if _rank_vector(b) == ranks]
+
+    # the cases above at total dimension 2, and one at total dimension 3,
+    # where some Γ_e(M)_v is a line in a plane: the least case in which a C_v
+    # of the complementary rank may still meet Γ_e(M)_v (at the loop's vertex)
+    COMPLEMENT_CASES = [(q, ring, 2) for q, ring in CASES] + [
+        (PATH_QUIVERS[3], Ring("Fp", 2), 3)
+    ]
+
+    @pytest.mark.parametrize(
+        "q, ring, max_dim", COMPLEMENT_CASES, ids=IDS + ["arrow-into-loop-F2-dim3"]
+    )
+    def test_split_finds_a_complement_exactly_when_reference_does(
+        self, q, ring, max_dim, monkeypatch
+    ):
+        # the split oracle run on one M at a time, every dimension vector
+        # built: a counterexample exactly where Γ_e(M) has no complement
+        budget = OracleBudget(max_total_dim=max_dim)
+        elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        elements += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        searched = 0
+        for m in full_reps(q, ring, budget):
+            monkeypatch.setattr(oracle, "enumerate_reps", lambda *a, **k: iter([m]))
+            for e in elements:
+                g = gamma(e, m)
+                found = next(self._reference_complements(m, g), None) is not None
+                verdict = check_split_by_sequences(e, q, ring, budget)
+                assert verdict.is_counterexample != found, (e, m)
+                searched += g.total_dim not in (0, m.total_dim)
+        # on one vertex every Γ_e(M) is 0 or M
+        assert searched or len(q.vertices) == 1
+
+    def test_shared_row_spaces_unchanged(self):
+        # both oracles on every case, then every cached row space still
+        # spans exactly its basis, in the same rows
+        for q, ring in self.CASES:
+            for s in _subsets(q.vertices):
+                e = vertex_idempotent(q, ring, s)
+                check_special_by_modules(e, q, ring, self.BUDGET)
+                check_split_by_sequences(e, q, ring, self.BUDGET)
+        for ring in {ring for _, ring in self.CASES}:
+            for d in range(self.BUDGET.max_total_dim + 1):
+                for basis, space in oracle._subspaces(ring, d):
+                    assert space.rows == list(basis)
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_gamma_matches_e_fixed_closure(self, q, ring):
@@ -413,7 +476,8 @@ class TestAgainstReference:
             assert len(enumerate_submodules(m)) == len(calls)
             for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
                 calls.clear()
-                got = list(oracle._submodules(m, dict(zip(q.vertices, ranks))))
+                tables = self._rank_tables(m, dict(zip(q.vertices, ranks)))
+                got = list(oracle._edge_closed(m, tables))
                 assert len(got) == len(calls)
 
 
@@ -1105,7 +1169,7 @@ class TestLines:
                 lines = [
                     submodule_from_local(m, {w: basis})
                     for w in q.vertices
-                    for basis in oracle._enumerate_subspaces(ring, m.dims[w])
+                    for basis, _ in oracle._subspaces(ring, m.dims[w])
                     if len(basis) == 1
                 ]
                 for e in elements:

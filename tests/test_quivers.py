@@ -202,3 +202,23 @@ def test_json_round_trip(a3):
     assert Path.from_json(p.to_json()) == p
     t = Path(vertex="v1")
     assert Path.from_json(t.to_json()) == t
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ["a"],  # not an object
+        {},
+        {"trivial": 3},
+        {"edges": "a"},
+        {"edges": ["a", 3]},
+        # both keys: ambiguous, whatever their values
+        {"trivial": "v2", "edges": ["a"]},
+        {"trivial": "v2", "edges": "junk"},
+        {"trivial": 3, "edges": ["a"]},
+    ],
+    ids=repr,
+)
+def test_bad_path_json_refused(obj):
+    with pytest.raises(QuiverError, match="bad path"):
+        Path.from_json(obj)

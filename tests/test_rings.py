@@ -207,6 +207,29 @@ def test_json_round_trip():
         assert Ring.from_json(ring.to_json()) == ring
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # a modulus key of another kind makes the ring ambiguous
+        {"ring": "Q", "p": 5},
+        {"ring": "Q", "n": 6},
+        {"ring": "Fp", "p": 5, "n": 6},
+        {"ring": "Zn", "n": 6, "p": 5},
+        {"ring": "Fp", "n": 5},
+        # no ring kind, no modulus, or a bad one
+        {"ring": "Fp"},
+        {"ring": "Zn", "n": True},
+        {"ring": "R"},
+        {"p": 5},
+        ["Fp", 5],
+    ],
+    ids=repr,
+)
+def test_bad_ring_json_refused(obj):
+    with pytest.raises(RingError):
+        Ring.from_json(obj)
+
+
 def _trial_division(n):
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
