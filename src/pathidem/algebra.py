@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .linalg import FieldRowSpace, ZnRowSpace, _canon
 from .quivers import Path, Quiver, QuiverError, concat
-from .rings import Ring
+from .rings import Ring, _json_object
 
 # the most paths a `TruncatedIdeal` indexes, in its window and in its sandwiches
 _MAX_IDEAL_PATHS = 20_000
@@ -142,12 +142,12 @@ class AlgElem:
 
     @staticmethod
     def from_json(quiver: Quiver, ring: Ring, obj: dict) -> "AlgElem":
-        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+        _json_object(obj, ("terms",), (), AlgebraError, "algebra element")
+        if not isinstance(obj["terms"], list):
             raise AlgebraError(f"bad algebra element: {obj!r}")
         acc: dict[Path, object] = {}
         for t in obj["terms"]:
-            if not isinstance(t, dict) or "path" not in t or "coeff" not in t:
-                raise AlgebraError(f"bad term {t!r}: needs path and coeff")
+            _json_object(t, ("path", "coeff"), (), AlgebraError, "term")
             p = quiver.check_path(Path.from_json(t["path"]))
             c = _coeff_from_json(ring, t["coeff"])
             if p in acc:

@@ -277,50 +277,49 @@ def _run(args, handler) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as an InputError, so `main` answers it with a
-    JSON error report instead of argparse's usage message."""
+    JSON error report instead of argparse's usage message. Parsing reads the
+    parser and never changes it, so one instance serves every call."""
 
     def error(self, message: str):
         raise InputError("bad-arguments", message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="pathidem",
-        description="Classify special and split idempotents in path algebras, "
-        "with brute-force cross-checks.",
-    )
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--quiver", required=True, help="quiver JSON file or inline JSON")
-    parser.add_argument("--ring", required=True, help='e.g. F5, Z6, Q or {"ring":"Fp","p":5}')
-    parser.add_argument(
-        "--element",
-        action="append",
-        default=None,
-        help="element JSON file or inline JSON (repeatable)",
-    )
-    parser.add_argument("--family", help="JSON file with a list of elements")
-    parser.add_argument(
-        "--max-dim",
-        type=int,
-        default=OracleBudget.max_total_dim,
-        help="oracle total-dimension cap",
-    )
-    parser.add_argument(
-        "--max-reps",
-        type=int,
-        default=OracleBudget.max_reps,
-        help="oracle enumeration cap, counted in representations enumerated "
-        "up to isomorphism (at least one per class)",
-    )
-    parser.add_argument("--degree", type=int, default=None, help="truncation degree")
-    parser.add_argument("--out", help="write the report to this path (atomic)")
-    return parser
+_PARSER = _Parser(
+    prog="pathidem",
+    description="Classify special and split idempotents in path algebras, "
+    "with brute-force cross-checks.",
+)
+_PARSER.add_argument("command", choices=list(_COMMANDS))
+_PARSER.add_argument("--quiver", required=True, help="quiver JSON file or inline JSON")
+_PARSER.add_argument("--ring", required=True, help='e.g. F5, Z6, Q or {"ring":"Fp","p":5}')
+_PARSER.add_argument(
+    "--element",
+    action="append",
+    default=None,
+    help="element JSON file or inline JSON (repeatable)",
+)
+_PARSER.add_argument("--family", help="JSON file with a list of elements")
+_PARSER.add_argument(
+    "--max-dim",
+    type=int,
+    default=OracleBudget.max_total_dim,
+    help="oracle total-dimension cap",
+)
+_PARSER.add_argument(
+    "--max-reps",
+    type=int,
+    default=OracleBudget.max_reps,
+    help="oracle enumeration cap, counted in representations enumerated "
+    "up to isomorphism (at least one per class)",
+)
+_PARSER.add_argument("--degree", type=int, default=None, help="truncation degree")
+_PARSER.add_argument("--out", help="write the report to this path (atomic)")
 
 
 def main(argv: list[str] | None = None) -> int:
     out = None
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         out = args.out
         args.element = args.element or []
         count, handler = _COMMANDS[args.command]

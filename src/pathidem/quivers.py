@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .rings import _json_object
+
 
 class QuiverError(ValueError):
     """Malformed quiver, path, or vertex-set input."""
@@ -51,12 +53,12 @@ class Path:
     @staticmethod
     def from_json(obj) -> "Path":
         # exactly one of "trivial" and "edges": a path with both is ambiguous
-        if not isinstance(obj, dict) or ("trivial" in obj) == ("edges" in obj):
-            raise QuiverError(f"bad path: {obj!r}")
-        if isinstance(obj.get("trivial"), str):
-            return Path(vertex=obj["trivial"])
-        if _is_str_list(obj.get("edges")):
-            return Path(edges=tuple(obj["edges"]))
+        key = "trivial" if isinstance(obj, dict) and "trivial" in obj else "edges"
+        _json_object(obj, (key,), (), QuiverError, "path")
+        if key == "trivial" and isinstance(obj[key], str):
+            return Path(vertex=obj[key])
+        if key == "edges" and _is_str_list(obj[key]):
+            return Path(edges=tuple(obj[key]))
         raise QuiverError(f"bad path: {obj!r}")
 
 
@@ -303,15 +305,15 @@ class Quiver:
 
     @staticmethod
     def from_json(obj: dict) -> "Quiver":
-        if not isinstance(obj, dict) or not _is_str_list(obj.get("vertices")):
+        _json_object(obj, ("vertices",), ("edges",), QuiverError, "quiver")
+        if not _is_str_list(obj["vertices"]):
             raise QuiverError(f"bad quiver: {obj!r}")
         edges = obj.get("edges", [])
         if not isinstance(edges, list):
             raise QuiverError(f"quiver edges must be a list, got {edges!r}")
         for e in edges:
-            if not isinstance(e, dict) or not _is_str_list(
-                [e.get("id"), e.get("src"), e.get("dst")]
-            ):
+            e = _json_object(e, ("id", "src", "dst"), (), QuiverError, "edge")
+            if not _is_str_list(list(e.values())):
                 raise QuiverError(f"bad edge {e!r}: needs string id, src and dst")
         return Quiver(
             tuple(obj["vertices"]),

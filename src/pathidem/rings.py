@@ -24,6 +24,16 @@ class RingError(ValueError):
     """Invalid ring specification or element."""
 
 
+def _json_object(obj, required: tuple, optional: tuple, error: type, what: str) -> dict:
+    """obj, if it is a JSON object with every key of `required` and no key
+    outside `required` and `optional`: an unknown or misspelt key is refused,
+    not dropped. Otherwise raises `error`, the caller's exception class."""
+    if not isinstance(obj, dict) or not set(required) <= obj.keys() <= {*required, *optional}:
+        extra = f", may have {list(optional)}" if optional else ""
+        raise error(f"bad {what} {obj!r}: needs keys {list(required)}{extra}, no other")
+    return obj
+
+
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -195,22 +205,18 @@ class Ring:
 
     @staticmethod
     def from_json(obj: dict) -> "Ring":
-        if not isinstance(obj, dict) or "ring" not in obj:
-            raise RingError(f"bad ring spec: {obj!r}")
-        kind = obj["ring"]
+        kind = obj.get("ring") if isinstance(obj, dict) else None
         if kind not in ("Q", "Fp", "Zn"):
-            raise RingError(f"unknown ring kind {kind!r}")
-        key = {"Fp": "p", "Zn": "n"}.get(kind)
-        # a modulus key of another kind is refused, not dropped
-        for stray in ("p", "n"):
-            if stray != key and stray in obj:
-                raise RingError(f"{kind} takes no {stray!r}: {obj!r}")
+            raise RingError(f"bad ring spec, no ring kind Q, Fp or Zn: {obj!r}")
+        key = {"Q": (), "Fp": ("p",), "Zn": ("n",)}[kind]
+        # a modulus key of another kind, like any other key, is refused
+        _json_object(obj, ("ring", *key), (), RingError, "ring spec")
         if kind == "Q":
             return Ring("Q")
-        modulus = obj.get(key)
+        modulus = obj[key[0]]
         # bool is an int subclass: JSON true must not read as modulus 1
         if type(modulus) is not int:
-            raise RingError(f"{kind} needs an integer {key!r}, got {modulus!r}")
+            raise RingError(f"{kind} needs an integer {key[0]!r}, got {modulus!r}")
         return Ring(kind, modulus)
 
     def __str__(self):

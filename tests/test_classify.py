@@ -20,6 +20,7 @@ from pathidem.classify import (
     strongly_orthogonal,
     try_standard_form,
 )
+from pathidem.oracle import orthogonality_bruteforce
 from pathidem.quivers import Path, Quiver
 from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
@@ -153,6 +154,90 @@ class TestSplit:
     def test_split_requires_special(self, arrow, f5):
         with pytest.raises(ClassifyError):
             is_left_split(vertex_idempotent(arrow, f5, {"v1"}))
+
+
+def _reachability_rules(e):
+    """The rules the per-edge checks replaced, kept as the reference: for an
+    element whose support S is left closed with idempotent lambda, whether
+    lambda_v * lambda_w == lambda_v for every w reachable from v, and, when
+    it is, whether S is right closed and lambda is constant on the part of S
+    in each weak component. Returns (monotone, split), or None for an
+    element that fails before the monotone check."""
+    q, ring = e.quiver, e.ring
+    lam = {p.vertex: c for p, c in e.terms if p.is_trivial}
+    s = frozenset(lam)
+    if not q.is_left_closed(s) or not all(ring.is_idempotent(c) for c in lam.values()):
+        return None
+    monotone = all(
+        ring.mul(lam[v], lam[w]) == lam[v] for v in s for w in q.reachable(v)
+    )
+    split = q.is_right_closed(s) and all(
+        len({lam[v] for v in comp & s}) <= 1 for comp in q.weak_components()
+    )
+    return monotone, split
+
+
+def _named_edge(q, witness):
+    """The edge a per-edge witness names, as (id, source, target)."""
+    eid = witness.detail.split()[1]
+    src, dst = q.edge_by_id[eid]
+    assert witness.detail.startswith(f"edge {eid} runs {src} -> {dst} ")
+    return eid, src, dst
+
+
+class TestPerEdgeRules:
+    """try_standard_form checks monotone lambda on each edge out of S, and the
+    split test constant lambda on each edge into S; both agree with the
+    reachability rules they replaced, and each witness names a failing edge."""
+
+    Z30 = Ring("Zn", 30)
+
+    def _check(self, e):
+        ref = _reachability_rules(e)
+        form, witness = try_standard_form(e)
+        if ref is None:
+            assert witness.condition != "lambda-not-monotone-along-paths"
+            return None
+        monotone, split = ref
+        lam = {p.vertex: c for p, c in e.terms if p.is_trivial}
+        ring = e.ring
+        if not monotone:
+            assert witness.condition == "lambda-not-monotone-along-paths", e
+            _, v, w = _named_edge(e.quiver, witness)
+            assert ring.mul(lam[v], lam[w]) != lam[v]
+            return "not-monotone"
+        assert witness is None or witness.condition.startswith("kappa"), e
+        if form is None:
+            return "kappa"
+        report = classify(e)
+        assert report.is_left_split == split, e
+        if not split and report.witnesses[0].condition == "lambda-not-constant-on-component":
+            _, u, v = _named_edge(e.quiver, report.witnesses[0])
+            assert lam[u] != lam[v]
+            return "not-constant"
+        return f"split={split}"
+
+    def test_every_diagonal_z30_element(self):
+        seen = Counter()
+        idems = self.Z30.idempotents()
+        for q in sweep_quivers(4, 4, 40):
+            for lam in _assignments(q.vertices, idems):
+                e = AlgElem.make(q, self.Z30, {Path(vertex=v): c for v, c in lam.items()})
+                seen[self._check(e)] += 1
+        assert {"not-monotone", "not-constant", "split=True", "split=False"} <= seen.keys()
+
+    def test_elements_with_path_terms(self):
+        rng = random.Random(30)
+        idems = self.Z30.idempotents()
+        seen = Counter()
+        for q in sweep_quivers(4, 4, 200):
+            paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
+            for _ in range(10):
+                terms = {Path(vertex=v): rng.choice(idems) for v in q.vertices}
+                for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
+                    terms[p] = rng.choice([x for x in idems if x] + [rng.randrange(30)])
+                seen[self._check(AlgElem.make(q, self.Z30, terms))] += 1
+        assert {"not-monotone", "kappa", "not-constant", "split=True"} <= seen.keys()
 
 
 class TestCentral:
@@ -328,6 +413,61 @@ class TestOrthogonality:
             )
 
 
+def _random_special_element(q, ring, rng):
+    """A left-special element with path terms and (over Z/n) lambda that
+    varies along paths: random idempotents on a random left-closed S, each
+    replaced by its product over the vertices it reaches, which is monotone
+    along paths; then path terms ending in S with coefficients
+    lambda(t) * x * (1 - lambda(s)), which the source lambda annihilates."""
+    s = rng.choice(q.enumerate_left_closed())
+    idems = [x for x in ring.idempotents() if x]
+    lam = {v: rng.choice(idems) for v in s}
+    terms = {}
+    for v in s:
+        c = ring.one()
+        for w in q.reachable(v):
+            c = ring.mul(c, lam[w])
+        terms[Path(vertex=v)] = c
+    lam = {p.vertex: c for p, c in terms.items() if c}
+    for p in q.paths_up_to(2, limit=500):
+        t, src = q.path_target(p), q.path_source(p)
+        if p.is_trivial or t not in lam or rng.random() < 0.5:
+            continue
+        x = ring.canon(rng.randint(-9, 30))
+        off_source = ring.sub(ring.one(), lam.get(src, ring.zero()))
+        terms[p] = ring.mul(ring.mul(lam[t], x), off_source)
+    e = AlgElem.make(q, ring, terms)
+    assert is_left_special(e), e
+    return e
+
+
+class TestOrthogonalityAgainstBruteForce:
+    """strongly_orthogonal reads lambda1 * lambda2 at each vertex of S1 ∩ S2;
+    the truncated brute force multiplies e1 * p * e2 for every path p, which
+    on an acyclic quiver is every path."""
+
+    @pytest.mark.parametrize("n", [6, 12, 30, None], ids=["Z6", "Z12", "Z30", "Q"])
+    def test_random_special_pairs(self, n):
+        ring = Ring("Q") if n is None else Ring("Zn", n)
+        rng = random.Random(f"orthogonal-{ring}")
+        quivers = [q for q in sweep_quivers(4, 4, 60) if q.is_acyclic]
+        seen = Counter()
+        for _ in range(250):
+            q = rng.choice(quivers)
+            e1, e2 = (_random_special_element(q, ring, rng) for _ in range(2))
+            degree = len(q.vertices)
+            ortho = strongly_orthogonal(e1, e2)
+            assert ortho == strongly_orthogonal(e2, e1)
+            assert ortho == orthogonality_bruteforce(e1, e2, degree), (e1, e2)
+            assert ortho == orthogonality_bruteforce(e2, e1, degree), (e1, e2)
+            s1, s2 = (standard_form(e).vertices for e in (e1, e2))
+            seen[ortho, bool(s1 & s2)] += 1
+            seen["path terms"] += e1.max_degree() > 0
+        assert seen[False, True] and seen[True, False] and seen["path terms"]
+        if n is not None:  # over a field, meeting supports are never orthogonal
+            assert seen[True, True]
+
+
 class TestFullFamily:
     def test_z6_pair_full(self, arrow, z6):
         e1 = vertex_idempotent(arrow, z6, arrow.vertices).scale(3)
@@ -389,6 +529,33 @@ class TestFullFamily:
     def test_enumerated_families_are_full(self, q, f3):
         for fam in enumerate_full_families_trivial_idem(q, f3):
             assert is_full_family(fam)
+
+
+def _set_partitions(items):
+    """Every partition of the list `items` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield [[head]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[head] + blocks[i]] + blocks[i + 1 :]
+
+
+@pytest.mark.parametrize("ring", [Ring("Fp", 2), Ring("Q"), Ring("Zn", 4)], ids=str)
+def test_enumerated_families_are_the_left_closed_partitions(ring):
+    # the brute force: every set partition of the vertices whose blocks are
+    # all left closed, sorted as the enumeration sorts its output
+    for q in sweep_quivers(4, 4, 200):
+        want = [
+            sorted((frozenset(b) for b in blocks), key=sorted)
+            for blocks in _set_partitions(list(q.vertices))
+            if all(q.is_left_closed(b) for b in blocks)
+        ]
+        want.sort(key=lambda parts: [sorted(b) for b in parts])
+        got = enumerate_full_families_trivial_idem(q, ring)
+        assert got == [[vertex_idempotent(q, ring, b) for b in parts] for parts in want], q
 
 
 class TestInvariants:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathidem import __version__
-from pathidem import cli, oracle, quivers
+from pathidem import classify, cli, oracle, quivers
 from pathidem.algebra import vertex_idempotent
 from pathidem.cli import main
 from pathidem.oracle import OracleBudget, enumerate_reps
@@ -179,6 +179,29 @@ class TestFamilies:
         )
         assert code == 0
         assert report["result"]["families"] == [[["v1", "v2"]]]
+
+    def test_enumerate_families_bound_by_weak_components(self, capsys, monkeypatch):
+        def families(vertices, edges=()):
+            quiver = json.dumps({"vertices": vertices, "edges": list(edges)})
+            return run(capsys, "enumerate-families", "--quiver", quiver, "--ring", "F2")
+
+        names = [f"v{i}" for i in range(20)]
+        code, report = families(names[:11])
+        assert (code, report["error"]["code"]) == (2, "bad-input")
+        assert "11 weak components" in report["error"]["message"]
+        # one component of 20 vertices, above the 16 a subset scan takes
+        chain = [
+            {"id": f"a{i}", "src": u, "dst": w}
+            for i, (u, w) in enumerate(zip(names, names[1:]))
+        ]
+        code, report = families(names, chain)
+        assert (code, report["result"]["families"]) == (0, [[sorted(names)]])
+        # both sides of the bound, made small: Bell(3) = 5 families
+        monkeypatch.setattr(classify, "_MAX_FAMILY_COMPONENTS", 3)
+        code, report = families(names[:3])
+        assert (code, len(report["result"]["families"])) == (0, 5)
+        code, report = families(names[:4])
+        assert (code, report["error"]["code"]) == (2, "bad-input")
 
     def test_enumerate_families_refuses_zn_beyond_certified_range(self, capsys):
         code, report = run(
@@ -365,6 +388,35 @@ MALFORMED = {
         "bad-element",
     ),
     "term-without-coeff": ("classify", ARROW, "F5", _element(), "bad-element"),
+    # an unknown or misspelt key is refused, not dropped
+    "fp-with-modulus": (
+        "classify", ARROW, '{"ring":"Fp","p":5,"modulus":7}', E_V2, "bad-ring"
+    ),
+    "q-with-note": ("classify", ARROW, '{"ring":"Q","note":1}', E_V2, "bad-ring"),
+    "edge-with-dts": (
+        "classify",
+        json.dumps({"vertices": ["v1", "v2"],
+                    "edges": [{"id": "a", "src": "v1", "dst": "v2", "dts": "v2"}]}),
+        "F5", E_V2, "bad-quiver",
+    ),
+    # read as a quiver with no edges, e_v2 would answer split: true
+    "quiver-with-edgs": (
+        "classify",
+        json.dumps({"vertices": ["v1", "v2"],
+                    "edgs": [{"id": "a", "src": "v1", "dst": "v2"}]}),
+        "F5", E_V2, "bad-quiver",
+    ),
+    "path-trivial-and-edge": (
+        "classify", ARROW, "F5", _element_at({"trivial": "v2", "edge": ["a"]}),
+        "bad-element",
+    ),
+    "term-with-coef": (
+        "classify", ARROW, "F5", _element(coeff="1", coef="2"), "bad-element"
+    ),
+    "element-with-name": (
+        "classify", ARROW, "F5", json.dumps({**json.loads(E_V2), "name": "e_v2"}),
+        "bad-element",
+    ),
     "coeff-abc-over-f5": ("classify", ARROW, "F5", _element(coeff="abc"), "bad-element"),
     "coeff-1/0-over-q": ("classify", ARROW, "Q", _element(coeff="1/0"), "bad-element"),
     "coeff-exponent-over-q": (
@@ -641,6 +693,26 @@ class TestCallsInSequence:
         assert code == 0
         assert report == json.loads(out.read_text())
 
+    def test_one_parser_reports_as_fresh_processes(self, capsys):
+        # `main` parses with one module-level parser: a usage error and then
+        # good calls in this process report what one fresh process per call
+        # reports, and leave the parser's actions as they were
+        def actions():
+            return repr([vars(a) for a in cli._PARSER._actions])
+
+        before = actions()
+        calls = [
+            ["classify", "--quiver", ARROW, "--ring", "F5", "--element", E_V2, "--bogus"],
+            [*self.CLASSIFY, "--element", E_V2],
+            ["classify", "--quiver", ARROW],
+            ["orthogonal", "--quiver", ARROW, "--ring", "Z6", "--element", E3,
+             "--element", E4, "--degree", "1"],
+        ]
+        here = [run(capsys, *argv) for argv in calls]
+        assert actions() == before
+        assert [code for code, _ in here] == [2, 0, 2, 0]
+        assert here == [_fresh_process(argv) for argv in calls]
+
     def test_valid_call_after_a_usage_error(self, capsys):
         code, report = run(capsys, "classify", "--quiver", ARROW)
         assert (code, report["error"]["code"]) == (2, "bad-arguments")
@@ -888,6 +960,18 @@ def test_enumerate_families_on_a_large_ring(tmp_path, ring, code, key, value):
     )
     assert proc.returncode == code
     assert value.items() <= json.loads(proc.stdout)[key].items()
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, dict]:
+    """(exit code, report) of one CLI call in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathidem.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, json.loads(proc.stdout)
 
 
 def _readme_example() -> list[str]:
