@@ -23,7 +23,7 @@ class ClassifyError(ValueError):
     pass
 
 
-# the most weak components that `enumerate_full_families_trivial_idem` takes
+# the most weak components that `_trivial_idem_partitions` takes
 _MAX_FAMILY_COMPONENTS = 10
 
 
@@ -241,10 +241,21 @@ def is_full_family(es: list[AlgElem]) -> bool:
 
 def enumerate_full_families_trivial_idem(q: Quiver, ring: Ring) -> list[list[AlgElem]]:
     """All full families over a ring with only trivial idempotents: exactly the
-    partitions of the vertex set into left-closed parts, as {e_S_i} families.
-    A part's complement is a union of parts, so left closed too, and no edge
-    joins two parts: the parts are the blocks of a set partition of the weak
-    components, merged. That is Bell(10) = 115,975 families at the bound."""
+    partitions of the vertex set into left-closed parts, as {e_S_i} families,
+    in the order of `_trivial_idem_partitions`."""
+    return [
+        [vertex_idempotent(q, ring, part) for part in parts]
+        for parts in _trivial_idem_partitions(q, ring)
+    ]
+
+
+def _trivial_idem_partitions(q: Quiver, ring: Ring) -> list[list[tuple[str, ...]]]:
+    """The vertex sets of the full families over a ring with only trivial
+    idempotents: each part a sorted tuple of vertices, the parts of a
+    partition sorted, and the partitions sorted. A part's complement is a
+    union of parts, so left closed too, and no edge joins two parts: the
+    parts are the blocks of a set partition of the weak components, merged.
+    That is Bell(10) = 115,975 partitions at the bound."""
     # a field has only 0 and 1; Z/n exactly when n is a prime power
     if not (ring.is_field or _is_prime_power(ring.modulus)):
         raise ClassifyError(
@@ -256,16 +267,32 @@ def enumerate_full_families_trivial_idem(q: Quiver, ring: Ring) -> list[list[Alg
             f"quiver has {len(comps)} weak components, above the family"
             f" enumeration bound {_MAX_FAMILY_COMPONENTS}"
         )
-    partitions: list[list[frozenset[str]]] = [[]]
-    for comp in comps:
+    # a part is a bit mask over the components, named by one shared tuple
+    partitions: list[list[int]] = [[]]
+    for k in range(len(comps)):
+        bit = 1 << k
         partitions = [
-            parts[:i] + [parts[i] | comp] + parts[i + 1 :]
+            parts[:i] + [parts[i] | bit] + parts[i + 1 :]
             for parts in partitions
             for i in range(len(parts))
-        ] + [parts + [comp] for parts in partitions]
-    partitions = [sorted(parts, key=sorted) for parts in partitions]
-    partitions.sort(key=lambda parts: [sorted(s) for s in parts])
-    return [[vertex_idempotent(q, ring, s) for s in parts] for parts in partitions]
+        ] + [parts + [bit] for parts in partitions]
+    names = [
+        tuple(sorted(v for k, comp in enumerate(comps) if mask >> k & 1 for v in comp))
+        for mask in range(1 << len(comps))
+    ]
+    return sorted(sorted(names[mask] for mask in parts) for parts in partitions)
+
+
+def _idempotent_from_diagonal(e: AlgElem) -> bool:
+    """e² == e, from the lambda_v alone unless e has a path term and every
+    lambda_v is idempotent (`classify` has the proof)."""
+    ring = e.ring
+    for p, c in e.terms:
+        if not p.is_trivial:  # trivial paths sort first: every lambda_v passed
+            return e.is_idempotent()
+        if not ring.is_idempotent(c):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -296,12 +323,17 @@ def classify(e: AlgElem) -> ClassificationReport:
     lambda_v is idempotent, DK = K as lambda at each kappa target fixes
     kappa, KD = 0 as lambda at each kappa source in S annihilates kappa, and
     K² = 0 as p_i·p_j needs t(p_j) = s(p_i) in S, where
-    kappa_i kappa_j = kappa_i lambda_{s(p_i)} kappa_j = 0. So e² = e, and
-    only an element with no standard form pays for the product e·e."""
+    kappa_i kappa_j = kappa_i lambda_{s(p_i)} kappa_j = 0. So e² = e.
+
+    With no form, the diagonal decides what it can. The path algebra is
+    graded by path length, so the trivial part of e² is D² = sum lambda_v²
+    e_v: a lambda_v with lambda_v² != lambda_v means e² != e, and an element
+    with no path term (K = 0) is idempotent exactly when every lambda_v is.
+    Only an element with path terms and idempotent lambda pays for e·e."""
     witnesses: list[Witness] = []
     form, w = try_standard_form(e)
     special = form is not None
-    idem = special or e.is_idempotent()
+    idem = special or _idempotent_from_diagonal(e)
     if not idem:
         witnesses.append(Witness("not-idempotent", "e*e differs from e"))
     if w is not None:

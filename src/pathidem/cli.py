@@ -21,8 +21,8 @@ from . import __version__
 from .algebra import AlgElem, AlgebraError
 from .classify import (
     ClassifyError,
+    _trivial_idem_partitions,
     classify,
-    enumerate_full_families_trivial_idem,
     is_full_family,
     strongly_orthogonal,
     try_standard_form,
@@ -202,17 +202,12 @@ def _full_family(args, quiver, ring):
 
 def _enumerate_families(args, quiver, ring):
     try:
-        families = enumerate_full_families_trivial_idem(quiver, ring)
+        partitions = _trivial_idem_partitions(quiver, ring)
     except ClassifyError as exc:
         raise InputError("nontrivial-idempotents", str(exc)) from exc
     except RingError as exc:  # a Z/n modulus too large to test as a prime power
         raise InputError("bad-ring", str(exc)) from exc
-    result = {
-        "families": [
-            [sorted(p.vertex for p, _ in e.terms) for e in fam] for fam in families
-        ]
-    }
-    return (result,)
+    return ({"families": partitions},)
 
 
 def _oracle(check):
@@ -335,7 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         report, code = _error("bad-input", exc), EXIT_INPUT
     except BudgetExceeded as exc:
         report, code = _error("budget-exhausted", exc), EXIT_BUDGET
-        report["error"].update(reps_checked=exc.reps_checked, dims=exc.dims)
+        report["error"].update(
+            reps_checked=exc.reps_checked, reps_built=exc.reps_built, dims=exc.dims
+        )
     except OracleError as exc:
         report, code = _error("oracle-error", exc), EXIT_INPUT
     try:

@@ -49,8 +49,9 @@ class OracleError(ValueError):
 
 class BudgetExceeded(OracleError):
     """The representation cap was reached: `reps_checked` is that cap, the
-    number of representations yielded or counted, and `dims` the dimension
-    vector (vertex -> dimension) being enumerated; both None when not
+    number of representations yielded or counted, `dims` the dimension
+    vector (vertex -> dimension) being enumerated, and `reps_built` how many
+    of the reps checked were built, not only counted; each None when not
     given."""
 
     def __init__(
@@ -58,10 +59,12 @@ class BudgetExceeded(OracleError):
         message: str,
         reps_checked: Optional[int] = None,
         dims: Optional[dict[str, int]] = None,
+        reps_built: Optional[int] = None,
     ):
         super().__init__(message)
         self.reps_checked = reps_checked
         self.dims = dims
+        self.reps_built = reps_built
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,14 @@ def enumerate_reps(
     reps of that vector are counted, not built: one int, their number, is
     yielded in their place, and the cap is checked on the count as if each
     had been yielded, so a `BudgetExceeded` raised there carries the cap and
-    dims it would carry without `skip`. A counted vector builds no normal
-    form. Without `skip` only representations are yielded."""
+    dims it would carry without `skip`; its `reps_built` counts only the
+    reps yielded. A counted vector builds no normal form. Without `skip`
+    only representations are yielded."""
     if ring.kind != "Fp":
         raise OracleError("representation enumeration requires a prime field")
     n = len(q.vertices)
     elems = None  # the field elements, held once an edge runs over them
-    count = 0
+    count = built = 0
     for total in range(budget.max_total_dim + 1):
         if not n or comb(total + n - 1, n - 1) <= _PLAN_VECTORS:
             plan = _plan(q, ring, total)
@@ -168,7 +172,7 @@ def enumerate_reps(
             if skip is not None and skip(dims):
                 count += size
                 if count > budget.max_reps:
-                    raise _cap_exceeded(budget, dims)
+                    raise _cap_exceeded(budget, dims, built)
                 yield size
                 continue
             # one factor per anchor (its forms), one per entry of every other edge
@@ -192,7 +196,8 @@ def enumerate_reps(
                         maps[eid] = tuple([tuple(islice(it, c)) for _ in range(r)])
                 count += 1
                 if count > budget.max_reps:
-                    raise _cap_exceeded(budget, dims)
+                    raise _cap_exceeded(budget, dims, built)
+                built += 1
                 yield Representation._from_canonical(q, ring, dims, maps)
 
 
@@ -241,9 +246,11 @@ def _vector_plans(q: Quiver, ring: Ring, total: int) -> Iterator[tuple]:
         yield vec, tuple(anchors), shapes, size
 
 
-def _cap_exceeded(budget: OracleBudget, dims: dict[str, int]) -> BudgetExceeded:
+def _cap_exceeded(
+    budget: OracleBudget, dims: dict[str, int], built: int
+) -> BudgetExceeded:
     return BudgetExceeded(
-        f"representation cap {budget.max_reps} exceeded", budget.max_reps, dims
+        f"representation cap {budget.max_reps} exceeded", budget.max_reps, dims, built
     )
 
 

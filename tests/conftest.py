@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -96,11 +97,18 @@ def full_reps(q, ring, budget=OracleBudget(), skip=None):
 
 def conjugate(e, rng):
     """u e u^-1 for u = 1 + n, n a sum of two random path terms (none on a
-    quiver without edges)."""
+    quiver without edges), each with a coefficient in 1..m-1 over a ring
+    with modulus m, or a nonzero fraction over Q."""
     q, ring = e.quiver, e.ring
     one = vertex_idempotent(q, ring, q.vertices)
     paths = [p for p in q.all_paths() if p.edges]
-    terms = {rng.choice(paths): rng.randrange(1, ring.modulus) for _ in range(2)} if paths else {}
+
+    def coeff():
+        if ring.modulus is None:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        return rng.randrange(1, ring.modulus)
+
+    terms = {rng.choice(paths): coeff() for _ in range(2)} if paths else {}
     n = AlgElem.make(q, ring, terms)
     # n lies in the arrow ideal, so (1 + n)^-1 = sum of (-n)^k
     inverse, power = one, one

@@ -25,6 +25,7 @@ from pathidem.quivers import Path, Quiver
 from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
 
+from conftest import conjugate
 from reference import idem_leq
 from test_acceptance import _random_special
 
@@ -674,6 +675,13 @@ class TestChineseRemainder:
                 assert whole.is_left_split == all(r.is_left_split for r in parts)
 
 
+def _coeff(ring, rng):
+    """A random coefficient: any residue, or a small fraction over Q."""
+    if ring.kind == "Q":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.randrange(ring.modulus)
+
+
 def _check_idempotency(e):
     """classify's idempotent bit against the product e·e, and the form's
     reassembly against e; the reassembly is asserted here too, so it stays
@@ -773,23 +781,203 @@ class TestIdempotencyFromForm:
         rng = random.Random(f"idempotency-{ring}")
         quivers = sweep_quivers(3, 3, 60) + self.SWEEP[:40]
         idems = ring.idempotents()
-
-        def coeff():
-            if ring.kind == "Q":
-                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            return rng.randrange(ring.modulus)
-
         seen = Counter()
         for _ in range(400):
             q = rng.choice(quivers)
             terms = {
-                Path(vertex=v): rng.choice(idems) if rng.random() < 0.85 else coeff()
+                Path(vertex=v): (
+                    rng.choice(idems) if rng.random() < 0.85 else _coeff(ring, rng)
+                )
                 for v in q.vertices
                 if rng.random() < 0.6
             }
             for p in q.paths_up_to(2, limit=500):
                 if not p.is_trivial and rng.random() < 0.25:
-                    terms[p] = coeff()
+                    terms[p] = _coeff(ring, rng)
             report = _check_idempotency(AlgElem.make(q, ring, terms))
             seen[report.is_left_special, report.is_idempotent] += 1
         assert seen.keys() == {(True, True), (False, True), (False, False)}
+
+
+class TestIdempotencyFromDiagonal:
+    """With no form, classify reads e² = e off the lambda_v where they decide
+    it (the trivial part of e² is sum lambda_v² e_v) and multiplies only an
+    element with path terms and idempotent lambda. Against the product."""
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_every_diagonal_element(self, n):
+        # every ring value as lambda, idempotent or not, on every support,
+        # left closed or not (where try_standard_form stops before lambda)
+        ring = Ring("Zn", n)
+        seen = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            for lam in _assignments(q.vertices, range(n)):
+                e = AlgElem.make(q, ring, {Path(vertex=v): c for v, c in lam.items()})
+                report = classify(e)
+                assert report.is_idempotent == (e * e == e), e
+                s = frozenset(v for v, c in lam.items() if c)
+                seen[q.is_left_closed(s), report.is_idempotent] += 1
+        assert seen.keys() == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize(
+        "ring",
+        [Ring("Fp", 3), Ring("Zn", 6), Ring("Zn", 12), Ring("Q")],
+        ids=["F3", "Z6", "Z12", "Q"],
+    )
+    def test_elements_with_path_terms(self, ring):
+        # random lambda, idempotent or not, with random path terms; and
+        # conjugates of e_S for S not left closed: idempotent, with path
+        # terms and no form
+        rng = random.Random(f"read-off-{ring}")
+        idems = ring.idempotents()
+        seen = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
+            if not paths:
+                continue
+            elements = [
+                conjugate(vertex_idempotent(q, ring, s), rng)
+                for s in subsets(q.vertices)
+                if q.is_acyclic and not q.is_left_closed(s)
+            ]
+            for _ in range(12):
+                terms = {
+                    Path(vertex=v): (
+                        rng.choice(idems) if rng.random() < 0.7 else _coeff(ring, rng)
+                    )
+                    for v in q.vertices
+                    if rng.random() < 0.7
+                }
+                for p in rng.sample(paths, min(len(paths), rng.randint(1, 2))):
+                    terms[p] = _coeff(ring, rng) or ring.one()
+                elements.append(AlgElem.make(q, ring, terms))
+            for e in elements:
+                report = _check_idempotency(e)
+                if e.max_degree():
+                    lam_idem = all(ring.is_idempotent(c) for p, c in e.terms if p.is_trivial)
+                    seen[lam_idem, report.is_left_special, report.is_idempotent] += 1
+        # the product branch both ways, and lambda deciding alone
+        assert (True, False, True) in seen and (True, False, False) in seen
+        assert (False, False, False) in seen and (True, True, True) in seen
+
+
+def _bits(report):
+    return report.is_idempotent, report.is_left_special, report.is_left_split
+
+
+INVARIANCE_RINGS = [
+    Ring("Fp", 3),
+    Ring("Fp", 5),
+    Ring("Zn", 6),
+    Ring("Zn", 30),
+    Ring("Zn", 12),
+    Ring("Zn", 8),
+    Ring("Q"),
+]
+INVARIANCE_IDS = ["F3", "F5", "Z6", "Z30", "Z12", "Z8", "Q"]
+
+
+class TestConjugationInvariance:
+    """u·e·u⁻¹ for a unit u = 1 + n, n in the arrow ideal, has the category
+    A(ueu⁻¹)M = AeM of e, so the same idempotent, special and split bits.
+    The trivial part is that of e, so a conjugate with idempotent lambda and
+    no form reaches the branch of classify that still multiplies."""
+
+    ACYCLIC = [q for q in sweep_quivers(4, 4, 200) if q.is_acyclic and q.edges]
+
+    @pytest.mark.parametrize("ring", INVARIANCE_RINGS, ids=INVARIANCE_IDS)
+    def test_bits_unchanged(self, ring):
+        rng = random.Random(f"conjugation-{ring}")
+        idems = ring.idempotents()
+        seen = Counter()
+        for q in self.ACYCLIC * 3:
+            paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
+            # special with path terms; any diagonal idempotent; and the
+            # latter with a path term added, mostly not idempotent
+            diagonal = AlgElem.make(
+                q, ring, {Path(vertex=v): rng.choice(idems) for v in q.vertices}
+            )
+            perturbed = diagonal + AlgElem.make(q, ring, {rng.choice(paths): 1})
+            for e in (_random_special_element(q, ring, rng), diagonal, perturbed):
+                conj = conjugate(e, rng)
+                report = classify(conj)
+                assert _bits(report) == _bits(classify(e)), (e, conj)
+                seen[_bits(report)] += 1
+                seen["multiplied"] += (
+                    report.standard_form is None
+                    and conj.max_degree() > 0
+                    and all(ring.is_idempotent(c) for p, c in conj.terms if p.is_trivial)
+                )
+        assert seen[True, True, True] and seen[True, True, False]
+        assert seen[True, False, None] and seen[False, False, None]
+        assert seen["multiplied"]
+
+
+def _relabel(q, rng):
+    """q with fresh vertex names and edge ids, both in a shuffled declared
+    order, and the map of its paths."""
+    vnames = [f"w{i}" for i in range(len(q.vertices))]
+    enames = [f"b{i}" for i in range(len(q.edges))]
+    rng.shuffle(vnames)
+    rng.shuffle(enames)
+    vmap = dict(zip(q.vertices, vnames))
+    emap = {eid: name for (eid, _, _), name in zip(q.edges, enames)}
+    vertices = list(vnames)
+    edges = [(emap[eid], vmap[s], vmap[t]) for eid, s, t in q.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+
+    def path(p):
+        if p.is_trivial:
+            return Path(vertex=vmap[p.vertex])
+        return Path(edges=tuple(emap[eid] for eid in p.edges))
+
+    return Quiver(tuple(vertices), tuple(edges)), path
+
+
+_KAPPA_CONDITIONS = {
+    "kappa-target-outside-support",
+    "kappa-not-fixed-by-target-lambda",
+    "kappa-not-annihilated-by-source-lambda",
+}
+
+
+class TestRelabellingInvariance:
+    """Renaming and reordering vertices and edges changes no bit. The
+    witnesses keep their conditions, with one exception: the path terms are
+    checked in the order of their lengths and edge ids, so where the first
+    failure is a path term's, a relabelled element may fail another path term first,
+    on another of the three kappa conditions. A detail names the first
+    failing vertex, edge or path in the order of names and declared edges,
+    so it may name another one."""
+
+    def test_bits_unchanged(self):
+        rng = random.Random("relabelling")
+        seen = Counter()
+        for ring in INVARIANCE_RINGS:
+            idems = ring.idempotents()
+            for q in sweep_quivers(4, 4, 200):
+                renamed, path = _relabel(q, rng)
+                paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
+                for _ in range(4):
+                    terms = {
+                        Path(vertex=v): (
+                            rng.choice(idems) if rng.random() < 0.85 else _coeff(ring, rng)
+                        )
+                        for v in q.vertices
+                        if rng.random() < 0.7
+                    }
+                    for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
+                        terms[p] = _coeff(ring, rng)
+                    e = AlgElem.make(q, ring, terms)
+                    want = classify(e)
+                    moved = {path(p): c for p, c in terms.items()}
+                    got = classify(AlgElem.make(renamed, ring, moved))
+                    assert _bits(got) == _bits(want) and got.is_central == want.is_central, e
+                    assert len(got.witnesses) == len(want.witnesses), e
+                    for w, v in zip(want.witnesses, got.witnesses):
+                        a, b = w.condition, v.condition
+                        assert a == b or {a, b} <= _KAPPA_CONDITIONS, e
+                        seen["kappa reordered" if a != b else a] += 1
+        assert seen["kappa reordered"] and seen["support-not-left-closed"]
+        assert seen["lambda-not-constant-on-component"] and seen["not-idempotent"]

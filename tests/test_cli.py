@@ -264,6 +264,7 @@ class TestOracle:
             "code": "budget-exhausted",
             "message": "representation cap 2 exceeded",
             "reps_checked": 2,
+            "reps_built": 0,
             "dims": {"v1": 1, "v2": 0},
         }
 
@@ -292,6 +293,33 @@ class TestOracle:
         assert (report["error"]["reps_checked"], report["error"]["dims"]) == (
             1000, {"v1": 8}
         )
+
+    def test_budget_reports_reps_built(self, capsys):
+        # e_v3 on A3: every dimension vector with a nonzero dimension outside
+        # the reach {v3} is counted, so the cap is reached with nothing built
+        a3 = json.dumps(
+            {
+                "vertices": ["v1", "v2", "v3"],
+                "edges": [
+                    {"id": "a", "src": "v1", "dst": "v2"},
+                    {"id": "b", "src": "v2", "dst": "v3"},
+                ],
+            }
+        )
+        e_v3 = json.dumps({"terms": [{"path": {"trivial": "v3"}, "coeff": "1"}]})
+        code, report = run(
+            capsys, "oracle-special", "--quiver", a3, "--ring", "F2",
+            "--element", e_v3, "--max-dim", "12",
+        )
+        error = report["error"]
+        assert code == 3 and (error["reps_checked"], error["reps_built"]) == (200_000, 0)
+        # e_v1 on the arrow: one of the five reps checked is built
+        code, report = run(
+            capsys, "oracle-special", "--quiver", ARROW, "--ring", "F2",
+            "--element", E_V1, "--max-reps", "5",
+        )
+        error = report["error"]
+        assert code == 3 and (error["reps_checked"], error["reps_built"]) == (5, 1)
 
     def test_zero_max_dim_answers(self, capsys):
         # only the zero rep is checked; it lies in every category
@@ -994,7 +1022,12 @@ def _readme_example() -> list[str]:
             ["oracle-special", "--quiver", ARROW, "--ring", "F2", "--element", E_V1,
              "--max-reps", "1"],
             3, "error",
-            {"code": "budget-exhausted", "reps_checked": 1, "dims": {"v1": 0, "v2": 1}},
+            {
+                "code": "budget-exhausted",
+                "reps_checked": 1,
+                "reps_built": 0,
+                "dims": {"v1": 0, "v2": 1},
+            },
         ),
         (
             ["morita-check", "--quiver", ARROW, "--ring", "F2", "--max-dim", "2",

@@ -58,11 +58,12 @@ class TestEnumeration:
         assert str(info.value) == "representation cap 5 exceeded"
         assert info.value.reps_checked == 5
         assert info.value.dims == {"v1": 1, "v2": 1}
+        assert info.value.reps_built == 5  # no skip: every rep checked was built
 
     def test_budget_exceeded_from_a_message(self):
         exc = BudgetExceeded("representation cap 3 exceeded")
         assert str(exc) == "representation cap 3 exceeded"
-        assert exc.reps_checked is None and exc.dims is None
+        assert exc.reps_checked is None and exc.dims is None and exc.reps_built is None
 
     def test_submodule_counts(self, arrow, f2):
         # M = (K, K, a=1): submodules are 0, the v2 line, and M itself
@@ -1197,12 +1198,14 @@ class TestLines:
 def _enumeration(q, ring, budget, skip=None):
     """The items of one `enumerate_reps` call, each rep as copies of its
     dims and edge maps and each count as its int, and the payload (message,
-    cap, dims) of the `BudgetExceeded` that ended it, or None."""
+    cap, dims) of the `BudgetExceeded` that ended it, or None. The error's
+    `reps_built` must be the number of reps yielded, counts left out."""
     items = []
     try:
         for m in enumerate_reps(q, ring, budget, skip):
             items.append(m if isinstance(m, int) else (dict(m.dims), dict(m.edge_maps)))
     except BudgetExceeded as exc:
+        assert exc.reps_built == sum(not isinstance(m, int) for m in items)
         return items, (str(exc), exc.reps_checked, dict(exc.dims))
     return items, None
 
