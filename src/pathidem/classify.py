@@ -73,28 +73,29 @@ class Witness:
 
 def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witness]]:
     """Attempt to certify a standard form; the support of the trivial paths is
-    read off as S, with no search. Returns (form, None) or (None, witness)."""
-    q, ring = e.quiver, e.ring
-    diag: dict[str, object] = {}
-    kappa: list[tuple[Path, object]] = []
-    for p, c in e.terms:
-        if p.is_trivial:
-            diag[p.vertex] = c
-        else:
-            kappa.append((p, c))
-    s = frozenset(diag)
+    read off as S, with no search. Returns (form, None) or (None, witness).
 
-    for v in sorted(s):
+    An `AlgElem` is built only by `make`, `_reduced` and `zero`, and all
+    three sort its terms by `Path.sort_key`: the trivial paths first, by
+    vertex, then the rest. So e's trivial terms are the diagonal in vertex
+    order, its other terms the kappa terms in canonical order, and every
+    check below walks them as they stand."""
+    q, ring = e.quiver, e.ring
+    diag = tuple((p.vertex, c) for p, c in e.terms if p.is_trivial)
+    kappa = e.terms[len(diag) :]
+    lam = dict(diag)
+
+    for v, _ in diag:
         for eid in q.out_edges[v]:
-            if q.edge_target(eid) not in s:
+            if q.edge_target(eid) not in lam:
                 return None, Witness(
                     "support-not-left-closed", f"edge {eid} leaves the support at {v}"
                 )
 
-    for v in sorted(s):
-        if not ring.is_idempotent(diag[v]):
+    for v, c in diag:
+        if not ring.is_idempotent(c):
             return None, Witness(
-                "lambda-not-idempotent", f"coefficient {ring.fmt(diag[v])} at {v}"
+                "lambda-not-idempotent", f"coefficient {ring.fmt(c)} at {v}"
             )
 
     # lambda_v must generate a smaller ideal than lambda_w along any path
@@ -102,48 +103,36 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
     # lambda_v * lambda_w == lambda_v. The order a <= b (ab = a) is
     # transitive, so a failing path holds a failing edge, and each edge out
     # of the left-closed S ends in S
-    for v in sorted(s):
+    for v, c in diag:
         for eid in q.out_edges[v]:
             w = q.edge_target(eid)
-            if ring.mul(diag[v], diag[w]) != diag[v]:
+            if ring.mul(c, lam[w]) != c:
                 return None, Witness(
                     "lambda-not-monotone-along-paths",
-                    f"edge {eid} runs {v} -> {w} but ({ring.fmt(diag[v])}) is "
-                    f"not inside ({ring.fmt(diag[w])})",
+                    f"edge {eid} runs {v} -> {w} but ({ring.fmt(c)}) is "
+                    f"not inside ({ring.fmt(lam[w])})",
                 )
 
     for p, c in kappa:
         t = q.path_target(p)
-        if t not in s:
+        if t not in lam:
             return None, Witness(
                 "kappa-target-outside-support",
                 f"path term {p.to_json()} ends at {t} outside S",
             )
-        if ring.mul(diag[t], c) != c:
+        if ring.mul(lam[t], c) != c:
             return None, Witness(
                 "kappa-not-fixed-by-target-lambda",
                 f"lambda at {t} does not fix coefficient {ring.fmt(c)}",
             )
         src = q.path_source(p)
-        if src in s and not ring.is_zero(ring.mul(diag[src], c)):
+        if src in lam and not ring.is_zero(ring.mul(lam[src], c)):
             return None, Witness(
                 "kappa-not-annihilated-by-source-lambda",
                 f"lambda at {src} does not annihilate coefficient {ring.fmt(c)}",
             )
 
-    form = StandardForm(
-        quiver=q,
-        ring=ring,
-        vertices=s,
-        diag=tuple(sorted(diag.items())),
-        kappa_terms=tuple(sorted(kappa, key=lambda pc: pc[0].sort_key())),
-    )
-    # the form's canonical terms, trivial paths by vertex and then the kappa
-    # terms, are exactly e's sorted terms (what `reassemble` would rebuild)
-    k = len(form.diag)
-    assert [(p.vertex, c) for p, c in e.terms[:k]] == list(form.diag)
-    assert e.terms[k:] == form.kappa_terms
-    return form, None
+    return StandardForm(q, ring, frozenset(lam), diag, kappa), None
 
 
 def is_left_special(e: AlgElem) -> bool:
@@ -166,7 +155,7 @@ def is_left_split(e: AlgElem) -> bool:
 
 def _split_of_form(form: StandardForm) -> tuple[bool, Optional[Witness]]:
     q, ring, s, lam = form.quiver, form.ring, form.vertices, dict(form.diag)
-    for v in sorted(s):
+    for v, _ in form.diag:
         for eid in q.in_edges[v]:
             if q.edge_source(eid) not in s:
                 return False, Witness(
@@ -174,14 +163,14 @@ def _split_of_form(form: StandardForm) -> tuple[bool, Optional[Witness]]:
                 )
     # S is now closed on both sides, so each weak component that meets S lies
     # inside S, and lambda is constant on it when it agrees across each edge
-    for v in sorted(s):
+    for v, c in form.diag:
         for eid in q.in_edges[v]:
             u = q.edge_source(eid)
-            if lam[u] != lam[v]:
+            if lam[u] != c:
                 return False, Witness(
                     "lambda-not-constant-on-component",
                     f"edge {eid} runs {u} -> {v} but {u} has {ring.fmt(lam[u])} "
-                    f"and {v} has {ring.fmt(lam[v])}",
+                    f"and {v} has {ring.fmt(c)}",
                 )
     return True, None
 

@@ -129,19 +129,25 @@ def _parse_family(q: Quiver, ring: Ring, spec: str) -> list[AlgElem]:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Stream the report as sorted, indented JSON and a newline, so no copy
+    of its whole text is held."""
     if out:
         # a fresh temporary name, so no existing file is overwritten on the way
         fd, tmp = tempfile.mkstemp(dir=FsPath(out).resolve().parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(text)
+                _dump(report, f)
             os.replace(tmp, out)
         except BaseException:
             os.unlink(tmp)
             raise
     else:
-        sys.stdout.write(text)
+        _dump(report, sys.stdout)
+
+
+def _dump(report: dict, f) -> None:
+    json.dump(report, f, sort_keys=True, indent=2)
+    f.write("\n")
 
 
 def _error(code: str, exc) -> dict:

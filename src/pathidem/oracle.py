@@ -143,6 +143,14 @@ def enumerate_reps(
     first dimension vector with a matrix entry outside the anchors, and an
     anchor's normal forms only from the first vector whose reps are built.
 
+    Only the first `max_reps + 1` field elements are held. In the row-major
+    product of a vector's factors, a factor first takes its j-th value at
+    position j times the product of the later factor lengths, which is at
+    least j. With `count` reps counted before the vector, the cap fires at
+    position `max_reps - count <= max_reps`, so no element past the
+    `max_reps`-th is reached, and truncating an element factor only moves
+    positions at least `max_reps + 1`.
+
     Each total is walked through its plan (`_vector_plans`), kept per
     (quiver, field, total) by `_plan` where the total has at most
     `_PLAN_VECTORS` vectors (README "The oracles" gives its size); a larger
@@ -184,7 +192,7 @@ def enumerate_reps(
                         _loop_forms(ring, r) if src == dst else _rank_forms(ring, r, c)
                     )
                 elif r * c:
-                    elems = elems or tuple(ring.elements())
+                    elems = elems or tuple(islice(ring.elements(), budget.max_reps + 1))
                     factors += [elems] * (r * c)
             for flat in product(*factors):
                 it = iter(flat)

@@ -229,34 +229,22 @@ class Quiver:
 
     def reachable(self, start: str) -> frozenset[str]:
         """Vertices reachable from `start` by a directed path of length >= 0."""
-        reach = self._reachable.get(start)
-        if reach is None:
+        if start not in self.vertex_set:
             raise QuiverError(f"unknown vertex {start!r}")
-        return reach
-
-    @cached_property
-    def _reachable(self) -> dict[str, frozenset[str]]:
-        out = {}
-        for start in self.vertices:
-            seen = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for eid in self.out_edges[v]:
-                    w = self.edge_target(eid)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            out[start] = frozenset(seen)
-        return out
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for eid in self.out_edges[v]:
+                w = self.edge_target(eid)
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(seen)
 
     def weak_components(self) -> list[frozenset[str]]:
         """Partition of the vertices under the symmetric closure of the edge
-        relation, in the order of their first vertex; a new list each call."""
-        return list(self._weak_components)
-
-    @cached_property
-    def _weak_components(self) -> tuple[frozenset[str], ...]:
+        relation, in the order of their first vertex."""
         nbrs = {v: set() for v in self.vertices}
         for _, src, dst in self.edges:
             nbrs[src].add(dst)
@@ -266,18 +254,14 @@ class Quiver:
         for v in self.vertices:
             if v in seen:
                 continue
-            comp = {v}
-            stack = [v]
-            seen.add(v)
+            comp, stack = {v}, [v]
             while stack:
-                u = stack.pop()
-                for w in nbrs[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
+                for w in nbrs[stack.pop()] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
             comps.append(frozenset(comp))
-        return tuple(comps)
+        return comps
 
     def enumerate_left_closed(self) -> list[frozenset[str]]:
         """All left-closed vertex subsets, by exhaustive subset enumeration."""

@@ -654,9 +654,23 @@ def _special_elements(q, ring):
 
 
 class TestChineseRemainder:
-    """Z/6 = F_2 x F_3, so classifying over Z/6 must agree with classifying
-    the reductions mod 2 and mod 3: an idempotent, special, central or split
-    element of a product is one in each factor."""
+    """Z/6 = F_2 x F_3 and Z/30 = F_2 x F_3 x F_5, so classifying over Z/n
+    must agree with classifying the reductions mod each prime: an
+    idempotent, special, central or split element of a product is one in
+    each factor."""
+
+    Z30 = Ring("Zn", 30)
+    PRIMES = (Ring("Fp", 2), Ring("Fp", 3), Ring("Fp", 5))
+
+    @staticmethod
+    def _agrees(e, factors):
+        whole = classify(e)
+        parts = [classify(AlgElem.make(e.quiver, r, dict(e.terms))) for r in factors]
+        for field in ("is_idempotent", "is_left_special", "is_central"):
+            assert getattr(whole, field) == all(getattr(r, field) for r in parts), e
+        if whole.is_left_special:
+            assert whole.is_left_split == all(r.is_left_split for r in parts), e
+        return whole
 
     @pytest.mark.parametrize("q", sweep_quivers(3, 3, 60))
     def test_z6_agrees_with_f2_and_f3(self, q, z6, f2, f3):
@@ -666,13 +680,45 @@ class TestChineseRemainder:
             terms = {Path(vertex=v): c for v, c in lam.items()}
             for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
                 terms[p] = rng.randrange(1, 6)
-            e = AlgElem.make(q, z6, terms)
-            whole = classify(e)
-            parts = [classify(AlgElem.make(q, r, dict(e.terms))) for r in (f2, f3)]
-            for field in ("is_idempotent", "is_left_special", "is_central"):
-                assert getattr(whole, field) == all(getattr(r, field) for r in parts)
-            if whole.is_left_special:
-                assert whole.is_left_split == all(r.is_left_split for r in parts)
+            self._agrees(AlgElem.make(q, z6, terms), (f2, f3))
+
+    @pytest.mark.slow
+    def test_z30_every_idempotent_diagonal(self):
+        # all 8^|V| assignments of the idempotents of Z/30 on each quiver,
+        # 20,192 elements, with up to two path terms each
+        for q in sweep_quivers(3, 3, 60):
+            rng = random.Random(repr(q))
+            paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
+            for lam in _assignments(q.vertices, self.Z30.idempotents()):
+                terms = {Path(vertex=v): c for v, c in lam.items()}
+                for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
+                    terms[p] = rng.randrange(1, 30)
+                self._agrees(AlgElem.make(q, self.Z30, terms), self.PRIMES)
+
+    @pytest.mark.parametrize("pool", [(3, 3, 60), (4, 4, 200)], ids=["3v3e", "4v4e"])
+    def test_z30_sampled(self, pool):
+        # a seeded sample of Z/30 elements: a lambda at 80% of the vertices,
+        # an idempotent 3 times in 4 and any residue otherwise, and up to two
+        # path terms
+        rng = random.Random(f"z30 {pool}")
+        idems = self.Z30.idempotents()
+        seen = Counter()
+        for q in sweep_quivers(*pool):
+            paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
+            for _ in range(16):
+                terms = {
+                    Path(vertex=v): (
+                        rng.choice(idems) if rng.random() < 0.75 else rng.randrange(30)
+                    )
+                    for v in q.vertices
+                    if rng.random() < 0.8
+                }
+                for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
+                    terms[p] = rng.randrange(1, 30)
+                whole = self._agrees(AlgElem.make(q, self.Z30, terms), self.PRIMES)
+                seen[whole.is_idempotent, whole.is_left_special, whole.is_left_split] += 1
+        assert seen[True, True, True] and seen[True, True, False]
+        assert seen[True, False, None] and seen[False, False, None]
 
 
 def _coeff(ring, rng):
@@ -684,9 +730,8 @@ def _coeff(ring, rng):
 
 def _check_idempotency(e):
     """classify's idempotent bit against the product e·e, and the form's
-    reassembly against e; the reassembly is asserted here too, so it stays
-    checked where the library's own assert is compiled out (python -O).
-    Returns the report."""
+    reassembly against e: the form takes e's terms as they stand, and this
+    checks that they rebuild e. Returns the report."""
     report = classify(e)
     assert report.is_idempotent == (e * e == e), e
     if report.standard_form is not None:
@@ -981,3 +1026,56 @@ class TestRelabellingInvariance:
                         seen["kappa reordered" if a != b else a] += 1
         assert seen["kappa reordered"] and seen["support-not-left-closed"]
         assert seen["lambda-not-constant-on-component"] and seen["not-idempotent"]
+
+
+class TestWitnessOrder:
+    """Where two vertices fail the same condition, the witness names the
+    first by name, whatever the declared order of the vertices and edges
+    and the order the terms were given in."""
+
+    # declared in reverse name order, edges too
+    Q = Quiver(
+        ("v4", "v3", "v2", "v1"),
+        (("y", "v3", "v4"), ("x", "v1", "v2")),
+    )
+
+    def _witness(self, ring, lam):
+        # the terms are given in reverse name order as well
+        terms = {Path(vertex=v): lam[v] for v in sorted(lam, reverse=True)}
+        report = classify(AlgElem.make(self.Q, ring, terms))
+        return report.witnesses[-1]
+
+    def test_lambda_not_idempotent(self, z6):
+        w = self._witness(z6, {"v4": 1, "v3": 5, "v2": 1, "v1": 2})
+        assert w.to_json() == {
+            "condition": "lambda-not-idempotent",
+            "detail": "coefficient 2 at v1",
+        }
+
+    def test_edge_leaves_the_support(self, f5):
+        w = self._witness(f5, {"v3": 1, "v1": 1})
+        assert w.to_json() == {
+            "condition": "support-not-left-closed",
+            "detail": "edge x leaves the support at v1",
+        }
+
+    def test_edge_enters_the_support(self, f5):
+        w = self._witness(f5, {"v4": 1, "v2": 1})
+        assert w.to_json() == {
+            "condition": "support-not-right-closed",
+            "detail": "edge x enters the support at v2",
+        }
+
+    def test_lambda_not_monotone(self, z6):
+        w = self._witness(z6, {"v4": 4, "v3": 1, "v2": 3, "v1": 1})
+        assert w.to_json() == {
+            "condition": "lambda-not-monotone-along-paths",
+            "detail": "edge x runs v1 -> v2 but (1) is not inside (3)",
+        }
+
+    def test_lambda_not_constant(self, z6):
+        w = self._witness(z6, {"v4": 1, "v3": 4, "v2": 1, "v1": 3})
+        assert w.to_json() == {
+            "condition": "lambda-not-constant-on-component",
+            "detail": "edge x runs v1 -> v2 but v1 has 3 and v2 has 1",
+        }

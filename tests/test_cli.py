@@ -253,6 +253,29 @@ class TestOracle:
         assert report["result"] == {"reps_checked": 46_781, "verdict": "consistent"}
         assert peak < 5 << 20
 
+    def test_huge_field_answers(self, capsys):
+        # F_(2^61 - 1): the free Kronecker edge holds only the field
+        # elements the cap can reach, not all 2^61 - 1 of them
+        kronecker = json.dumps(
+            {
+                "vertices": ["v1", "v2"],
+                "edges": [
+                    {"id": "a", "src": "v1", "dst": "v2"},
+                    {"id": "b", "src": "v1", "dst": "v2"},
+                ],
+            }
+        )
+        code, report = run(
+            capsys, "oracle-split", "--quiver", kronecker,
+            "--ring", f"F{2**61 - 1}", "--element", E_V2, "--max-dim", "3",
+        )
+        assert code == 0
+        assert report["result"] == {
+            "verdict": "counterexample",
+            "module": {"dims": {"v1": 1, "v2": 1}, "edges": {"a": [["0"]], "b": [["1"]]}},
+            "submodule": {"v1": [], "v2": [["1"]]},
+        }
+
     def test_budget_exit_code(self, capsys):
         code, report = run(
             capsys, "oracle-special", "--quiver", ARROW, "--ring", "F2",
@@ -699,6 +722,25 @@ class TestErrors:
         )
         assert code == 2
         assert report["error"]["code"] == "not-special"
+
+
+class TestEmit:
+    def test_large_report_is_streamed(self, tmp_path):
+        # about 1.9 MB of text: neither stdout nor --out is handed a copy of
+        # it, and both get the bytes json.dumps would give
+        report = {"result": {"families": [f"v{i}" * 100 for i in range(4000)]}}
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        stdout, out = tmp_path / "stdout.json", tmp_path / "out.json"
+        with open(stdout, "w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
+            tracemalloc.start()
+            try:
+                cli._emit(report, None)
+                cli._emit(report, str(out))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert stdout.read_bytes() == text.encode() == out.read_bytes()
+        assert peak < len(text) // 20
 
 
 class TestCallsInSequence:

@@ -110,6 +110,33 @@ class TestEnumeration:
         ]
         assert peak < 1 << 20
 
+    def test_field_elements_held_up_to_the_cap(self):
+        # the second Kronecker edge runs over F_p at (1, 1), where a cap of 7
+        # reaches its first three values; a large field holds 8 elements and
+        # walks as F_5 does, to the same BudgetExceeded
+        kronecker = Quiver(("v1", "v2"), (("a", "v1", "v2"), ("b", "v1", "v2")))
+        budget = OracleBudget(max_total_dim=2, max_reps=7)
+
+        def walk(ring):
+            reps = []
+            with pytest.raises(BudgetExceeded) as info:
+                for m in enumerate_reps(kronecker, ring, budget):
+                    reps.append(m.to_json())
+            exc = info.value
+            return reps, (str(exc), exc.reps_checked, exc.reps_built, exc.dims)
+
+        small = walk(Ring("Fp", 5))
+        tracemalloc.start()
+        try:
+            large = walk(Ring("Fp", 4_000_037))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert large == small
+        assert small[1] == ("representation cap 7 exceeded", 7, 7, {"v1": 1, "v2": 1})
+        assert [m["edges"]["b"] for m in small[0][4:]] == [[["0"]], [["1"]], [["2"]]]
+        assert peak < 1 << 20
+
     def test_dim_vectors_in_lexicographic_order(self):
         # enumerate_reps takes them as they come, unsorted
         for n in range(6):
