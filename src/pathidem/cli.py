@@ -231,11 +231,15 @@ def _morita_check(args, quiver, ring):
     e = _parse_element(quiver, ring, args.element[0])
     budget = OracleBudget(args.max_dim, args.max_reps)
     corner = corner_algebra(e)  # refuses a non-idempotent e and Z/n
-    # a counted dimension vector (an int) holds no rep in the category
+    # M = AeM, with no Γ_e, where M is 0 off S = corner[0].vertices: there
+    # e_S M = M, so eM = u e_S u^-1 M = M for the unit u of `corner_algebra`.
+    # A counted dimension vector (an int) holds no rep in the category
+    outside = [v for v in quiver.vertices if v not in corner[0].vertices]
     reps = [
         m
         for m in enumerate_reps(quiver, ring, budget, skip=_outside_reach(e))
-        if not isinstance(m, int) and in_category_e(e, m)
+        if not isinstance(m, int)
+        and (not any(m.dims[v] for v in outside) or in_category_e(e, m))
     ]
     cms = [corner_module(e, m, corner) for m in reps]
     bijective = [

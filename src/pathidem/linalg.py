@@ -76,7 +76,9 @@ class FieldRowSpace:
             raise LinAlgError(
                 f"pivot {v[piv]} is not a unit in {R}; module is not free here"
             ) from exc
-        v = tuple(_canon(R, [inv * x for x in v]))
+        if inv != 1:  # scale to pivot 1; the residual is already reduced
+            v = _combine(R, [0] * len(v), inv, v)
+        v = tuple(v)
         # clear the new pivot column in the existing rows
         self.rows = [
             tuple(_combine(R, row, -row[piv], v)) if row[piv] else row
@@ -251,9 +253,14 @@ def mat_vec(ring: Ring, a: Sequence[Sequence], v: Sequence) -> tuple:
 
 
 def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
-    """Basis of {v : rows @ v == 0} over a field."""
+    """Basis of {v : rows @ v == 0} over a field: one vector per free column
+    j of the reduced echelon form of `rows`, with 1 at j, -row[j] at each
+    row's pivot and 0 elsewhere, in column order. With no rows that is the
+    unit basis, returned with no elimination."""
     if not ring.is_field:
         raise LinAlgError("nullspace computation requires a field")
+    if not rows:
+        return list(identity_matrix(ring, ncols))
     space = FieldRowSpace(ring, ncols, rows)
     pivots = set(space.pivots)
     free = [j for j in range(ncols) if j not in pivots]

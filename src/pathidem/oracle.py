@@ -407,15 +407,33 @@ def _poly_mul(p: int, f: tuple, g: tuple) -> tuple:
     return tuple(out)
 
 
+# the most subspaces `_subspaces` tabulates for one (ring, dim), about 110 MB
+# (F_2^7 has 29,212, F_3^5 2,664, F_p^2 p + 3)
+_MAX_SUBSPACES = 10**5
+
+
 @lru_cache(maxsize=None)
 def _subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, FieldRowSpace], ...]:
     """All subspaces of the column space F_p^dim, ordered by (rank, basis),
     each as its reduced echelon basis with a row space of it for the
     membership queries of `_edge_closed`. A basis is fixed by its pivot
     columns and by the entries of each row in the non-pivot columns right of
-    its pivot. The row spaces are shared: never add to them."""
+    its pivot. The row spaces are shared: never add to them.
+
+    The table is counted before it is built, as the sum over rank r of the
+    Gaussian binomials [dim r]_p, and OracleError is raised when it would
+    hold more than `_MAX_SUBSPACES` entries, which bounds its time and
+    memory where p or dim is large."""
     if ring.kind != "Fp":
         raise OracleError("submodule enumeration requires a prime field")
+    p, count, binom = ring.modulus, 0, 1
+    for r in range(dim + 1):
+        count += binom
+        if count > _MAX_SUBSPACES:
+            raise OracleError(
+                f"F_{p}^{dim} has more than {_MAX_SUBSPACES} subspaces to enumerate"
+            )
+        binom = binom * (p ** (dim - r) - 1) // (p ** (r + 1) - 1)
     zero, one = ring.zero(), ring.one()
     out = []
     for rank in range(dim + 1):

@@ -241,12 +241,18 @@ def in_category_e(
 def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
     """Basis of the intertwiners f = (f_v) with f_{t(a)} M_a = N_a f_{s(a)},
     over a field; RepError on reps of different quivers or rings, and over
-    Z/n. It is the nullspace of one equation per entry of
+    Z/n. It is `linalg.nullspace` of one equation per entry of
     f_{t(a)} M_a - N_a f_{s(a)}, in the unknowns f_v of shape
-    n.dims[v] x m.dims[v], stored row-major in vertex order. When there are
-    no unknowns (dims[v] of m or of n is 0 at every vertex) the answer is []
-    with no elimination."""
-    if m.quiver != n.quiver or m.ring != n.ring:
+    n.dims[v] x m.dims[v], stored row-major in vertex order, and each basis
+    vector is sliced into those blocks. An equation whose row is 0 is
+    dropped. When there are no unknowns (dims[v] of m or of n is 0 at every
+    vertex) the answer is [] with no `nullspace` call; when there are
+    unknowns but no equation left (say no edge has both a nonzero source in
+    m and a nonzero target in n, or every such edge map is 0) `nullspace`
+    returns the unit basis with no elimination."""
+    if (m.quiver is not n.quiver and m.quiver != n.quiver) or (
+        m.ring is not n.ring and m.ring != n.ring
+    ):
         raise RepError("representations are incompatible")
     if not m.ring.is_field:
         raise RepError(f"hom_space needs a field, not {m.ring}")
@@ -269,17 +275,14 @@ def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
                     row[od + i * md + k] += A[k][j]
                 for l in range(ns):
                     row[os_ + l * ms + j] -= B[i][l]
-                rows.append(row)
-    return [
-        {
-            v: tuple(
-                tuple(sol[offs[v] + i * m.dims[v] : offs[v] + (i + 1) * m.dims[v]])
-                for i in range(n.dims[v])
-            )
-            for v in m.quiver.vertices
-        }
-        for sol in nullspace(m.ring, rows, nunk)
-    ]
+                if any(row):  # entries lie in (-p, p), so 0 mod p only if 0
+                    rows.append(row)
+    sols = nullspace(m.ring, rows, nunk)
+    cuts = []  # per vertex v, the slice of each row of f_v in a solution
+    for v in m.quiver.vertices:
+        o, d = offs[v], m.dims[v]
+        cuts.append((v, [slice(o + i * d, o + (i + 1) * d) for i in range(n.dims[v])]))
+    return [{v: tuple(map(sol.__getitem__, rows)) for v, rows in cuts} for sol in sols]
 
 
 # ---- the corner ring eAe as the path algebra of a quiver Q_S ----

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from pathidem import oracle
 from pathidem.algebra import AlgElem, vertex_idempotent
 from pathidem.oracle import BudgetExceeded, OracleBudget
+from pathidem.quivers import Path
 from pathidem.reps import Representation
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated
@@ -117,3 +118,29 @@ def conjugate(e, rng):
         inverse = inverse + power
     assert inverse * (one + n) == one
     return (one + n) * e * inverse
+
+
+def path_term_idempotents(q, ring, rng, count):
+    """Up to `count` idempotents e_S + sum of x_p * p, drawn by the rule of
+    acceptance test 09 over F_p: a path p of length <= 2 may carry x when
+    λ_t(p) * x = x and, if s(p) lies in S, λ_s(p) * x = 0. Over a field every
+    λ_v on S is 1, so p must run from outside S into S, and any x != 0 will
+    do. S runs over every vertex subset, so non-special elements occur too."""
+    paths = [r for r in q.paths_up_to(2, limit=500) if not r.is_trivial]
+    subsets = [
+        frozenset(c) for k in range(len(q.vertices) + 1) for c in combinations(q.vertices, k)
+    ]
+    found = []
+    for _ in range(40 * count):
+        s = rng.choice(subsets)
+        terms = {Path(vertex=v): 1 for v in s}
+        for r in paths:
+            if q.path_target(r) in s and q.path_source(r) not in s:
+                if rng.random() < 0.6:
+                    terms[r] = rng.randrange(1, ring.modulus)
+        e = AlgElem.make(q, ring, terms)
+        if len(e.terms) > len(s) and e not in found:
+            found.append(e)
+            if len(found) == count:
+                break
+    return found

@@ -10,7 +10,14 @@ oracle or library function needs it.
 from typing import Sequence
 
 from pathidem.algebra import AlgElem, path_element, path_vector
-from pathidem.linalg import FieldRowSpace, identity_matrix, mat_mul, mat_vec, span
+from pathidem.linalg import (
+    FieldRowSpace,
+    LinAlgError,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    span,
+)
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import Representation, RepError, Submodule
 from pathidem.rings import Ring, RingError
@@ -174,3 +181,55 @@ def corner_arrows(q: Quiver, s) -> list[Path]:
         and q.path_target(p) in s
         and not any(q.edge_target(eid) in s for eid in p.edges[:-1])
     ]
+
+
+class RefRowSpace:
+    """Reduced echelon basis maintained with Ring.add/sub/mul only."""
+
+    def __init__(self, ring, ncols):
+        self.ring, self.rows, self.pivots = ring, [], []
+
+    def reduce(self, vec):
+        R = self.ring
+        v = [R.canon(x) for x in vec]
+        coords = []
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            coords.append(c)
+            v = [R.add(a, R.mul(R.neg(c), b)) for a, b in zip(v, row)]
+        return coords, v
+
+    def add(self, vec):
+        R = self.ring
+        v = self.reduce(vec)[1]
+        nonzero = [i for i, x in enumerate(v) if not R.is_zero(x)]
+        if not nonzero:
+            return False
+        piv = nonzero[0]
+        if not R.is_unit(v[piv]):
+            raise LinAlgError("non-unit pivot")
+        v = tuple(R.mul(R.inv(v[piv]), x) for x in v)
+        self.rows = [
+            tuple(R.sub(a, R.mul(row[piv], b)) for a, b in zip(row, v))
+            for row in self.rows
+        ]
+        idx = sum(p < piv for p in self.pivots)
+        self.rows.insert(idx, v)
+        self.pivots.insert(idx, piv)
+        return True
+
+
+def ref_nullspace(ring, rows, ncols):
+    """Basis of {v : rows @ v == 0}: one vector per free column, in column
+    order, from a RefRowSpace of the rows."""
+    space = RefRowSpace(ring, ncols)
+    for row in rows:
+        space.add(row)
+    basis = []
+    for f in [j for j in range(ncols) if j not in space.pivots]:
+        v = [ring.zero()] * ncols
+        v[f] = ring.one()
+        for row, piv in zip(space.rows, space.pivots):
+            v[piv] = ring.neg(row[f])
+        basis.append(tuple(v))
+    return basis

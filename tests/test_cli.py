@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,12 @@ from pathidem import __version__
 from pathidem import classify, cli, oracle, quivers
 from pathidem.algebra import vertex_idempotent
 from pathidem.cli import main
-from pathidem.oracle import OracleBudget, enumerate_reps
+from pathidem.oracle import OracleBudget, _outside_reach, enumerate_reps
 from pathidem.reps import in_category_e, morita_surrogate_check
 from pathidem.rings import Ring
-from pathidem.sweep import q_a3
+from pathidem.sweep import q_a3, sweep_quivers
+
+from conftest import conjugate, path_term_idempotents
 
 ARROW = json.dumps(
     {
@@ -408,6 +412,61 @@ class TestMoritaCheckCorners:
             "pairs_checked": len(results),
             "all_bijective": all(r["bijective"] for r in results),
         }
+
+
+class TestCategoryBySupport:
+    """morita-check counts a rep that is 0 off S, the trivial support of e,
+    as in Ae-Mod without computing Γ_e: there e_S M = M, so eM = M for an
+    idempotent e over a field on an acyclic quiver. On the acyclic quivers of
+    sweep_quivers(3, 3, 60) over F_2 and F_3, for every e_S (left-closed S
+    or not), a conjugate of each, and idempotents with path terms."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+    CASES = [
+        (q, Ring("Fp", p)) for q in sweep_quivers(3, 3, 60) if q.is_acyclic for p in (2, 3)
+    ]
+
+    @staticmethod
+    def _elements(q, ring):
+        rng = random.Random(f"support-{q}-{ring}")
+        out = []
+        for k in range(1, len(q.vertices) + 1):
+            for s in combinations(q.vertices, k):
+                e = vertex_idempotent(q, ring, s)
+                out += [e, conjugate(e, rng)]
+        return out + path_term_idempotents(q, ring, rng, 4)
+
+    def test_rule_holds_and_reports_match_gamma(self, capsys):
+        seen = {"off-S zero": 0, "off-S nonzero": 0, "outside": 0, "not bijective": 0}
+        for q, ring in self.CASES:
+            for e in self._elements(q, ring):
+                s = {p.vertex for p, _ in e.terms if p.is_trivial}
+                inside = []
+                for m in enumerate_reps(q, ring, self.BUDGET, skip=_outside_reach(e)):
+                    if isinstance(m, int):
+                        continue
+                    member = in_category_e(e, m)
+                    if any(m.dims[v] for v in q.vertices if v not in s):
+                        seen["off-S nonzero"] += 1
+                        seen["outside"] += not member
+                    else:
+                        assert member, (e, m)
+                        seen["off-S zero"] += 1
+                    if member:
+                        inside.append(m)
+                results = [morita_surrogate_check(e, m, n)["bijective"] for m in inside for n in inside]
+                code, report = run(
+                    capsys, "morita-check", "--quiver", json.dumps(q.to_json()),
+                    "--ring", f"F{ring.modulus}", "--element", json.dumps(e.to_json()),
+                    "--max-dim", "2",
+                )
+                assert code == 0
+                assert report["result"] == {
+                    "pairs_checked": len(results),
+                    "all_bijective": all(results),
+                }, e
+                seen["not bijective"] += not all(results)
+        assert all(seen.values()), seen
 
 
 ARROW_NO_DST = json.dumps({"vertices": ["v1", "v2"], "edges": [{"id": "a", "src": "v1"}]})
@@ -1030,6 +1089,25 @@ def test_enumerate_families_on_a_large_ring(tmp_path, ring, code, key, value):
     )
     assert proc.returncode == code
     assert value.items() <= json.loads(proc.stdout)[key].items()
+
+
+@pytest.mark.parametrize("ring", ["F2305843009213693951", "F1000003"])
+def test_split_oracle_refuses_a_huge_subspace_table(tmp_path, ring):
+    # F_p^2 has p + 3 subspaces: the first ran out of memory building them
+    # (a traceback and exit 1), the second took 30 s and 626 MB
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathidem.cli", "oracle-split", "--quiver", ARROW,
+         "--ring", ring, "--element", E_V1, "--max-dim", "3"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "oracle-error"
+    assert f"F_{ring[1:]}^2 has more than" in error["message"]
 
 
 def _fresh_process(argv: list[str]) -> tuple[int, dict]:

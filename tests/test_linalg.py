@@ -18,6 +18,8 @@ from pathidem.linalg import (
 from pathidem import oracle
 from pathidem.rings import Ring, RingError
 
+from reference import RefRowSpace, ref_nullspace
+
 
 class TestFieldRowSpace:
     def test_incremental_echelon(self, f5):
@@ -104,42 +106,6 @@ class TestDense:
 # ---- the kernels against a reference written with Ring arithmetic ----
 
 
-class _RefRowSpace:
-    """Reduced echelon basis maintained with Ring.add/sub/mul only."""
-
-    def __init__(self, ring, ncols):
-        self.ring, self.rows, self.pivots = ring, [], []
-
-    def reduce(self, vec):
-        R = self.ring
-        v = [R.canon(x) for x in vec]
-        coords = []
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            coords.append(c)
-            v = [R.add(a, R.mul(R.neg(c), b)) for a, b in zip(v, row)]
-        return coords, v
-
-    def add(self, vec):
-        R = self.ring
-        v = self.reduce(vec)[1]
-        nonzero = [i for i, x in enumerate(v) if not R.is_zero(x)]
-        if not nonzero:
-            return False
-        piv = nonzero[0]
-        if not R.is_unit(v[piv]):
-            raise LinAlgError("non-unit pivot")
-        v = tuple(R.mul(R.inv(v[piv]), x) for x in v)
-        self.rows = [
-            tuple(R.sub(a, R.mul(row[piv], b)) for a, b in zip(row, v))
-            for row in self.rows
-        ]
-        idx = sum(p < piv for p in self.pivots)
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, piv)
-        return True
-
-
 def _ref_mat_vec(ring, a, v):
     out = []
     for row in a:
@@ -153,20 +119,6 @@ def _ref_mat_vec(ring, a, v):
 def _ref_mat_mul(ring, a, b):
     cols = list(zip(*b))
     return tuple(tuple(_ref_mat_vec(ring, [row], col)[0] for col in cols) for row in a)
-
-
-def _ref_nullspace(ring, rows, ncols):
-    space = _RefRowSpace(ring, ncols)
-    for row in rows:
-        space.add(row)
-    basis = []
-    for f in [j for j in range(ncols) if j not in space.pivots]:
-        v = [ring.zero()] * ncols
-        v[f] = ring.one()
-        for row, piv in zip(space.rows, space.pivots):
-            v[piv] = ring.neg(row[f])
-        basis.append(tuple(v))
-    return basis
 
 
 def _random_entry(ring, rng):
@@ -201,7 +153,7 @@ class TestKernelsAgainstReference:
         grown = 0
         for _ in range(60):
             ncols = rng.randint(1, 5)
-            space, ref = FieldRowSpace(ring, ncols), _RefRowSpace(ring, ncols)
+            space, ref = FieldRowSpace(ring, ncols), RefRowSpace(ring, ncols)
             added = []
             for vec in _random_matrix(ring, rng, rng.randint(1, 6), ncols):
                 coords, residual = ref.reduce(vec)
@@ -253,9 +205,48 @@ class TestKernelsAgainstReference:
             ncols = rng.randint(1, 5)
             rows = _random_matrix(ring, rng, rng.randint(0, 4), ncols)
             basis = nullspace(ring, rows, ncols)
-            assert basis == _ref_nullspace(ring, rows, ncols)
+            assert basis == ref_nullspace(ring, rows, ncols)
             for x in basis:
                 assert all(ring.is_zero(y) for y in _ref_mat_vec(ring, rows, x))
+
+
+F2, F3, F5, Q = Ring("Fp", 2), Ring("Fp", 3), Ring("Fp", 5), Ring("Q")
+FR = Fraction
+NULLSPACE_CASES = {
+    # unknowns but no equation: the unit basis, with no elimination
+    "no-rows-F3": (F3, [], 3),
+    "no-rows-Q": (Q, [], 2),
+    "no-rows-no-columns": (F2, [], 0),
+    # equations that are all zero: the unit basis again, by elimination
+    "zero-rows-F5": (F5, [(0, 0, 0), (0, 0, 0)], 3),
+    "zero-row-among-others-F3": (F3, [(0, 0, 0, 0), (0, 2, 1, 0), (0, 0, 0, 0)], 4),
+    # pivots other than 1, which must be scaled to 1
+    "pivots-2-F3": (F3, [(0, 2, 1, 0), (2, 0, 0, 1)], 4),
+    "pivots-3-4-F5": (F5, [(3, 1, 4, 0), (0, 0, 2, 3)], 4),
+    "pivot-after-reduction-F5": (F5, [(1, 2, 0), (1, 4, 3)], 3),
+    # fractions over Q
+    "fractions-Q": (Q, [(FR(1, 2), FR(-2, 3), 1, 0), (3, 0, FR(5, 7), FR(-1, 4))], 4),
+    "fraction-pivot-Q": (Q, [(0, 0, 0), (FR(3, 4), 0, FR(1, 3))], 3),
+}
+
+
+@pytest.mark.parametrize("ring, rows, ncols", NULLSPACE_CASES.values(), ids=NULLSPACE_CASES)
+def test_nullspace_cases(ring, rows, ncols):
+    # no-row systems, all-zero rows, pivots != 1 and fractions, against the
+    # Ring-arithmetic reference; each basis vector solves the system, and
+    # one is found per column the equations leave free
+    basis = nullspace(ring, rows, ncols)
+    assert basis == ref_nullspace(ring, rows, ncols)
+    assert all(_is_canonical(ring, x) for v in basis for x in v)
+    for x in basis:
+        assert all(ring.is_zero(y) for y in _ref_mat_vec(ring, rows, x))
+    ref = RefRowSpace(ring, ncols)
+    rank = sum(ref.add(row) for row in rows)
+    assert len(basis) == ncols - rank
+    if not any(map(any, rows)):
+        one, zero = ring.one(), ring.zero()
+        units = [tuple(one if i == j else zero for i in range(ncols)) for j in range(ncols)]
+        assert basis == units
 
 
 def _uncached_span(ring, ncols, vectors):

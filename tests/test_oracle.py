@@ -32,7 +32,7 @@ from pathidem.reps import (
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
-from conftest import conjugate, full_reps
+from conftest import conjugate, full_reps, path_term_idempotents
 from reference import action_matrix, block, e_fixed, is_edge_closed, sub_representation
 
 
@@ -379,7 +379,7 @@ class TestAgainstReference:
         # AeM = Ae_S M for these e, so a block misplaced by the oracle shows
         # here, while a lost one leaves every verdict as it is (that one
         # shows in test_reps' test_action_blocks_match_action_matrix)
-        elements = _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        elements = path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         assert elements
         for e in elements:
             assert e.is_idempotent()
@@ -420,7 +420,7 @@ class TestAgainstReference:
         # built: a counterexample exactly where Γ_e(M) has no complement
         budget = OracleBudget(max_total_dim=max_dim)
         elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
-        elements += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        elements += path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         searched = 0
         for m in full_reps(q, ring, budget):
             monkeypatch.setattr(oracle, "enumerate_reps", lambda *a, **k: iter([m]))
@@ -526,7 +526,7 @@ class TestForcedAnswers:
     @staticmethod
     def _elements(q, ring):
         out = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
-        out += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        out += path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         if q.is_acyclic:
             rng = random.Random(f"forced-{q}-{ring}")
             out += [conjugate(vertex_idempotent(q, ring, s), rng) for s in _subsets(q.vertices)]
@@ -618,28 +618,21 @@ def _count_reps_built(monkeypatch):
     return built
 
 
-def _path_term_idempotents(q, ring, rng, count):
-    """Up to `count` idempotents e_S + sum of x_p * p, drawn by the rule of
-    acceptance test 09 over F_p: a path p of length <= 2 may carry x when
-    λ_t(p) * x = x and, if s(p) lies in S, λ_s(p) * x = 0. Over a field every
-    λ_v on S is 1, so p must run from outside S into S, and any x != 0 will
-    do. S runs over every vertex subset, so non-special elements occur too."""
-    paths = [r for r in q.paths_up_to(2, limit=500) if not r.is_trivial]
-    subsets = list(_subsets(q.vertices))
-    found = []
-    for _ in range(40 * count):
-        s = rng.choice(subsets)
-        terms = {Path(vertex=v): 1 for v in s}
-        for r in paths:
-            if q.path_target(r) in s and q.path_source(r) not in s:
-                if rng.random() < 0.6:
-                    terms[r] = rng.randrange(1, ring.modulus)
-        e = AlgElem.make(q, ring, terms)
-        if len(e.terms) > len(s) and e not in found:
-            found.append(e)
-            if len(found) == count:
-                break
-    return found
+@pytest.mark.parametrize("p, dim, count", [(2, 3, 16), (2, 4, 67), (3, 3, 28), (5, 2, 8)])
+def test_subspace_table_is_counted_before_it_is_built(monkeypatch, p, dim, count):
+    # count is the number of subspaces of F_p^dim: a bound of count builds
+    # the table, a bound of count - 1 refuses it
+    ring = Ring("Fp", p)
+    oracle._subspaces.cache_clear()
+    try:
+        monkeypatch.setattr(oracle, "_MAX_SUBSPACES", count)
+        assert len(oracle._subspaces(ring, dim)) == count
+        oracle._subspaces.cache_clear()
+        monkeypatch.setattr(oracle, "_MAX_SUBSPACES", count - 1)
+        with pytest.raises(OracleError, match=f"F_{p}\\^{dim} has more than {count - 1}"):
+            oracle._subspaces(ring, dim)
+    finally:
+        oracle._subspaces.cache_clear()
 
 
 def _rank_vector(bases):
@@ -1057,7 +1050,7 @@ class TestCountedVectors:
         # one the special oracle counts within the reach, and inside one the
         # split oracle counts where L is neither empty nor the support
         elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
-        elements += _path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
+        elements += path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         reps = sum(1 for _ in enumerate_reps(q, ring, OracleBudget(max_total_dim=2)))
         inside = inside_reach = inside_part = 0
         for cap in range(1, reps + 2):
@@ -1156,7 +1149,7 @@ class TestCountedVectors:
             elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
             if path_terms:
                 rng = random.Random(f"{q}-{ring}")
-                elements += _path_term_idempotents(q, ring, rng, 4)
+                elements += path_term_idempotents(q, ring, rng, 4)
             for e in elements:
                 for check in (check_special_by_modules, check_split_by_sequences):
                     got = _outcome(check, e, q, ring, budget)
@@ -1192,7 +1185,7 @@ class TestLines:
             elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
             if ring.modulus == 2:
                 rng = random.Random(f"{q}-{ring}")
-                elements += _path_term_idempotents(q, ring, rng, 4)
+                elements += path_term_idempotents(q, ring, rng, 4)
             for m in enumerate_reps(q, ring, cls.BUDGET):
                 lines = [
                     submodule_from_local(m, {w: basis})

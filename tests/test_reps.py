@@ -1,6 +1,7 @@
 import pytest
 
 import random
+from fractions import Fraction
 
 from pathidem.algebra import (
     AlgElem,
@@ -9,7 +10,7 @@ from pathidem.algebra import (
     path_vector,
     vertex_idempotent,
 )
-from pathidem.linalg import FieldRowSpace, mat_vec, nullspace
+from pathidem.linalg import FieldRowSpace, mat_vec
 from pathidem.classify import strongly_orthogonal
 from pathidem.oracle import OracleBudget, enumerate_reps
 from pathidem.quivers import Path, Quiver
@@ -26,7 +27,7 @@ from pathidem.reps import (
     submodule_from_local,
 )
 from pathidem.rings import Ring, RingError
-from pathidem.sweep import q_a3, q_arrow, sweep_quivers
+from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
 from conftest import conjugate, full_reps
 from reference import (
@@ -38,6 +39,7 @@ from reference import (
     left_ideal_representation,
     offset,
     path_matrix,
+    ref_nullspace,
     sub_representation,
 )
 
@@ -431,7 +433,7 @@ def _reference_hom_space_field(m, n):
                     )
                 rows.append(row)
     homs = []
-    for sol in nullspace(ring, rows, len(layout)):
+    for sol in ref_nullspace(ring, rows, len(layout)):
         mats = {
             v: [[ring.zero()] * m.dims[v] for _ in range(n.dims[v])]
             for v in m.quiver.vertices
@@ -502,7 +504,7 @@ def _reference_corner_intertwiners(cm, cn):
                 for l in range(dn):
                     row[l * dm + j] = ring.sub(row[l * dm + j], An[i][l])
                 rows.append(row)
-    return nullspace(ring, rows, dn * dm)
+    return ref_nullspace(ring, rows, dn * dm)
 
 
 def _reference_morita(e, m, n, cm=None, cn=None):
@@ -590,6 +592,95 @@ class TestIntertwinersAgainstReference:
                     cx, cy = corner_module(e, x), corner_module(e, y)
                     assert hom_space(cx, cy) == _reference_hom_space_field(cx, cy)
                     assert morita_surrogate_check(e, x, y) == _reference_morita(e, x, y)
+
+
+def _hom_kernel_cases():
+    """(m, n) pairs of the kernel's edge cases, by name."""
+    arrow, a3, two = q_arrow(), q_a3(), q_isolated(2)
+    back = Quiver(("v1", "v2"), (("a", "v2", "v1"),))
+    f3, f5, q = Ring("Fp", 3), Ring("Fp", 5), Ring("Q")
+    fr = Fraction
+    return {
+        # unknowns but no equation: m is 0 at the source of the only edge
+        "no-equation-arrow": (
+            Representation(arrow, f3, {"v1": 0, "v2": 2}, {}),
+            Representation(arrow, f3, {"v1": 1, "v2": 2}, {"a": ((1,), (2,))}),
+        ),
+        "no-equation-no-edges": (
+            Representation(two, q, {"v1": 2, "v2": 1}, {}),
+            Representation(two, q, {"v1": 1, "v2": 2}, {}),
+        ),
+        # f_v1 is 2 x 0 (m is 0 there) and f_v3 is 0 x 1 (n is 0 there)
+        "zero-on-one-side": (
+            Representation(a3, f5, {"v1": 0, "v2": 1, "v3": 1}, {"b": ((2,),)}),
+            Representation(a3, f5, {"v1": 2, "v2": 1, "v3": 0}, {"a": ((1, 3),)}),
+        ),
+        # equations whose pivots are 2 over F_3, and 2, 3, 4 over F_5
+        "pivots-F3": (
+            Representation(arrow, f3, {"v1": 2, "v2": 1}, {"a": ((2, 1),)}),
+            Representation(arrow, f3, {"v1": 1, "v2": 2}, {"a": ((2,), (2,))}),
+        ),
+        "pivots-F5": (
+            Representation(a3, f5, {"v1": 1, "v2": 2, "v3": 1}, {"a": ((3,), (2,)), "b": ((4, 2),)}),
+            Representation(a3, f5, {"v1": 2, "v2": 1, "v3": 1}, {"a": ((2, 3),), "b": ((3,),)}),
+        ),
+        "fractions-Q": (
+            Representation(a3, q, {"v1": 1, "v2": 2, "v3": 1},
+                           {"a": ((fr(1, 2),), (fr(-3, 4),)), "b": ((fr(2, 3), 5),)}),
+            Representation(a3, q, {"v1": 2, "v2": 1, "v3": 1},
+                           {"a": ((fr(5, 3), fr(-1, 7)),), "b": ((fr(7, 2),),)}),
+        ),
+        # every equation row is 0: zero maps on both sides
+        "zero-rows": (
+            Representation(arrow, f5, {"v1": 2, "v2": 1}, {}),
+            Representation(arrow, f5, {"v1": 1, "v2": 2}, {}),
+        ),
+        # an edge into an earlier vertex: its target's unknowns come first
+        "edge-to-earlier-vertex": (
+            Representation(back, f5, {"v1": 1, "v2": 2}, {"a": ((0, 3),)}),
+            Representation(back, f5, {"v1": 2, "v2": 1}, {"a": ((0,), (0,))}),
+        ),
+        # two equal quivers that are distinct objects
+        "equal-quivers": (
+            Representation(q_arrow(), f5, {"v1": 1, "v2": 1}, {"a": ((2,),)}),
+            Representation(q_arrow(), f5, {"v1": 1, "v2": 1}, {"a": ((3,),)}),
+        ),
+    }
+
+
+HOM_KERNEL_CASES = _hom_kernel_cases()
+
+
+@pytest.mark.parametrize("m, n", HOM_KERNEL_CASES.values(), ids=HOM_KERNEL_CASES)
+def test_hom_kernel_cases(m, n):
+    # both directions against the reference, which solves with Ring
+    # arithmetic only; every f has the block shapes n.dims[v] x m.dims[v]
+    # and intertwines, and a system with no equation gives one f per unknown
+    for x, y in ((m, n), (n, m)):
+        homs = hom_space(x, y)
+        assert homs == _reference_hom_space_field(x, y)
+        ring = x.ring
+        for f in homs:
+            for v in x.quiver.vertices:
+                assert len(f[v]) == y.dims[v]
+                assert all(len(row) == x.dims[v] for row in f[v])
+            for eid, src, dst in x.quiver.edges:
+                left = _ref_product(ring, f[dst], x.edge_maps[eid], x.dims[src])
+                right = _ref_product(ring, y.edge_maps[eid], f[src], x.dims[src])
+                assert left == right
+        equations = sum(y.dims[dst] * x.dims[src] for _, src, dst in x.quiver.edges)
+        if not equations:
+            assert len(homs) == sum(x.dims[v] * y.dims[v] for v in x.quiver.vertices)
+
+
+def _ref_product(ring, a, b, ncols):
+    # a * b with Ring arithmetic, ncols columns even when the inner dimension is 0
+    out = [[ring.zero()] * ncols for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            for j in range(ncols):
+                out[i][j] = ring.add(out[i][j], ring.mul(x, b[k][j]))
+    return tuple(map(tuple, out))
 
 
 class TestRestrictionRank:
