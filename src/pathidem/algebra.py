@@ -38,8 +38,8 @@ class AlgElem:
 
     @staticmethod
     def make(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
-        """The element with these terms: paths validated, coefficients
-        canonicalised, zeros dropped, sorted by `Path.sort_key`.
+        """The element with these terms: paths validated, then coefficients
+        canonicalised, zeros dropped and terms sorted by `_reduced`.
 
         Over a ring with a modulus, a term (e_v, c) with c idempotent is the
         quiver's shared pair for (v, c), so e_S and diagonal elements built
@@ -47,13 +47,8 @@ class AlgElem:
         pairs per ring Z/n. Over Q nothing is shared: Fraction(1) == 1 with
         equal hashes, so a table shared with an F_p element could hand a Q
         element an int."""
-        canon = {}
-        for p, c in terms.items():
-            p = quiver.check_path(p)
-            c = ring.canon(c)
-            if not ring.is_zero(c):
-                canon[p] = c
-        ordered = sorted(canon.items(), key=lambda pc: pc[0].sort_key())
+        checked = {quiver.check_path(p): c for p, c in terms.items()}
+        ordered = list(AlgElem._reduced(quiver, ring, checked).terms)
         m = ring.modulus
         if m is not None:
             shared = quiver._trivial_terms
@@ -66,9 +61,9 @@ class AlgElem:
 
     @staticmethod
     def _reduced(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
-        """`make` for valid paths and coefficients computed from canonical ones:
-        reduces them by the vector gate `linalg._canon`, drops zeros and sorts,
-        without re-validating the paths."""
+        """The element with these terms, for valid paths: coefficients reduced
+        by the vector gate `linalg._canon`, zeros dropped, terms sorted by
+        `Path.sort_key`, and the paths not re-validated."""
         kept = sorted(
             ((p, c) for p, c in zip(terms, _canon(ring, terms.values())) if c),
             key=lambda pc: pc[0].sort_key(),
@@ -148,7 +143,7 @@ class AlgElem:
         acc: dict[Path, object] = {}
         for t in obj["terms"]:
             _json_object(t, ("path", "coeff"), (), AlgebraError, "term")
-            p = quiver.check_path(Path.from_json(t["path"]))
+            p = Path.from_json(t["path"])
             c = _coeff_from_json(ring, t["coeff"])
             if p in acc:
                 raise AlgebraError(f"duplicate path in element: {t['path']!r}")
@@ -194,7 +189,7 @@ def path_vector(elem: AlgElem, index: Mapping[Path, int]) -> list:
 
 
 def path_element(quiver: Quiver, ring: Ring, p: Path) -> AlgElem:
-    return AlgElem.make(quiver, ring, {quiver.check_path(p): ring.one()})
+    return AlgElem.make(quiver, ring, {p: ring.one()})
 
 
 def edge_element(quiver: Quiver, ring: Ring, eid: str) -> AlgElem:

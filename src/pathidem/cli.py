@@ -348,7 +348,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(report, out)
     except OSError as exc:
-        _emit(_error("bad-output", f"cannot write {out}: {exc.strerror}"), None)
+        if out:
+            _emit(_error("bad-output", f"cannot write {out}: {exc.strerror}"), None)
+        else:  # stdout refused it: write nothing more there, and flush to devnull at exit
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_INPUT
     return code
 

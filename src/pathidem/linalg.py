@@ -1,10 +1,12 @@
 """Exact linear algebra helpers: echelon row spaces over fields and over Z/n.
 
-Field row spaces keep reduced echelon bases (pivot entry 1, pivot columns
-cleared). Over Z/n, a span is tracked as the integer lattice generated by
-the rows together with n times each unit vector; membership in the Z/n-span
-is then membership in that lattice, decided by an integer echelon form with
-gcd pivots. This stays exact in the presence of zero divisors.
+Each ring kind has one row space, which refuses the other kind when built.
+Over a field (F_p or Q), `FieldRowSpace` keeps a reduced echelon basis
+(pivot entry 1, pivot columns cleared). Over Z/n, `ZnRowSpace` tracks a span
+as the integer lattice generated by the rows together with n times each
+unit vector, holding only rows built from the vectors it is given;
+membership in the Z/n-span is membership in that lattice, decided by an
+integer echelon form with gcd pivots, exact in the presence of zero divisors.
 
 Over a field the reduced echelon basis of a subspace is unique, so a tuple
 of its rows names the subspace: two subspaces are equal exactly when their
@@ -25,7 +27,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .rings import Ring, RingError
+from .rings import Ring
 
 
 class LinAlgError(ValueError):
@@ -33,11 +35,12 @@ class LinAlgError(ValueError):
 
 
 class FieldRowSpace:
-    """Incrementally maintained reduced echelon basis over a field (or over Z/n
-    while all pivots happen to be units; a non-unit pivot raises), seeded
-    with `vectors`."""
+    """Incrementally maintained reduced echelon basis over a field, seeded
+    with `vectors`; LinAlgError over any other ring."""
 
     def __init__(self, ring: Ring, ncols: int, vectors: Iterable[Sequence] = ()):
+        if not ring.is_field:
+            raise LinAlgError(f"FieldRowSpace needs a field, not {ring}")
         self.ring = ring
         self.ncols = ncols
         self.rows: list[tuple] = []  # reduced echelon order
@@ -70,12 +73,7 @@ class FieldRowSpace:
                 break
         else:
             return False
-        try:
-            inv = R.inv(v[piv])
-        except RingError as exc:
-            raise LinAlgError(
-                f"pivot {v[piv]} is not a unit in {R}; module is not free here"
-            ) from exc
+        inv = R.inv(v[piv])
         if inv != 1:  # scale to pivot 1; the residual is already reduced
             v = _combine(R, [0] * len(v), inv, v)
         v = tuple(v)
@@ -148,7 +146,10 @@ def _combine(ring: Ring, u: Sequence, c, w: Sequence) -> list:
 
 
 class ZnRowSpace:
-    """Span of rows over Z/n, as the integer lattice rows*Z + n*Z^k in echelon form."""
+    """Span of rows over Z/n, as the integer lattice rows*Z + n*Z^k in echelon
+    form. `echelon` holds only rows built from added vectors, one per pivot
+    column i: 0 before i, a proper divisor of n at i, entries mod n after i.
+    A column with no row stands for n*e_i."""
 
     def __init__(self, ring: Ring, ncols: int):
         if ring.kind != "Zn":
@@ -156,27 +157,22 @@ class ZnRowSpace:
         self.ring = ring
         self.n = ring.modulus
         self.ncols = ncols
-        # echelon[i] is a row with pivot at column i; pivots stay positive
-        # divisors of n, so every column always has a row
-        self.echelon: dict[int, list[int]] = {
-            i: [0] * i + [self.n] + [0] * (ncols - i - 1) for i in range(ncols)
-        }
+        self.echelon: dict[int, list[int]] = {}
 
     def _insert(self, v: list[int]) -> None:
+        n = self.n
         for i in range(self.ncols):
             if v[i] == 0:
                 continue
-            row = self.echelon[i]
+            row = self.echelon.get(i) or [n * (j == i) for j in range(self.ncols)]
             a, b = row[i], v[i]
             g = gcd(a, b)
-            # extended gcd combination replaces the stored row; v keeps reducing
+            # a unimodular change of (row, v): the row takes the gcd pivot and
+            # v, now 0 at i, keeps reducing; entries are reduced mod n, as the
+            # lattice contains n*e_j
             x0, y0 = _ext_gcd(a, b)
-            new_row = [x0 * r + y0 * w for r, w in zip(row, v)]
-            v = [(b // g) * r - (a // g) * w for r, w in zip(row, v)]
-            # tail entries may be reduced mod n: the lattice contains n*e_j
-            self.echelon[i] = [
-                x % self.n if j > i else x for j, x in enumerate(new_row)
-            ]
+            self.echelon[i] = [(x0 * r + y0 * w) % n for r, w in zip(row, v)]
+            v = [((b // g) * r - (a // g) * w) % n for r, w in zip(row, v)]
 
     def add(self, vec: Sequence) -> bool:
         v = _canon(self.ring, vec)
@@ -190,12 +186,12 @@ class ZnRowSpace:
         for i in range(self.ncols):
             if v[i] == 0:
                 continue
-            p = self.echelon[i][i]
-            if v[i] % p != 0:
+            row = self.echelon.get(i)
+            if row is None or v[i] % row[i]:
                 return False
-            q = v[i] // p
-            v = [a - q * b for a, b in zip(v, self.echelon[i])]
-        return all(x % self.n == 0 for x in v)
+            q = v[i] // row[i]
+            v = [(a - q * b) % self.n for a, b in zip(v, row)]
+        return True
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int]:

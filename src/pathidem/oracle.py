@@ -170,7 +170,7 @@ def enumerate_reps(
     n = len(q.vertices)
     elems = None  # the field elements, held once an edge runs over them
     count = built = 0
-    for total in range(budget.max_total_dim + 1):
+    for total in range(budget.max_total_dim + 1 if n else 1):  # no vertex: total 0 only
         if not n or comb(total + n - 1, n - 1) <= _PLAN_VECTORS:
             plan = _plan(q, ring, total)
         else:

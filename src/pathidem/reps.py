@@ -1,13 +1,13 @@
 """Finite-dimensional quiver representations, Hom spaces and the corner ring.
 
-A Representation assigns a free module of finite rank to each vertex and a
-matrix to each edge; it is the graded picture of a non-degenerate module over
-the path algebra. Every module here is such a representation: the corner
-ring eAe of an idempotent e with trivial support S is the path algebra of a
-quiver Q_S (`corner_algebra`), and eM is the restriction of M to Q_S
-(`corner_module`). For a general e that is the corner of e_S transported by
-the unit u = e e_S + (1 - e)(1 - e_S); the tests pin this against the eAe
-basis spanned by the elements e p e.
+A Representation assigns a finite-dimensional vector space over a field to
+each vertex and a matrix to each edge; it is the graded picture of a
+non-degenerate module over the path algebra. Every module here is such a
+representation: the corner ring eAe of an idempotent e with trivial support
+S is the path algebra of a quiver Q_S (`corner_algebra`), and eM is the
+restriction of M to Q_S (`corner_module`). For a general e that is the
+corner of e_S transported by the unit u = e e_S + (1 - e)(1 - e_S); the
+tests pin this against the eAe basis spanned by the elements e p e.
 
 Matrices act on column vectors; the edge matrix for a has shape
 dims[target] x dims[source]. A Submodule is its reduced echelon basis at each
@@ -44,6 +44,8 @@ class RepError(ValueError):
 
 @dataclass
 class Representation:
+    """A representation over a field: any other ring is refused here, when built."""
+
     quiver: Quiver
     ring: Ring
     dims: dict[str, int]
@@ -51,6 +53,8 @@ class Representation:
 
     def __post_init__(self):
         q = self.quiver
+        if not self.ring.is_field:
+            raise RepError(f"a representation needs a field, not {self.ring}")
         if set(self.dims) != set(q.vertices):
             raise RepError("dims must cover exactly the quiver's vertices")
         if any(d < 0 for d in self.dims.values()):
@@ -240,22 +244,20 @@ def in_category_e(
 
 def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
     """Basis of the intertwiners f = (f_v) with f_{t(a)} M_a = N_a f_{s(a)},
-    over a field; RepError on reps of different quivers or rings, and over
-    Z/n. It is `linalg.nullspace` of one equation per entry of
-    f_{t(a)} M_a - N_a f_{s(a)}, in the unknowns f_v of shape
-    n.dims[v] x m.dims[v], stored row-major in vertex order, and each basis
-    vector is sliced into those blocks. An equation whose row is 0 is
-    dropped. When there are no unknowns (dims[v] of m or of n is 0 at every
-    vertex) the answer is [] with no `nullspace` call; when there are
-    unknowns but no equation left (say no edge has both a nonzero source in
-    m and a nonzero target in n, or every such edge map is 0) `nullspace`
-    returns the unit basis with no elimination."""
+    over their field (a `Representation` checks that its ring is a field when
+    it is built); RepError on reps of different quivers or rings. It is
+    `linalg.nullspace` of one equation per entry of f_{t(a)} M_a - N_a f_{s(a)},
+    in the unknowns f_v of shape n.dims[v] x m.dims[v], stored row-major in
+    vertex order, and each basis vector is sliced into those blocks. An
+    equation whose row is 0 is dropped. When there are no unknowns (dims[v]
+    of m or of n is 0 at every vertex) the answer is [] with no `nullspace`
+    call; when there are unknowns but no equation left (say no edge has both
+    a nonzero source in m and a nonzero target in n, or every such edge map
+    is 0) `nullspace` returns the unit basis with no elimination."""
     if (m.quiver is not n.quiver and m.quiver != n.quiver) or (
         m.ring is not n.ring and m.ring != n.ring
     ):
         raise RepError("representations are incompatible")
-    if not m.ring.is_field:
-        raise RepError(f"hom_space needs a field, not {m.ring}")
     offs, nunk = {}, 0
     for v in m.quiver.vertices:
         offs[v] = nunk

@@ -7,6 +7,7 @@ transcription of the definitions, kept out of `src/` because no command,
 oracle or library function needs it.
 """
 
+from math import gcd
 from typing import Sequence
 
 from pathidem.algebra import AlgElem, path_element, path_vector
@@ -217,6 +218,57 @@ class RefRowSpace:
         self.rows.insert(idx, v)
         self.pivots.insert(idx, piv)
         return True
+
+
+class RefZnRowSpace:
+    """The Z/n-span of rows as the integer lattice rows*Z + n*Z^k, with a row
+    held for every column from the start: n*e_i until a vector reaches
+    column i. Membership reduces a vector column by column with integer
+    arithmetic and no reduction mod n before the last step."""
+
+    def __init__(self, ring, ncols):
+        self.n, self.ncols = ring.modulus, ncols
+        self.echelon = {
+            i: [0] * i + [self.n] + [0] * (ncols - i - 1) for i in range(ncols)
+        }
+
+    def add(self, vec):
+        v = [x % self.n for x in vec]
+        if self.contains(v):
+            return False
+        for i in range(self.ncols):
+            if v[i] == 0:
+                continue
+            row = self.echelon[i]
+            a, b = row[i], v[i]
+            g = gcd(a, b)
+            x0, y0 = _ref_ext_gcd(a, b)
+            new_row = [x0 * r + y0 * w for r, w in zip(row, v)]
+            v = [(b // g) * r - (a // g) * w for r, w in zip(row, v)]
+            self.echelon[i] = [
+                x % self.n if j > i else x for j, x in enumerate(new_row)
+            ]
+        return True
+
+    def contains(self, vec):
+        v = [x % self.n for x in vec]
+        for i in range(self.ncols):
+            if v[i] == 0:
+                continue
+            p = self.echelon[i][i]
+            if v[i] % p != 0:
+                return False
+            q = v[i] // p
+            v = [a - q * b for a, b in zip(v, self.echelon[i])]
+        return all(x % self.n == 0 for x in v)
+
+
+def _ref_ext_gcd(a, b):
+    """(x, y) with x*a + y*b == gcd(a, b), by the recursive Euclid step."""
+    if b == 0:
+        return (1, 0) if a >= 0 else (-1, 0)
+    x, y = _ref_ext_gcd(b, a % b)
+    return y, x - (a // b) * y
 
 
 def ref_nullspace(ring, rows, ncols):

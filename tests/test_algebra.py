@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from pathidem.algebra import (
     path_element,
     vertex_idempotent,
 )
-from pathidem.quivers import Path, Quiver, concat
+from pathidem.quivers import Path, Quiver, QuiverError, concat
 from pathidem.rings import Ring, RingError
 from pathidem.sweep import q_a3
 
@@ -85,6 +86,12 @@ class TestSpec:
         assert not hasattr(e, "__dict__")
         with pytest.raises(AttributeError):
             e.terms = ()
+
+    def test_unknown_names_refused(self, a3, f5):
+        with pytest.raises(QuiverError, match="unknown edge 'z'"):
+            edge_element(a3, f5, "z")
+        with pytest.raises(QuiverError, match=r"unknown vertices \['w'\]"):
+            vertex_idempotent(a3, f5, {"v1", "w"})
 
     def test_mismatched_contexts_rejected(self, a3, f5, z6, arrow):
         x = vertex_idempotent(a3, f5, {"v1"})
@@ -296,6 +303,58 @@ class TestLinearOperators:
         check()
 
 
+def _reference_make(quiver, ring, terms):
+    """`AlgElem.make` term by term: `Quiver.check_path`, `Ring.canon` and
+    `Ring.is_zero` on each term, then the sort; no pair is shared."""
+    canon = {}
+    for p, c in terms.items():
+        p = quiver.check_path(p)
+        c = ring.canon(c)
+        if not ring.is_zero(c):
+            canon[p] = c
+    ordered = sorted(canon.items(), key=lambda pc: pc[0].sort_key())
+    return AlgElem(quiver, ring, tuple(ordered))
+
+
+REFUSED = [2.5, True, "1/2", Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("ring", [F5, Z6, Ring("Zn", 12), Ring("Q")], ids=str)
+def test_make_matches_the_term_by_term_reference(ring):
+    # random terms, a refused coefficient in about one element of five
+    # (a Fraction is refused only over a finite ring); the trivial terms
+    # with an idempotent coefficient are the quiver's shared pairs
+    rng = random.Random(str(ring))
+    paths = LOOP.paths_up_to(3)
+    refused = 0
+    for _ in range(300):
+        terms = {}
+        for p in rng.sample(paths, rng.randint(0, 5)):
+            if ring.kind == "Q" and rng.random() < 0.5:
+                terms[p] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            else:
+                terms[p] = rng.randint(-30, 30) * rng.choice((0, 1, 1))
+        if terms and rng.random() < 0.2:
+            terms[rng.choice(list(terms))] = rng.choice(REFUSED)
+        try:
+            want = _reference_make(LOOP, ring, terms)
+        except RingError:
+            refused += 1
+            with pytest.raises(RingError):
+                AlgElem.make(LOOP, ring, terms)
+            continue
+        got = AlgElem.make(LOOP, ring, terms)
+        _assert_same(got, want)
+        for pair in got.terms:
+            p, c = pair
+            shared = LOOP._trivial_terms.get((p.vertex, c))
+            if p.is_trivial and ring.modulus and c * c % ring.modulus == c:
+                assert pair is shared
+            else:
+                assert pair is not shared
+    assert refused >= 30
+
+
 class TestTruncatedIdeal:
     def test_membership(self, a3, f5):
         e2 = vertex_idempotent(a3, f5, {"v2"})
@@ -350,6 +409,9 @@ class TestTruncatedIdeal:
         (F5, "-1", 4),
         (F5, "+7", 2),
         (Z6, "0012", 0),
+        # a JSON integer is taken as it is, as the README says
+        (F5, 7, 2),
+        (Ring("Q"), -3, Fraction(-3)),
     ],
 )
 def test_coefficient_strings(ring, text, value):

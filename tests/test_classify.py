@@ -45,6 +45,9 @@ class TestStandardForm:
         assert form.diag == (("v2", 1),)
         assert form.kappa_terms == ()
         assert form.reassemble() == e
+        assert form.lam("v2") == 1
+        with pytest.raises(KeyError):
+            form.lam("v1")  # outside S
 
     def test_e_v1_on_arrow_rejected(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, {"v1"})

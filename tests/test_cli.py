@@ -498,6 +498,20 @@ MALFORMED = {
         "bad-element",
     ),
     "term-without-coeff": ("classify", ARROW, "F5", _element(), "bad-element"),
+    "terms-not-a-list": (
+        "classify", ARROW, "F5", json.dumps({"terms": json.loads(E_V2)["terms"][0]}),
+        "bad-element",
+    ),
+    "duplicate-path": (
+        "classify", ARROW, "F5",
+        json.dumps({"terms": 2 * json.loads(E_V2)["terms"]}), "bad-element",
+    ),
+    "edge-with-int-src": (
+        "validate",
+        json.dumps({"vertices": ["v1"], "edges": [{"id": "a", "src": 1, "dst": "v1"}]}),
+        "F5", None, "bad-quiver",
+    ),
+    "morita-check-on-a-cycle": ("morita-check", LOOP, "F2", E_V1, "cyclic-quiver"),
     # an unknown or misspelt key is refused, not dropped
     "fp-with-modulus": (
         "classify", ARROW, '{"ring":"Fp","p":5,"modulus":7}', E_V2, "bad-ring"
@@ -1122,6 +1136,30 @@ def _fresh_process(argv: list[str]) -> tuple[int, dict]:
     return proc.returncode, json.loads(proc.stdout)
 
 
+def test_closed_stdout_exits_2_quietly(tmp_path):
+    # the families of 8 isolated vertices fill about 900 KB; the reader
+    # takes 20 bytes and closes the pipe: no traceback, no second report
+    quiver = json.dumps({"vertices": [f"v{i}" for i in range(8)]})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pathidem.cli", "enumerate-families",
+         "--quiver", quiver, "--ring", "F2"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head == b'{\n  "command": "enum'
+    assert err == b""
+
+
 def _readme_example() -> list[str]:
     """The arguments of the `pathidem classify` example in the README."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -1154,8 +1192,22 @@ def _readme_example() -> list[str]:
              "--element", E_V2],
             0, "result", {"all_bijective": True},
         ),
+        # a quiver with no vertex has reps of total 0 only, so the cap on
+        # reps never fires: each answer is the one at --max-dim 3, where
+        # walking every total up to --max-dim took 8 s at 3,000,000
+        *(
+            ([command, "--quiver", '{"vertices":[]}', "--ring", "F2", "--element",
+              ZERO, "--max-dim", "1000000000"], 0, "result", answer)
+            for command, answer in [
+                ("oracle-special", {"verdict": "consistent", "reps_checked": 1}),
+                ("oracle-split", {"verdict": "consistent", "reps_checked": 1}),
+                ("morita-check", {"all_bijective": True, "pairs_checked": 1}),
+            ]
+        ),
     ],
-    ids=["readme-example", "malformed-element", "budget", "morita-check"],
+    ids=["readme-example", "malformed-element", "budget", "morita-check",
+         "empty-quiver-oracle-special", "empty-quiver-oracle-split",
+         "empty-quiver-morita-check"],
 )
 def test_cli_process(tmp_path, argv, code, key, value):
     # a fresh interpreter with only src on the path, outside the checkout: one

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from pathidem.linalg import (
 from pathidem import oracle
 from pathidem.rings import Ring, RingError
 
-from reference import RefRowSpace, ref_nullspace
+from reference import RefRowSpace, RefZnRowSpace, ref_nullspace
 
 
 class TestFieldRowSpace:
@@ -37,18 +38,59 @@ class TestFieldRowSpace:
         assert tuple(sp.coords((3, 3))) == (3,)
         assert sp.coords((1, 0)) is None
 
-    def test_zn_non_unit_pivot_raises(self, z6):
-        sp = FieldRowSpace(z6, 2)
-        with pytest.raises(LinAlgError):
-            sp.add((2, 1))
-
-    def test_zn_unit_pivots_ok(self, z6):
-        sp = FieldRowSpace(z6, 2)
-        assert sp.add((1, 3))
-        assert sp.contains((5, 3))
+    @pytest.mark.parametrize("vectors", [(), [(1, 3)], [(2, 1)]], ids=repr)
+    def test_zn_refused_whatever_the_vectors(self, z6, vectors):
+        # a unit pivot (1, 3) is refused like a non-unit one (2, 1): Z/n has
+        # its own row space
+        with pytest.raises(LinAlgError, match="needs a field"):
+            FieldRowSpace(z6, 2, vectors)
 
 
 class TestZnRowSpace:
+    @pytest.mark.parametrize("ring", [Ring("Fp", 5), Ring("Q")], ids=str)
+    def test_refused_over_a_field(self, ring):
+        with pytest.raises(LinAlgError, match="for Z/n rings"):
+            ZnRowSpace(ring, 2)
+
+    def test_holds_only_given_rows(self, z6):
+        # a column with no row stands for n*e_i: an empty space over 20,000
+        # coordinates (TruncatedIdeal's path bound) holds no row
+        tracemalloc.start()
+        try:
+            sp = ZnRowSpace(z6, 20_000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 10_000
+        assert not sp.contains([0] * 19_999 + [1])
+        assert sp.add([0] * 19_999 + [3])
+        assert list(sp.echelon) == [19_999]
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 30])
+    def test_against_the_dense_reference(self, n):
+        # probes are combinations of the added vectors (in the span), with
+        # one entry moved by a zero divisor or a unit half of the time
+        ring, rng = Ring("Zn", n), random.Random(n)
+        answers = []
+        for _ in range(60):
+            ncols = rng.randint(1, 4)
+            space, ref = ZnRowSpace(ring, ncols), RefZnRowSpace(ring, ncols)
+            added = []
+            for _ in range(rng.randint(1, 4)):
+                vec = [rng.choice((0, 1, 2, 3, 5)) * rng.randint(-n, n) for _ in range(ncols)]
+                assert space.add(vec) == ref.add(vec)
+                added.append(vec)
+                assert all(0 < row[i] < n and n % row[i] == 0
+                           for i, row in space.echelon.items())
+                for _ in range(10):
+                    probe = [sum(rng.randint(-n, n) * v[j] for v in added)
+                             for j in range(ncols)]
+                    if rng.random() < 0.5:
+                        probe[rng.randrange(ncols)] += rng.randint(1, n - 1)
+                    answers.append(space.contains(probe))
+                    assert answers[-1] == ref.contains(probe)
+        assert answers.count(True) >= 500 and answers.count(False) >= 200
+
     def test_lattice_membership(self, z6):
         sp = ZnRowSpace(z6, 2)
         assert sp.add((2, 0))
@@ -62,7 +104,6 @@ class TestZnRowSpace:
         sp.add((2,))
         sp.add((3,))
         assert sp.contains((1,))
-
 
 class TestCoefficientGate:
     def test_row_spaces_refuse_a_fraction_over_a_finite_ring(self, f5, z6):
@@ -91,6 +132,8 @@ class TestDense:
         b = ((0, 1), (1, 0))
         assert mat_mul(f5, a, b) == ((2, 1), (4, 3))
         assert mat_vec(f5, a, (1, 1)) == (3, 2)
+        with pytest.raises(LinAlgError, match="shape mismatch"):
+            mat_mul(f5, a, ((1, 2, 3),))
 
     def test_nullspace(self, f5):
         # x + 2y + 3z = 0 has a 2-dimensional solution space
@@ -149,6 +192,16 @@ KERNEL_RINGS = [Ring("Fp", 5), Ring("Zn", 6), Ring("Q")]
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
 class TestKernelsAgainstReference:
     def test_row_space(self, ring):
+        if not ring.is_field:
+            # the subspace functions on reduced echelon bases are field-only too
+            for call in (
+                lambda: span(ring, 2, [(1, 0)]),
+                lambda: join(ring, 2, ((1, 0),), ((0, 1),)),
+                lambda: image(ring, ((1, 0), (0, 1)), ((1, 0),)),
+            ):
+                with pytest.raises(LinAlgError, match="needs a field"):
+                    call()
+            return
         rng = random.Random(11)
         grown = 0
         for _ in range(60):
@@ -162,13 +215,7 @@ class TestKernelsAgainstReference:
                 got = space.coords(vec)
                 assert got == (coords if in_span else None)
                 assert all(_is_canonical(ring, x) for x in got or ())
-                try:
-                    expected = ref.add(vec)
-                except LinAlgError:
-                    # over Z/6 a non-unit pivot refuses the vector on both sides
-                    with pytest.raises(LinAlgError):
-                        space.add(vec)
-                    continue
+                expected = ref.add(vec)
                 assert space.add(vec) == expected
                 added.append(vec)
                 grown += expected

@@ -67,6 +67,14 @@ class TestRepresentation:
         m = Representation(arrow, f5, {"v1": 1, "v2": 1}, {"a": ((7,),)})
         assert m.edge_maps["a"] == ((2,),)
 
+    def test_element_over_another_quiver_or_ring(self, arrow, a3, f5, f3):
+        m = arrow_rep(f5)
+        for e in (vertex_idempotent(a3, f5, {"v2"}), vertex_idempotent(arrow, f3, {"v2"})):
+            with pytest.raises(RepError, match="incompatible"):
+                m.action_blocks(e)
+            with pytest.raises(RepError, match="incompatible"):
+                corner_module(e, m)
+
     def test_missing_edge_defaults_to_zero(self, arrow, f5):
         m = Representation(arrow, f5, {"v1": 1, "v2": 1}, {})
         assert m.edge_maps["a"] == ((0,),)
@@ -229,21 +237,21 @@ class TestHom:
         # the other direction forces f_v1 = 0 instead
         assert hom_space(n, m) == [{"v1": ((0,),), "v2": ((1,),)}]
 
-    def test_hom_over_zn_refused(self, arrow, z6):
-        m = Representation(arrow, z6, {"v1": 1, "v2": 1}, {"a": ((1,),)})
-        with pytest.raises(RepError):
-            hom_space(m, m)
+    def test_zn_refused_when_built(self, arrow, z6):
+        # refused whatever the dims, so hom_space never meets Z/n, even where
+        # Hom(M, N) would have no unknowns
+        for dims in ({"v1": 1, "v2": 1}, {"v1": 1, "v2": 0}, {"v1": 0, "v2": 0}):
+            with pytest.raises(RepError, match="needs a field"):
+                Representation(arrow, z6, dims, {})
 
     def test_incompatible(self, f5, f3):
         with pytest.raises(RepError):
             hom_space(arrow_rep(f5), arrow_rep(f3))
 
-    def test_no_unknowns_still_refused(self, arrow, a3, z6, f5):
+    def test_no_unknowns_still_refused(self, a3, f5):
         # Hom(M, N) has no unknowns here, and the pair is refused all the same
-        m = Representation(arrow, z6, {"v1": 1, "v2": 0}, {})
-        n = Representation(arrow, z6, {"v1": 0, "v2": 1}, {})
         other = Representation(a3, f5, {"v1": 0, "v2": 0, "v3": 1}, {})
-        for x, y in ((m, n), (arrow_rep(f5), other), (other, arrow_rep(f5))):
+        for x, y in ((arrow_rep(f5), other), (other, arrow_rep(f5))):
             with pytest.raises(RepError):
                 hom_space(x, y)
 

@@ -140,6 +140,8 @@ class TestArithmeticReference:
 
     def test_rationals(self, rationals):
         R = rationals
+        with pytest.raises(RingError, match="infinite"):
+            R.elements()
 
         def exact(x, want):
             return type(x) is Fraction and x == want
