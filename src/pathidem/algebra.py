@@ -28,6 +28,17 @@ class AlgebraError(ValueError):
     pass
 
 
+def _sorted_terms(ring: Ring, paths: Iterable[Path], coeffs: Iterable) -> list:
+    """The terms (path, coefficient) of these parallel sequences, with the
+    coefficients reduced by the vector gate `linalg._canon`, zeros dropped
+    and the terms sorted by `Path.sort_key`: what `AlgElem.make` and
+    `AlgElem._reduced` share."""
+    return sorted(
+        ((p, c) for p, c in zip(paths, _canon(ring, coeffs)) if c),
+        key=lambda pc: pc[0].sort_key(),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class AlgElem:
     """An element of the path algebra: canonical sorted sparse term list."""
@@ -39,7 +50,7 @@ class AlgElem:
     @staticmethod
     def make(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
         """The element with these terms: paths validated, then coefficients
-        canonicalised, zeros dropped and terms sorted by `_reduced`.
+        canonicalised, zeros dropped and terms sorted by `_sorted_terms`.
 
         Over a ring with a modulus, a term (e_v, c) with c idempotent is the
         quiver's shared pair for (v, c), so e_S and diagonal elements built
@@ -47,8 +58,9 @@ class AlgElem:
         pairs per ring Z/n. Over Q nothing is shared: Fraction(1) == 1 with
         equal hashes, so a table shared with an F_p element could hand a Q
         element an int."""
-        checked = {quiver.check_path(p): c for p, c in terms.items()}
-        ordered = list(AlgElem._reduced(quiver, ring, checked).terms)
+        ordered = _sorted_terms(
+            ring, [quiver.check_path(p) for p in terms], terms.values()
+        )
         m = ring.modulus
         if m is not None:
             shared = quiver._trivial_terms
@@ -61,14 +73,10 @@ class AlgElem:
 
     @staticmethod
     def _reduced(quiver: Quiver, ring: Ring, terms: Mapping[Path, object]) -> "AlgElem":
-        """The element with these terms, for valid paths: coefficients reduced
-        by the vector gate `linalg._canon`, zeros dropped, terms sorted by
-        `Path.sort_key`, and the paths not re-validated."""
-        kept = sorted(
-            ((p, c) for p, c in zip(terms, _canon(ring, terms.values())) if c),
-            key=lambda pc: pc[0].sort_key(),
-        )
-        return AlgElem(quiver, ring, tuple(kept))
+        """The element with these terms, for valid paths: coefficients reduced,
+        zeros dropped and terms sorted by `_sorted_terms`, and the paths not
+        re-validated."""
+        return AlgElem(quiver, ring, tuple(_sorted_terms(ring, terms, terms.values())))
 
     @staticmethod
     def zero(quiver: Quiver, ring: Ring) -> "AlgElem":

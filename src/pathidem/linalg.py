@@ -12,10 +12,12 @@ Over a field the reduced echelon basis of a subspace is unique, so a tuple
 of its rows names the subspace: two subspaces are equal exactly when their
 bases are. This is the one subspace format of the package: a
 `reps.Submodule` is such a basis per vertex. `span`, `join` and `image`
-answer subspace questions on such bases; `image` keeps its answers in a
-fixed-size cache, so an image met once is not computed again. A
-`FieldRowSpace` (seeded with spanning vectors) is kept only where rank,
-coordinates or membership are asked for.
+answer subspace questions on such bases, and refuse a ring that is not a
+field; `image` keeps its answers in a fixed-size cache, so an image met
+once is not computed again. A `FieldRowSpace` (seeded with spanning
+vectors) is kept only where rank, coordinates or membership are asked for.
+`nullspace` builds no row space: it brings its rows to the same reduced
+echelon form in place, in one pass.
 """
 
 from __future__ import annotations
@@ -111,7 +113,10 @@ def span(ring: Ring, ncols: int, vectors: Iterable[Sequence]) -> tuple:
 
 def join(ring: Ring, ncols: int, a: tuple, b: tuple) -> tuple:
     """The reduced echelon basis of the sum of two subspaces of ring^ncols,
-    each given by its reduced echelon basis."""
+    each given by its reduced echelon basis; LinAlgError over a ring that is
+    not a field, whether or not a side is empty."""
+    if not ring.is_field:
+        raise LinAlgError(f"join needs a field, not {ring}")
     if not b:
         return a
     if not a:
@@ -252,19 +257,43 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
     """Basis of {v : rows @ v == 0} over a field: one vector per free column
     j of the reduced echelon form of `rows`, with 1 at j, -row[j] at each
     row's pivot and 0 elsewhere, in column order. With no rows that is the
-    unit basis, returned with no elimination."""
+    unit basis, returned with no elimination.
+
+    The rows pass the gate `_canon` once and are then reduced in place,
+    column by column (Gauss-Jordan, with `_combine`): the first row with a
+    nonzero entry in the column becomes its pivot row, scaled to 1 with
+    `Ring.inv` only when its pivot is not 1, and the column is cleared in
+    every other row. The reduced echelon form is unique, so this is the
+    basis a `FieldRowSpace` seeded with the rows would give."""
     if not ring.is_field:
         raise LinAlgError("nullspace computation requires a field")
     if not rows:
         return list(identity_matrix(ring, ncols))
-    space = FieldRowSpace(ring, ncols, rows)
-    pivots = set(space.pivots)
-    free = [j for j in range(ncols) if j not in pivots]
+    work = [_canon(ring, row) for row in rows]
+    pivots = []  # the pivot column of work[r], for each r < len(pivots)
+    for j in range(ncols):
+        rank = len(pivots)
+        for r in range(rank, len(work)):
+            if work[r][j]:
+                break
+        else:
+            continue
+        row = work[r]
+        if row[j] != 1:
+            row = _combine(ring, [0] * ncols, ring.inv(row[j]), row)
+        work[r], work[rank] = work[rank], row
+        for r, other in enumerate(work):
+            if r != rank and other[j]:
+                work[r] = _combine(ring, other, -other[j], row)
+        pivots.append(j)
+    zero, one = ring.zero(), ring.one()
     basis = []
-    for f in free:
-        v = [ring.zero()] * ncols
-        v[f] = ring.one()
-        for row, piv in zip(space.rows, space.pivots):
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, piv in zip(work, pivots):
             v[piv] = -row[f]
         basis.append(tuple(_canon(ring, v)))
     return basis

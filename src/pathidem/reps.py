@@ -248,43 +248,68 @@ def hom_space(m: Representation, n: Representation) -> list[dict[str, tuple]]:
     it is built); RepError on reps of different quivers or rings. It is
     `linalg.nullspace` of one equation per entry of f_{t(a)} M_a - N_a f_{s(a)},
     in the unknowns f_v of shape n.dims[v] x m.dims[v], stored row-major in
-    vertex order, and each basis vector is sliced into those blocks. An
-    equation whose row is 0 is dropped. When there are no unknowns (dims[v]
-    of m or of n is 0 at every vertex) the answer is [] with no `nullspace`
-    call; when there are unknowns but no equation left (say no edge has both
-    a nonzero source in m and a nonzero target in n, or every such edge map
-    is 0) `nullspace` returns the unit basis with no elimination."""
+    vertex order, and each basis vector is sliced into those blocks.
+
+    Only an edge a with m.dims[s(a)] and n.dims[t(a)] both nonzero gives
+    equations, and a row holds only the nonzero entries of M_a and N_a; a
+    row that is 0 (every entry of its column of M_a and its row of N_a is
+    0, or on a loop they cancel) is dropped. When there are no unknowns
+    (dims[v] of m or of n is 0 at every vertex) the answer is [] with no
+    `nullspace` call; when there are unknowns but no equation left
+    `nullspace` returns the unit basis with no elimination."""
     if (m.quiver is not n.quiver and m.quiver != n.quiver) or (
         m.ring is not n.ring and m.ring != n.ring
     ):
         raise RepError("representations are incompatible")
-    offs, nunk = {}, 0
+    mdims, ndims = m.dims, n.dims
+    blocks, offs, nunk = [], {}, 0  # blocks: v, offset, m.dims[v], n.dims[v]
     for v in m.quiver.vertices:
-        offs[v] = nunk
-        nunk += n.dims[v] * m.dims[v]
+        d, nd = mdims[v], ndims[v]
+        if d and nd:
+            blocks.append((v, nunk, d, nd))
+            offs[v] = nunk
+            nunk += nd * d
     if not nunk:  # keeps `nullspace` (and its traced count) off empty systems
         return []
     zero = m.ring.zero()
     rows = []
     for eid, src, dst in m.quiver.edges:
-        A, B = m.edge_maps[eid], n.edge_maps[eid]
-        md, ms, ns = m.dims[dst], m.dims[src], n.dims[src]
-        od, os_ = offs[dst], offs[src]
-        for i in range(n.dims[dst]):
-            for j in range(ms):
+        ms, nt = mdims[src], ndims[dst]
+        if not ms or not nt:
+            continue
+        # column j of M_a and row i of N_a, as their nonzero entries: those
+        # of M_a land in f_dst's block, those of N_a in f_src's; a block
+        # with no entry (m.dims[dst] or n.dims[src] is 0) has no offset
+        md = mdims[dst]
+        cols = (
+            [[(k, x) for k, x in enumerate(c) if x] for c in zip(*m.edge_maps[eid])]
+            if md
+            else [()] * ms
+        )
+        od, os_ = offs.get(dst), offs.get(src)
+        for i, nrow in enumerate(n.edge_maps[eid]):
+            brow = [(os_ + l * ms, x) for l, x in enumerate(nrow) if x]
+            for j, acol in enumerate(cols):
+                if not acol and not brow:
+                    continue
                 row = [zero] * nunk
-                for k in range(md):
-                    row[od + i * md + k] += A[k][j]
-                for l in range(ns):
-                    row[os_ + l * ms + j] -= B[i][l]
-                if any(row):  # entries lie in (-p, p), so 0 mod p only if 0
+                for k, x in acol:
+                    row[od + i * md + k] = x
+                for o, x in brow:
+                    row[o + j] -= x
+                # 0 only on a loop, where entries of M_a and N_a can cancel
+                # (they lie in (-p, p), so a row is 0 mod p only if it is 0)
+                if any(row):
                     rows.append(row)
     sols = nullspace(m.ring, rows, nunk)
-    cuts = []  # per vertex v, the slice of each row of f_v in a solution
-    for v in m.quiver.vertices:
-        o, d = offs[v], m.dims[v]
-        cuts.append((v, [slice(o + i * d, o + (i + 1) * d) for i in range(n.dims[v])]))
-    return [{v: tuple(map(sol.__getitem__, rows)) for v, rows in cuts} for sol in sols]
+    empty = {v: ((),) * ndims[v] for v in m.quiver.vertices}  # f_v with no entry
+    homs = []
+    for sol in sols:
+        f = empty.copy()
+        for v, o, d, nd in blocks:
+            f[v] = tuple([sol[o + i * d : o + (i + 1) * d] for i in range(nd)])
+        homs.append(f)
+    return homs
 
 
 # ---- the corner ring eAe as the path algebra of a quiver Q_S ----
@@ -356,14 +381,19 @@ def corner_module(
     corner: Optional[tuple[Quiver, dict[str, Path]]] = None,
 ) -> Representation:
     """The restriction e_S M of M to Q_S: M_v at each v in S, and on each
-    arrow the product of M's edge maps along its path. Pass `corner` =
+    arrow the product of M's edge maps along its path. An arrow that is one
+    edge of Q keeps M's own matrix for that edge; only a longer path is
+    multiplied out (`Representation._path_block`). Pass `corner` =
     corner_algebra(e) to share one Q_S between the modules of e."""
     if e.quiver != m.quiver or e.ring != m.ring:
         raise RepError("element and representation are incompatible")
     qs, arrows = corner_algebra(e) if corner is None else corner
     if qs.vertices != _trivial_support(e):
         raise RepError("corner ring belongs to a different idempotent")
-    maps = {a: m._path_block(p) for a, p in arrows.items()}
+    maps = {
+        a: m.edge_maps[p.edges[0]] if len(p.edges) == 1 else m._path_block(p)
+        for a, p in arrows.items()
+    }
     return Representation._from_canonical(
         qs, m.ring, {v: m.dims[v] for v in qs.vertices}, maps
     )

@@ -250,7 +250,7 @@ class TestKernelsAgainstReference:
         rng = random.Random(13)
         for _ in range(60):
             ncols = rng.randint(1, 5)
-            rows = _random_matrix(ring, rng, rng.randint(0, 4), ncols)
+            rows = _random_matrix(ring, rng, rng.randint(0, 7), ncols)
             basis = nullspace(ring, rows, ncols)
             assert basis == ref_nullspace(ring, rows, ncols)
             for x in basis:
@@ -274,13 +274,26 @@ NULLSPACE_CASES = {
     # fractions over Q
     "fractions-Q": (Q, [(FR(1, 2), FR(-2, 3), 1, 0), (3, 0, FR(5, 7), FR(-1, 4))], 4),
     "fraction-pivot-Q": (Q, [(0, 0, 0), (FR(3, 4), 0, FR(1, 3))], 3),
+    # more rows than columns: full column rank, and rank 1 of 4 rows
+    "overdetermined-full-rank-F5": (F5, [(1, 2), (3, 1), (2, 2), (4, 0)], 2),
+    "overdetermined-rank-1-F3": (F3, [(1, 2, 0), (2, 1, 0), (1, 2, 0), (0, 0, 0)], 3),
+    # duplicate rows, and a row that is the sum or a multiple of others
+    "duplicate-rows-F5": (F5, [(1, 2, 3), (1, 2, 3), (2, 4, 1)], 3),
+    "dependent-rows-Q": (Q, [(1, FR(1, 2), 0, 2), (0, 1, 1, 0), (1, FR(3, 2), 1, 2)], 4),
+    # a column whose pivot lies below the first row without one: a row swap
+    "pivot-after-swap-F3": (F3, [(0, 1, 2), (2, 0, 1)], 3),
+    "pivot-after-swap-F5": (F5, [(1, 1, 0), (1, 1, 2), (0, 3, 0)], 3),
+    "pivot-after-swap-Q": (Q, [(0, 0, 1), (0, FR(2, 3), 0), (5, 0, 0)], 3),
+    # rows but no unknown
+    "rows-no-columns-F2": (F2, [(), ()], 0),
 }
 
 
 @pytest.mark.parametrize("ring, rows, ncols", NULLSPACE_CASES.values(), ids=NULLSPACE_CASES)
 def test_nullspace_cases(ring, rows, ncols):
-    # no-row systems, all-zero rows, pivots != 1 and fractions, against the
-    # Ring-arithmetic reference; each basis vector solves the system, and
+    # no-row systems, all-zero rows, pivots != 1, fractions, more rows than
+    # columns, dependent rows and row swaps, against the Ring-arithmetic
+    # reference; each basis vector solves the system, and
     # one is found per column the equations leave free
     basis = nullspace(ring, rows, ncols)
     assert basis == ref_nullspace(ring, rows, ncols)
@@ -294,6 +307,14 @@ def test_nullspace_cases(ring, rows, ncols):
         one, zero = ring.one(), ring.zero()
         units = [tuple(one if i == j else zero for i in range(ncols)) for j in range(ncols)]
         assert basis == units
+
+
+def test_join_refuses_a_non_field_with_either_side_empty():
+    # the same refusal as two nonempty sides, before any empty-side shortcut
+    z6 = Ring("Zn", 6)
+    for a, b in (((), ((1, 0),)), (((1, 0),), ()), ((), ()), (((1, 0),), ((0, 1),))):
+        with pytest.raises(LinAlgError, match="needs a field"):
+            join(z6, 2, a, b)
 
 
 def _uncached_span(ring, ncols, vectors):

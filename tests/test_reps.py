@@ -606,6 +606,7 @@ def _hom_kernel_cases():
     """(m, n) pairs of the kernel's edge cases, by name."""
     arrow, a3, two = q_arrow(), q_a3(), q_isolated(2)
     back = Quiver(("v1", "v2"), (("a", "v2", "v1"),))
+    loop = Quiver(("v1", "v2"), (("l", "v1", "v1"), ("a", "v1", "v2")))
     f3, f5, q = Ring("Fp", 3), Ring("Fp", 5), Ring("Q")
     fr = Fraction
     return {
@@ -647,6 +648,31 @@ def _hom_kernel_cases():
         "edge-to-earlier-vertex": (
             Representation(back, f5, {"v1": 1, "v2": 2}, {"a": ((0, 3),)}),
             Representation(back, f5, {"v1": 2, "v2": 1}, {"a": ((0,), (0,))}),
+        ),
+        # a loop: f_v1 on both sides of one equation. With M_l = N_l some
+        # entries cancel into a zero row (all of them for a 1 x 1 block)
+        "loop-equal-maps-F3": (
+            Representation(loop, f3, {"v1": 2, "v2": 1}, {"l": ((1, 2), (0, 1)), "a": ((2, 1),)}),
+            Representation(loop, f3, {"v1": 2, "v2": 1}, {"l": ((1, 2), (0, 1)), "a": ((1, 0),)}),
+        ),
+        "loop-equal-scalars-F3": (
+            Representation(loop, f3, {"v1": 1, "v2": 0}, {"l": ((2,),)}),
+            Representation(loop, f3, {"v1": 1, "v2": 2}, {"l": ((2,),), "a": ((1,), (2,))}),
+        ),
+        "loop-maps-differ-F3": (
+            Representation(loop, f3, {"v1": 2, "v2": 1}, {"l": ((0, 1), (0, 0)), "a": ((1, 1),)}),
+            Representation(loop, f3, {"v1": 1, "v2": 1}, {"l": ((2,),), "a": ((2,),)}),
+        ),
+        "loop-equal-maps-Q": (
+            Representation(loop, q, {"v1": 2, "v2": 1},
+                           {"l": ((fr(1, 2), 3), (0, fr(1, 2))), "a": ((fr(-2, 3), 1),)}),
+            Representation(loop, q, {"v1": 2, "v2": 2},
+                           {"l": ((fr(1, 2), 3), (0, fr(1, 2))), "a": ((1, 0), (0, fr(5, 4)))}),
+        ),
+        "loop-maps-differ-Q": (
+            Representation(loop, q, {"v1": 2, "v2": 1},
+                           {"l": ((fr(1, 3), 0), (1, fr(-1, 2))), "a": ((2, fr(1, 7)),)}),
+            Representation(loop, q, {"v1": 1, "v2": 1}, {"l": ((fr(1, 3),),), "a": ((4,),)}),
         ),
         # two equal quivers that are distinct objects
         "equal-quivers": (
