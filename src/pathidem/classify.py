@@ -23,7 +23,7 @@ class ClassifyError(ValueError):
     pass
 
 
-# the most weak components that `_trivial_idem_partitions` takes
+# the most weak components that `full_family_partitions` takes
 _MAX_FAMILY_COMPONENTS = 10
 
 
@@ -231,14 +231,14 @@ def is_full_family(es: list[AlgElem]) -> bool:
 def enumerate_full_families_trivial_idem(q: Quiver, ring: Ring) -> list[list[AlgElem]]:
     """All full families over a ring with only trivial idempotents: exactly the
     partitions of the vertex set into left-closed parts, as {e_S_i} families,
-    in the order of `_trivial_idem_partitions`."""
+    in the order of `full_family_partitions`."""
     return [
         [vertex_idempotent(q, ring, part) for part in parts]
-        for parts in _trivial_idem_partitions(q, ring)
+        for parts in full_family_partitions(q, ring)
     ]
 
 
-def _trivial_idem_partitions(q: Quiver, ring: Ring) -> list[list[tuple[str, ...]]]:
+def full_family_partitions(q: Quiver, ring: Ring) -> list[list[tuple[str, ...]]]:
     """The vertex sets of the full families over a ring with only trivial
     idempotents: each part a sorted tuple of vertices, the parts of a
     partition sorted, and the partitions sorted. A part's complement is a

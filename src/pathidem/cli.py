@@ -21,8 +21,8 @@ from . import __version__
 from .algebra import AlgElem, AlgebraError
 from .classify import (
     ClassifyError,
-    _trivial_idem_partitions,
     classify,
+    full_family_partitions,
     is_full_family,
     strongly_orthogonal,
     try_standard_form,
@@ -31,20 +31,13 @@ from .oracle import (
     BudgetExceeded,
     OracleBudget,
     OracleError,
-    _outside_reach,
+    check_morita_by_restriction,
     check_special_by_modules,
     check_split_by_sequences,
-    enumerate_reps,
     orthogonality_bruteforce,
 )
 from .quivers import Quiver, QuiverError
-from .reps import (
-    RepError,
-    corner_algebra,
-    corner_module,
-    in_category_e,
-    morita_surrogate_check,
-)
+from .reps import RepError
 from .rings import Ring, RingError
 
 EXIT_OK = 0
@@ -208,7 +201,7 @@ def _full_family(args, quiver, ring):
 
 def _enumerate_families(args, quiver, ring):
     try:
-        partitions = _trivial_idem_partitions(quiver, ring)
+        partitions = full_family_partitions(quiver, ring)
     except ClassifyError as exc:
         raise InputError("nontrivial-idempotents", str(exc)) from exc
     except RingError as exc:  # a Z/n modulus too large to test as a prime power
@@ -230,25 +223,7 @@ def _morita_check(args, quiver, ring):
         raise InputError("cyclic-quiver", f"{args.command} needs an acyclic quiver")
     e = _parse_element(quiver, ring, args.element[0])
     budget = OracleBudget(args.max_dim, args.max_reps)
-    corner = corner_algebra(e)  # refuses a non-idempotent e and Z/n
-    # M = AeM, with no Γ_e, where M is 0 off S = corner[0].vertices: there
-    # e_S M = M, so eM = u e_S u^-1 M = M for the unit u of `corner_algebra`.
-    # A counted dimension vector (an int) holds no rep in the category
-    outside = [v for v in quiver.vertices if v not in corner[0].vertices]
-    reps = [
-        m
-        for m in enumerate_reps(quiver, ring, budget, skip=_outside_reach(e))
-        if not isinstance(m, int)
-        and (not any(m.dims[v] for v in outside) or in_category_e(e, m))
-    ]
-    cms = [corner_module(e, m, corner) for m in reps]
-    bijective = [
-        morita_surrogate_check(e, m, n, cm, cn)["bijective"]
-        for m, cm in zip(reps, cms)
-        for n, cn in zip(reps, cms)
-    ]
-    result = {"pairs_checked": len(bijective), "all_bijective": all(bijective)}
-    return result, e.to_json(), vars(budget)
+    return check_morita_by_restriction(e, quiver, ring, budget), e.to_json(), vars(budget)
 
 
 # command -> (how many --element it takes, None for any number; handler)

@@ -267,8 +267,14 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
     basis a `FieldRowSpace` seeded with the rows would give."""
     if not ring.is_field:
         raise LinAlgError("nullspace computation requires a field")
-    if not rows:
-        return list(identity_matrix(ring, ncols))
+    zero, one = ring.zero(), ring.one()
+    if not rows:  # built here, so no unit basis of a wide system stays cached
+        basis = []
+        for i in range(ncols):
+            row = [zero] * ncols
+            row[i] = one
+            basis.append(tuple(row))
+        return basis
     work = [_canon(ring, row) for row in rows]
     pivots = []  # the pivot column of work[r], for each r < len(pivots)
     for j in range(ncols):
@@ -286,7 +292,6 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
             if r != rank and other[j]:
                 work[r] = _combine(ring, other, -other[j], row)
         pivots.append(j)
-    zero, one = ring.zero(), ring.one()
     basis = []
     for f in range(ncols):
         if f in pivots:

@@ -36,8 +36,11 @@ from .reps import (
     Representation,
     Submodule,
     _generated,
+    corner_algebra,
+    corner_module,
     gamma,
     in_category_e,
+    morita_surrogate_check,
     submodule_from_local,
 )
 from .rings import Ring
@@ -334,14 +337,10 @@ def _rank_forms(ring: Ring, rows: int, cols: int) -> tuple[tuple, ...]:
     """[I_k 0; 0 0] for k = 0..min(rows, cols): one matrix per orbit of
     GL(rows) x GL(cols), in lexicographic order."""
     zero, one = ring.zero(), ring.one()
+    # forms k and k + 1 first differ at entry (k, k), 0 against 1
     return tuple(
-        sorted(
-            tuple(
-                tuple(one if i == j < k else zero for j in range(cols))
-                for i in range(rows)
-            )
-            for k in range(min(rows, cols) + 1)
-        )
+        tuple(tuple(one if i == j < k else zero for j in range(cols)) for i in range(rows))
+        for k in range(min(rows, cols) + 1)
     )
 
 
@@ -581,6 +580,35 @@ def check_split_by_sequences(
         if next(_edge_closed(m, per_vertex), None) is None:
             return Verdict("counterexample", checked, module=m, submodule=g)
     return Verdict("consistent", checked)
+
+
+def check_morita_by_restriction(
+    e: AlgElem, q: Quiver, ring: Ring, budget: OracleBudget = OracleBudget()
+) -> dict:
+    """How many ordered pairs of reps M, N = AeM within budget were checked,
+    and whether restriction Hom(M, N) -> Hom(e_S M, e_S N) is a bijection on
+    all of them (`reps.morita_surrogate_check`). `corner_algebra` comes
+    first: it refuses a non-idempotent e and a non-field with RepError. Reps
+    outside the reach (`_outside_reach`) are counted, not built. An M that
+    is 0 off S, the trivial support of e, is in Ae-Mod with no Γ_e computed:
+    e_S M = M, so eM = u e_S u^-1 M = M for the unit u of `corner_algebra`."""
+    if e.quiver != q or e.ring != ring:
+        raise OracleError("element is over another quiver or ring")
+    corner = corner_algebra(e)
+    outside = [v for v in q.vertices if v not in corner[0].vertices]
+    reps = [
+        m
+        for m in enumerate_reps(q, ring, budget, skip=_outside_reach(e))
+        if not isinstance(m, int)
+        and (not any(m.dims[v] for v in outside) or in_category_e(e, m))
+    ]
+    cms = [corner_module(e, m, corner) for m in reps]
+    bijective = [
+        morita_surrogate_check(m, n, cm, cn)["bijective"]
+        for m, cm in zip(reps, cms)
+        for n, cn in zip(reps, cms)
+    ]
+    return {"pairs_checked": len(bijective), "all_bijective": all(bijective)}
 
 
 def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:

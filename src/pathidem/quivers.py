@@ -70,6 +70,9 @@ class Quiver:
     edges: tuple[tuple[str, str, str], ...] = ()
 
     def __post_init__(self):
+        # tuples, so a quiver given lists equals and hashes like one given tuples
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex identifiers")
         seen = set()

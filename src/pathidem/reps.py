@@ -376,18 +376,16 @@ def corner_algebra(e: AlgElem) -> tuple[Quiver, dict[str, Path]]:
 
 
 def corner_module(
-    e: AlgElem,
-    m: Representation,
-    corner: Optional[tuple[Quiver, dict[str, Path]]] = None,
+    e: AlgElem, m: Representation, corner: tuple[Quiver, dict[str, Path]]
 ) -> Representation:
-    """The restriction e_S M of M to Q_S: M_v at each v in S, and on each
-    arrow the product of M's edge maps along its path. An arrow that is one
-    edge of Q keeps M's own matrix for that edge; only a longer path is
-    multiplied out (`Representation._path_block`). Pass `corner` =
-    corner_algebra(e) to share one Q_S between the modules of e."""
+    """The restriction e_S M of M to Q_S, for `corner` = corner_algebra(e),
+    which one call shares between the modules of e: M_v at each v in S, and
+    on each arrow the product of M's edge maps along its path. An arrow that
+    is one edge of Q keeps M's own matrix for that edge; only a longer path
+    is multiplied out (`Representation._path_block`)."""
     if e.quiver != m.quiver or e.ring != m.ring:
         raise RepError("element and representation are incompatible")
-    qs, arrows = corner_algebra(e) if corner is None else corner
+    qs, arrows = corner
     if qs.vertices != _trivial_support(e):
         raise RepError("corner ring belongs to a different idempotent")
     maps = {
@@ -400,16 +398,12 @@ def corner_module(
 
 
 def morita_surrogate_check(
-    e: AlgElem,
-    m: Representation,
-    n: Representation,
-    cm: Optional[Representation] = None,
-    cn: Optional[Representation] = None,
+    m: Representation, n: Representation, cm: Representation, cn: Representation
 ) -> dict:
     """Check that restriction to e_S M is a bijection from Hom(M, N) onto
     Hom(e_S M, e_S N) over Q_S, for M, N generated by eM over an acyclic
-    quiver; cm, cn are the corner modules of m, n. The restriction of f is
-    its blocks f_v for v in S. Conjugation by the unit u of `corner_algebra`
+    quiver and cm, cn their `corner_module`s. The restriction of f is its
+    blocks f_v for v in S. Conjugation by the unit u of `corner_algebra`
     carries it onto the restriction to eM, so the dimensions are those of
     Hom(M, N) -> Hom_eAe(eM, eN).
 
@@ -425,8 +419,6 @@ def morita_surrogate_check(
     hom_dim: an f that is 0 on e_S M is 0 on eM = u e_S M, hence, being
     A-linear, on M = A eM."""
     homs = hom_space(m, n)
-    cm = corner_module(e, m) if cm is None else cm
-    cn = corner_module(e, n) if cn is None else cn
     inside = cm.quiver.vertices
     hom_dim = corner_dim = rank = len(homs)
     if any(m.dims[v] or n.dims[v] for v in m.quiver.vertices if v not in inside):

@@ -29,7 +29,7 @@ from pathidem.oracle import (
     orthogonality_bruteforce,
 )
 from pathidem.quivers import Path
-from pathidem.reps import corner_module, in_category_e, morita_surrogate_check
+from pathidem.reps import corner_algebra, corner_module, in_category_e, morita_surrogate_check
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, sweep_quivers
 
@@ -144,10 +144,11 @@ def test_07_corner_restriction_is_bijective():
                 reps = [
                     m for m in enumerate_reps(q, ring, budget) if in_category_e(e, m)
                 ]
-                corners = [corner_module(e, m) for m in reps]
+                corner = corner_algebra(e)
+                corners = [corner_module(e, m, corner) for m in reps]
                 for m, cm in zip(reps, corners):
                     for n, cn in zip(reps, corners):
-                        res = morita_surrogate_check(e, m, n, cm, cn)
+                        res = morita_surrogate_check(m, n, cm, cn)
                         assert res["bijective"], (q, ring, sorted(s), m, n, res)
                         pairs_checked += 1
     _report(

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -19,7 +20,7 @@ from pathidem import classify, cli, oracle, quivers
 from pathidem.algebra import vertex_idempotent
 from pathidem.cli import main
 from pathidem.oracle import OracleBudget, _outside_reach, enumerate_reps
-from pathidem.reps import in_category_e, morita_surrogate_check
+from pathidem.reps import corner_algebra, corner_module, in_category_e, morita_surrogate_check
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, sweep_quivers
 
@@ -382,7 +383,7 @@ class TestMoritaCheckCorners:
         calls = {"corner_algebra": 0, "corner_module": 0}
 
         def counting(name):
-            inner = getattr(cli, name)
+            inner = getattr(oracle, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -391,7 +392,7 @@ class TestMoritaCheckCorners:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(cli, name, counting(name))
+            monkeypatch.setattr(oracle, name, counting(name))
         s = {"v2", "v3"}  # the sink end of a3: left-closed
         elem = {
             "terms": [{"path": {"trivial": v}, "coeff": "1"} for v in sorted(s)]
@@ -407,11 +408,33 @@ class TestMoritaCheckCorners:
         budget = OracleBudget(max_total_dim=2)
         reps = [m for m in enumerate_reps(a3, f3, budget) if in_category_e(e, m)]
         assert calls == {"corner_algebra": 1, "corner_module": len(reps)}
-        results = [morita_surrogate_check(e, m, n) for m in reps for n in reps]
+        corner = corner_algebra(e)
+        cms = [corner_module(e, m, corner) for m in reps]
+        results = [
+            morita_surrogate_check(m, n, cm, cn)
+            for m, cm in zip(reps, cms)
+            for n, cn in zip(reps, cms)
+        ]
         assert report["result"] == {
             "pairs_checked": len(results),
             "all_bijective": all(r["bijective"] for r in results),
         }
+
+
+def test_cli_imports_no_private_name():
+    # the CLI parses, calls one public check per command and reports; every
+    # name it imports from the package is public (a dunder such as
+    # __version__ is not private)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "pathidem")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 class TestCategoryBySupport:
@@ -454,7 +477,13 @@ class TestCategoryBySupport:
                         seen["off-S zero"] += 1
                     if member:
                         inside.append(m)
-                results = [morita_surrogate_check(e, m, n)["bijective"] for m in inside for n in inside]
+                corner = corner_algebra(e)
+                cms = [corner_module(e, m, corner) for m in inside]
+                results = [
+                    morita_surrogate_check(m, n, cm, cn)["bijective"]
+                    for m, cm in zip(inside, cms)
+                    for n, cn in zip(inside, cms)
+                ]
                 code, report = run(
                     capsys, "morita-check", "--quiver", json.dumps(q.to_json()),
                     "--ring", f"F{ring.modulus}", "--element", json.dumps(e.to_json()),

@@ -8,6 +8,7 @@ from pathidem.linalg import (
     FieldRowSpace,
     LinAlgError,
     ZnRowSpace,
+    identity_matrix,
     image,
     join,
     mat_canon,
@@ -307,6 +308,17 @@ def test_nullspace_cases(ring, rows, ncols):
         one, zero = ring.one(), ring.zero()
         units = [tuple(one if i == j else zero for i in range(ncols)) for j in range(ncols)]
         assert basis == units
+
+
+def test_nullspace_keeps_no_wide_unit_basis():
+    # a no-row system of 500 unknowns (a Hom system of 20 x 25 unknowns with
+    # no equation) returns its unit basis without asking the cache of
+    # `identity_matrix`, which lives as long as the process: its size and
+    # its hit and miss counts stay as they were
+    before = identity_matrix.cache_info()
+    basis = nullspace(F2, [], 500)
+    assert basis == [tuple(int(i == j) for j in range(500)) for i in range(500)]
+    assert identity_matrix.cache_info() == before
 
 
 def test_join_refuses_a_non_field_with_either_side_empty():

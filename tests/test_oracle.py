@@ -14,6 +14,7 @@ from pathidem.oracle import (
     OracleBudget,
     OracleError,
     Verdict,
+    check_morita_by_restriction,
     check_special_by_modules,
     check_split_by_sequences,
     enumerate_reps,
@@ -23,6 +24,7 @@ from pathidem.oracle import (
 )
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import (
+    RepError,
     Representation,
     _generated,
     gamma,
@@ -205,6 +207,33 @@ class TestSplitOracle:
         for e in (vertex_idempotent(a3, f2, {"v1"}), vertex_idempotent(arrow, f3, {"v1"})):
             with pytest.raises(OracleError, match="another quiver or ring"):
                 check_split_by_sequences(e, arrow, f2)
+
+
+class TestMoritaOracle:
+    def test_refuses_a_foreign_element(self, arrow, a3, f2, f3):
+        for e in (vertex_idempotent(a3, f2, {"v1"}), vertex_idempotent(arrow, f3, {"v1"})):
+            with pytest.raises(OracleError, match="another quiver or ring"):
+                check_morita_by_restriction(e, arrow, f2)
+
+    def test_corner_ring_refuses_first(self, arrow, f2, z6):
+        # a non-idempotent e and Z/n are refused by `corner_algebra`
+        with pytest.raises(RepError, match="idempotent"):
+            check_morita_by_restriction(edge_element(arrow, f2, "a"), arrow, f2)
+        e = vertex_idempotent(arrow, z6, {"v2"})
+        with pytest.raises(RepError, match="field"):
+            check_morita_by_restriction(e, arrow, z6)
+
+
+def test_a_quiver_given_lists_is_the_quiver_given_tuples(arrow, f2):
+    listed = Quiver(["v1", "v2"], [["a", "v1", "v2"]])
+    assert (listed.vertices, listed.edges) == (("v1", "v2"), (("a", "v1", "v2"),))
+    assert listed == arrow and hash(listed) == hash(arrow)
+    budget = OracleBudget(max_total_dim=2)
+    for s in ({"v1"}, {"v2"}, {"v1", "v2"}):
+        for check in (check_special_by_modules, check_split_by_sequences):
+            got = check(vertex_idempotent(listed, f2, s), listed, f2, budget)
+            want = check(vertex_idempotent(arrow, f2, s), arrow, f2, budget)
+            assert got.to_json() == want.to_json()
 
 
 class TestBruteForce:
