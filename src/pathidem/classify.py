@@ -205,7 +205,9 @@ def strongly_orthogonal(e1: AlgElem, e2: AlgElem) -> bool:
     has lambda1(w) * lambda2(u) != 0. Then w is in S2 (S2 is left closed)
     and lambda2(u) = lambda2(u) * lambda2(w), so lambda1(w) * lambda2(w) != 0
     and the trivial path e_w is such a path. So both sides vanish exactly
-    when lambda1(w) * lambda2(w) = 0 at every w in S1 ∩ S2."""
+    when lambda1(w) * lambda2(w) = 0 at every w in S1 ∩ S2. AlgebraError
+    when e1 and e2 live over different quivers or rings."""
+    e1._check_compatible(e2)
     lam1, lam2 = dict(standard_form(e1).diag), dict(standard_form(e2).diag)
     return all(e1.ring.is_zero(e1.ring.mul(lam1[w], lam2[w])) for w in lam1.keys() & lam2)
 
@@ -214,9 +216,12 @@ def is_full_family(es: list[AlgElem]) -> bool:
     """Pairwise strong orthogonality plus the ideal condition, one vertex at a
     time: at every v, the diagonal coefficients of the members supported at
     v must be pairwise orthogonal (`strongly_orthogonal` at v) and generate
-    the unit ideal of the base ring."""
+    the unit ideal of the base ring. AlgebraError when the members live
+    over different quivers or rings."""
     if not es:
         return False
+    for e in es[1:]:
+        es[0]._check_compatible(e)
     forms = [standard_form(e) for e in es]
     ring, lams = forms[0].ring, [dict(f.diag) for f in forms]
     for v in forms[0].quiver.vertices:

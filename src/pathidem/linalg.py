@@ -15,7 +15,8 @@ bases are. This is the one subspace format of the package: a
 answer subspace questions on such bases, and refuse a ring that is not a
 field; `image` keeps its answers in a fixed-size cache, so an image met
 once is not computed again. A `FieldRowSpace` (seeded with spanning
-vectors) is kept only where rank, coordinates or membership are asked for.
+vectors) is kept only where membership is asked for or vectors are added
+one at a time.
 `nullspace` builds no row space: it brings its rows to the same reduced
 echelon form in place, in one pass.
 """
@@ -40,36 +41,33 @@ class FieldRowSpace:
     """Incrementally maintained reduced echelon basis over a field, seeded
     with `vectors`; LinAlgError over any other ring."""
 
-    def __init__(self, ring: Ring, ncols: int, vectors: Iterable[Sequence] = ()):
+    def __init__(self, ring: Ring, vectors: Iterable[Sequence] = ()):
         if not ring.is_field:
             raise LinAlgError(f"FieldRowSpace needs a field, not {ring}")
         self.ring = ring
-        self.ncols = ncols
         self.rows: list[tuple] = []  # reduced echelon order
         self.pivots: list[int] = []
         for x in vectors:
             self.add(x)
 
-    def _reduce(self, vec: Sequence) -> tuple[list, list]:
-        """Coordinates of vec along the echelon rows, and the residual left
-        after subtracting them (all zero exactly when vec is in the span)."""
+    def _reduce(self, vec: Sequence) -> list:
+        """The residual of vec after subtracting its multiples of the
+        echelon rows: all zero exactly when vec is in the span."""
         R = self.ring
         v = _canon(R, vec)
-        coords = []
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
-            coords.append(c)
             if c:
                 v = _combine(R, v, -c, row)
-        return coords, v
+        return v
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self._reduce(vec)[1])
+        return not any(self._reduce(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; returns True when the span grew."""
         R = self.ring
-        v = self._reduce(vec)[1]
+        v = self._reduce(vec)
         for piv, x in enumerate(v):
             if x:
                 break
@@ -89,46 +87,34 @@ class FieldRowSpace:
         self.pivots.insert(idx, piv)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> list[tuple]:
-        return list(self.rows)
-
-    def coords(self, vec: Sequence) -> list | None:
-        """Coordinates of vec in the echelon basis, or None when outside the span."""
-        coords, residual = self._reduce(vec)
-        return None if any(residual) else coords
-
 
 # ---- subspaces as reduced echelon bases: tuples of row tuples ----
 
 
-def span(ring: Ring, ncols: int, vectors: Iterable[Sequence]) -> tuple:
-    """The reduced echelon basis of the span of `vectors` in ring^ncols, a
-    tuple of row tuples."""
-    return tuple(FieldRowSpace(ring, ncols, vectors).rows)
+def span(ring: Ring, vectors: Iterable[Sequence]) -> tuple:
+    """The reduced echelon basis of the span of `vectors`, a tuple of row
+    tuples."""
+    return tuple(FieldRowSpace(ring, vectors).rows)
 
 
-def join(ring: Ring, ncols: int, a: tuple, b: tuple) -> tuple:
-    """The reduced echelon basis of the sum of two subspaces of ring^ncols,
-    each given by its reduced echelon basis; LinAlgError over a ring that is
-    not a field, whether or not a side is empty."""
+def join(ring: Ring, a: tuple, b: tuple) -> tuple:
+    """The reduced echelon basis of the sum of two subspaces, each given by
+    its reduced echelon basis; LinAlgError over a ring that is not a field,
+    whether or not a side is empty."""
     if not ring.is_field:
         raise LinAlgError(f"join needs a field, not {ring}")
     if not b:
         return a
     if not a:
         return b
-    return span(ring, ncols, a + b)
+    return span(ring, a + b)
 
 
 @lru_cache(maxsize=1 << 12)
 def image(ring: Ring, mat: tuple, basis: tuple) -> tuple:
     """The reduced echelon basis of mat * span(basis): mat is an r x c matrix
     (a tuple of row tuples) and basis spans a subspace of ring^c."""
-    return span(ring, len(mat), tuple(mat_vec(ring, mat, x) for x in basis))
+    return span(ring, tuple(mat_vec(ring, mat, x) for x in basis))
 
 
 def _canon(ring: Ring, vec: Iterable) -> list:

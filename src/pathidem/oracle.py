@@ -449,7 +449,7 @@ def _subspaces(ring: Ring, dim: int) -> tuple[tuple[tuple, FieldRowSpace], ...]:
                     rows[i][j] = x
                 out.append(tuple(tuple(r) for r in rows))
     out.sort(key=lambda basis: (len(basis), basis))
-    return tuple((basis, FieldRowSpace(ring, dim, basis)) for basis in out)
+    return tuple((basis, FieldRowSpace(ring, basis)) for basis in out)
 
 
 def enumerate_submodules(m: Representation) -> list[Submodule]:
@@ -575,7 +575,7 @@ def check_split_by_sequences(
             d, gv = m.dims[v], g.bases[v]
             per_vertex.append([
                 c for c in _subspaces(ring, d)
-                if len(c[0]) + len(gv) == d == len(join(ring, d, c[0], gv))
+                if len(c[0]) + len(gv) == d == len(join(ring, c[0], gv))
             ])
         if next(_edge_closed(m, per_vertex), None) is None:
             return Verdict("counterexample", checked, module=m, submodule=g)

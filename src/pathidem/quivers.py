@@ -29,6 +29,10 @@ class Path:
     edges: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # a tuple, as in Quiver, so a path given a list equals and hashes like
+        # one given a tuple; concat passes tuples and skips the copy
+        if type(self.edges) is not tuple:
+            object.__setattr__(self, "edges", tuple(self.edges))
         if (self.vertex is None) == (len(self.edges) == 0):
             raise QuiverError("path is either trivial(vertex) or a nonempty edge list")
 

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 from .algebra import AlgElem
 from .linalg import (
-    FieldRowSpace,
     _combine,
     identity_matrix,
     image,
@@ -152,9 +151,6 @@ class Submodule:
     def total_dim(self) -> int:
         return sum(map(len, self.bases.values()))
 
-    def basis(self, v: str) -> list[tuple]:
-        return list(self.bases[v])
-
     def to_json(self) -> dict:
         return {
             v: [[self.rep.ring.fmt(x) for x in vec] for vec in basis]
@@ -169,7 +165,7 @@ def submodule_from_local(
     under the edge maps."""
     bases = {v: () for v in rep.quiver.vertices}
     for v, vecs in vectors.items():
-        bases[v] = span(rep.ring, rep.dims[v], vecs)
+        bases[v] = span(rep.ring, vecs)
     return Submodule(rep, _closed(rep, bases) if close else bases)
 
 
@@ -188,7 +184,7 @@ def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
         for src, dst, a in edges:
             have = out[dst]
             if out[src] and len(have) < dims[dst]:
-                grown = join(ring, dims[dst], have, image(ring, a, out[src]))
+                grown = join(ring, have, image(ring, a, out[src]))
                 if len(grown) > len(have):
                     out[dst], changed = grown, True
     return out
@@ -207,11 +203,11 @@ def _generated(
     the join over s of block(t, s) * N_s, closed under the edge maps. The
     answer is again reduced echelon bases, equal to `bases` exactly when
     N = AeN (for a submodule N, AeN lies inside N)."""
-    ring, dims = m.ring, m.dims
+    ring = m.ring
     seed = {v: () for v in m.quiver.vertices}
     for (t, s), b in blocks.items():
         if bases[s]:
-            seed[t] = join(ring, dims[t], seed[t], image(ring, b, bases[s]))
+            seed[t] = join(ring, seed[t], image(ring, b, bases[s]))
     return _closed(m, seed)
 
 
@@ -423,9 +419,8 @@ def morita_surrogate_check(
     hom_dim = corner_dim = rank = len(homs)
     if any(m.dims[v] or n.dims[v] for v in m.quiver.vertices if v not in inside):
         corner_dim = len(hom_space(cm, cn))
-        width = sum(m.dims[v] * n.dims[v] for v in inside)
         blocks = (tuple(x for v in inside for row in f[v] for x in row) for f in homs)
-        rank = FieldRowSpace(m.ring, width, blocks).rank
+        rank = len(span(m.ring, blocks))
     return {
         "hom_dim": hom_dim,
         "corner_dim": corner_dim,

@@ -11,14 +11,7 @@ from math import gcd
 from typing import Sequence
 
 from pathidem.algebra import AlgElem, path_element, path_vector
-from pathidem.linalg import (
-    FieldRowSpace,
-    LinAlgError,
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-    span,
-)
+from pathidem.linalg import LinAlgError, identity_matrix, mat_mul, mat_vec, span
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import Representation, RepError, Submodule
 from pathidem.rings import Ring, RingError
@@ -79,11 +72,11 @@ def apply_edge(m: Representation, eid: str, local: Sequence) -> tuple:
 def is_edge_closed(sub: Submodule) -> bool:
     """Whether span(C_t + a*C_s) == C_t for every edge a: s -> t, with
     the images taken vector by vector through `apply_edge`."""
-    ring, dims = sub.rep.ring, sub.rep.dims
+    ring = sub.rep.ring
     for eid, src, dst in sub.rep.quiver.edges:
         have = sub.bases[dst]
         images = tuple(apply_edge(sub.rep, eid, x) for x in sub.bases[src])
-        if span(ring, dims[dst], have + images) != have:
+        if span(ring, have + images) != have:
             return False
     return True
 
@@ -93,11 +86,10 @@ def e_fixed(e: AlgElem, m: Representation) -> list[tuple]:
     edge-closed (nor graded) on its own."""
     if not e.is_idempotent():
         raise RepError("e_fixed requires an idempotent element")
-    mat = action_matrix(m, e)
-    return FieldRowSpace(m.ring, len(mat), zip(*mat)).basis()
+    return RefRowSpace(m.ring, zip(*action_matrix(m, e))).rows
 
 
-def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:
+def _induced_matrix(images, target: "RefRowSpace", msg: str) -> tuple:
     """The matrix whose columns are the coordinates of `images` in target's
     echelon basis; RepError(msg) when an image lies outside target."""
     cols = []
@@ -106,14 +98,14 @@ def _induced_matrix(images, target: FieldRowSpace, msg: str) -> tuple:
         if coords is None:
             raise RepError(msg)
         cols.append(coords)
-    return tuple(tuple(c[i] for c in cols) for i in range(target.rank))
+    return tuple(tuple(c[i] for c in cols) for i in range(len(target.rows)))
 
 
 def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[tuple]]]:
     """The submodule as a representation in its own echelon bases, plus the
     per-vertex inclusion bases (local vectors of the ambient module)."""
     rep = sub.rep
-    spaces = {v: FieldRowSpace(rep.ring, rep.dims[v], b) for v, b in sub.bases.items()}
+    spaces = {v: RefRowSpace(rep.ring, b) for v, b in sub.bases.items()}
     maps = {
         eid: _induced_matrix(
             (apply_edge(rep, eid, x) for x in sub.bases[src]),
@@ -124,7 +116,7 @@ def sub_representation(sub: Submodule) -> tuple[Representation, dict[str, list[t
     }
     return (
         Representation(rep.quiver, rep.ring, sub.dims, maps),
-        {v: sub.basis(v) for v in rep.quiver.vertices},
+        {v: list(sub.bases[v]) for v in rep.quiver.vertices},
     )
 
 
@@ -136,9 +128,7 @@ def left_ideal_representation(e: AlgElem) -> Representation:
         raise RepError("A*e is infinite-dimensional on cyclic quivers")
     paths = q.all_paths()
     index = {p: i for i, p in enumerate(paths)}
-    bases: dict[str, FieldRowSpace] = {
-        v: FieldRowSpace(ring, len(paths)) for v in q.vertices
-    }
+    bases = {v: RefRowSpace(ring) for v in q.vertices}
     for p in paths:
         x = path_element(q, ring, p) * e
         if not x.is_zero:
@@ -147,7 +137,7 @@ def left_ideal_representation(e: AlgElem) -> Representation:
     for eid, src, dst in q.edges:
         a = path_element(q, ring, Path(edges=(eid,)))
         images = []
-        for row in bases[src].basis():
+        for row in bases[src].rows:
             x = AlgElem.make(
                 q, ring, {paths[i]: c for i, c in enumerate(row) if not ring.is_zero(c)}
             )
@@ -155,7 +145,7 @@ def left_ideal_representation(e: AlgElem) -> Representation:
         maps[eid] = _induced_matrix(
             images, bases[dst], "edge action escaped the graded piece of A*e"
         )
-    dims = {v: bases[v].rank for v in q.vertices}
+    dims = {v: len(bases[v].rows) for v in q.vertices}
     return Representation(q, ring, dims, maps)
 
 
@@ -185,10 +175,13 @@ def corner_arrows(q: Quiver, s) -> list[Path]:
 
 
 class RefRowSpace:
-    """Reduced echelon basis maintained with Ring.add/sub/mul only."""
+    """Reduced echelon basis maintained with Ring.add/sub/mul only, seeded
+    with `vectors`."""
 
-    def __init__(self, ring, ncols):
+    def __init__(self, ring, vectors=()):
         self.ring, self.rows, self.pivots = ring, [], []
+        for x in vectors:
+            self.add(x)
 
     def reduce(self, vec):
         R = self.ring
@@ -199,6 +192,12 @@ class RefRowSpace:
             coords.append(c)
             v = [R.add(a, R.mul(R.neg(c), b)) for a, b in zip(v, row)]
         return coords, v
+
+    def coords(self, vec):
+        """Coordinates of vec along the echelon rows, or None when vec is
+        outside their span."""
+        coords, residual = self.reduce(vec)
+        return None if any(not self.ring.is_zero(x) for x in residual) else coords
 
     def add(self, vec):
         R = self.ring
@@ -274,9 +273,7 @@ def _ref_ext_gcd(a, b):
 def ref_nullspace(ring, rows, ncols):
     """Basis of {v : rows @ v == 0}: one vector per free column, in column
     order, from a RefRowSpace of the rows."""
-    space = RefRowSpace(ring, ncols)
-    for row in rows:
-        space.add(row)
+    space = RefRowSpace(ring, rows)
     basis = []
     for f in [j for j in range(ncols) if j not in space.pivots]:
         v = [ring.zero()] * ncols

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathidem.algebra import AlgElem, edge_element, path_element, vertex_idempotent
+from pathidem.algebra import (
+    AlgebraError,
+    AlgElem,
+    edge_element,
+    path_element,
+    vertex_idempotent,
+)
 from pathidem.classify import (
     ClassifyError,
     classify,
@@ -20,7 +26,7 @@ from pathidem.classify import (
     strongly_orthogonal,
     try_standard_form,
 )
-from pathidem.oracle import orthogonality_bruteforce
+from pathidem.oracle import OracleError, fullness_bruteforce, orthogonality_bruteforce
 from pathidem.quivers import Path, Quiver
 from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
@@ -416,6 +422,20 @@ class TestOrthogonality:
                 vertex_idempotent(arrow, f5, {"v2"}),
             )
 
+    def test_mixed_quivers_or_rings_refused(self, arrow, a3, f5, rationals):
+        # refused before any standard form, as element arithmetic and the
+        # brute-force twin refuse them
+        e = vertex_idempotent(arrow, f5, {"v2"})
+        for other in (
+            vertex_idempotent(a3, f5, {"v2", "v3"}),
+            vertex_idempotent(arrow, rationals, {"v2"}),
+        ):
+            for e1, e2 in ((e, other), (other, e)):
+                with pytest.raises(AlgebraError, match="different quivers or rings"):
+                    strongly_orthogonal(e1, e2)
+                with pytest.raises(OracleError):
+                    orthogonality_bruteforce(e1, e2, 2)
+
 
 def _random_special_element(q, ring, rng):
     """A left-special element with path terms and (over Z/n) lambda that
@@ -491,6 +511,17 @@ class TestFullFamily:
 
     def test_empty_family(self):
         assert not is_full_family([])
+
+    def test_mixed_quivers_or_rings_refused(self, arrow, a3, f5, rationals):
+        # refused before any standard form, as the brute-force twin refuses them
+        for fam in (
+            [vertex_idempotent(arrow, f5, arrow.vertices), vertex_idempotent(a3, f5, {"v3"})],
+            [vertex_idempotent(arrow, f5, {"v2"}), vertex_idempotent(arrow, rationals, {"v1"})],
+        ):
+            with pytest.raises(AlgebraError, match="different quivers or rings"):
+                is_full_family(fam)
+            with pytest.raises(AlgebraError, match="different quivers or rings"):
+                fullness_bruteforce(fam, 2)
 
     def test_non_orthogonal_pair_not_full(self, arrow, f5):
         # both special, and the diagonal at each vertex generates the unit

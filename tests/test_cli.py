@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -1194,6 +1195,29 @@ def _readme_example() -> list[str]:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     example = text.split("```sh\npathidem classify", 1)[1].split("```", 1)[0]
     return ["classify", *shlex.split(example.replace("\\\n", " "))]
+
+
+def test_readme_command_table():
+    # the command table under README "CLI" lists exactly the commands of
+    # `cli._COMMANDS`, in order, each with the `--element` count the CLI
+    # enforces, and the oracle caps with `OracleBudget`'s defaults
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [row[0].strip("`") for row in rows] == list(cli._COMMANDS)
+    counts = {None: "any number", 0: "none (refused)", 1: "exactly 1", 2: "exactly 2"}
+    caps = {"--max-dim": OracleBudget.max_total_dim, "--max-reps": OracleBudget.max_reps}
+    defaults = 0
+    for command, element, other, _ in rows:
+        assert element == counts[cli._COMMANDS[command.strip("`")][0]], command
+        for flag, default in re.findall(r"`(--max-[a-z]+)` \((\d+)\)", other):
+            assert int(default) == caps[flag], (command, flag)
+            defaults += 1
+    assert defaults == 6  # both caps on each of the three oracle rows
 
 
 @pytest.mark.parametrize(

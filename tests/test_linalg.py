@@ -25,26 +25,20 @@ from reference import RefRowSpace, RefZnRowSpace, ref_nullspace
 
 class TestFieldRowSpace:
     def test_incremental_echelon(self, f5):
-        sp = FieldRowSpace(f5, 3)
+        sp = FieldRowSpace(f5)
         assert sp.add((1, 2, 3))
         assert sp.add((0, 1, 1))
         assert not sp.add((1, 3, 4))  # dependent on the first two
-        assert sp.rank == 2
+        assert len(sp.rows) == 2
         assert sp.contains((2, 4, 6))
         assert not sp.contains((0, 0, 1))
-
-    def test_coords(self, f5):
-        sp = FieldRowSpace(f5, 2)
-        sp.add((1, 1))
-        assert tuple(sp.coords((3, 3))) == (3,)
-        assert sp.coords((1, 0)) is None
 
     @pytest.mark.parametrize("vectors", [(), [(1, 3)], [(2, 1)]], ids=repr)
     def test_zn_refused_whatever_the_vectors(self, z6, vectors):
         # a unit pivot (1, 3) is refused like a non-unit one (2, 1): Z/n has
         # its own row space
         with pytest.raises(LinAlgError, match="needs a field"):
-            FieldRowSpace(z6, 2, vectors)
+            FieldRowSpace(z6, vectors)
 
 
 class TestZnRowSpace:
@@ -109,7 +103,7 @@ class TestZnRowSpace:
 class TestCoefficientGate:
     def test_row_spaces_refuse_a_fraction_over_a_finite_ring(self, f5, z6):
         with pytest.raises(RingError):
-            FieldRowSpace(f5, 2, [(Fraction(7, 2), 1)])
+            FieldRowSpace(f5, [(Fraction(7, 2), 1)])
         sp = ZnRowSpace(z6, 2)
         with pytest.raises(RingError):
             sp.add((Fraction(7, 2), 1))
@@ -118,13 +112,13 @@ class TestCoefficientGate:
 
     def test_row_spaces_refuse_floats(self, z6, rationals):
         with pytest.raises(RingError):
-            FieldRowSpace(rationals, 2, [(0.5, 1)])
+            FieldRowSpace(rationals, [(0.5, 1)])
         with pytest.raises(RingError):
             ZnRowSpace(z6, 1).add((2.0,))
 
     def test_ints_accepted(self, f5, rationals):
-        assert FieldRowSpace(f5, 2, [(7, 1)]).basis() == [(1, 3)]
-        assert FieldRowSpace(rationals, 2, [(2, 1)]).basis() == [(1, Fraction(1, 2))]
+        assert FieldRowSpace(f5, [(7, 1)]).rows == [(1, 3)]
+        assert FieldRowSpace(rationals, [(2, 1)]).rows == [(1, Fraction(1, 2))]
 
 
 class TestDense:
@@ -196,8 +190,8 @@ class TestKernelsAgainstReference:
         if not ring.is_field:
             # the subspace functions on reduced echelon bases are field-only too
             for call in (
-                lambda: span(ring, 2, [(1, 0)]),
-                lambda: join(ring, 2, ((1, 0),), ((0, 1),)),
+                lambda: span(ring, [(1, 0)]),
+                lambda: join(ring, ((1, 0),), ((0, 1),)),
                 lambda: image(ring, ((1, 0), (0, 1)), ((1, 0),)),
             ):
                 with pytest.raises(LinAlgError, match="needs a field"):
@@ -207,15 +201,11 @@ class TestKernelsAgainstReference:
         grown = 0
         for _ in range(60):
             ncols = rng.randint(1, 5)
-            space, ref = FieldRowSpace(ring, ncols), RefRowSpace(ring, ncols)
+            space, ref = FieldRowSpace(ring), RefRowSpace(ring)
             added = []
             for vec in _random_matrix(ring, rng, rng.randint(1, 6), ncols):
-                coords, residual = ref.reduce(vec)
+                residual = ref.reduce(vec)[1]
                 assert space.contains(vec) == all(ring.is_zero(x) for x in residual)
-                in_span = all(ring.is_zero(x) for x in residual)
-                got = space.coords(vec)
-                assert got == (coords if in_span else None)
-                assert all(_is_canonical(ring, x) for x in got or ())
                 expected = ref.add(vec)
                 assert space.add(vec) == expected
                 added.append(vec)
@@ -223,7 +213,7 @@ class TestKernelsAgainstReference:
                 assert space.rows == ref.rows and space.pivots == ref.pivots
                 assert all(_is_canonical(ring, x) for row in space.rows for x in row)
             # a space seeded with the accepted vectors is the incremental one
-            seeded = FieldRowSpace(ring, ncols, added)
+            seeded = FieldRowSpace(ring, added)
             assert seeded.rows == ref.rows and seeded.pivots == ref.pivots
         assert grown >= 50
 
@@ -301,7 +291,7 @@ def test_nullspace_cases(ring, rows, ncols):
     assert all(_is_canonical(ring, x) for v in basis for x in v)
     for x in basis:
         assert all(ring.is_zero(y) for y in _ref_mat_vec(ring, rows, x))
-    ref = RefRowSpace(ring, ncols)
+    ref = RefRowSpace(ring)
     rank = sum(ref.add(row) for row in rows)
     assert len(basis) == ncols - rank
     if not any(map(any, rows)):
@@ -326,11 +316,11 @@ def test_join_refuses_a_non_field_with_either_side_empty():
     z6 = Ring("Zn", 6)
     for a, b in (((), ((1, 0),)), (((1, 0),), ()), ((), ()), (((1, 0),), ((0, 1),))):
         with pytest.raises(LinAlgError, match="needs a field"):
-            join(z6, 2, a, b)
+            join(z6, a, b)
 
 
-def _uncached_span(ring, ncols, vectors):
-    space = FieldRowSpace(ring, ncols)
+def _uncached_span(ring, vectors):
+    space = FieldRowSpace(ring)
     for x in vectors:
         space.add(x)
     return tuple(space.rows)
@@ -350,7 +340,7 @@ class TestCachedSubspaces:
         if ring.kind == "Fp":
             return [basis for basis, _ in oracle._subspaces(ring, d)]
         return [
-            _uncached_span(ring, d, _random_matrix(ring, rng, rng.randint(0, d), d))
+            _uncached_span(ring, _random_matrix(ring, rng, rng.randint(0, d), d))
             for _ in range(12)
         ]
 
@@ -359,11 +349,11 @@ class TestCachedSubspaces:
         for _ in range(300):
             d = rng.randint(0, max_dim)
             vectors = tuple(map(tuple, _random_matrix(ring, rng, rng.randint(0, 4), d)))
-            got = span(ring, d, vectors)
-            assert got == _uncached_span(ring, d, vectors)
+            got = span(ring, vectors)
+            assert got == _uncached_span(ring, vectors)
             assert type(got) is tuple and all(type(row) is tuple for row in got)
             assert all(_is_canonical(ring, x) for row in got for x in row)
-            assert span(ring, d, vectors) == got
+            assert span(ring, vectors) == got
 
     def test_join(self, ring, max_dim):
         rng = random.Random(22)
@@ -371,8 +361,8 @@ class TestCachedSubspaces:
             spaces = self._subspaces(ring, d, rng)
             for a in spaces:
                 for b in spaces:
-                    want = _uncached_span(ring, d, a + b)
-                    assert join(ring, d, a, b) == want == join(ring, d, b, a)
+                    want = _uncached_span(ring, a + b)
+                    assert join(ring, a, b) == want == join(ring, b, a)
 
     def test_image(self, ring, max_dim):
         rng = random.Random(23)
@@ -383,4 +373,4 @@ class TestCachedSubspaces:
                 mat = mat_canon(ring, _random_matrix(ring, rng, rows, d))
                 for basis in spaces:
                     images = [mat_vec(ring, mat, x) for x in basis]
-                    assert image(ring, mat, basis) == _uncached_span(ring, rows, images)
+                    assert image(ring, mat, basis) == _uncached_span(ring, images)

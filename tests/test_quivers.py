@@ -3,7 +3,9 @@ from itertools import combinations
 import pytest
 
 from pathidem import quivers
+from pathidem.algebra import AlgElem
 from pathidem.quivers import Path, Quiver, QuiverError
+from pathidem.rings import Ring
 from pathidem.sweep import q_isolated, sweep_quivers
 
 
@@ -125,6 +127,15 @@ class TestPaths:
             a3.check_path(Path(vertex="vX"))
         with pytest.raises(QuiverError, match="unknown edge"):
             a3.check_path(Path(edges=("z",)))
+
+    def test_path_from_a_list(self, a3):
+        # a list of edges is kept as a tuple: the path equals and hashes like
+        # the tuple-built one, and an element keyed by it equals its twin
+        listed, tupled = Path(edges=["a", "b"]), Path(edges=("a", "b"))
+        assert type(listed.edges) is tuple
+        assert listed == tupled and hash(listed) == hash(tupled)
+        f2 = Ring("Fp", 2)
+        assert AlgElem.make(a3, f2, {listed: 1}) == AlgElem.make(a3, f2, {tupled: 1})
 
     def test_endpoints(self, a3):
         p = Path(edges=("a", "b"))
