@@ -29,7 +29,13 @@ from itertools import combinations, islice, product
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .algebra import AlgElem, TruncatedIdeal, path_element, vertex_idempotent
+from .algebra import (
+    AlgElem,
+    AlgebraError,
+    TruncatedIdeal,
+    path_element,
+    vertex_idempotent,
+)
 from .linalg import FieldRowSpace, image, join
 from .quivers import Quiver
 from .reps import (
@@ -612,13 +618,25 @@ def check_morita_by_restriction(
 
 
 def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
-    """Whether e1 * p * e2 == 0 for every path p of length <= degree."""
+    """Whether e1 * p * e2 == 0 for every path p of length <= degree.
+
+    By the junction rule of `quivers.concat`, a term product t1 * p * t2 is
+    0 unless p ends at the source of t1 and starts at the target of t2, so
+    only paths that end at the source of some term of e1 and start at the
+    target of some term of e2 are multiplied out. The rule reads term
+    endpoints only and holds for any elements. Every path is still
+    enumerated, also when e1 or e2 is 0, so the path-count and edge-id
+    refusals of `Quiver.paths_up_to` are those of a loop over every path."""
     if e1.quiver != e2.quiver or e1.ring != e2.ring:
         raise OracleError("elements are incompatible")
     if degree < 0:
         raise OracleError("degree must be nonnegative")
     q, ring = e1.quiver, e1.ring
+    ends = {q.path_source(t) for t, _ in e1.terms}
+    starts = {q.path_target(t) for t, _ in e2.terms}
     for p in q.paths_up_to(degree, limit=100_000):
+        if q.path_target(p) not in ends or q.path_source(p) not in starts:
+            continue
         if not (e1 * path_element(q, ring, p) * e2).is_zero:
             return False
     return True
@@ -630,7 +648,10 @@ def fullness_bruteforce(es: list[AlgElem], degree: int) -> bool:
 
     True certifies that the family generates the unit ideal. False only means
     some e_v was not found in that slice: it may still need a higher degree
-    (see `TruncatedIdeal`)."""
+    (see `TruncatedIdeal`). A negative degree raises `AlgebraError`, as
+    `TruncatedIdeal` does, also for the empty family."""
+    if degree < 0:
+        raise AlgebraError("degree must be nonnegative")
     if not es:
         return False
     q, ring = es[0].quiver, es[0].ring

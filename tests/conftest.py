@@ -96,6 +96,13 @@ def full_reps(q, ring, budget=OracleBudget(), skip=None):
                 yield Representation(q, ring, dims, maps)
 
 
+def random_coeff(ring, rng):
+    """A random coefficient: any residue, or a small fraction over Q."""
+    if ring.kind == "Q":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.randrange(ring.modulus)
+
+
 def conjugate(e, rng):
     """u e u^-1 for u = 1 + n, n a sum of two random path terms (none on a
     quiver without edges), each with a coefficient in 1..m-1 over a ring

@@ -160,6 +160,16 @@ def idem_leq(ring: Ring, a, b) -> bool:
     return ring.mul(a, b) == a
 
 
+def ref_orthogonality(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
+    """Whether e1 * p * e2 == 0 for every path p of length <= degree, with
+    the sandwich of every such path multiplied out."""
+    q, ring = e1.quiver, e1.ring
+    return all(
+        (e1 * path_element(q, ring, p) * e2).is_zero
+        for p in q.paths_up_to(degree, limit=100_000)
+    )
+
+
 def corner_arrows(q: Quiver, s) -> list[Path]:
     """The arrows of Q_S for a vertex set s of an acyclic quiver: the paths
     of Q from s to s with no interior vertex in s, filtered out of every

@@ -31,7 +31,7 @@ from pathidem.quivers import Path, Quiver
 from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
 
-from conftest import conjugate
+from conftest import conjugate, random_coeff
 from reference import idem_leq
 from test_acceptance import _random_special
 
@@ -467,8 +467,10 @@ def _random_special_element(q, ring, rng):
 
 class TestOrthogonalityAgainstBruteForce:
     """strongly_orthogonal reads lambda1 * lambda2 at each vertex of S1 ∩ S2;
-    the truncated brute force multiplies e1 * p * e2 for every path p, which
-    on an acyclic quiver is every path."""
+    the truncated brute force enumerates every path p, which on an acyclic
+    quiver is every path, and multiplies e1 * p * e2 for each p that ends at
+    the source of a term of e1 and starts at the target of a term of e2 (the
+    other sandwiches are 0 by the junction rule of `quivers.concat`)."""
 
     @pytest.mark.parametrize("n", [6, 12, 30, None], ids=["Z6", "Z12", "Z30", "Q"])
     def test_random_special_pairs(self, n):
@@ -755,13 +757,6 @@ class TestChineseRemainder:
         assert seen[True, False, None] and seen[False, False, None]
 
 
-def _coeff(ring, rng):
-    """A random coefficient: any residue, or a small fraction over Q."""
-    if ring.kind == "Q":
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return rng.randrange(ring.modulus)
-
-
 def _check_idempotency(e):
     """classify's idempotent bit against the product e·e, and the form's
     reassembly against e: the form takes e's terms as they stand, and this
@@ -865,14 +860,14 @@ class TestIdempotencyFromForm:
             q = rng.choice(quivers)
             terms = {
                 Path(vertex=v): (
-                    rng.choice(idems) if rng.random() < 0.85 else _coeff(ring, rng)
+                    rng.choice(idems) if rng.random() < 0.85 else random_coeff(ring, rng)
                 )
                 for v in q.vertices
                 if rng.random() < 0.6
             }
             for p in q.paths_up_to(2, limit=500):
                 if not p.is_trivial and rng.random() < 0.25:
-                    terms[p] = _coeff(ring, rng)
+                    terms[p] = random_coeff(ring, rng)
             report = _check_idempotency(AlgElem.make(q, ring, terms))
             seen[report.is_left_special, report.is_idempotent] += 1
         assert seen.keys() == {(True, True), (False, True), (False, False)}
@@ -922,13 +917,13 @@ class TestIdempotencyFromDiagonal:
             for _ in range(12):
                 terms = {
                     Path(vertex=v): (
-                        rng.choice(idems) if rng.random() < 0.7 else _coeff(ring, rng)
+                        rng.choice(idems) if rng.random() < 0.7 else random_coeff(ring, rng)
                     )
                     for v in q.vertices
                     if rng.random() < 0.7
                 }
                 for p in rng.sample(paths, min(len(paths), rng.randint(1, 2))):
-                    terms[p] = _coeff(ring, rng) or ring.one()
+                    terms[p] = random_coeff(ring, rng) or ring.one()
                 elements.append(AlgElem.make(q, ring, terms))
             for e in elements:
                 report = _check_idempotency(e)
@@ -1041,13 +1036,13 @@ class TestRelabellingInvariance:
                 for _ in range(4):
                     terms = {
                         Path(vertex=v): (
-                            rng.choice(idems) if rng.random() < 0.85 else _coeff(ring, rng)
+                            rng.choice(idems) if rng.random() < 0.85 else random_coeff(ring, rng)
                         )
                         for v in q.vertices
                         if rng.random() < 0.7
                     }
                     for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
-                        terms[p] = _coeff(ring, rng)
+                        terms[p] = random_coeff(ring, rng)
                     e = AlgElem.make(q, ring, terms)
                     want = classify(e)
                     moved = {path(p): c for p, c in terms.items()}

@@ -1,12 +1,19 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
 from pathidem import oracle
-from pathidem.algebra import AlgElem, edge_element, path_element, vertex_idempotent
+from pathidem.algebra import (
+    AlgElem,
+    AlgebraError,
+    edge_element,
+    path_element,
+    vertex_idempotent,
+)
 from pathidem.classify import classify, is_left_special, is_left_split, strongly_orthogonal
 from pathidem.linalg import identity_matrix
 from pathidem.oracle import (
@@ -34,13 +41,14 @@ from pathidem.reps import (
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
-from conftest import conjugate, full_reps, path_term_idempotents
+from conftest import conjugate, full_reps, path_term_idempotents, random_coeff
 from reference import (
     RefRowSpace,
     action_matrix,
     block,
     e_fixed,
     is_edge_closed,
+    ref_orthogonality,
     sub_representation,
 )
 
@@ -244,6 +252,8 @@ def test_a_quiver_given_lists_is_the_quiver_given_tuples(arrow, f2):
 
 
 class TestBruteForce:
+    RINGS = [Ring("Fp", 2), Ring("Fp", 5), Ring("Q")] + [Ring("Zn", n) for n in (6, 8, 30)]
+
     def test_orthogonality(self, arrow, z6):
         e1 = vertex_idempotent(arrow, z6, arrow.vertices).scale(3)
         e2 = vertex_idempotent(arrow, z6, arrow.vertices).scale(4)
@@ -274,6 +284,66 @@ class TestBruteForce:
         assert not fullness_bruteforce(fam[:1], 1)
         assert fullness_bruteforce([vertex_idempotent(arrow, f5, arrow.vertices)], 0)
         assert not fullness_bruteforce([], 0)
+
+    def test_fullness_rejects_negative_degree(self, arrow, f5):
+        # the empty family too, as `TruncatedIdeal` refuses any other family
+        for fam in ([], [vertex_idempotent(arrow, f5, arrow.vertices)]):
+            with pytest.raises(AlgebraError, match="degree must be nonnegative"):
+                fullness_bruteforce(fam, -1)
+
+    def test_orthogonality_matches_reference(self, monkeypatch):
+        """The pruned brute force against `reference.ref_orthogonality`, which
+        multiplies every sandwich, in both orders, on random elements with
+        up to three terms of length <= 2 and arbitrary coefficients (zero
+        divisors over Z/n included), and on the zero element. The paths it
+        builds are, in enumeration order, those that end at the source of a
+        term of the left element and start at the target of a term of the
+        right one: all of them when the answer is True, a prefix otherwise."""
+        built = []
+
+        def recording(q, ring, p):
+            built.append(p)
+            return path_element(q, ring, p)
+
+        monkeypatch.setattr(oracle, "path_element", recording)
+        rng = random.Random("orthogonality-reference")
+        seen = Counter()
+        for q in sweep_quivers(4, 4, 120):
+            paths = q.paths_up_to(2, limit=500)
+            for ring in self.RINGS:
+                zero = AlgElem.zero(q, ring)
+                e1, e2 = (_random_element(q, ring, paths, rng) for _ in range(2))
+                degree = rng.randint(0, 3)
+                for a, b in ((e1, e2), (e2, e1), (e1, zero), (zero, e2)):
+                    built.clear()
+                    want = ref_orthogonality(a, b, degree)
+                    assert orthogonality_bruteforce(a, b, degree) == want, (a, b, degree)
+                    ends = {q.path_source(p) for p, _ in a.terms}
+                    starts = {q.path_target(p) for p, _ in b.terms}
+                    meeting = [
+                        p
+                        for p in q.paths_up_to(degree)
+                        if q.path_target(p) in ends and q.path_source(p) in starts
+                    ]
+                    assert built == (meeting if want else meeting[: len(built)])
+                    seen[want] += 1
+                seen["cyclic"] += not q.is_acyclic
+                for e in (e1, e2):
+                    trivial = {p.vertex for p, _ in e.terms if p.is_trivial}
+                    seen["source off the trivial support"] += any(
+                        q.path_source(p) not in trivial for p, _ in e.terms if p.edges
+                    )
+        assert seen[True] and seen[False]
+        assert seen["cyclic"] and seen["source off the trivial support"]
+
+
+def _random_element(q, ring, paths, rng):
+    """Up to three terms on paths drawn from `paths`, each with a
+    `random_coeff` (0 included, so fewer terms may remain)."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        terms[rng.choice(paths)] = random_coeff(ring, rng)
+    return AlgElem.make(q, ring, terms)
 
 
 class TestAgreement:
