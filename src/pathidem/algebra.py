@@ -240,8 +240,7 @@ class TruncatedIdeal:
         # index the coordinate space by all paths that can occur in a sandwich
         coord_paths = quiver.paths_up_to(degree + gen_deg, limit=_MAX_IDEAL_PATHS)
         self._index = {p: i for i, p in enumerate(coord_paths)}
-        n = len(coord_paths)
-        self._space = FieldRowSpace(ring) if ring.is_field else ZnRowSpace(ring, n)
+        self._space = FieldRowSpace(ring) if ring.is_field else ZnRowSpace(ring)
         for g in gens:
             for p in paths:
                 left = path_element(quiver, ring, p)

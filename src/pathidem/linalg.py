@@ -7,6 +7,8 @@ as the integer lattice generated by the rows together with n times each
 unit vector, holding only rows built from the vectors it is given;
 membership in the Z/n-span is membership in that lattice, decided by an
 integer echelon form with gcd pivots, exact in the presence of zero divisors.
+A row space's width is that of the first row it holds: a vector of another
+length raises LinAlgError, as a row of another width does in `nullspace`.
 
 Over a field the reduced echelon basis of a subspace is unique, so a tuple
 of its rows names the subspace: two subspaces are equal exactly when their
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rings import Ring
 
@@ -53,9 +55,9 @@ class FieldRowSpace:
     def _reduce(self, vec: Sequence) -> list:
         """The residual of vec after subtracting its multiples of the
         echelon rows: all zero exactly when vec is in the span."""
-        R = self.ring
-        v = _canon(R, vec)
-        for row, piv in zip(self.rows, self.pivots):
+        R, rows = self.ring, self.rows
+        v = _canon(R, vec, len(rows[0]) if rows else None)
+        for row, piv in zip(rows, self.pivots):
             c = v[piv]
             if c:
                 v = _combine(R, v, -c, row)
@@ -117,14 +119,19 @@ def image(ring: Ring, mat: tuple, basis: tuple) -> tuple:
     return span(ring, tuple(mat_vec(ring, mat, x) for x in basis))
 
 
-def _canon(ring: Ring, vec: Iterable) -> list:
+def _canon(ring: Ring, vec: Iterable, width: Optional[int] = None) -> list:
     """The coefficient gate for a whole vector, `Ring.canon` entrywise: an int
     over F_p or Z/n and a Fraction over Q are handled inline, anything else
-    goes through `Ring.canon`."""
+    goes through `Ring.canon`. LinAlgError when `width` is given and the
+    vector has another length."""
     m = ring.modulus
     if m is None:
-        return [x if type(x) is Fraction else ring.canon(x) for x in vec]
-    return [x % m if type(x) is int else ring.canon(x) for x in vec]
+        v = [x if type(x) is Fraction else ring.canon(x) for x in vec]
+    else:
+        v = [x % m if type(x) is int else ring.canon(x) for x in vec]
+    if width is not None and len(v) != width:
+        raise LinAlgError(f"a vector of length {len(v)} where {width} is held")
+    return v
 
 
 def _combine(ring: Ring, u: Sequence, c, w: Sequence) -> list:
@@ -137,25 +144,26 @@ def _combine(ring: Ring, u: Sequence, c, w: Sequence) -> list:
 
 
 class ZnRowSpace:
-    """Span of rows over Z/n, as the integer lattice rows*Z + n*Z^k in echelon
-    form. `echelon` holds only rows built from added vectors, one per pivot
-    column i: 0 before i, a proper divisor of n at i, entries mod n after i.
-    A column with no row stands for n*e_i."""
+    """Span of rows over Z/n seeded with `vectors`, as the integer lattice
+    rows*Z + n*Z^k in echelon form. `echelon` holds only rows built from added
+    vectors, one per pivot column i: 0 before i, a proper divisor of n at i,
+    entries mod n after i. A column with no row stands for n*e_i."""
 
-    def __init__(self, ring: Ring, ncols: int):
+    def __init__(self, ring: Ring, vectors: Iterable[Sequence] = ()):
         if ring.kind != "Zn":
             raise LinAlgError("ZnRowSpace is for Z/n rings")
         self.ring = ring
         self.n = ring.modulus
-        self.ncols = ncols
         self.echelon: dict[int, list[int]] = {}
+        for x in vectors:
+            self.add(x)
 
     def _insert(self, v: list[int]) -> None:
-        n = self.n
-        for i in range(self.ncols):
+        n, k = self.n, len(v)
+        for i in range(k):
             if v[i] == 0:
                 continue
-            row = self.echelon.get(i) or [n * (j == i) for j in range(self.ncols)]
+            row = self.echelon.get(i) or [n * (j == i) for j in range(k)]
             a, b = row[i], v[i]
             g = gcd(a, b)
             # a unimodular change of (row, v): the row takes the gcd pivot and
@@ -173,8 +181,9 @@ class ZnRowSpace:
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        v = _canon(self.ring, vec)
-        for i in range(self.ncols):
+        held = next(iter(self.echelon.values()), None)  # its width is the space's
+        v = _canon(self.ring, vec, None if held is None else len(held))
+        for i in range(len(v)):
             if v[i] == 0:
                 continue
             row = self.echelon.get(i)
@@ -245,7 +254,8 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
     row's pivot and 0 elsewhere, in column order. With no rows that is the
     unit basis, returned with no elimination.
 
-    The rows pass the gate `_canon` once and are then reduced in place,
+    The rows pass the gate `_canon` once, which refuses a row whose length
+    is not ncols with LinAlgError, and are then reduced in place,
     column by column (Gauss-Jordan, with `_combine`): the first row with a
     nonzero entry in the column becomes its pivot row, scaled to 1 with
     `Ring.inv` only when its pivot is not 1, and the column is cleared in
@@ -261,7 +271,7 @@ def nullspace(ring: Ring, rows: Sequence[Sequence], ncols: int) -> list[tuple]:
             row[i] = one
             basis.append(tuple(row))
         return basis
-    work = [_canon(ring, row) for row in rows]
+    work = [_canon(ring, row, ncols) for row in rows]
     pivots = []  # the pivot column of work[r], for each r < len(pivots)
     for j in range(ncols):
         rank = len(pivots)

@@ -57,21 +57,15 @@ class OracleError(ValueError):
 
 
 class BudgetExceeded(OracleError):
-    """The representation cap was reached: `reps_checked` is that cap, the
-    number of representations yielded or counted, `dims` the dimension
-    vector (vertex -> dimension) being enumerated, and `reps_built` how many
-    of the reps checked were built, not only counted; each None when not
-    given."""
+    """The representation cap of `budget` was reached: `reps_checked` is
+    that cap, the number of representations yielded or counted, `dims` the
+    dimension vector (vertex -> dimension) being enumerated, and
+    `reps_built` how many of the reps checked were built, not only
+    counted."""
 
-    def __init__(
-        self,
-        message: str,
-        reps_checked: Optional[int] = None,
-        dims: Optional[dict[str, int]] = None,
-        reps_built: Optional[int] = None,
-    ):
-        super().__init__(message)
-        self.reps_checked = reps_checked
+    def __init__(self, budget: OracleBudget, dims: dict[str, int], reps_built: int):
+        super().__init__(f"representation cap {budget.max_reps} exceeded")
+        self.reps_checked = budget.max_reps
         self.dims = dims
         self.reps_built = reps_built
 
@@ -189,7 +183,7 @@ def enumerate_reps(
             if skip is not None and skip(dims):
                 count += size
                 if count > budget.max_reps:
-                    raise _cap_exceeded(budget, dims, built)
+                    raise BudgetExceeded(budget, dims, built)
                 yield size
                 continue
             # one factor per anchor (its forms), one per entry of every other edge
@@ -213,7 +207,7 @@ def enumerate_reps(
                         maps[eid] = tuple([tuple(islice(it, c)) for _ in range(r)])
                 count += 1
                 if count > budget.max_reps:
-                    raise _cap_exceeded(budget, dims, built)
+                    raise BudgetExceeded(budget, dims, built)
                 built += 1
                 yield Representation._from_canonical(q, ring, dims, maps)
 
@@ -261,14 +255,6 @@ def _vector_plans(q: Quiver, ring: Ring, total: int) -> Iterator[tuple]:
                 size *= p ** (vec[s] * vec[t])
         shapes = tuple((eid, vec[t], vec[s]) for eid, s, t in edges)
         yield vec, tuple(anchors), shapes, size
-
-
-def _cap_exceeded(
-    budget: OracleBudget, dims: dict[str, int], built: int
-) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"representation cap {budget.max_reps} exceeded", budget.max_reps, dims, built
-    )
 
 
 def _outside_reach(e: AlgElem) -> Callable[[dict[str, int]], bool]:
@@ -487,9 +473,7 @@ def _edge_closed(m: Representation, per_vertex: list) -> Iterator[Submodule]:
     i = 0
     while i >= 0:
         if i == n:
-            yield submodule_from_local(
-                m, {v: c[0] for v, c in zip(verts, chosen)}, close=False
-            )
+            yield submodule_from_local(m, {v: c[0] for v, c in zip(verts, chosen)})
             i -= 1
             continue
         if nxt[i] == len(per_vertex[i]):

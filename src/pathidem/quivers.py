@@ -32,6 +32,8 @@ class Path:
         # a tuple, as in Quiver, so a path given a list equals and hashes like
         # one given a tuple; concat passes tuples and skips the copy
         if type(self.edges) is not tuple:
+            if isinstance(self.edges, str):
+                raise QuiverError(f"path edges must be a sequence, not {self.edges!r}")
             object.__setattr__(self, "edges", tuple(self.edges))
         if (self.vertex is None) == (len(self.edges) == 0):
             raise QuiverError("path is either trivial(vertex) or a nonempty edge list")
@@ -74,9 +76,15 @@ class Quiver:
     edges: tuple[tuple[str, str, str], ...] = ()
 
     def __post_init__(self):
-        # tuples, so a quiver given lists equals and hashes like one given tuples
+        # tuples, so a quiver given lists equals and hashes like one given
+        # tuples; a string would pass as a sequence of one-letter ids
+        if isinstance(self.vertices, str) or isinstance(self.edges, str):
+            raise QuiverError("vertices and edges must be sequences, not strings")
+        edges = tuple(self.edges)
+        if any(isinstance(edge, str) for edge in edges):
+            raise QuiverError("an edge must be a sequence, not a string")
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "edges", tuple(map(tuple, edges)))
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex identifiers")
         seen = set()

@@ -159,22 +159,38 @@ class Submodule:
 
 
 def submodule_from_local(
-    rep: Representation, vectors: dict[str, list[Sequence]], close: bool = True
+    rep: Representation, vectors: dict[str, list[Sequence]]
 ) -> Submodule:
-    """Build a submodule from per-vertex spanning vectors, optionally closing
-    under the edge maps."""
+    """The subspace of rep spanned by the given vectors at each named vertex,
+    closed under nothing: the caller vouches that it is edge-closed.
+    RepError on a vertex that is not rep's."""
     bases = {v: () for v in rep.quiver.vertices}
     for v, vecs in vectors.items():
+        if v not in bases:
+            raise RepError(f"unknown vertex {v!r}")
         bases[v] = span(rep.ring, vecs)
-    return Submodule(rep, _closed(rep, bases) if close else bases)
+    return Submodule(rep, bases)
 
 
-def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
-    """The smallest edge-closed graded subspace of m containing the one with
-    the given reduced echelon bases per vertex, again as such bases. Edge
-    images come from the cached `image`."""
+def _whole(m: Representation) -> dict[str, tuple]:
+    """The reduced echelon basis of each vertex space of m."""
+    return {v: identity_matrix(m.ring, d) for v, d in m.dims.items()}
+
+
+def _generated(
+    m: Representation, blocks: dict[tuple[str, str], tuple], bases: dict[str, tuple]
+) -> dict[str, tuple]:
+    """The submodule A*e*N of m, for e's action blocks on m and a graded
+    subspace N given by reduced echelon bases per vertex: at each vertex t
+    the join over s of block(t, s) * N_s, closed under the edge maps, with
+    edge images from the cached `image`. The answer is again reduced
+    echelon bases, equal to `bases` exactly when N = AeN (for a submodule
+    N, AeN lies inside N)."""
     ring, dims = m.ring, m.dims
-    out = dict(bases)
+    out = {v: () for v in m.quiver.vertices}
+    for (t, s), b in blocks.items():
+        if bases[s]:
+            out[t] = join(ring, out[t], image(ring, b, bases[s]))
     edges = [
         (src, dst, m.edge_maps[eid]) for eid, src, dst in m.quiver.edges if dims[dst]
     ]
@@ -188,27 +204,6 @@ def _closed(m: Representation, bases: dict[str, tuple]) -> dict[str, tuple]:
                 if len(grown) > len(have):
                     out[dst], changed = grown, True
     return out
-
-
-def _whole(m: Representation) -> dict[str, tuple]:
-    """The reduced echelon basis of each vertex space of m."""
-    return {v: identity_matrix(m.ring, d) for v, d in m.dims.items()}
-
-
-def _generated(
-    m: Representation, blocks: dict[tuple[str, str], tuple], bases: dict[str, tuple]
-) -> dict[str, tuple]:
-    """The submodule A*e*N of m, for e's action blocks on m and a graded
-    subspace N given by reduced echelon bases per vertex: at each vertex t
-    the join over s of block(t, s) * N_s, closed under the edge maps. The
-    answer is again reduced echelon bases, equal to `bases` exactly when
-    N = AeN (for a submodule N, AeN lies inside N)."""
-    ring = m.ring
-    seed = {v: () for v in m.quiver.vertices}
-    for (t, s), b in blocks.items():
-        if bases[s]:
-            seed[t] = join(ring, seed[t], image(ring, b, bases[s]))
-    return _closed(m, seed)
 
 
 def gamma(e: AlgElem, m: Representation) -> Submodule:

@@ -70,7 +70,7 @@ def full_reps(q, ring, budget=OracleBudget(), skip=None):
     reps take their inputs from here. `skip` is that of `enumerate_reps`: a
     dimension vector it accepts yields the number of its matrix tuples."""
     elems = list(ring.elements())
-    count = 0
+    count = built = 0
     for total in range(budget.max_total_dim + 1):
         for dims_vec in sorted(oracle._dim_vectors(len(q.vertices), total)):
             dims = dict(zip(q.vertices, dims_vec))
@@ -80,7 +80,7 @@ def full_reps(q, ring, budget=OracleBudget(), skip=None):
                 size = len(elems) ** entries
                 count += size
                 if count > budget.max_reps:
-                    raise BudgetExceeded(f"representation cap {budget.max_reps} exceeded")
+                    raise BudgetExceeded(budget, dims, built)
                 yield size
                 continue
             for flat in product(elems, repeat=entries):
@@ -92,7 +92,8 @@ def full_reps(q, ring, budget=OracleBudget(), skip=None):
                     pos += r * c
                 count += 1
                 if count > budget.max_reps:
-                    raise BudgetExceeded(f"representation cap {budget.max_reps} exceeded")
+                    raise BudgetExceeded(budget, dims, built)
+                built += 1
                 yield Representation(q, ring, dims, maps)
 
 

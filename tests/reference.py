@@ -2,16 +2,21 @@
 
 The library works vertex by vertex on reduced echelon bases. Here the total
 space of a representation concatenates its vertex blocks in the quiver's
-declared vertex order, and an element acts by one global matrix: the direct
-transcription of the definitions, kept out of `src/` because no command,
-oracle or library function needs it.
+declared vertex order, and an element acts by one global matrix, the sum of
+its paths' matrices: the direct transcription of the definitions, kept out
+of `src/` because no command, oracle or library function needs it. It does
+its own linear algebra with `Ring` operations (`RefRowSpace`), lists its own
+subspaces and takes nothing from `pathidem.linalg` or `pathidem.oracle`, so
+a fault there cannot hide in both sides of a comparison
+(`test_reference_takes_no_library_linear_algebra` pins this).
 """
 
+from functools import lru_cache
+from itertools import product
 from math import gcd
 from typing import Sequence
 
 from pathidem.algebra import AlgElem, path_element, path_vector
-from pathidem.linalg import LinAlgError, identity_matrix, mat_mul, mat_vec, span
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import Representation, RepError, Submodule
 from pathidem.rings import Ring, RingError
@@ -31,52 +36,56 @@ def block(m: Representation, vec: Sequence, v: str) -> tuple:
     return tuple(vec[off : off + m.dims[v]])
 
 
+def _mat_vec(ring: Ring, mat, vec) -> tuple:
+    out = []
+    for row in mat:
+        acc = ring.zero()
+        for a, x in zip(row, vec):
+            acc = ring.add(acc, ring.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
 def path_matrix(m: Representation, p: Path) -> tuple:
-    """Global action matrix of a single path."""
-    D = m.total_dim
-    out = [[m.ring.zero()] * D for _ in range(D)]
-    if p.is_trivial:
-        v = p.vertex
-        off = offset(m, v)
-        for i in range(m.dims[v]):
-            out[off + i][off + i] = m.ring.one()
-        return tuple(tuple(r) for r in out)
-    src = m.quiver.path_source(p)
-    dst = m.quiver.path_target(p)
-    comp = identity_matrix(m.ring, m.dims[src])
-    for eid in p.edges:
-        comp = mat_mul(m.ring, m.edge_maps[eid], comp)
+    """Global action matrix of a single path: each basis vector of the
+    source's block carried along the path's edges, one edge map at a time,
+    into the target's block."""
+    ring, D = m.ring, m.total_dim
+    out = [[ring.zero()] * D for _ in range(D)]
+    src, dst = m.quiver.path_source(p), m.quiver.path_target(p)
     roff, coff = offset(m, dst), offset(m, src)
-    for i, row in enumerate(comp):
-        for j, x in enumerate(row):
-            out[roff + i][coff + j] = x
+    for j in range(m.dims[src]):
+        x = tuple(ring.one() if i == j else ring.zero() for i in range(m.dims[src]))
+        for eid in p.edges:
+            x = apply_edge(m, eid, x)
+        for i, y in enumerate(x):
+            out[roff + i][coff + j] = y
     return tuple(tuple(r) for r in out)
 
 
 def action_matrix(m: Representation, e: AlgElem) -> tuple:
-    """The global D x D matrix of e's action: its `action_blocks` placed
-    at their vertex offsets, zeros elsewhere."""
-    D = m.total_dim
-    out = [[m.ring.zero()] * D for _ in range(D)]
-    for (t, s), blk in m.action_blocks(e).items():
-        roff, coff = offset(m, t), offset(m, s)
-        for i, row in enumerate(blk):
-            out[roff + i][coff : coff + len(row)] = row
-    return tuple(tuple(r) for r in out)
+    """The global D x D matrix of e's action: the sum of c times
+    `path_matrix` over the terms c*p of e."""
+    ring, D = m.ring, m.total_dim
+    act = [[ring.zero()] * D for _ in range(D)]
+    for p, c in e.terms:
+        for arow, row in zip(act, path_matrix(m, p)):
+            for j, x in enumerate(row):
+                arow[j] = ring.add(arow[j], ring.mul(c, x))
+    return tuple(map(tuple, act))
 
 
 def apply_edge(m: Representation, eid: str, local: Sequence) -> tuple:
-    return mat_vec(m.ring, m.edge_maps[eid], local)
+    return _mat_vec(m.ring, m.edge_maps[eid], local)
 
 
 def is_edge_closed(sub: Submodule) -> bool:
-    """Whether span(C_t + a*C_s) == C_t for every edge a: s -> t, with
-    the images taken vector by vector through `apply_edge`."""
+    """Whether a*C_s lies in C_t for every edge a: s -> t, with the images
+    taken vector by vector through `apply_edge`."""
     ring = sub.rep.ring
     for eid, src, dst in sub.rep.quiver.edges:
-        have = sub.bases[dst]
-        images = tuple(apply_edge(sub.rep, eid, x) for x in sub.bases[src])
-        if span(ring, have + images) != have:
+        have = RefRowSpace(ring, sub.bases[dst])
+        if any(have.coords(apply_edge(sub.rep, eid, x)) is None for x in sub.bases[src]):
             return False
     return True
 
@@ -184,6 +193,104 @@ def corner_arrows(q: Quiver, s) -> list[Path]:
     ]
 
 
+# ---- the oracles' definitions, one representation at a time ----
+
+
+def ref_closure(m: Representation, vectors: dict) -> Submodule:
+    """The submodule of m generated by per-vertex vectors (vertex -> list of
+    local vectors): their span at each vertex, closed under the edge maps
+    one image vector at a time."""
+    spaces = {v: RefRowSpace(m.ring, vectors.get(v, ())) for v in m.quiver.vertices}
+    grown = True
+    while grown:
+        grown = False
+        for eid, src, dst in m.quiver.edges:
+            for x in list(spaces[src].rows):
+                grown |= spaces[dst].add(apply_edge(m, eid, x))
+    return Submodule(m, {v: tuple(space.rows) for v, space in spaces.items()})
+
+
+def ref_gamma(e: AlgElem, m: Representation) -> Submodule:
+    """Γ_e(M) = AeM: generated by the blocks at each vertex of the echelon
+    basis of e*M (the trivial paths project eM onto each vertex)."""
+    fixed = e_fixed(e, m)
+    return ref_closure(m, {v: [block(m, w, v) for w in fixed] for v in m.quiver.vertices})
+
+
+def ref_in_category(e: AlgElem, m: Representation) -> bool:
+    """Whether M = AeM."""
+    return ref_gamma(e, m).dims == m.dims
+
+
+@lru_cache(maxsize=None)
+def ref_subspaces(ring: Ring, dim: int) -> tuple:
+    """Every subspace of F_p^dim as its reduced echelon basis, in (rank,
+    basis) order: grown from 0 by adding one vector of F_p^dim at a time
+    until no new span appears."""
+    vectors = list(product(ring.elements(), repeat=dim))
+    found, frontier = {()}, [()]
+    while frontier:
+        grown = []
+        for basis in frontier:
+            for x in vectors:
+                space = RefRowSpace(ring, basis)
+                if space.add(x) and tuple(space.rows) not in found:
+                    found.add(tuple(space.rows))
+                    grown.append(tuple(space.rows))
+        frontier = grown
+    return tuple(sorted(found, key=lambda basis: (len(basis), basis)))
+
+
+def ref_submodules(m: Representation):
+    """Every product of per-vertex subspaces, in product order over the
+    quiver's vertices, kept when edge-closed."""
+    verts = m.quiver.vertices
+    for choice in product(*(ref_subspaces(m.ring, m.dims[v]) for v in verts)):
+        sub = Submodule(m, dict(zip(verts, choice)))
+        if is_edge_closed(sub):
+            yield sub
+
+
+def ref_complements(m: Representation, g: Submodule):
+    """The submodules C of m with C_v (+) g_v = M_v at every vertex v."""
+    for c in ref_submodules(m):
+        if all(
+            len(c.bases[v]) + len(g.bases[v]) == m.dims[v]
+            and len(RefRowSpace(m.ring, g.bases[v] + c.bases[v]).rows) == m.dims[v]
+            for v in m.quiver.vertices
+        ):
+            yield c
+
+
+def ref_special(e: AlgElem, reps) -> tuple:
+    """The special search over `reps`, the definitions transcribed: the
+    first M = AeM with a submodule N != AeN, each N rebuilt as a
+    representation and tested on its own. Returns (kind, reps checked, M,
+    N), with M and N None for "consistent"."""
+    checked = 0
+    for m in reps:
+        checked += 1
+        if not ref_in_category(e, m):
+            continue
+        for sub in ref_submodules(m):
+            if not ref_in_category(e, sub_representation(sub)[0]):
+                return "counterexample", checked, m, sub
+    return "consistent", checked, None, None
+
+
+def ref_split(e: AlgElem, reps) -> tuple:
+    """The split search over `reps`: the first M in which Γ_e(M) has no
+    submodule complement, found by filtering every submodule. Returns (kind,
+    reps checked, M, Γ_e(M)), with M and Γ None for "consistent"."""
+    checked = 0
+    for m in reps:
+        checked += 1
+        g = ref_gamma(e, m)
+        if next(ref_complements(m, g), None) is None:
+            return "counterexample", checked, m, g
+    return "consistent", checked, None, None
+
+
 class RefRowSpace:
     """Reduced echelon basis maintained with Ring.add/sub/mul only, seeded
     with `vectors`."""
@@ -217,7 +324,7 @@ class RefRowSpace:
             return False
         piv = nonzero[0]
         if not R.is_unit(v[piv]):
-            raise LinAlgError("non-unit pivot")
+            raise RingError("non-unit pivot")
         v = tuple(R.mul(R.inv(v[piv]), x) for x in v)
         self.rows = [
             tuple(R.sub(a, R.mul(row[piv], b)) for a, b in zip(row, v))

@@ -40,25 +40,41 @@ class TestFieldRowSpace:
         with pytest.raises(LinAlgError, match="needs a field"):
             FieldRowSpace(z6, vectors)
 
+    def test_width_is_that_of_the_rows_held(self, f5):
+        # a vector of another length is refused, not cut to the rows' width
+        # by zip; before the first row any width is asked about
+        with pytest.raises(LinAlgError, match="length 3 where 2"):
+            FieldRowSpace(f5, [(1, 0), (0, 1, 1)])
+        with pytest.raises(LinAlgError, match="length 2 where 3"):
+            span(f5, [(1, 2, 3), (1, 2)])
+        sp = FieldRowSpace(f5, [(0, 0, 0)])
+        assert sp.rows == [] and not sp.contains((1,))
+        sp.add((1, 0))
+        for vec in [(0, 1, 1), (1,)]:
+            with pytest.raises(LinAlgError, match="length"):
+                sp.contains(vec)
+            with pytest.raises(LinAlgError, match="length"):
+                sp.add(vec)
+
 
 class TestZnRowSpace:
     @pytest.mark.parametrize("ring", [Ring("Fp", 5), Ring("Q")], ids=str)
     def test_refused_over_a_field(self, ring):
         with pytest.raises(LinAlgError, match="for Z/n rings"):
-            ZnRowSpace(ring, 2)
+            ZnRowSpace(ring)
 
     def test_holds_only_given_rows(self, z6):
-        # a column with no row stands for n*e_i: an empty space over 20,000
-        # coordinates (TruncatedIdeal's path bound) holds no row
+        # a column with no row stands for n*e_i: a vector over 20,000
+        # coordinates (TruncatedIdeal's path bound) adds one row
         tracemalloc.start()
         try:
-            sp = ZnRowSpace(z6, 20_000)
+            sp = ZnRowSpace(z6)
+            assert not sp.contains([0] * 19_999 + [1])
+            assert sp.add([0] * 19_999 + [3])
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 10_000
-        assert not sp.contains([0] * 19_999 + [1])
-        assert sp.add([0] * 19_999 + [3])
+        assert held < 1 << 20
         assert list(sp.echelon) == [19_999]
 
     @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 30])
@@ -69,7 +85,7 @@ class TestZnRowSpace:
         answers = []
         for _ in range(60):
             ncols = rng.randint(1, 4)
-            space, ref = ZnRowSpace(ring, ncols), RefZnRowSpace(ring, ncols)
+            space, ref = ZnRowSpace(ring), RefZnRowSpace(ring, ncols)
             added = []
             for _ in range(rng.randint(1, 4)):
                 vec = [rng.choice((0, 1, 2, 3, 5)) * rng.randint(-n, n) for _ in range(ncols)]
@@ -87,24 +103,37 @@ class TestZnRowSpace:
         assert answers.count(True) >= 500 and answers.count(False) >= 200
 
     def test_lattice_membership(self, z6):
-        sp = ZnRowSpace(z6, 2)
-        assert sp.add((2, 0))
+        sp = ZnRowSpace(z6, [(2, 0)])
+        assert sp.echelon == {0: [2, 0]}
         assert sp.contains((4, 0))
         assert not sp.contains((1, 0))
         assert not sp.add((4, 0))
 
     def test_non_unit_combination(self, z6):
         # 2 and 3 together generate everything in the first coordinate
-        sp = ZnRowSpace(z6, 1)
+        sp = ZnRowSpace(z6)
         sp.add((2,))
         sp.add((3,))
         assert sp.contains((1,))
+
+    def test_width_is_that_of_the_rows_held(self, z6):
+        # until a row is held any width is asked about; then only its own
+        sp = ZnRowSpace(z6, [(0, 0, 0)])
+        assert sp.echelon == {} and not sp.contains((1,))
+        sp.add((0, 3))
+        for vec in [(0, 3, 0), (1,)]:
+            with pytest.raises(LinAlgError, match="length"):
+                sp.add(vec)
+            with pytest.raises(LinAlgError, match="length"):
+                sp.contains(vec)
+        with pytest.raises(LinAlgError, match="length"):
+            ZnRowSpace(z6, [(1, 0), (0, 1, 1)])
 
 class TestCoefficientGate:
     def test_row_spaces_refuse_a_fraction_over_a_finite_ring(self, f5, z6):
         with pytest.raises(RingError):
             FieldRowSpace(f5, [(Fraction(7, 2), 1)])
-        sp = ZnRowSpace(z6, 2)
+        sp = ZnRowSpace(z6)
         with pytest.raises(RingError):
             sp.add((Fraction(7, 2), 1))
         with pytest.raises(RingError):
@@ -114,7 +143,7 @@ class TestCoefficientGate:
         with pytest.raises(RingError):
             FieldRowSpace(rationals, [(0.5, 1)])
         with pytest.raises(RingError):
-            ZnRowSpace(z6, 1).add((2.0,))
+            ZnRowSpace(z6).add((2.0,))
 
     def test_ints_accepted(self, f5, rationals):
         assert FieldRowSpace(f5, [(7, 1)]).rows == [(1, 3)]
@@ -139,6 +168,11 @@ class TestDense:
 
     def test_nullspace_full_rank(self, f5):
         assert nullspace(f5, [(1, 0), (0, 1)], 2) == []
+
+    @pytest.mark.parametrize("rows", [[(1, 0, 1)], [(1, 0), (1,)]], ids=repr)
+    def test_nullspace_refuses_a_row_of_another_width(self, f5, rows):
+        with pytest.raises(LinAlgError, match="where 2"):
+            nullspace(f5, rows, 2)
 
 
 # ---- the kernels against a reference written with Ring arithmetic ----

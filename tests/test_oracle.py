@@ -1,8 +1,10 @@
+import ast
 import random
 import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -42,13 +44,18 @@ from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
 from conftest import conjugate, full_reps, path_term_idempotents, random_coeff
+import reference
 from reference import (
-    RefRowSpace,
     action_matrix,
-    block,
-    e_fixed,
     is_edge_closed,
+    ref_closure,
+    ref_complements,
+    ref_gamma,
+    ref_in_category,
     ref_orthogonality,
+    ref_special,
+    ref_split,
+    ref_submodules,
     sub_representation,
 )
 
@@ -76,11 +83,6 @@ class TestEnumeration:
         assert info.value.reps_checked == 5
         assert info.value.dims == {"v1": 1, "v2": 1}
         assert info.value.reps_built == 5  # no skip: every rep checked was built
-
-    def test_budget_exceeded_from_a_message(self):
-        exc = BudgetExceeded("representation cap 3 exceeded")
-        assert str(exc) == "representation cap 3 exceeded"
-        assert exc.reps_checked is None and exc.dims is None and exc.reps_built is None
 
     def test_submodule_counts(self, arrow, f2):
         # M = (K, K, a=1): submodules are 0, the v2 line, and M itself
@@ -385,9 +387,12 @@ class TestAgreement:
 
 
 class TestAgainstReference:
-    """The oracles against the direct transcription of the definitions: each
-    submodule rebuilt as a representation and tested on its own, and the
-    complements found by filtering every submodule by dimension vector."""
+    """The oracles against the direct transcription of the definitions in
+    `reference` (`ref_special`, `ref_split`): e's action summed from path
+    matrices, Γ_e closed over `RefRowSpace`, the subspaces listed by the
+    reference itself, each submodule rebuilt as a representation and tested
+    on its own, and the complements found by filtering every submodule by
+    dimension vector. Only the reps come from `enumerate_reps`."""
 
     BUDGET = OracleBudget(max_total_dim=2)
     CASES = [
@@ -395,69 +400,13 @@ class TestAgainstReference:
     ]
     IDS = [f"q{i // 2}-F{r.modulus}" for i, (q, r) in enumerate(CASES)]
 
-    @staticmethod
-    def _reference_gamma(e, m):
-        # the closure seeded from the echelon basis of e*M, the column space
-        # of e's global action matrix
-        fixed = e_fixed(e, m)
-        seed = {v: [block(m, w, v) for w in fixed] for v in m.quiver.vertices}
-        return submodule_from_local(m, seed, close=True)
-
-    @classmethod
-    def _reference_in_category(cls, e, m):
-        return cls._reference_gamma(e, m).dims == m.dims
-
-    @staticmethod
-    def _reference_submodules(m):
-        # every product of per-vertex subspaces, kept when edge-closed
-        verts = m.quiver.vertices
-        per_vertex = [
-            [basis for basis, _ in oracle._subspaces(m.ring, m.dims[v])] for v in verts
-        ]
-        for choice in product(*per_vertex):
-            sub = submodule_from_local(m, dict(zip(verts, choice)), close=False)
-            if is_edge_closed(sub):
-                yield sub
-
-    @classmethod
-    def _reference_special(cls, e, q, ring, budget):
-        checked = 0
-        for m in enumerate_reps(q, ring, budget):
-            checked += 1
-            if not cls._reference_in_category(e, m):
-                continue
-            for sub in cls._reference_submodules(m):
-                if not cls._reference_in_category(e, sub_representation(sub)[0]):
-                    return Verdict("counterexample", checked, module=m, submodule=sub)
-        return Verdict("consistent", checked)
-
-    @classmethod
-    def _reference_complements(cls, m, g):
-        for c in cls._reference_submodules(m):
-            if any(c.dims[v] + g.dims[v] != m.dims[v] for v in m.quiver.vertices):
-                continue
-            if all(
-                _independent(m.ring, g.bases[v] + c.bases[v])
-                for v in m.quiver.vertices
-            ):
-                yield c
-
-    @classmethod
-    def _reference_split(cls, e, q, ring, budget):
-        checked = 0
-        for m in enumerate_reps(q, ring, budget):
-            checked += 1
-            g = cls._reference_gamma(e, m)
-            if next(cls._reference_complements(m, g), None) is None:
-                return Verdict("counterexample", checked, module=m, submodule=g)
-        return Verdict("consistent", checked)
-
     def _assert_oracles_match(self, e, q, ring):
         for new, ref in [
-            (check_special_by_modules, self._reference_special),
-            (check_split_by_sequences, self._reference_split),
+            (check_special_by_modules, ref_special),
+            (check_split_by_sequences, ref_split),
         ]:
-            got, want = new(e, q, ring, self.BUDGET), ref(e, q, ring, self.BUDGET)
+            got = new(e, q, ring, self.BUDGET)
+            want = Verdict(*ref(e, enumerate_reps(q, ring, self.BUDGET)))
             assert got.to_json() == want.to_json()
             assert got.reps_checked == want.reps_checked
 
@@ -502,7 +451,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_pruned_submodules_match_product_filter(self, q, ring):
         for m in full_reps(q, ring, self.BUDGET):
-            want = [s.bases for s in self._reference_submodules(m)]
+            want = [s.bases for s in ref_submodules(m)]
             assert [s.bases for s in enumerate_submodules(m)] == want
             for ranks in product(*(range(m.dims[v] + 1) for v in q.vertices)):
                 ranks = dict(zip(q.vertices, ranks))
@@ -532,7 +481,7 @@ class TestAgainstReference:
             monkeypatch.setattr(oracle, "enumerate_reps", lambda *a, **k: iter([m]))
             for e in elements:
                 g = gamma(e, m)
-                found = next(self._reference_complements(m, g), None) is not None
+                found = next(ref_complements(m, g), None) is not None
                 verdict = check_split_by_sequences(e, q, ring, budget)
                 assert verdict.is_counterexample != found, (e, m)
                 searched += g.total_dim not in (0, m.total_dim)
@@ -552,8 +501,18 @@ class TestAgainstReference:
                 for basis, space in oracle._subspaces(ring, d):
                     assert space.rows == list(basis)
 
-    @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
-    def test_gamma_matches_e_fixed_closure(self, q, ring):
+    # the cases above at total dimension 2, and A3 with its edges declared
+    # against the path at total dimension 3: closing M_v1 there takes a
+    # second walk over the edges, which no case of total dimension 2 needs
+    GAMMA_CASES = [(q, ring, 2) for q, ring in CASES] + [
+        (Quiver(("v1", "v2", "v3"), (("b", "v2", "v3"), ("a", "v1", "v2"))),
+         Ring("Fp", 2), 3)
+    ]
+
+    @pytest.mark.parametrize(
+        "q, ring, max_dim", GAMMA_CASES, ids=IDS + ["a3-declared-backwards-F2-dim3"]
+    )
+    def test_gamma_matches_e_fixed_closure(self, q, ring, max_dim):
         elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
         # e_t + a for an edge a: s -> t with s != t has a path term
         for eid, src, dst in q.edges:
@@ -565,8 +524,8 @@ class TestAgainstReference:
                 elements.append(e)
                 break
         for e in elements:
-            for m in full_reps(q, ring, self.BUDGET):
-                got, want = gamma(e, m), self._reference_gamma(e, m)
+            for m in full_reps(q, ring, OracleBudget(max_total_dim=max_dim)):
+                got, want = gamma(e, m), ref_gamma(e, m)
                 assert got == want
                 for v in q.vertices:
                     assert got.bases[v] == want.bases[v]
@@ -642,7 +601,6 @@ class TestForcedAnswers:
     def test_identity_action_forces_special(self, q, ring):
         # e acts as the identity: an identity block at each vertex of nonzero
         # dimension and no other block; then N = eN ⊆ AeN ⊆ N for every N
-        ref = TestAgainstReference
         elements = self._elements(q, ring)
         identity = 0
         for m in full_reps(q, ring, self.BUDGET):
@@ -653,16 +611,15 @@ class TestForcedAnswers:
                 if blocks != ones:
                     continue
                 if subs is None:
-                    subs = list(ref._reference_submodules(m))
+                    subs = list(ref_submodules(m))
                 for n in subs:
                     assert _generated(m, blocks, n.bases) == n.bases, (e, m)
-                    assert ref._reference_in_category(e, sub_representation(n)[0]), (e, m)
+                    assert ref_in_category(e, sub_representation(n)[0]), (e, m)
                 identity += 1
         assert identity
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_trivial_gamma_forces_a_complement(self, q, ring):
-        ref = TestAgainstReference
         elements = self._elements(q, ring)
         skipped = 0
         for m in full_reps(q, ring, self.BUDGET):
@@ -670,7 +627,7 @@ class TestForcedAnswers:
                 g = gamma(e, m)
                 if g.total_dim not in (0, m.total_dim):
                     continue
-                assert next(ref._reference_complements(m, g), None) is not None
+                assert next(ref_complements(m, g), None) is not None
                 skipped += 1
         assert skipped
 
@@ -745,15 +702,58 @@ def _rank_vector(bases):
     return {v: len(b) for v, b in bases.items()}
 
 
-def _independent(ring, vectors):
-    space = RefRowSpace(ring)
-    return all(space.add(x) for x in vectors)
-
-
 def _subsets(vertices):
     for k in range(len(vertices) + 1):
         for c in combinations(vertices, k):
             yield frozenset(c)
+
+
+def _reference_breaches(source):
+    """What `source` takes from the library that the reference layer must
+    not: any name from `pathidem.linalg` or `pathidem.oracle`, any name from
+    `pathidem.reps` but `Representation`, `Submodule` and `RepError`, and
+    any call of `action_blocks`."""
+    allowed = {"pathidem.reps": {"Representation", "Submodule", "RepError"}}
+    barred = ("pathidem.linalg", "pathidem.oracle", "pathidem.reps")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "pathidem":
+            found += [a.name for a in node.names if f"pathidem.{a.name}" in barred]
+        elif isinstance(node, ast.ImportFrom) and node.module in barred:
+            kept = allowed.get(node.module, ())
+            found += [a.name for a in node.names if a.name not in kept]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith(barred)]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "action_blocks":
+                found.append("action_blocks()")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from pathidem.linalg import span", ["span"]),
+        ("from pathidem.oracle import _subspaces", ["_subspaces"]),
+        ("from pathidem import oracle, rings", ["oracle"]),
+        ("import pathidem.linalg", ["pathidem.linalg"]),
+        ("from pathidem.reps import Submodule, _generated", ["_generated"]),
+        ("from pathidem.reps import Representation, RepError, Submodule", []),
+        ("m.action_blocks(e)", ["action_blocks()"]),
+        ("from pathidem.algebra import AlgElem\nfrom pathidem.rings import Ring", []),
+    ],
+)
+def test_reference_breaches_are_found(source, found):
+    assert _reference_breaches(source) == found
+
+
+def test_reference_takes_no_library_linear_algebra():
+    # the reference does its own linear algebra, lists its own subspaces and
+    # acts by path matrices, so a fault in linalg, in the oracles' tables or
+    # in the action blocks cannot hide on both sides of a comparison
+    source = FsPath(reference.__file__).read_text(encoding="utf-8")
+    assert _reference_breaches(source) == []
 
 
 def test_verdict_json(arrow, f2):
@@ -1082,7 +1082,6 @@ class TestCountedVectors:
         # only M = 0 or M != AeM, and on those with live terms e acts as the
         # identity. e runs over every e_S, idempotents with path terms and,
         # on acyclic quivers, conjugates u e_S u^-1
-        ref = TestAgainstReference
         elements = TestForcedAnswers._elements(q, ring)
         rules = [
             (oracle._outside_reach(e), oracle._acts_on_a_summand(e),
@@ -1106,23 +1105,23 @@ class TestCountedVectors:
             outside, summand, special = per_dims[key]
             support = {v for v, d in m.dims.items() if d}
             for e in outside:
-                assert not ref._reference_in_category(e, m), (e, m)
+                assert not ref_in_category(e, m), (e, m)
             for e in summand:
                 part = {p.vertex for p, _ in _live_terms(e, m.dims)}
                 want = {v: d if v in part else 0 for v, d in m.dims.items()}
-                assert ref._reference_gamma(e, m).dims == want, (e, m)
+                assert ref_gamma(e, m).dims == want, (e, m)
                 if not part or part == support:  # the rest is M or 0
                     parts.add("all" if part else "empty")
                     continue
                 rest = {v: identity_matrix(ring, d) for v, d in m.dims.items() if v not in part}
-                assert is_edge_closed(submodule_from_local(m, rest, close=False)), (e, m)
+                assert is_edge_closed(submodule_from_local(m, rest)), (e, m)
                 parts.add("proper")
             for e in special:
                 if _live_terms(e, m.dims):
                     assert action_matrix(m, e) == identity_matrix(ring, m.total_dim), (e, m)
                     identity += 1
                 else:
-                    assert not m.total_dim or not ref._reference_in_category(e, m), (e, m)
+                    assert not m.total_dim or not ref_in_category(e, m), (e, m)
                     no_live += 1
             reached += len(outside)
         assert reached and no_live and identity
@@ -1294,7 +1293,7 @@ class TestLines:
                 elements += path_term_idempotents(q, ring, rng, 4)
             for m in enumerate_reps(q, ring, cls.BUDGET):
                 lines = [
-                    submodule_from_local(m, {w: basis})
+                    ref_closure(m, {w: basis})
                     for w in q.vertices
                     for basis, _ in oracle._subspaces(ring, m.dims[w])
                     if len(basis) == 1
@@ -1319,6 +1318,133 @@ class TestLines:
     @pytest.mark.slow
     def test_lines_decide_over_f3(self, f3):
         assert self._pairs(f3) == (98_010, 452)
+
+
+def _diagonal(e):
+    """S and λ of e: its trivial terms, vertex -> coefficient."""
+    return {p.vertex: c for p, c in e.terms if p.is_trivial}
+
+
+def _monotone(e, lam, reverse=False):
+    # λ_v λ_w = λ_v on each edge v -> w inside S (reversed: λ_w λ_v = λ_w)
+    for _, v, w in e.quiver.edges:
+        if v in lam and w in lam:
+            a, b = (lam[w], lam[v]) if reverse else (lam[v], lam[w])
+            if e.ring.mul(a, b) != a:
+                return False
+    return True
+
+
+def _constant_on_components(e, lam):
+    return all(lam[v] == lam[w] for _, v, w in e.quiver.edges if v in lam and w in lam)
+
+
+# each wrong rule, as a predicate on an element: the right rule (the
+# classifier's) with one condition changed
+WRONG_SPECIAL = {
+    "right-closed S": lambda e: e.quiver.is_right_closed(_diagonal(e))
+    and _monotone(e, _diagonal(e)),
+    "λ monotone the wrong way": lambda e: e.quiver.is_left_closed(_diagonal(e))
+    and _monotone(e, _diagonal(e), reverse=True),
+}
+WRONG_SPLIT = {
+    "split without right-closedness": lambda e: is_left_special(e)
+    and _constant_on_components(e, _diagonal(e)),
+    "λ constant on the whole quiver": lambda e: is_left_special(e)
+    and e.quiver.is_right_closed(_diagonal(e))
+    and len(set(_diagonal(e).values())) <= 1,
+}
+
+
+class TestDiscriminatingPower:
+    """Plausible wrong rules for special and split against the oracles on
+    the pool of acceptance tests 04 and 05: every e_S on sweep_quivers(3, 3,
+    60) over F_2 at total dimension <= 2. What separates each rule:
+
+    - right-closed instead of left-closed S: a search, a counterexample
+      built for each S right-closed but not left-closed; where S is
+      left-closed but not right-closed the oracle's "consistent" comes from
+      its skip rule, with no rep built;
+    - split without right-closedness: a search, a counterexample built for
+      each left-closed S that is not right-closed;
+    - κ allowed to start inside S: the idempotency gate, since e_S + p with
+      p a path from S to S is never idempotent and both oracles refuse it;
+    - λ monotone the wrong way, and λ constant on the whole quiver: nothing.
+      Over F_p every nonzero idempotent λ_v is 1, so these rules answer as
+      the right ones on every element an F_p oracle takes, and only a Z/n
+      oracle could separate them."""
+
+    BUDGET = OracleBudget(max_total_dim=2)
+    F2 = Ring("Fp", 2)
+
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        # (e, special verdict, reps it built, split verdict, reps it built)
+        out = []
+        with pytest.MonkeyPatch.context() as patch:
+            built = _count_reps_built(patch)
+            for q in SWEEP3:
+                for s in _subsets(q.vertices):
+                    e = vertex_idempotent(q, self.F2, s)
+                    row = [e]
+                    for check in (check_special_by_modules, check_split_by_sequences):
+                        built.clear()
+                        row += [check(e, q, self.F2, self.BUDGET), len(built)]
+                    out.append(tuple(row))
+        return out
+
+    def test_right_closed_s_is_separated_by_a_search(self, verdicts):
+        rule = WRONG_SPECIAL["right-closed S"]
+        by_search = by_skip = 0
+        for e, special, built, _, _ in verdicts:
+            if rule(e) == special.is_counterexample:  # they disagree
+                if special.is_counterexample:
+                    assert built and special.module is not None, e
+                    by_search += 1
+                else:
+                    assert not built, e
+                    by_skip += 1
+        assert by_search and by_skip
+
+    def test_split_without_right_closedness_is_separated_by_a_search(self, verdicts):
+        rule = WRONG_SPLIT["split without right-closedness"]
+        by_search = 0
+        for e, _, _, split, built in verdicts:
+            if not rule(e):
+                continue
+            # the rule errs exactly where S is not right-closed
+            assert split.is_counterexample != e.quiver.is_right_closed(_diagonal(e)), e
+            if split.is_counterexample:
+                assert built, e
+                by_search += 1
+        assert by_search
+
+    @pytest.mark.parametrize(
+        "name", ["λ monotone the wrong way", "λ constant on the whole quiver"]
+    )
+    def test_lambda_rules_are_separated_by_nothing(self, verdicts, name):
+        # pinned: a Z/n oracle that sees λ should make this test fail
+        rule = {**WRONG_SPECIAL, **WRONG_SPLIT}[name]
+        for e, special, _, split, _ in verdicts:
+            verdict = special if name in WRONG_SPECIAL else split
+            if name in WRONG_SPECIAL or is_left_special(e):
+                assert rule(e) != verdict.is_counterexample, e
+
+    def test_kappa_inside_s_is_separated_by_the_idempotency_gate(self):
+        refused = 0
+        for q in SWEEP3:
+            paths = [p for p in q.paths_up_to(2, limit=500) if p.edges]
+            for s in q.enumerate_left_closed():
+                for p in paths:
+                    if q.path_source(p) not in s or q.path_target(p) not in s:
+                        continue
+                    e = vertex_idempotent(q, self.F2, s) + path_element(q, self.F2, p)
+                    assert not e.is_idempotent() and not is_left_special(e), e
+                    for check in (check_special_by_modules, check_split_by_sequences):
+                        with pytest.raises(OracleError, match="idempotent"):
+                            check(e, q, self.F2, self.BUDGET)
+                    refused += 1
+        assert refused
 
 
 def _enumeration(q, ring, budget, skip=None):

@@ -137,6 +137,11 @@ class TestPaths:
         f2 = Ring("Fp", 2)
         assert AlgElem.make(a3, f2, {listed: 1}) == AlgElem.make(a3, f2, {tupled: 1})
 
+    def test_path_refuses_a_string_of_edges(self):
+        # "ab" is not read as the edges a then b
+        with pytest.raises(QuiverError, match="not 'ab'"):
+            Path(edges="ab")
+
     def test_endpoints(self, a3):
         p = Path(edges=("a", "b"))
         assert a3.path_source(p) == "v1"
@@ -194,6 +199,17 @@ class TestPaths:
         assert paths[-1] == Path(edges=("x",) * 1000)
         with pytest.raises(QuiverError, match="exceeded limit 500 at length 500"):
             loop.paths_up_to(1000, limit=500)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [("ab", ()), (("a", "b", "c"), ("abc",)), (("a", "b", "c"), "abc")],
+    ids=["vertices", "one-edge", "edges"],
+)
+def test_quiver_refuses_strings_for_sequences(vertices, edges):
+    # "ab" is not the vertices a and b, and "abc" not edge a from b to c
+    with pytest.raises(QuiverError, match="not a string|not strings"):
+        Quiver(vertices, edges)
 
 
 def test_quiver_validation():

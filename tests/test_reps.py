@@ -144,7 +144,7 @@ class TestRepresentation:
             for m in reps:
                 for (t, s), b in m.action_blocks(e).items():
                     assert (len(b), len(b[0])) == (m.dims[t], m.dims[s])
-                assert _reference_action(e, m) == action_matrix(m, e)
+                assert _blocks_matrix(m, e) == action_matrix(m, e)
 
     def test_to_json(self, f5):
         assert arrow_rep(f5, scalar=3).to_json() == {
@@ -194,13 +194,13 @@ class TestFixedVectorsAndGamma:
 
 
 class TestSubquotient:
-    def test_submodule_closure(self, arrow, f5):
+    def test_submodule_spans_without_closing(self, arrow, f5):
         m = arrow_rep(f5)
         sub = submodule_from_local(m, {"v1": [(1,)]})
-        assert sub.dims == {"v1": 1, "v2": 1}
-        assert is_edge_closed(sub)
-        open_sub = submodule_from_local(m, {"v1": [(1,)]}, close=False)
-        assert not is_edge_closed(open_sub)
+        assert sub.dims == {"v1": 1, "v2": 0}
+        assert not is_edge_closed(sub)
+        with pytest.raises(RepError, match="unknown vertex 'nope'"):
+            submodule_from_local(m, {"nope": [(1,)]})
 
     def test_submodule_is_its_echelon_bases(self, arrow, f5):
         m = Representation(arrow, f5, {"v1": 3, "v2": 1}, {"a": ((1, 0, 0),)})
@@ -211,14 +211,10 @@ class TestSubquotient:
         line = submodule_from_local(m, {"v1": [(0, 3, 0)]})
         assert line != plane
         assert line.bases == {"v1": ((0, 1, 0),), "v2": ()}
-        # closing adds the edge image at v2
-        closed = submodule_from_local(m, {"v1": [(2, 0, 1)]})
-        assert closed.bases == {"v1": ((1, 0, 3),), "v2": ((1,),)}
-        assert closed != submodule_from_local(m, {"v1": [(2, 0, 1)]}, close=False)
 
     def test_sub_representation(self, arrow, f5):
         m = arrow_rep(f5, scalar=2)
-        sub = submodule_from_local(m, {"v1": [(1,)]})
+        sub = submodule_from_local(m, {"v1": [(1,)], "v2": [(1,)]})
         rep, bases = sub_representation(sub)
         assert rep.dims == {"v1": 1, "v2": 1}
         assert rep.edge_maps["a"] == ((2,),)
@@ -462,15 +458,15 @@ def _reference_hom_space_field(m, n):
     return homs
 
 
-def _reference_action(e, m):
-    # the sum of c times the global matrix of each path c*p of e
-    ring = m.ring
-    act = [[ring.zero()] * m.total_dim for _ in range(m.total_dim)]
-    for p, c in e.terms:
-        for arow, row in zip(act, path_matrix(m, p)):
-            for j, x in enumerate(row):
-                arow[j] = ring.add(arow[j], ring.mul(c, x))
-    return tuple(map(tuple, act))
+def _blocks_matrix(m, e):
+    # the library's action blocks of e placed at their vertex offsets, zeros
+    # elsewhere
+    out = [[m.ring.zero()] * m.total_dim for _ in range(m.total_dim)]
+    for (t, s), blk in m.action_blocks(e).items():
+        roff, coff = offset(m, t), offset(m, s)
+        for i, row in enumerate(blk):
+            out[roff + i][coff : coff + len(row)] = row
+    return tuple(map(tuple, out))
 
 
 def _reference_corner(e):
@@ -496,9 +492,9 @@ def _in_basis(space, vectors):
 def _reference_corner_module(e, m, corner):
     # eM as the column space of e's action, with one action matrix per
     # element of the eAe basis, in the coordinates of that space's basis
-    space = RefRowSpace(m.ring, zip(*_reference_action(e, m)))
+    space = RefRowSpace(m.ring, zip(*action_matrix(m, e)))
     actions = [
-        _in_basis(space, [mat_vec(m.ring, _reference_action(b, m), w) for w in space.rows])
+        _in_basis(space, [mat_vec(m.ring, action_matrix(m, b), w) for w in space.rows])
         for b in corner
     ]
     return space, actions
