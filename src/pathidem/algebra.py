@@ -90,15 +90,6 @@ class AlgElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, p: Path):
-        for q, c in self.terms:
-            if q == p:
-                return c
-        return self.ring.zero()
-
-    def support(self) -> list[Path]:
-        return [p for p, _ in self.terms]
-
     def __add__(self, other: "AlgElem") -> "AlgElem":
         self._check_compatible(other)
         acc = dict(self.terms)
@@ -158,15 +149,6 @@ class AlgElem:
             acc[p] = c
         return AlgElem.make(quiver, ring, acc)
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for p, c in self.terms:
-            name = f"e_{p.vertex}" if p.is_trivial else "*".join(reversed(p.edges))
-            bits.append(f"{self.ring.fmt(c)}·{name}")
-        return " + ".join(bits)
-
 
 def _coeff_from_json(ring: Ring, c):
     """A JSON coefficient: an int, or a string matching `_INTEGER` (over Q,
@@ -198,12 +180,6 @@ def path_vector(elem: AlgElem, index: Mapping[Path, int]) -> list:
 
 def path_element(quiver: Quiver, ring: Ring, p: Path) -> AlgElem:
     return AlgElem.make(quiver, ring, {p: ring.one()})
-
-
-def edge_element(quiver: Quiver, ring: Ring, eid: str) -> AlgElem:
-    if eid not in quiver.edge_by_id:
-        raise QuiverError(f"unknown edge {eid!r}")
-    return path_element(quiver, ring, Path(edges=(eid,)))
 
 
 def vertex_idempotent(quiver: Quiver, ring: Ring, vertices: Iterable[str]) -> AlgElem:

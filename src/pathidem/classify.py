@@ -37,18 +37,6 @@ class StandardForm:
     diag: tuple[tuple[str, object], ...]           # (v, lambda_v), sorted by vertex
     kappa_terms: tuple[tuple[Path, object], ...]   # non-trivial (p_i, kappa_i)
 
-    def lam(self, v: str):
-        for w, c in self.diag:
-            if w == v:
-                return c
-        raise KeyError(v)
-
-    def reassemble(self) -> AlgElem:
-        terms: dict[Path, object] = {Path(vertex=v): c for v, c in self.diag}
-        for p, c in self.kappa_terms:
-            terms[p] = c
-        return AlgElem.make(self.quiver, self.ring, terms)
-
     def to_json(self) -> dict:
         return {
             "vertices": sorted(self.vertices),

@@ -195,7 +195,7 @@ def enumerate_reps(
                         _loop_forms(ring, r) if src == dst else _rank_forms(ring, r, c)
                     )
                 elif r * c:
-                    elems = elems or tuple(islice(ring.elements(), budget.max_reps + 1))
+                    elems = elems or tuple(ring.elements()[: budget.max_reps + 1])
                     factors += [elems] * (r * c)
             for flat in product(*factors):
                 it = iter(flat)

@@ -1,10 +1,10 @@
-"""Finite quivers, paths, and the closure/connectivity predicates on vertex sets."""
+"""Finite quivers and paths: path enumeration, acyclicity, reachability,
+weak components and the left-closed vertex subsets."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .rings import _json_object
 
@@ -213,35 +213,6 @@ class Quiver:
                     free.append(w)
         return removed == len(self.vertices)
 
-    def all_paths(self) -> list[Path]:
-        """Every path of an acyclic quiver, in canonical order."""
-        if not self.is_acyclic:
-            raise QuiverError("all_paths requires an acyclic quiver")
-        return self.paths_up_to(max(len(self.vertices) - 1, 0))
-
-    # ---- vertex-set predicates ----
-
-    def _check_subset(self, s: Iterable[str]) -> frozenset[str]:
-        s = frozenset(s)
-        unknown = s - self.vertex_set
-        if unknown:
-            raise QuiverError(f"unknown vertices {sorted(unknown)}")
-        return s
-
-    def is_left_closed(self, s: Iterable[str]) -> bool:
-        """Closed under targets of outgoing edges."""
-        s = self._check_subset(s)
-        return all(
-            self.edge_target(eid) in s for v in s for eid in self.out_edges[v]
-        )
-
-    def is_right_closed(self, s: Iterable[str]) -> bool:
-        """Closed under sources of incoming edges."""
-        s = self._check_subset(s)
-        return all(
-            self.edge_source(eid) in s for v in s for eid in self.in_edges[v]
-        )
-
     def reachable(self, start: str) -> frozenset[str]:
         """Vertices reachable from `start` by a directed path of length >= 0."""
         if start not in self.vertex_set:
@@ -279,7 +250,8 @@ class Quiver:
         return comps
 
     def enumerate_left_closed(self) -> list[frozenset[str]]:
-        """All left-closed vertex subsets, by exhaustive subset enumeration."""
+        """All left-closed vertex subsets, those no edge leaves, by exhaustive
+        subset enumeration."""
         n = len(self.vertices)
         if n > _MAX_SUBSET_VERTICES:
             raise QuiverError(
@@ -289,7 +261,7 @@ class Quiver:
         out = []
         for mask in range(1 << n):
             s = frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
-            if self.is_left_closed(s):
+            if all(dst in s for _, src, dst in self.edges if src in s):
                 out.append(s)
         out.sort(key=lambda s: (len(s), sorted(s)))
         return out

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Union
+from typing import Union
 
 Elem = Union[int, Fraction]
 
@@ -138,18 +137,11 @@ class Ring:
     def sub(self, a: Elem, b: Elem) -> Elem:
         return self.canon(a - b)
 
-    def neg(self, a: Elem) -> Elem:
-        return self.canon(-a)
-
     def mul(self, a: Elem, b: Elem) -> Elem:
         return self.canon(a * b)
 
     def is_zero(self, a: Elem) -> bool:
         return not a
-
-    def is_unit(self, a: Elem) -> bool:
-        a, m = self.canon(a), self.modulus
-        return a != 0 if m is None else gcd(a, m) == 1
 
     def inv(self, a: Elem) -> Elem:
         a, m = self.canon(a), self.modulus
@@ -162,7 +154,7 @@ class Ring:
         except ValueError as exc:
             raise RingError(f"{a} is not a unit mod {m}") from exc
 
-    def elements(self) -> Iterable[Elem]:
+    def elements(self) -> range:
         if self.modulus is None:
             raise RingError("cannot enumerate an infinite ring")
         return range(self.modulus)
@@ -172,26 +164,18 @@ class Ring:
 
     # ---- idempotent structure ----
 
-    def idempotents(self) -> list[Elem]:
-        """All x with x*x == x, in canonical order."""
-        if self.modulus is None:
-            return [_Q_ZERO, _Q_ONE]
-        return [x for x in self.elements() if self.mul(x, x) == x]
-
     def is_idempotent(self, a: Elem) -> bool:
         return self.mul(a, a) == self.canon(a)
 
-    def idem_join(self, a: Elem, b: Elem) -> Elem:
-        return self.sub(self.add(a, b), self.mul(a, b))
-
     def idem_join_is_unit(self, elems: list[Elem]) -> bool:
-        """Whether the ideal generated by the given idempotents is the whole ring."""
+        """Whether the ideal generated by the given idempotents is the whole
+        ring: whether their join is 1, where (a) + (b) = (a + b - ab)."""
         acc = self.zero()
         for x in elems:
             x = self.canon(x)
             if not self.is_idempotent(x):
                 raise RingError("idem_join_is_unit requires idempotent arguments")
-            acc = self.idem_join(acc, x)
+            acc = self.sub(self.add(acc, x), self.mul(acc, x))
         return acc == self.one()
 
     # ---- serialization ----

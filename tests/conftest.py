@@ -11,6 +11,8 @@ from pathidem.reps import Representation
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated
 
+from reference import all_paths
+
 
 @pytest.fixture
 def f2():
@@ -110,7 +112,7 @@ def conjugate(e, rng):
     with modulus m, or a nonzero fraction over Q."""
     q, ring = e.quiver, e.ring
     one = vertex_idempotent(q, ring, q.vertices)
-    paths = [p for p in q.all_paths() if p.edges]
+    paths = [p for p in all_paths(q) if p.edges]
 
     def coeff():
         if ring.modulus is None:

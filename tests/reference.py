@@ -6,13 +6,17 @@ declared vertex order, and an element acts by one global matrix, the sum of
 its paths' matrices: the direct transcription of the definitions, kept out
 of `src/` because no command, oracle or library function needs it. It does
 its own linear algebra with `Ring` operations (`RefRowSpace`), lists its own
-subspaces and takes nothing from `pathidem.linalg` or `pathidem.oracle`, so
-a fault there cannot hide in both sides of a comparison
-(`test_reference_takes_no_library_linear_algebra` pins this).
+subspaces, reads specialness off the composition factors of Ae
+(`ref_special_by_factors`) and takes nothing from `pathidem.linalg`,
+`pathidem.oracle` or `pathidem.classify`, so a fault there cannot hide in
+both sides of a comparison (`test_reference_takes_no_library_linear_algebra`
+pins this). It also keeps the small readers only tests need: vertex
+subsets and their closure, a ring's idempotents, a standard form's
+reassembly, an edge as an element and the paths of an acyclic quiver.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
@@ -20,6 +24,52 @@ from pathidem.algebra import AlgElem, path_element, path_vector
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import Representation, RepError, Submodule
 from pathidem.rings import Ring, RingError
+
+
+# ---- readers of quivers, rings and elements that only the tests need ----
+
+
+def all_paths(q: Quiver) -> list[Path]:
+    """Every path of an acyclic quiver, in canonical order: none is longer
+    than the number of vertices less one."""
+    if not q.is_acyclic:
+        raise ValueError("all_paths needs an acyclic quiver")
+    return q.paths_up_to(max(len(q.vertices) - 1, 0))
+
+
+def subsets(vertices):
+    """Every subset of the vertices, by size, then in combination order."""
+    for k in range(len(vertices) + 1):
+        for c in combinations(vertices, k):
+            yield frozenset(c)
+
+
+def left_closed(q: Quiver, s) -> bool:
+    """Whether no edge leaves the vertex set s."""
+    return all(dst in s for _, src, dst in q.edges if src in s)
+
+
+def right_closed(q: Quiver, s) -> bool:
+    """Whether no edge enters the vertex set s."""
+    return all(src in s for _, src, dst in q.edges if dst in s)
+
+
+def idempotents(ring: Ring) -> list:
+    """Every x with x*x == x, in canonical order; over Q, 0 and 1."""
+    if ring.modulus is None:
+        return [ring.zero(), ring.one()]
+    return [x for x in ring.elements() if ring.mul(x, x) == x]
+
+
+def reassemble(form) -> AlgElem:
+    """The element sum lambda_v e_v + sum kappa_i p_i of a standard form."""
+    terms = {Path(vertex=v): c for v, c in form.diag}
+    terms.update(form.kappa_terms)
+    return AlgElem.make(form.quiver, form.ring, terms)
+
+
+def edge_element(q: Quiver, ring: Ring, eid: str) -> AlgElem:
+    return path_element(q, ring, Path(edges=(eid,)))
 
 
 def offset(m: Representation, v: str) -> int:
@@ -135,7 +185,7 @@ def left_ideal_representation(e: AlgElem) -> Representation:
     q, ring = e.quiver, e.ring
     if not q.is_acyclic:
         raise RepError("A*e is infinite-dimensional on cyclic quivers")
-    paths = q.all_paths()
+    paths = all_paths(q)
     index = {p: i for i, p in enumerate(paths)}
     bases = {v: RefRowSpace(ring) for v in q.vertices}
     for p in paths:
@@ -185,7 +235,7 @@ def corner_arrows(q: Quiver, s) -> list[Path]:
     path of Q in canonical order."""
     return [
         p
-        for p in q.all_paths()
+        for p in all_paths(q)
         if p.edges
         and q.path_source(p) in s
         and q.path_target(p) in s
@@ -291,6 +341,63 @@ def ref_split(e: AlgElem, reps) -> tuple:
     return "consistent", checked, None, None
 
 
+# ---- special from the composition factors of Ae, with no search ----
+
+
+def ref_special_by_factors(e: AlgElem) -> bool:
+    """Whether the idempotent e of an acyclic quiver's path algebra A over
+    F_p, Q or Z/n is left special, read off the composition factors of Ae.
+
+    Standard torsion theory (Dickson, Trans. AMS 121, 1966; Stenstrom,
+    Rings of Quotients, 1975, ch. VI; Auslander-Platzeck-Todorov, Trans.
+    AMS 332, 1992), on finite-length modules, the ones the oracles build:
+    - Gen(Ae) = {M : M = AeM} is closed under quotients, sums and
+      extensions: for 0 -> Y -> E -> X -> 0 with X, Y in it, eE maps onto
+      eX, so AeE maps onto X and contains AeY = Y.
+    - e is special exactly when Gen(Ae) is also closed under submodules,
+      that is when it is a Serre class. A Serre class is fixed by its
+      simples, and a simple X is in Gen(Ae) exactly when eX != 0.
+    - So e is special exactly when every composition factor X of Ae has
+      eX != 0: each M in Gen(Ae) is a quotient of copies of Ae, so every
+      factor of a submodule of M is one of Ae's, and the submodule is built
+      from them by extensions; conversely each factor of Ae is a
+      subquotient of Ae.
+
+    The simples are S_{w,p}: F_p at the vertex w, every edge 0, for each
+    prime p | n (over a field, the vertex simples). e acts on S_{w,p} as
+    lambda_w mod p. S_{w,p} is a factor of Ae exactly when some x*e, with x
+    a path ending at w, has a coefficient c not 0 mod p^k, k = v_p(n):
+    when c * (n / p^k) != 0 in Z/n. And lambda_w is 0 mod p exactly when
+    lambda_w * (n / p) is 0 in Z/n. Only `AlgElem` products and `Ring.mul`
+    are used; no standard form is read."""
+    q, ring = e.quiver, e.ring
+    if not q.is_acyclic or e * e != e:
+        raise ValueError("ref_special_by_factors takes an idempotent, acyclic quiver")
+    n = ring.modulus if ring.kind == "Zn" else None
+    # per prime: the multiplier keeping the p-part, and the one reading mod p
+    parts = [(1, 1)] if n is None else [(n // pk, n // p) for p, pk in _prime_powers(n)]
+    lam = {p.vertex: c for p, c in e.terms if p.is_trivial}
+    for x in all_paths(q):
+        coeffs = [c for _, c in (path_element(q, ring, x) * e).terms]
+        lam_w = lam.get(q.path_target(x), ring.zero())
+        for keep, read in parts:
+            if any(ring.mul(c, keep) for c in coeffs) and not ring.mul(lam_w, read):
+                return False
+    return True
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p^v_p(n)) for each prime p dividing n, by trial division."""
+    out = []
+    for p in range(2, n + 1):
+        pk = 1
+        while n % p == 0:
+            n, pk = n // p, pk * p
+        if pk > 1:
+            out.append((p, pk))
+    return out
+
+
 class RefRowSpace:
     """Reduced echelon basis maintained with Ring.add/sub/mul only, seeded
     with `vectors`."""
@@ -307,7 +414,7 @@ class RefRowSpace:
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             coords.append(c)
-            v = [R.add(a, R.mul(R.neg(c), b)) for a, b in zip(v, row)]
+            v = [R.sub(a, R.mul(c, b)) for a, b in zip(v, row)]
         return coords, v
 
     def coords(self, vec):
@@ -323,9 +430,8 @@ class RefRowSpace:
         if not nonzero:
             return False
         piv = nonzero[0]
-        if not R.is_unit(v[piv]):
-            raise RingError("non-unit pivot")
-        v = tuple(R.mul(R.inv(v[piv]), x) for x in v)
+        inv = R.inv(v[piv])  # RingError on a pivot that is not a unit
+        v = tuple(R.mul(inv, x) for x in v)
         self.rows = [
             tuple(R.sub(a, R.mul(row[piv], b)) for a, b in zip(row, v))
             for row in self.rows
@@ -396,6 +502,6 @@ def ref_nullspace(ring, rows, ncols):
         v = [ring.zero()] * ncols
         v[f] = ring.one()
         for row, piv in zip(space.rows, space.pivots):
-            v[piv] = ring.neg(row[f])
+            v[piv] = ring.sub(ring.zero(), row[f])
         basis.append(tuple(v))
     return basis

@@ -6,7 +6,7 @@ and enforces the stated runtime bound where one exists.
 
 import random
 import time
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -33,6 +33,8 @@ from pathidem.reps import corner_algebra, corner_module, in_category_e, morita_s
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, sweep_quivers
 
+from reference import idempotents, left_closed, reassemble, right_closed, subsets
+
 F2 = Ring("Fp", 2)
 F3 = Ring("Fp", 3)
 F5 = Ring("Fp", 5)
@@ -44,12 +46,6 @@ def _report(label, started, limit=None):
     print(f"PASS {label} ({elapsed:.2f}s)")
     if limit is not None:
         assert elapsed < limit, f"{label}: {elapsed:.2f}s exceeded {limit}s"
-
-
-def _subsets(vertices):
-    for k in range(len(vertices) + 1):
-        for c in combinations(vertices, k):
-            yield frozenset(c)
 
 
 def test_01_arrow_sink_vertex_is_special_not_split():
@@ -67,8 +63,8 @@ def test_02_special_iff_left_closed_sweep():
     assert len(quivers) >= 200
     checked = 0
     for q in quivers:
-        for s in _subsets(q.vertices):
-            assert is_left_special(vertex_idempotent(q, F5, s)) == q.is_left_closed(s)
+        for s in subsets(q.vertices):
+            assert is_left_special(vertex_idempotent(q, F5, s)) == left_closed(q, s)
             checked += 1
     _report(
         f"2: special(e_S) iff left-closed(S) on {checked} subset cases", started, 60.0
@@ -82,7 +78,7 @@ def test_03_split_iff_right_closed_sweep():
     for q in quivers:
         for s in q.enumerate_left_closed():
             e = vertex_idempotent(q, F5, s)
-            assert is_left_split(e) == q.is_right_closed(s)
+            assert is_left_split(e) == right_closed(q, s)
             checked += 1
     _report(
         f"3: split(e_S) iff right-closed(S) on {checked} left-closed cases", started
@@ -95,7 +91,7 @@ def test_04_module_oracle_agrees_on_specialness():
     quivers = sweep_quivers(max_vertices=3, max_edges=3, count=60)
     checked = 0
     for q in quivers:
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             e = vertex_idempotent(q, F2, s)
             verdict = check_special_by_modules(e, q, F2, budget)
             assert verdict.is_counterexample == (not is_left_special(e))
@@ -158,7 +154,7 @@ def test_07_corner_restriction_is_bijective():
 
 def test_08_central_implies_special_and_split():
     started = time.monotonic()
-    idems = Z6.idempotents()
+    idems = idempotents(Z6)
     checked = 0
     for q in sweep_quivers(max_vertices=4, max_edges=4, count=200):
         for assignment in product(idems, repeat=len(q.vertices)):
@@ -229,7 +225,7 @@ def test_09_standard_form_round_trip_and_idempotency():
         e = _random_special(rng, quivers)
         form, witness = try_standard_form(e)
         assert witness is None, (e, witness)
-        assert form.reassemble() == e
+        assert reassemble(form) == e
     rejected = 0
     while rejected < 1000:
         q = rng.choice(quivers)
@@ -279,15 +275,15 @@ def test_11_oracles_reach_f3_at_dimension_two():
     quivers = sweep_quivers(max_vertices=3, max_edges=3, count=60)
     started, checked = time.monotonic(), 0
     for q in quivers:
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             verdict = check_special_by_modules(vertex_idempotent(q, F3, s), q, F3, budget)
-            assert verdict.is_counterexample == (not q.is_left_closed(s))
+            assert verdict.is_counterexample == (not left_closed(q, s))
             checked += 1
     _report(f"11: module oracle over F3 agrees ({checked} cases)", started, 60.0)
     started, checked = time.monotonic(), 0
     for q in quivers:
         for s in q.enumerate_left_closed():
             verdict = check_split_by_sequences(vertex_idempotent(q, F3, s), q, F3, budget)
-            assert verdict.is_counterexample == (not q.is_right_closed(s))
+            assert verdict.is_counterexample == (not right_closed(q, s))
             checked += 1
     _report(f"11: complement oracle over F3 agrees ({checked} cases)", started, 60.0)

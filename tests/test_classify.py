@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from pathidem.algebra import (
     AlgebraError,
     AlgElem,
-    edge_element,
     path_element,
     vertex_idempotent,
 )
@@ -32,14 +30,17 @@ from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
 
 from conftest import conjugate, random_coeff
-from reference import idem_leq
+from reference import (
+    edge_element,
+    idem_leq,
+    idempotents,
+    left_closed,
+    reassemble,
+    ref_special_by_factors,
+    right_closed,
+    subsets,
+)
 from test_acceptance import _random_special
-
-
-def subsets(vertices):
-    for k in range(len(vertices) + 1):
-        for c in combinations(vertices, k):
-            yield frozenset(c)
 
 
 class TestStandardForm:
@@ -50,10 +51,7 @@ class TestStandardForm:
         assert form.vertices == frozenset({"v2"})
         assert form.diag == (("v2", 1),)
         assert form.kappa_terms == ()
-        assert form.reassemble() == e
-        assert form.lam("v2") == 1
-        with pytest.raises(KeyError):
-            form.lam("v1")  # outside S
+        assert reassemble(form) == e
 
     def test_e_v1_on_arrow_rejected(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, {"v1"})
@@ -107,7 +105,7 @@ class TestStandardForm:
     @pytest.mark.parametrize("n", [6, 12, 30])
     def test_lambda_monotonicity_is_idem_leq(self, arrow, n):
         ring = Ring("Zn", n)
-        nonzero = [x for x in ring.idempotents() if x]
+        nonzero = [x for x in idempotents(ring) if x]
         assert len(nonzero) >= 3
         for l1 in nonzero:
             for l2 in nonzero:
@@ -176,12 +174,12 @@ def _reachability_rules(e):
     q, ring = e.quiver, e.ring
     lam = {p.vertex: c for p, c in e.terms if p.is_trivial}
     s = frozenset(lam)
-    if not q.is_left_closed(s) or not all(ring.is_idempotent(c) for c in lam.values()):
+    if not left_closed(q, s) or not all(ring.is_idempotent(c) for c in lam.values()):
         return None
     monotone = all(
         ring.mul(lam[v], lam[w]) == lam[v] for v in s for w in q.reachable(v)
     )
-    split = q.is_right_closed(s) and all(
+    split = right_closed(q, s) and all(
         len({lam[v] for v in comp & s}) <= 1 for comp in q.weak_components()
     )
     return monotone, split
@@ -199,8 +197,6 @@ class TestPerEdgeRules:
     """try_standard_form checks monotone lambda on each edge out of S, and the
     split test constant lambda on each edge into S; both agree with the
     reachability rules they replaced, and each witness names a failing edge."""
-
-    Z30 = Ring("Zn", 30)
 
     def _check(self, e):
         ref = _reachability_rules(e)
@@ -228,26 +224,65 @@ class TestPerEdgeRules:
         return f"split={split}"
 
     def test_every_diagonal_z30_element(self):
-        seen = Counter()
-        idems = self.Z30.idempotents()
-        for q in sweep_quivers(4, 4, 40):
-            for lam in _assignments(q.vertices, idems):
-                e = AlgElem.make(q, self.Z30, {Path(vertex=v): c for v, c in lam.items()})
-                seen[self._check(e)] += 1
+        seen = Counter(self._check(e) for e in _z30_diagonal_grid())
         assert {"not-monotone", "not-constant", "split=True", "split=False"} <= seen.keys()
 
     def test_elements_with_path_terms(self):
-        rng = random.Random(30)
-        idems = self.Z30.idempotents()
-        seen = Counter()
-        for q in sweep_quivers(4, 4, 200):
-            paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
-            for _ in range(10):
-                terms = {Path(vertex=v): rng.choice(idems) for v in q.vertices}
-                for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
-                    terms[p] = rng.choice([x for x in idems if x] + [rng.randrange(30)])
-                seen[self._check(AlgElem.make(q, self.Z30, terms))] += 1
+        seen = Counter(self._check(e) for e in _z30_path_term_grid())
         assert {"not-monotone", "kappa", "not-constant", "split=True"} <= seen.keys()
+
+
+Z30 = Ring("Zn", 30)
+
+
+def _z30_diagonal_grid():
+    """Every element sum lambda_v e_v with each lambda_v an idempotent of
+    Z/30, on the quivers of sweep_quivers(4, 4, 40)."""
+    idems = idempotents(Z30)
+    for q in sweep_quivers(4, 4, 40):
+        for lam in _assignments(q.vertices, idems):
+            yield AlgElem.make(q, Z30, {Path(vertex=v): c for v, c in lam.items()})
+
+
+def _z30_path_term_grid():
+    """Ten elements per quiver of sweep_quivers(4, 4, 200): an idempotent of
+    Z/30 at each vertex and up to two path terms of length <= 2, each with a
+    nonzero idempotent or a random coefficient; not all are idempotent."""
+    rng = random.Random(30)
+    idems = idempotents(Z30)
+    for q in sweep_quivers(4, 4, 200):
+        paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
+        for _ in range(10):
+            terms = {Path(vertex=v): rng.choice(idems) for v in q.vertices}
+            for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
+                terms[p] = rng.choice([x for x in idems if x] + [rng.randrange(30)])
+            yield AlgElem.make(q, Z30, terms)
+
+
+class TestSpecialByFactors:
+    """`is_left_special` against `reference.ref_special_by_factors`, which
+    reads the composition factors of Ae from `AlgElem` products and takes
+    no standard form, on the idempotents of acyclic quivers over Z/n: test
+    09's Z/6 forms with a conjugate of each, and the Z/30 grid of
+    `TestPerEdgeRules`."""
+
+    def test_z6_forms(self):
+        rng = random.Random(9)
+        quivers = [q for q in sweep_quivers(4, 4, 60) if q.is_acyclic]
+        for _ in range(500):
+            e = _random_special(rng, quivers)
+            for x in (e, conjugate(e, rng)):
+                assert ref_special_by_factors(x) and is_left_special(x), x
+
+    def test_z30_grid(self):
+        seen = Counter()
+        for grid in (_z30_diagonal_grid(), _z30_path_term_grid()):
+            for e in grid:
+                if e.quiver.is_acyclic and e * e == e:
+                    special = is_left_special(e)
+                    assert ref_special_by_factors(e) == special, e
+                    seen[special] += 1
+        assert seen[True] and seen[False]
 
 
 class TestCentral:
@@ -444,7 +479,7 @@ def _random_special_element(q, ring, rng):
     along paths; then path terms ending in S with coefficients
     lambda(t) * x * (1 - lambda(s)), which the source lambda annihilates."""
     s = rng.choice(q.enumerate_left_closed())
-    idems = [x for x in ring.idempotents() if x]
+    idems = [x for x in idempotents(ring) if x]
     lam = {v: rng.choice(idems) for v in s}
     terms = {}
     for v in s:
@@ -555,7 +590,7 @@ class TestFullFamily:
         # Z/n has only trivial idempotents exactly when n is a prime power
         for n in range(2, 200):
             ring = Ring("Zn", n)
-            if len(ring.idempotents()) == 2:
+            if len(idempotents(ring)) == 2:
                 fams = enumerate_full_families_trivial_idem(arrow, ring)
                 assert fams == [[vertex_idempotent(arrow, ring, arrow.vertices)]]
             else:
@@ -588,7 +623,7 @@ def test_enumerated_families_are_the_left_closed_partitions(ring):
         want = [
             sorted((frozenset(b) for b in blocks), key=sorted)
             for blocks in _set_partitions(list(q.vertices))
-            if all(q.is_left_closed(b) for b in blocks)
+            if all(left_closed(q, b) for b in blocks)
         ]
         want.sort(key=lambda parts: [sorted(b) for b in parts])
         got = enumerate_full_families_trivial_idem(q, ring)
@@ -599,12 +634,12 @@ class TestInvariants:
     @pytest.mark.parametrize("q", sweep_quivers(max_vertices=4, count=25))
     def test_vertex_idem_special_iff_left_closed(self, q, f5):
         for s in subsets(q.vertices):
-            assert is_left_special(vertex_idempotent(q, f5, s)) == q.is_left_closed(s)
+            assert is_left_special(vertex_idempotent(q, f5, s)) == left_closed(q, s)
 
     @pytest.mark.parametrize("q", sweep_quivers(max_vertices=4, count=25))
     def test_central_implies_special_and_split(self, q):
         ring = Ring("Zn", 6)
-        idems = ring.idempotents()
+        idems = idempotents(ring)
         for assignment in _assignments(q.vertices, idems):
             e = AlgElem.make(
                 q, ring, {Path(vertex=v): c for v, c in assignment.items()}
@@ -666,21 +701,20 @@ def _special_elements(q, ring):
     """Small pool of left-special elements: diagonal assignments plus one
     single-edge kappa perturbation when legal."""
     out = []
-    for assignment in _assignments(q.vertices, ring.idempotents()):
+    for assignment in _assignments(q.vertices, idempotents(ring)):
         e = AlgElem.make(q, ring, {Path(vertex=v): c for v, c in assignment.items()})
         form, _ = try_standard_form(e)
         if form is None:
             continue
         out.append(e)
+        lam = dict(form.diag)
         for eid, src, dst in q.edges:
-            if dst not in form.vertices:
+            if dst not in lam:
                 continue
             for c in range(ring.modulus):
-                if c == 0 or ring.mul(form.lam(dst), c) != c:
+                if c == 0 or ring.mul(lam[dst], c) != c:
                     continue
-                if src in form.vertices and not ring.is_zero(
-                    ring.mul(form.lam(src), c)
-                ):
+                if src in lam and not ring.is_zero(ring.mul(lam[src], c)):
                     continue
                 cand = e + AlgElem.make(q, ring, {Path(edges=(eid,)): c})
                 if is_left_special(cand):
@@ -695,7 +729,6 @@ class TestChineseRemainder:
     idempotent, special, central or split element of a product is one in
     each factor."""
 
-    Z30 = Ring("Zn", 30)
     PRIMES = (Ring("Fp", 2), Ring("Fp", 3), Ring("Fp", 5))
 
     @staticmethod
@@ -725,11 +758,11 @@ class TestChineseRemainder:
         for q in sweep_quivers(3, 3, 60):
             rng = random.Random(repr(q))
             paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
-            for lam in _assignments(q.vertices, self.Z30.idempotents()):
+            for lam in _assignments(q.vertices, idempotents(Z30)):
                 terms = {Path(vertex=v): c for v, c in lam.items()}
                 for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
                     terms[p] = rng.randrange(1, 30)
-                self._agrees(AlgElem.make(q, self.Z30, terms), self.PRIMES)
+                self._agrees(AlgElem.make(q, Z30, terms), self.PRIMES)
 
     @pytest.mark.parametrize("pool", [(3, 3, 60), (4, 4, 200)], ids=["3v3e", "4v4e"])
     def test_z30_sampled(self, pool):
@@ -737,7 +770,7 @@ class TestChineseRemainder:
         # an idempotent 3 times in 4 and any residue otherwise, and up to two
         # path terms
         rng = random.Random(f"z30 {pool}")
-        idems = self.Z30.idempotents()
+        idems = idempotents(Z30)
         seen = Counter()
         for q in sweep_quivers(*pool):
             paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
@@ -751,7 +784,7 @@ class TestChineseRemainder:
                 }
                 for p in rng.sample(paths, min(len(paths), rng.randint(0, 2))):
                     terms[p] = rng.randrange(1, 30)
-                whole = self._agrees(AlgElem.make(q, self.Z30, terms), self.PRIMES)
+                whole = self._agrees(AlgElem.make(q, Z30, terms), self.PRIMES)
                 seen[whole.is_idempotent, whole.is_left_special, whole.is_left_split] += 1
         assert seen[True, True, True] and seen[True, True, False]
         assert seen[True, False, None] and seen[False, False, None]
@@ -764,7 +797,7 @@ def _check_idempotency(e):
     report = classify(e)
     assert report.is_idempotent == (e * e == e), e
     if report.standard_form is not None:
-        assert report.standard_form.reassemble() == e
+        assert reassemble(report.standard_form) == e
     return report
 
 
@@ -790,7 +823,7 @@ class TestIdempotencyFromForm:
             ]
             elements += [
                 AlgElem.make(q, z6, {Path(vertex=v): c for v, c in lam.items()})
-                for lam in _assignments(q.vertices, z6.idempotents())
+                for lam in _assignments(q.vertices, idempotents(z6))
             ]
             for e in elements:
                 report = _check_idempotency(e)
@@ -854,7 +887,7 @@ class TestIdempotencyFromForm:
     def test_random_elements(self, ring):
         rng = random.Random(f"idempotency-{ring}")
         quivers = sweep_quivers(3, 3, 60) + self.SWEEP[:40]
-        idems = ring.idempotents()
+        idems = idempotents(ring)
         seen = Counter()
         for _ in range(400):
             q = rng.choice(quivers)
@@ -890,7 +923,7 @@ class TestIdempotencyFromDiagonal:
                 report = classify(e)
                 assert report.is_idempotent == (e * e == e), e
                 s = frozenset(v for v, c in lam.items() if c)
-                seen[q.is_left_closed(s), report.is_idempotent] += 1
+                seen[left_closed(q, s), report.is_idempotent] += 1
         assert seen.keys() == {(True, True), (True, False), (False, True), (False, False)}
 
     @pytest.mark.parametrize(
@@ -903,7 +936,7 @@ class TestIdempotencyFromDiagonal:
         # conjugates of e_S for S not left closed: idempotent, with path
         # terms and no form
         rng = random.Random(f"read-off-{ring}")
-        idems = ring.idempotents()
+        idems = idempotents(ring)
         seen = Counter()
         for q in sweep_quivers(3, 3, 60):
             paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
@@ -912,7 +945,7 @@ class TestIdempotencyFromDiagonal:
             elements = [
                 conjugate(vertex_idempotent(q, ring, s), rng)
                 for s in subsets(q.vertices)
-                if q.is_acyclic and not q.is_left_closed(s)
+                if q.is_acyclic and not left_closed(q, s)
             ]
             for _ in range(12):
                 terms = {
@@ -962,7 +995,7 @@ class TestConjugationInvariance:
     @pytest.mark.parametrize("ring", INVARIANCE_RINGS, ids=INVARIANCE_IDS)
     def test_bits_unchanged(self, ring):
         rng = random.Random(f"conjugation-{ring}")
-        idems = ring.idempotents()
+        idems = idempotents(ring)
         seen = Counter()
         for q in self.ACYCLIC * 3:
             paths = [p for p in q.paths_up_to(2) if not p.is_trivial]
@@ -1029,7 +1062,7 @@ class TestRelabellingInvariance:
         rng = random.Random("relabelling")
         seen = Counter()
         for ring in INVARIANCE_RINGS:
-            idems = ring.idempotents()
+            idems = idempotents(ring)
             for q in sweep_quivers(4, 4, 200):
                 renamed, path = _relabel(q, rng)
                 paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]

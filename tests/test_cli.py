@@ -27,6 +27,8 @@ from pathidem.sweep import q_a3, sweep_quivers
 
 from conftest import conjugate, path_term_idempotents
 
+ROOT = Path(__file__).resolve().parents[1]
+
 ARROW = json.dumps(
     {
         "vertices": ["v1", "v2"],
@@ -39,6 +41,15 @@ LOOP = json.dumps(
         "edges": [
             {"id": "a", "src": "v1", "dst": "v2"},
             {"id": "l", "src": "v1", "dst": "v1"},
+        ],
+    }
+)
+KRONECKER = json.dumps(
+    {
+        "vertices": ["v1", "v2"],
+        "edges": [
+            {"id": "a", "src": "v1", "dst": "v2"},
+            {"id": "b", "src": "v1", "dst": "v2"},
         ],
     }
 )
@@ -259,20 +270,22 @@ class TestOracle:
         assert report["result"] == {"reps_checked": 46_781, "verdict": "consistent"}
         assert peak < 5 << 20
 
+    @pytest.mark.parametrize("command", ["oracle-special", "oracle-split"])
+    def test_max_reps_above_the_index_range(self, capsys, command):
+        # a cap of sys.maxsize or more answers as the default cap does,
+        # where the free Kronecker edge holds the field elements
+        argv = [command, "--quiver", KRONECKER, "--ring", "F2", "--element", E_V1]
+        code, report = run(capsys, *argv)
+        assert code == 0
+        for cap in (sys.maxsize, 2**64):
+            code, capped = run(capsys, *argv, "--max-reps", str(cap))
+            assert code == 0 and capped["result"] == report["result"]
+
     def test_huge_field_answers(self, capsys):
         # F_(2^61 - 1): the free Kronecker edge holds only the field
         # elements the cap can reach, not all 2^61 - 1 of them
-        kronecker = json.dumps(
-            {
-                "vertices": ["v1", "v2"],
-                "edges": [
-                    {"id": "a", "src": "v1", "dst": "v2"},
-                    {"id": "b", "src": "v1", "dst": "v2"},
-                ],
-            }
-        )
         code, report = run(
-            capsys, "oracle-split", "--quiver", kronecker,
+            capsys, "oracle-split", "--quiver", KRONECKER,
             "--ring", f"F{2**61 - 1}", "--element", E_V2, "--max-dim", "3",
         )
         assert code == 0
@@ -436,6 +449,70 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def _unread_public_functions(library: dict, readers: list, readme: str) -> list:
+    """The public functions and methods defined at the top of the modules of
+    `library` (module name -> source) that no source of `library` or
+    `readers` names, as a name, an attribute or an import, and no inline
+    code span of `readme` names as `name`, `.name` or `name(`; a dunder is
+    not public. Fenced README blocks are CLI sessions, not API."""
+    defined, named = [], set()
+    for module, source in library.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.ClassDef):
+                owner = f"{module}.{node.name}"
+                defined += [
+                    (owner, f.name) for f in node.body if isinstance(f, ast.FunctionDef)
+                ]
+    for source in [*library.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    return [
+        f"{owner}.{name}"
+        for owner, name in defined
+        if not name.startswith("_")
+        and name not in named
+        and not any(
+            span == name or re.search(rf"\.{name}\b|\b{name}\(", span) for span in spans
+        )
+    ]
+
+
+def test_unread_public_functions_are_found():
+    library = {
+        "m": "def used(): ...\ndef unused(): ...\ndef in_readme(): ...\n"
+        "class C:\n    def meth(self): ...\n    def __str__(self): ...\n"
+        "    def _own(self): ...\nused()\n",
+        "n": "from m import used\n",
+    }
+    unread = ["m.unused", "m.in_readme", "m.C.meth"]
+    assert _unread_public_functions(library, [], "") == unread
+    readme = "Call `in_readme()`.\n```sh\nm.unused\n```\n"
+    assert _unread_public_functions(library, ["C().meth()"], readme) == ["m.unused"]
+
+
+def test_every_public_function_has_a_reader():
+    # a public function or method that only the tests reach is a test-only
+    # reader: the tests keep their own (tests/reference.py), so the library
+    # is not graded against a second copy of itself
+    library = {
+        p.stem: p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "src" / "pathidem").glob("*.py"))
+    }
+    readers = [
+        p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))
+    ]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _unread_public_functions(library, readers, readme) == []
 
 
 class TestCategoryBySupport:
@@ -1106,9 +1183,6 @@ def test_diamond_chain_is_refused(capsys, support):
     report = json.loads(captured.out)
     assert report["error"]["code"] == "bad-input"
     assert "paths out of S hold more than" in report["error"]["message"]
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(

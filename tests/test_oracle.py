@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -12,7 +13,6 @@ from pathidem import oracle
 from pathidem.algebra import (
     AlgElem,
     AlgebraError,
-    edge_element,
     path_element,
     vertex_idempotent,
 )
@@ -47,7 +47,9 @@ from conftest import conjugate, full_reps, path_term_idempotents, random_coeff
 import reference
 from reference import (
     action_matrix,
+    edge_element,
     is_edge_closed,
+    left_closed,
     ref_closure,
     ref_complements,
     ref_gamma,
@@ -56,7 +58,9 @@ from reference import (
     ref_special,
     ref_split,
     ref_submodules,
+    right_closed,
     sub_representation,
+    subsets,
 )
 
 
@@ -155,6 +159,18 @@ class TestEnumeration:
         assert small[1] == ("representation cap 7 exceeded", 7, 7, {"v1": 1, "v2": 1})
         assert [m["edges"]["b"] for m in small[0][4:]] == [[["0"]], [["1"]], [["2"]]]
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cap", [sys.maxsize, 2**64])
+    def test_cap_above_the_index_range(self, f3, cap):
+        # the field elements are a slice of a range, which takes a stop past
+        # sys.maxsize, so a cap that large walks as the default one does
+        kronecker = Quiver(("v1", "v2"), (("a", "v1", "v2"), ("b", "v1", "v2")))
+
+        def walk(max_reps):
+            budget = OracleBudget(max_total_dim=2, max_reps=max_reps)
+            return [m.to_json() for m in enumerate_reps(kronecker, f3, budget)]
+
+        assert walk(cap) == walk(OracleBudget.max_reps)
 
     def test_dim_vectors_in_lexicographic_order(self):
         # enumerate_reps takes them as they come, unsorted
@@ -357,7 +373,7 @@ class TestAgreement:
     @pytest.mark.parametrize("q", QUIVERS)
     def test_special_agreement(self, q, f2):
         budget = OracleBudget(max_total_dim=2)
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             e = vertex_idempotent(q, f2, s)
             verdict = check_special_by_modules(e, q, f2, budget)
             assert verdict.is_counterexample == (not is_left_special(e))
@@ -365,7 +381,7 @@ class TestAgreement:
     @pytest.mark.parametrize("q", QUIVERS)
     def test_split_agreement(self, q, f2):
         budget = OracleBudget(max_total_dim=2)
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             e = vertex_idempotent(q, f2, s)
             if not is_left_special(e):
                 continue
@@ -376,8 +392,8 @@ class TestAgreement:
     def test_orthogonality_agreement(self, q, f2):
         specials = [
             vertex_idempotent(q, f2, s)
-            for s in _subsets(q.vertices)
-            if q.is_left_closed(s)
+            for s in subsets(q.vertices)
+            if left_closed(q, s)
         ]
         for e1 in specials:
             for e2 in specials:
@@ -412,7 +428,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_verdicts_identical(self, q, ring):
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             self._assert_oracles_match(vertex_idempotent(q, ring, s), q, ring)
 
     # quivers with paths between distinct vertices, of length 1 and 2, some
@@ -474,7 +490,7 @@ class TestAgainstReference:
         # the split oracle run on one M at a time, every dimension vector
         # built: a counterexample exactly where Γ_e(M) has no complement
         budget = OracleBudget(max_total_dim=max_dim)
-        elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        elements = [vertex_idempotent(q, ring, s) for s in subsets(q.vertices)]
         elements += path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         searched = 0
         for m in full_reps(q, ring, budget):
@@ -492,7 +508,7 @@ class TestAgainstReference:
         # both oracles on every case, then every cached row space still
         # spans exactly its basis, in the same rows
         for q, ring in self.CASES:
-            for s in _subsets(q.vertices):
+            for s in subsets(q.vertices):
                 e = vertex_idempotent(q, ring, s)
                 check_special_by_modules(e, q, ring, self.BUDGET)
                 check_split_by_sequences(e, q, ring, self.BUDGET)
@@ -513,7 +529,7 @@ class TestAgainstReference:
         "q, ring, max_dim", GAMMA_CASES, ids=IDS + ["a3-declared-backwards-F2-dim3"]
     )
     def test_gamma_matches_e_fixed_closure(self, q, ring, max_dim):
-        elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        elements = [vertex_idempotent(q, ring, s) for s in subsets(q.vertices)]
         # e_t + a for an edge a: s -> t with s != t has a path term
         for eid, src, dst in q.edges:
             if src != dst:
@@ -533,7 +549,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
     def test_generated_submodule_decides_membership(self, q, ring):
         # N = AeN computed inside M agrees with N rebuilt on its own
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             e = vertex_idempotent(q, ring, s)
             for m in full_reps(q, ring, self.BUDGET):
                 blocks = m.action_blocks(e)
@@ -554,7 +570,7 @@ class TestAgainstReference:
 
         monkeypatch.setattr(Representation, "action_blocks", counting)
         built = _count_reps_built(monkeypatch)
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             calls.clear()
             built.clear()
             e = vertex_idempotent(q, ring, s)
@@ -590,11 +606,11 @@ class TestForcedAnswers:
 
     @staticmethod
     def _elements(q, ring):
-        out = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        out = [vertex_idempotent(q, ring, s) for s in subsets(q.vertices)]
         out += path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         if q.is_acyclic:
             rng = random.Random(f"forced-{q}-{ring}")
-            out += [conjugate(vertex_idempotent(q, ring, s), rng) for s in _subsets(q.vertices)]
+            out += [conjugate(vertex_idempotent(q, ring, s), rng) for s in subsets(q.vertices)]
         return out
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
@@ -636,11 +652,11 @@ class TestForcedAnswers:
         # any other S a counterexample needs a submodule
         calls = _count_submodules_built(monkeypatch)
         for q in sweep_quivers(3, 3, 60):
-            for s in _subsets(q.vertices):
+            for s in subsets(q.vertices):
                 calls.clear()
                 e = vertex_idempotent(q, f2, s)
                 check_special_by_modules(e, q, f2, self.BUDGET)
-                assert bool(calls) != q.is_left_closed(s), (q, s)
+                assert bool(calls) != left_closed(q, s), (q, s)
 
     def test_split_skips_zero_and_one(self, f2, monkeypatch):
         calls = _count_submodules_built(monkeypatch)
@@ -702,19 +718,13 @@ def _rank_vector(bases):
     return {v: len(b) for v, b in bases.items()}
 
 
-def _subsets(vertices):
-    for k in range(len(vertices) + 1):
-        for c in combinations(vertices, k):
-            yield frozenset(c)
-
-
 def _reference_breaches(source):
     """What `source` takes from the library that the reference layer must
-    not: any name from `pathidem.linalg` or `pathidem.oracle`, any name from
-    `pathidem.reps` but `Representation`, `Submodule` and `RepError`, and
-    any call of `action_blocks`."""
+    not: any name from `pathidem.linalg`, `pathidem.oracle` or
+    `pathidem.classify`, any name from `pathidem.reps` but `Representation`,
+    `Submodule` and `RepError`, and any call of `action_blocks`."""
     allowed = {"pathidem.reps": {"Representation", "Submodule", "RepError"}}
-    barred = ("pathidem.linalg", "pathidem.oracle", "pathidem.reps")
+    barred = ("pathidem.linalg", "pathidem.oracle", "pathidem.reps", "pathidem.classify")
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "pathidem":
@@ -737,6 +747,8 @@ def _reference_breaches(source):
         ("from pathidem.linalg import span", ["span"]),
         ("from pathidem.oracle import _subspaces", ["_subspaces"]),
         ("from pathidem import oracle, rings", ["oracle"]),
+        ("from pathidem.classify import try_standard_form", ["try_standard_form"]),
+        ("from pathidem import classify", ["classify"]),
         ("import pathidem.linalg", ["pathidem.linalg"]),
         ("from pathidem.reps import Submodule, _generated", ["_generated"]),
         ("from pathidem.reps import Representation, RepError, Submodule", []),
@@ -749,9 +761,10 @@ def test_reference_breaches_are_found(source, found):
 
 
 def test_reference_takes_no_library_linear_algebra():
-    # the reference does its own linear algebra, lists its own subspaces and
-    # acts by path matrices, so a fault in linalg, in the oracles' tables or
-    # in the action blocks cannot hide on both sides of a comparison
+    # the reference does its own linear algebra, lists its own subspaces,
+    # acts by path matrices and reads specialness off Ae, so a fault in
+    # linalg, in the oracles' tables, in the action blocks or in the
+    # classifier cannot hide on both sides of a comparison
     source = FsPath(reference.__file__).read_text(encoding="utf-8")
     assert _reference_breaches(source) == []
 
@@ -787,7 +800,7 @@ class TestReductionByIsomorphism:
         # every e_S of the acceptance pool of tests 04/05, both oracles
         compared = 0
         for q in sweep_quivers(3, 3, 60):
-            for s in _subsets(q.vertices):
+            for s in subsets(q.vertices):
                 e = vertex_idempotent(q, f2, s)
                 for check in (check_special_by_modules, check_split_by_sequences):
                     got = check(e, q, f2, self.BUDGET)
@@ -1154,7 +1167,7 @@ class TestCountedVectors:
         # also where the cap falls inside a counted dimension vector, inside
         # one the special oracle counts within the reach, and inside one the
         # split oracle counts where L is neither empty nor the support
-        elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+        elements = [vertex_idempotent(q, ring, s) for s in subsets(q.vertices)]
         elements += path_term_idempotents(q, ring, random.Random(f"{q}-{ring}"), 4)
         reps = sum(1 for _ in enumerate_reps(q, ring, OracleBudget(max_total_dim=2)))
         inside = inside_reach = inside_part = 0
@@ -1190,10 +1203,10 @@ class TestCountedVectors:
         built = _count_reps_built(monkeypatch)
         closed = 0
         for q in SWEEP3:
-            for s in _subsets(q.vertices):
+            for s in subsets(q.vertices):
                 built.clear()
                 check_special_by_modules(vertex_idempotent(q, ring, s), q, ring, self.BUDGET)
-                assert bool(built) != q.is_left_closed(s), (q, s)
+                assert bool(built) != left_closed(q, s), (q, s)
                 closed += not built
         assert closed == 262
 
@@ -1210,7 +1223,7 @@ class TestCountedVectors:
             for s in q.enumerate_left_closed():
                 built.clear()
                 check_split_by_sequences(vertex_idempotent(q, ring, s), q, ring, self.BUDGET)
-                assert bool(built) != q.is_right_closed(s), (q, s)
+                assert bool(built) != right_closed(q, s), (q, s)
                 closed += not built
         assert closed == 190
 
@@ -1221,7 +1234,7 @@ class TestCountedVectors:
         ring = Ring("Fp", 2)
         counted = set()
         for q in SWEEP3[:10]:
-            for s in _subsets(q.vertices):
+            for s in subsets(q.vertices):
                 e = vertex_idempotent(q, ring, s)
                 for check in (check_special_by_modules, check_split_by_sequences):
                     with monkeypatch.context() as patch:
@@ -1251,7 +1264,7 @@ class TestCountedVectors:
         budget = OracleBudget(max_total_dim=max_dim, max_reps=max_reps)
         compared = 0
         for q in SWEEP3:
-            elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+            elements = [vertex_idempotent(q, ring, s) for s in subsets(q.vertices)]
             if path_terms:
                 rng = random.Random(f"{q}-{ring}")
                 elements += path_term_idempotents(q, ring, rng, 4)
@@ -1287,7 +1300,7 @@ class TestLines:
         # (in-category (e, M) pairs, those with some N != AeN) over the pool
         pairs = failing = 0
         for q in SWEEP3:
-            elements = [vertex_idempotent(q, ring, s) for s in _subsets(q.vertices)]
+            elements = [vertex_idempotent(q, ring, s) for s in subsets(q.vertices)]
             if ring.modulus == 2:
                 rng = random.Random(f"{q}-{ring}")
                 elements += path_term_idempotents(q, ring, rng, 4)
@@ -1342,16 +1355,16 @@ def _constant_on_components(e, lam):
 # each wrong rule, as a predicate on an element: the right rule (the
 # classifier's) with one condition changed
 WRONG_SPECIAL = {
-    "right-closed S": lambda e: e.quiver.is_right_closed(_diagonal(e))
+    "right-closed S": lambda e: right_closed(e.quiver, _diagonal(e))
     and _monotone(e, _diagonal(e)),
-    "λ monotone the wrong way": lambda e: e.quiver.is_left_closed(_diagonal(e))
+    "λ monotone the wrong way": lambda e: left_closed(e.quiver, _diagonal(e))
     and _monotone(e, _diagonal(e), reverse=True),
 }
 WRONG_SPLIT = {
     "split without right-closedness": lambda e: is_left_special(e)
     and _constant_on_components(e, _diagonal(e)),
     "λ constant on the whole quiver": lambda e: is_left_special(e)
-    and e.quiver.is_right_closed(_diagonal(e))
+    and right_closed(e.quiver, _diagonal(e))
     and len(set(_diagonal(e).values())) <= 1,
 }
 
@@ -1384,7 +1397,7 @@ class TestDiscriminatingPower:
         with pytest.MonkeyPatch.context() as patch:
             built = _count_reps_built(patch)
             for q in SWEEP3:
-                for s in _subsets(q.vertices):
+                for s in subsets(q.vertices):
                     e = vertex_idempotent(q, self.F2, s)
                     row = [e]
                     for check in (check_special_by_modules, check_split_by_sequences):
@@ -1413,7 +1426,7 @@ class TestDiscriminatingPower:
             if not rule(e):
                 continue
             # the rule errs exactly where S is not right-closed
-            assert split.is_counterexample != e.quiver.is_right_closed(_diagonal(e)), e
+            assert split.is_counterexample != right_closed(e.quiver, _diagonal(e)), e
             if split.is_counterexample:
                 assert built, e
                 by_search += 1
@@ -1497,7 +1510,7 @@ class TestPlans:
             for vec in oracle._dim_vectors(len(q.vertices), total)
         ]
         rules = {(False,) * len(vectors): None}
-        for s in _subsets(q.vertices):
+        for s in subsets(q.vertices):
             for make in self.RULES:
                 rule = make(vertex_idempotent(q, ring, s))
                 rules.setdefault(tuple(map(rule, vectors)), rule)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from pathidem.algebra import (
     AlgElem,
-    edge_element,
     path_element,
     path_vector,
     vertex_idempotent,
@@ -33,9 +32,11 @@ from conftest import conjugate, full_reps
 from reference import (
     RefRowSpace,
     action_matrix,
+    all_paths,
     block,
     corner_arrows,
     e_fixed,
+    edge_element,
     is_edge_closed,
     left_ideal_representation,
     offset,
@@ -275,7 +276,7 @@ class TestHom:
 
 def n_paths(corner):
     qs, _ = corner
-    return len(qs.all_paths())
+    return len(all_paths(qs))
 
 
 class TestCorner:
@@ -472,7 +473,7 @@ def _blocks_matrix(m, e):
 def _reference_corner(e):
     # a basis of eAe: the echelon span of e*p*e over every path p
     q, ring = e.quiver, e.ring
-    paths = q.all_paths()
+    paths = all_paths(q)
     index = {p: i for i, p in enumerate(paths)}
     products = (e * path_element(q, ring, p) * e for p in paths)
     space = RefRowSpace(ring, (path_vector(x, index) for x in products))
@@ -576,7 +577,7 @@ class TestIntertwinersAgainstReference:
     def test_same_solutions(self, q, ring, s):
         e = vertex_idempotent(q, ring, s)
         corner, ref_corner = corner_algebra(e), _reference_corner(e)
-        assert len(corner[0].all_paths()) == len(ref_corner)
+        assert len(all_paths(corner[0])) == len(ref_corner)
         reps = [m for m in full_reps(q, ring, self.BUDGET) if in_category_e(e, m)]
         cms = [corner_module(e, m, corner) for m in reps]
         refs = [_reference_corner_module(e, m, ref_corner) for m in reps]
@@ -851,7 +852,7 @@ class TestGeneralIdempotents:
             s = {p.vertex for p, _ in e.terms if p.is_trivial}
             nontrivial += e != vertex_idempotent(q, ring, s)
             corner = corner_algebra(e)
-            assert len(corner[0].all_paths()) == len(_reference_corner(e))
+            assert len(all_paths(corner[0])) == len(_reference_corner(e))
             inside = [m for m in reps if in_category_e(e, m)]
             cms = [corner_module(e, m, corner) for m in inside]
             for m, cm in zip(inside, cms):
