@@ -195,11 +195,18 @@ class TruncatedIdeal:
     """Echelonized slice of a two-sided ideal: the span of p*g*q over
     generators g and paths p, q with len(p) + len(q) <= degree.
 
+    By the junction rule of `quivers.concat`, p*g is 0 unless p starts at
+    the target of a term of g, and (p*g)*q is 0 unless q ends at the source
+    of a term of p*g. Only those products are multiplied out, and none of
+    them is 0: distinct terms give distinct paths. The sandwiches are added
+    for g, then p, then q in path order, as without the pruning.
+
     Membership is one-sided. True certifies that the element lies in the
     ideal. False only means it is not in the degree-d slice: an ideal element
     of degree <= d may need sandwiches of higher degree whose top terms
     cancel. For a loop x over F_5 and generators 1 + x and x^2, the element
-    e_v = (1 - x)(1 + x) + x^2 is missed at degree 0 and found at degree 1."""
+    e_v = (1 - x)(1 + x) + x^2 is missed at degree 0 and found at degree 1.
+    An element over another quiver or ring raises AlgebraError."""
 
     def __init__(self, gens: list[AlgElem], degree: int):
         if degree < 0:
@@ -217,18 +224,21 @@ class TruncatedIdeal:
         coord_paths = quiver.paths_up_to(degree + gen_deg, limit=_MAX_IDEAL_PATHS)
         self._index = {p: i for i, p in enumerate(coord_paths)}
         self._space = FieldRowSpace(ring) if ring.is_field else ZnRowSpace(ring)
+        elems = [(p, path_element(quiver, ring, p)) for p in paths]
         for g in gens:
-            for p in paths:
-                left = path_element(quiver, ring, p)
+            targets = {quiver.path_target(t) for t, _ in g.terms}
+            for p, left in elems:
+                if quiver.path_source(p) not in targets:
+                    continue
                 pg = left * g
-                for q in paths:
-                    if len(p) + len(q) > degree:
-                        continue
-                    elem = pg * path_element(quiver, ring, q)
-                    if not elem.is_zero:
-                        self._space.add(path_vector(elem, self._index))
+                sources = {quiver.path_source(t) for t, _ in pg.terms}
+                for q, right in elems:
+                    if len(p) + len(q) <= degree and quiver.path_target(q) in sources:
+                        self._space.add(path_vector(pg * right, self._index))
 
     def contains(self, elem: AlgElem) -> bool:
+        if elem.quiver != self.quiver or elem.ring != self.ring:
+            raise AlgebraError("element lives over another quiver or ring than the ideal")
         if elem.is_zero:
             return True
         if elem.max_degree() > self.degree:

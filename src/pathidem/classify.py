@@ -311,7 +311,18 @@ def classify(e: AlgElem) -> ClassificationReport:
     graded by path length, so the trivial part of e² is D² = sum lambda_v²
     e_v: a lambda_v with lambda_v² != lambda_v means e² != e, and an element
     with no path term (K = 0) is idempotent exactly when every lambda_v is.
-    Only an element with path terms and idempotent lambda pays for e·e."""
+    Only an element with path terms and idempotent lambda pays for e·e.
+
+    Centrality is the split answer where a form exists, and `is_central`
+    where none does. If e is split, a kappa term on a path p ends in S, so p
+    lies in S (S is right closed) inside one weak component, where lambda
+    is constant: kappa = lambda_t kappa = lambda_s kappa = 0. So e is
+    diagonal, and it is central exactly when lambda (0 off S) agrees at both
+    ends of every edge, which is what split says of (S, lambda). If e is
+    special but not split, either it has a kappa term, which is never a
+    cycle (at a cycle lambda_t = lambda_s would fix and annihilate kappa),
+    or some edge joins vertices of unequal lambda; either way e is not
+    central."""
     witnesses: list[Witness] = []
     form, w = try_standard_form(e)
     special = form is not None
@@ -330,6 +341,6 @@ def classify(e: AlgElem) -> ClassificationReport:
         is_left_special=special,
         standard_form=form,
         is_left_split=split,
-        is_central=is_central(e),
+        is_central=split if special else is_central(e),
         witnesses=tuple(witnesses),
     )

@@ -632,8 +632,11 @@ def fullness_bruteforce(es: list[AlgElem], degree: int) -> bool:
 
     True certifies that the family generates the unit ideal. False only means
     some e_v was not found in that slice: it may still need a higher degree
-    (see `TruncatedIdeal`). A negative degree raises `AlgebraError`, as
-    `TruncatedIdeal` does, also for the empty family."""
+    (see `TruncatedIdeal`). The slice multiplies out only the sandwiches
+    p * g * q whose path ends meet: p starts at the target of a term of g,
+    and q ends at the source of a term of p * g. The others are 0 term by
+    term. A negative degree raises `AlgebraError`, as `TruncatedIdeal`
+    does, also for the empty family."""
     if degree < 0:
         raise AlgebraError("degree must be nonnegative")
     if not es:

@@ -7,7 +7,8 @@ its paths' matrices: the direct transcription of the definitions, kept out
 of `src/` because no command, oracle or library function needs it. It does
 its own linear algebra with `Ring` operations (`RefRowSpace`), lists its own
 subspaces, reads specialness off the composition factors of Ae
-(`ref_special_by_factors`) and takes nothing from `pathidem.linalg`,
+(`ref_special_by_factors`), builds a truncated ideal from every sandwich
+(`ref_ideal_contains`) and takes nothing from `pathidem.linalg`,
 `pathidem.oracle` or `pathidem.classify`, so a fault there cannot hide in
 both sides of a comparison (`test_reference_takes_no_library_linear_algebra`
 pins this). It also keeps the small readers only tests need: vertex
@@ -227,6 +228,43 @@ def ref_orthogonality(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
         (e1 * path_element(q, ring, p) * e2).is_zero
         for p in q.paths_up_to(degree, limit=100_000)
     )
+
+
+def ref_ideal_contains(gens, degree: int, elem: AlgElem) -> bool:
+    """Whether elem lies in the span of p * g * q over the generators g and
+    the paths p, q with len(p) + len(q) <= degree, with every such sandwich
+    multiplied out (`_ref_ideal_span`)."""
+    cols, contains = _ref_ideal_span(tuple(gens), degree)
+    terms = dict(elem.terms)
+    if not terms.keys() <= cols.keys():
+        return False  # a nonzero coefficient where no sandwich has a term
+    return contains([terms.get(p, elem.ring.zero()) for p in cols])
+
+
+@lru_cache(maxsize=8)
+def _ref_ideal_span(gens: tuple, degree: int):
+    """The paths the sandwiches p * g * q hold, in canonical order, and the
+    membership test of their span: a `RefRowSpace` over a field, a
+    `RefZnRowSpace` over Z/n. Kept for the last few ideals, as a test asks
+    about many elements of one."""
+    q, ring = gens[0].quiver, gens[0].ring
+    paths = [path_element(q, ring, p) for p in q.paths_up_to(degree)]
+    rows = [
+        left * g * right
+        for g in gens
+        for left in paths
+        for right in paths
+        if left.max_degree() + right.max_degree() <= degree
+    ]
+    cols = sorted({p for x in rows for p, _ in x.terms}, key=Path.sort_key)
+    vectors = [[dict(x.terms).get(p, ring.zero()) for p in cols] for x in rows]
+    if ring.is_field:
+        space = RefRowSpace(ring, vectors)
+        return dict.fromkeys(cols), lambda vec: space.coords(vec) is not None
+    zn = RefZnRowSpace(ring, len(cols))
+    for vec in vectors:
+        zn.add(vec)
+    return dict.fromkeys(cols), zn.contains
 
 
 def corner_arrows(q: Quiver, s) -> list[Path]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,18 @@ from pathidem.algebra import (
     path_element,
     vertex_idempotent,
 )
+from pathidem.classify import enumerate_full_families_trivial_idem
 from pathidem.quivers import Path, Quiver, QuiverError, concat
 from pathidem.rings import Ring, RingError
-from pathidem.sweep import q_a3
+from pathidem.sweep import q_a3, q_arrow, sweep_quivers
 
-from reference import edge_element
+from conftest import random_coeff
+from reference import edge_element, ref_ideal_contains
 
 A3 = q_a3()
 Z6 = Ring("Zn", 6)
 F5 = Ring("Fp", 5)
+IDEAL_RINGS = [Ring("Fp", 2), F5, Ring("Q"), Ring("Zn", 4), Z6]
 
 
 def elements(quiver, ring):
@@ -374,8 +378,8 @@ class TestTruncatedIdeal:
             ideal.contains(edge_element(a3, f5, "a"))
 
     def test_path_outside_window(self, arrow, a3, f5):
-        # e_v3 has degree 0, but the window of an ideal of the arrow quiver
-        # indexes only the arrow's paths
+        # e_v3 has degree 0, but it lives over A3 and the ideal over the
+        # arrow quiver, whose window indexes only the arrow's paths
         ideal = TruncatedIdeal(
             [vertex_idempotent(arrow, f5, {"v1"})], degree=0
         )
@@ -395,6 +399,87 @@ class TestTruncatedIdeal:
         ideal = TruncatedIdeal([g1, g2], degree=0)
         for v in a3.vertices:
             assert ideal.contains(vertex_idempotent(a3, z6, {v}))
+
+    @pytest.mark.parametrize(
+        "quiver, ring, vertex",
+        [
+            (q_arrow(), Z6, "v1"),
+            (A3, F5, "v1"),
+            (q_arrow(), Ring("Fp", 7), "v2"),
+            (q_arrow(), Ring("Q"), "v1"),
+        ],
+        ids=["Z6", "three-vertex-quiver", "F7", "Q"],
+    )
+    def test_foreign_element_refused(self, arrow, f5, quiver, ring, vertex):
+        # read in the ideal's coordinates, the first two would look like
+        # members, the third like a non-member, and the Q element would fail
+        # in F_5 arithmetic
+        ideal = TruncatedIdeal([vertex_idempotent(arrow, f5, {"v1"})], degree=1)
+        with pytest.raises(AlgebraError, match="another quiver or ring"):
+            ideal.contains(vertex_idempotent(quiver, ring, {vertex}))
+
+    def test_docstring_example(self):
+        # a loop x over F_5 and generators 1 + x and x^2: e_v = (1 - x)(1 + x)
+        # + x^2 needs a sandwich of degree 1
+        loop = Quiver(("v",), (("x", "v", "v"),))
+        e_v = vertex_idempotent(loop, F5, {"v"})
+        x = path_element(loop, F5, Path(edges=("x",)))
+        gens = [e_v + x, x * x]
+        for degree, found in ((0, False), (1, True)):
+            assert TruncatedIdeal(gens, degree).contains(e_v) is found
+            assert ref_ideal_contains(gens, degree, e_v) is found
+
+    @pytest.mark.parametrize("ring", IDEAL_RINGS, ids=[str(r) for r in IDEAL_RINGS])
+    def test_matches_unpruned_reference(self, ring):
+        # one to two random generators per quiver and degree, terms on paths
+        # of length <= 1, and every path element and e_v of degree <= d
+        rng = random.Random(f"ideal {ring}")
+        seen = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            short = q.paths_up_to(1)
+            candidates = [path_element(q, ring, p) for p in q.paths_up_to(2)]
+            candidates += [vertex_idempotent(q, ring, {v}) for v in q.vertices]
+            for degree in (0, 1, 2):
+                gens = [
+                    AlgElem.make(
+                        q,
+                        ring,
+                        {rng.choice(short): random_coeff(ring, rng) or 1 for _ in range(2)},
+                    )
+                    for _ in range(rng.randint(1, 2))
+                ]
+                ideal = TruncatedIdeal(gens, degree)
+                for elem in candidates:
+                    if elem.max_degree() <= degree:
+                        found = ideal.contains(elem)
+                        assert found == ref_ideal_contains(gens, degree, elem), (q, gens, elem)
+                        seen[found] += 1
+        assert seen[True] and seen[False]
+
+    def test_family_pool_makes_no_zero_product(self, monkeypatch):
+        # the full families over F_2 and Q and the scaled {3e_S, 4e_S} over
+        # Z/6 on sweep_quivers(3, 3, 40), at the degrees fullness_bruteforce
+        # takes them: every product is p*g or (p*g)*q with path ends that meet
+        products = []
+        multiply = AlgElem.__mul__
+
+        def counted(x, y):
+            product = multiply(x, y)
+            products.append(product.is_zero)
+            return product
+
+        builds = []
+        for q in sweep_quivers(3, 3, 40):
+            for ring in (Ring("Fp", 2), Ring("Q")):
+                builds += [(fam, 1) for fam in enumerate_full_families_trivial_idem(q, ring)]
+            for s in q.enumerate_left_closed():
+                if s:
+                    e = vertex_idempotent(q, Z6, s)
+                    builds.append(([e.scale(3), e.scale(4)], 0))
+        monkeypatch.setattr(AlgElem, "__mul__", counted)
+        for gens, degree in builds:
+            TruncatedIdeal(gens, degree)
+        assert products and not any(products)
 
 
 @pytest.mark.parametrize(
