@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .linalg import FieldRowSpace, ZnRowSpace, _canon
 from .quivers import Path, Quiver, QuiverError, concat
-from .rings import Ring, _json_object
+from .rings import Ring, _is_int, _json_object
 
 # the most paths a `TruncatedIdeal` indexes, in its window and in its sandwiches
 _MAX_IDEAL_PATHS = 20_000
@@ -184,6 +184,9 @@ def path_element(quiver: Quiver, ring: Ring, p: Path) -> AlgElem:
 
 def vertex_idempotent(quiver: Quiver, ring: Ring, vertices: Iterable[str]) -> AlgElem:
     """The idempotent e_S = sum of trivial paths over a vertex subset."""
+    if isinstance(vertices, str):
+        # a string would pass as a set of one-letter vertex ids
+        raise QuiverError(f"vertices must be a collection, not {vertices!r}")
     s = frozenset(vertices)
     unknown = s - quiver.vertex_set
     if unknown:
@@ -209,6 +212,8 @@ class TruncatedIdeal:
     An element over another quiver or ring raises AlgebraError."""
 
     def __init__(self, gens: list[AlgElem], degree: int):
+        if not _is_int(degree):
+            raise AlgebraError(f"degree must be an int, not {degree!r}")
         if degree < 0:
             raise AlgebraError("degree must be nonnegative")
         if not gens:

@@ -49,7 +49,7 @@ from .reps import (
     morita_surrogate_check,
     submodule_from_local,
 )
-from .rings import Ring
+from .rings import Ring, _is_int
 
 
 class OracleError(ValueError):
@@ -81,6 +81,10 @@ class OracleBudget:
     max_reps: int = 200_000
 
     def __post_init__(self):
+        for name in ("max_total_dim", "max_reps"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise OracleError(f"{name} must be an int, not {value!r}")
         if self.max_total_dim < 0:
             raise OracleError("max_total_dim must be >= 0")
         if self.max_reps < 1:
@@ -613,6 +617,8 @@ def orthogonality_bruteforce(e1: AlgElem, e2: AlgElem, degree: int) -> bool:
     refusals of `Quiver.paths_up_to` are those of a loop over every path."""
     if e1.quiver != e2.quiver or e1.ring != e2.ring:
         raise OracleError("elements are incompatible")
+    if not _is_int(degree):
+        raise OracleError(f"degree must be an int, not {degree!r}")
     if degree < 0:
         raise OracleError("degree must be nonnegative")
     q, ring = e1.quiver, e1.ring
@@ -635,8 +641,10 @@ def fullness_bruteforce(es: list[AlgElem], degree: int) -> bool:
     (see `TruncatedIdeal`). The slice multiplies out only the sandwiches
     p * g * q whose path ends meet: p starts at the target of a term of g,
     and q ends at the source of a term of p * g. The others are 0 term by
-    term. A negative degree raises `AlgebraError`, as `TruncatedIdeal`
-    does, also for the empty family."""
+    term. A degree that is negative or not an int raises `AlgebraError`, as
+    in `TruncatedIdeal`, also for the empty family."""
+    if not _is_int(degree):
+        raise AlgebraError(f"degree must be an int, not {degree!r}")
     if degree < 0:
         raise AlgebraError("degree must be nonnegative")
     if not es:

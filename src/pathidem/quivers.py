@@ -88,7 +88,10 @@ class Quiver:
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex identifiers")
         seen = set()
-        for eid, src, dst in self.edges:
+        for edge in self.edges:
+            if len(edge) != 3:
+                raise QuiverError(f"edge {edge!r} is not (id, source, target)")
+            eid, src, dst = edge
             if eid in seen:
                 raise QuiverError(f"duplicate edge identifier {eid!r}")
             seen.add(eid)

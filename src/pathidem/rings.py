@@ -39,6 +39,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool: a count or a degree."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for n < _MR_BOUND."""
     if n < 2:

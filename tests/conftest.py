@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -11,7 +11,7 @@ from pathidem.reps import Representation
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated
 
-from reference import all_paths
+from reference import all_paths, subsets
 
 
 @pytest.fixture
@@ -42,8 +42,9 @@ def rationals():
 @pytest.fixture
 def fresh_plans():
     """An empty `oracle._plan` cache before and after the test, for a test
-    that patches what plans are made from (`oracle._dim_vectors`) or that
-    watches what is planned: the cache lives as long as the process."""
+    that patches what plans are made from (the oracle's listing of dimension
+    vectors) or that watches what is planned: the cache lives as long as the
+    process."""
     oracle._plan.cache_clear()
     yield
     oracle._plan.cache_clear()
@@ -67,14 +68,17 @@ def two_isolated():
 def full_reps(q, ring, budget=OracleBudget(), skip=None):
     """Every representation with total dimension <= budget: all matrix tuples
     in row-major counter order over the field elements, per dimension vector
-    in the order of `enumerate_reps`. `enumerate_reps` yields a subsequence,
-    one or more reps per isomorphism class; tests of functions on arbitrary
-    reps take their inputs from here. `skip` is that of `enumerate_reps`: a
+    in lexicographic order, that of `enumerate_reps`. `enumerate_reps` yields
+    a subsequence, one or more reps per isomorphism class; tests of functions
+    on arbitrary reps take their inputs from here. `skip` is that of `enumerate_reps`: a
     dimension vector it accepts yields the number of its matrix tuples."""
     elems = list(ring.elements())
     count = built = 0
     for total in range(budget.max_total_dim + 1):
-        for dims_vec in sorted(oracle._dim_vectors(len(q.vertices), total)):
+        # the dimension vectors summing to total, in lexicographic order
+        for dims_vec in product(range(total + 1), repeat=len(q.vertices)):
+            if sum(dims_vec) != total:
+                continue
             dims = dict(zip(q.vertices, dims_vec))
             shapes = [(eid, dims[dst], dims[src]) for eid, src, dst in q.edges]
             entries = sum(r * c for _, r, c in shapes)
@@ -137,12 +141,10 @@ def path_term_idempotents(q, ring, rng, count):
     λ_v on S is 1, so p must run from outside S into S, and any x != 0 will
     do. S runs over every vertex subset, so non-special elements occur too."""
     paths = [r for r in q.paths_up_to(2, limit=500) if not r.is_trivial]
-    subsets = [
-        frozenset(c) for k in range(len(q.vertices) + 1) for c in combinations(q.vertices, k)
-    ]
+    vertex_sets = list(subsets(q.vertices))
     found = []
     for _ in range(40 * count):
-        s = rng.choice(subsets)
+        s = rng.choice(vertex_sets)
         terms = {Path(vertex=v): 1 for v in s}
         for r in paths:
             if q.path_target(r) in s and q.path_source(r) not in s:

@@ -8,12 +8,17 @@ of `src/` because no command, oracle or library function needs it. It does
 its own linear algebra with `Ring` operations (`RefRowSpace`), lists its own
 subspaces, reads specialness off the composition factors of Ae
 (`ref_special_by_factors`), builds a truncated ideal from every sandwich
-(`ref_ideal_contains`) and takes nothing from `pathidem.linalg`,
-`pathidem.oracle` or `pathidem.classify`, so a fault there cannot hide in
-both sides of a comparison (`test_reference_takes_no_library_linear_algebra`
-pins this). It also keeps the small readers only tests need: vertex
-subsets and their closure, a ring's idempotents, a standard form's
-reassembly, an edge as an element and the paths of an acyclic quiver.
+(`ref_ideal_contains`), solves Hom(M, N) entry by entry (`ref_hom_space`),
+spans eAe by the products e*p*e (`ref_corner`), acts on eM by that basis
+(`ref_corner_module`, `ref_corner_intertwiners`) and checks the Morita
+restriction on it with no quiver Q_S (`ref_morita`). It takes nothing from
+`pathidem.linalg`, `pathidem.oracle` or `pathidem.classify`, so a fault
+there cannot hide in both sides of a comparison
+(`test_reference_takes_no_library_linear_algebra` pins this). It also keeps
+the small readers and products only tests need: vertex subsets and their
+closure, a ring's idempotents, a standard form's reassembly, an edge as an
+element, the paths of an acyclic quiver, and the matrix products
+`ref_mat_vec` and `ref_mat_mul`.
 """
 
 from functools import lru_cache
@@ -87,7 +92,8 @@ def block(m: Representation, vec: Sequence, v: str) -> tuple:
     return tuple(vec[off : off + m.dims[v]])
 
 
-def _mat_vec(ring: Ring, mat, vec) -> tuple:
+def ref_mat_vec(ring: Ring, mat, vec) -> tuple:
+    """mat @ vec with Ring.add and Ring.mul."""
     out = []
     for row in mat:
         acc = ring.zero()
@@ -95,6 +101,17 @@ def _mat_vec(ring: Ring, mat, vec) -> tuple:
             acc = ring.add(acc, ring.mul(a, x))
         out.append(acc)
     return tuple(out)
+
+
+def ref_mat_mul(ring: Ring, a, b, ncols: int) -> tuple:
+    """a @ b with Ring.add and Ring.mul, ncols columns even when the inner
+    dimension is 0."""
+    out = [[ring.zero()] * ncols for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            for j in range(ncols):
+                out[i][j] = ring.add(out[i][j], ring.mul(x, b[k][j]))
+    return tuple(map(tuple, out))
 
 
 def path_matrix(m: Representation, p: Path) -> tuple:
@@ -127,7 +144,7 @@ def action_matrix(m: Representation, e: AlgElem) -> tuple:
 
 
 def apply_edge(m: Representation, eid: str, local: Sequence) -> tuple:
-    return _mat_vec(m.ring, m.edge_maps[eid], local)
+    return ref_mat_vec(m.ring, m.edge_maps[eid], local)
 
 
 def is_edge_closed(sub: Submodule) -> bool:
@@ -279,6 +296,111 @@ def corner_arrows(q: Quiver, s) -> list[Path]:
         and q.path_target(p) in s
         and not any(q.edge_target(eid) in s for eid in p.edges[:-1])
     ]
+
+
+# ---- Hom, the corner eAe and the Morita restriction, on the eAe basis ----
+
+
+def _intertwiners(ring: Ring, vertices, dims_m: dict, dims_n: dict, arrows) -> tuple:
+    """The f = (f_v), f_v a dims_n[v] x dims_m[v] matrix, with f_t * A ==
+    B * f_s for every arrow (s, t, A, B): one unknown per entry (v, i, j),
+    in vertex then row-major order, and one equation per arrow and entry,
+    solved by `ref_nullspace`. Returns the unknowns and a solution basis."""
+    layout = [(v, i, j) for v in vertices for i in range(dims_n[v]) for j in range(dims_m[v])]
+    index = {key: k for k, key in enumerate(layout)}
+    rows = []
+    for src, dst, A, B in arrows:
+        for i in range(dims_n[dst]):
+            for j in range(dims_m[src]):
+                row = [ring.zero()] * len(layout)
+                for k in range(dims_m[dst]):
+                    row[index[(dst, i, k)]] = ring.add(row[index[(dst, i, k)]], A[k][j])
+                for l in range(dims_n[src]):
+                    row[index[(src, l, j)]] = ring.sub(row[index[(src, l, j)]], B[i][l])
+                rows.append(row)
+    return layout, ref_nullspace(ring, rows, len(layout))
+
+
+def ref_hom_space(m: Representation, n: Representation) -> list[dict]:
+    """A basis of Hom(M, N) over a field, f_t * M_a == N_a * f_s for every
+    edge a: s -> t solved entry by entry, each f as {vertex: matrix}."""
+    ring, vertices = m.ring, m.quiver.vertices
+    arrows = [(src, dst, m.edge_maps[eid], n.edge_maps[eid]) for eid, src, dst in m.quiver.edges]
+    layout, solutions = _intertwiners(ring, vertices, m.dims, n.dims, arrows)
+    homs = []
+    for sol in solutions:
+        mats = {v: [[ring.zero()] * m.dims[v] for _ in range(n.dims[v])] for v in vertices}
+        for (v, i, j), x in zip(layout, sol):
+            mats[v][i][j] = ring.canon(x)
+        homs.append({v: tuple(map(tuple, rows)) for v, rows in mats.items()})
+    return homs
+
+
+def ref_corner(e: AlgElem) -> list[AlgElem]:
+    """A basis of eAe for an acyclic quiver: the echelon span of e*p*e over
+    every path p."""
+    q, ring = e.quiver, e.ring
+    paths = all_paths(q)
+    index = {p: i for i, p in enumerate(paths)}
+    products = (e * path_element(q, ring, p) * e for p in paths)
+    space = RefRowSpace(ring, (path_vector(x, index) for x in products))
+    return [
+        AlgElem.make(q, ring, {paths[i]: c for i, c in enumerate(row) if c})
+        for row in space.rows
+    ]
+
+
+def ref_corner_module(e: AlgElem, m: Representation, corner: list) -> tuple:
+    """eM as the column space of e's action, and one action matrix per
+    element of the eAe basis `corner`, in the coordinates of that space's
+    echelon basis."""
+    space = RefRowSpace(m.ring, zip(*action_matrix(m, e)))
+    actions = [
+        _induced_matrix(
+            [ref_mat_vec(m.ring, action_matrix(m, b), w) for w in space.rows],
+            space,
+            "eAe moved a vector out of eM",
+        )
+        for b in corner
+    ]
+    return space, actions
+
+
+def ref_corner_intertwiners(cm: tuple, cn: tuple) -> list[tuple]:
+    """A basis of Hom_eAe(eM, eN) for the `ref_corner_module` pairs cm, cn:
+    the g with g * A == B * g for the actions A on eM and B on eN of each
+    corner basis element, each g a row-major vector."""
+    (space_m, actions_m), (space_n, actions_n) = cm, cn
+    arrows = [(0, 0, a, b) for a, b in zip(actions_m, actions_n)]
+    dims_m, dims_n = {0: len(space_m.rows)}, {0: len(space_n.rows)}
+    return _intertwiners(space_m.ring, (0,), dims_m, dims_n, arrows)[1]
+
+
+def ref_morita(e: AlgElem, m: Representation, n: Representation, cm=None, cn=None) -> dict:
+    """Hom(M, N), Hom_eAe(eM, eN) and the rank of the restriction to eM, all
+    on the eAe basis, with no quiver Q_S. cm and cn are the
+    `ref_corner_module` of m and n, passed to share them between pairs."""
+    ring = m.ring
+    if cm is None or cn is None:
+        corner = ref_corner(e)
+        cm, cn = ref_corner_module(e, m, corner), ref_corner_module(e, n, corner)
+    homs = ref_hom_space(m, n)
+    restricted = RefRowSpace(ring)
+    for f in homs:
+        images = [
+            tuple(x for v in m.quiver.vertices for x in ref_mat_vec(ring, f[v], block(m, w, v)))
+            for w in cm[0].rows
+        ]
+        matrix = _induced_matrix(images, cn[0], "a homomorphism left eN")
+        restricted.add(tuple(x for row in matrix for x in row))
+    hom_dim = len(homs)
+    corner_dim = len(ref_corner_intertwiners(cm, cn))
+    return {
+        "hom_dim": hom_dim,
+        "corner_dim": corner_dim,
+        "restricted_rank": len(restricted.rows),
+        "bijective": hom_dim == corner_dim == len(restricted.rows),
+    }
 
 
 # ---- the oracles' definitions, one representation at a time ----

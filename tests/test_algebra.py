@@ -96,6 +96,13 @@ class TestSpec:
         with pytest.raises(QuiverError, match=r"unknown vertices \['w'\]"):
             vertex_idempotent(a3, f5, {"v1", "w"})
 
+    def test_vertex_idempotent_refuses_a_string(self, f2):
+        # "ab" is the vertex ab, not the vertices a and b
+        q = Quiver(("a", "b", "ab"))
+        with pytest.raises(QuiverError, match="not 'ab'"):
+            vertex_idempotent(q, f2, "ab")
+        assert vertex_idempotent(q, f2, {"ab"}).terms == ((Path(vertex="ab"), 1),)
+
     def test_mismatched_contexts_rejected(self, a3, f5, z6, arrow):
         x = vertex_idempotent(a3, f5, {"v1"})
         with pytest.raises(AlgebraError):
@@ -391,6 +398,11 @@ class TestTruncatedIdeal:
             TruncatedIdeal([], 1)
         with pytest.raises(AlgebraError):
             TruncatedIdeal([vertex_idempotent(a3, f5, {"v1"})], -1)
+
+    @pytest.mark.parametrize("degree", [1.0, True, "1"], ids=repr)
+    def test_degree_that_is_not_an_int(self, a3, f5, degree):
+        with pytest.raises(AlgebraError, match="degree must be an int"):
+            TruncatedIdeal([vertex_idempotent(a3, f5, {"v1"})], degree)
 
     def test_unit_family_spans_everything(self, a3, z6):
         # 3·e_V and 4·e_V generate the unit ideal over Z6 since 3 + 4 - 3·4 = 1

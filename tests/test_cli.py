@@ -1294,6 +1294,18 @@ def test_readme_command_table():
     assert defaults == 6  # both caps on each of the three oracle rows
 
 
+def test_ci_file_order_step_names_every_test_file():
+    # the CI step that runs the tests in another file order names the files
+    # by hand; a test file added without it would never run in that order
+    ci = ROOT / ".github" / "workflows" / "tests.yml"
+    lines = ci.read_text(encoding="utf-8").splitlines()
+    steps = [i for i, line in enumerate(lines) if line.lstrip().startswith("- name:")]
+    step = next(i for i in steps if "another file order" in lines[i])
+    run = next(line for line in lines[step:] if line.strip().startswith("run:"))
+    named = re.findall(r"\btests/(test_\w+\.py)\b", run)
+    assert sorted(named) == sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
+
+
 @pytest.mark.parametrize(
     "argv, code, key, value",
     [

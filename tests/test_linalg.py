@@ -17,10 +17,16 @@ from pathidem.linalg import (
     nullspace,
     span,
 )
-from pathidem import oracle
 from pathidem.rings import Ring, RingError
 
-from reference import RefRowSpace, RefZnRowSpace, ref_nullspace
+from reference import (
+    RefRowSpace,
+    RefZnRowSpace,
+    ref_mat_mul,
+    ref_mat_vec,
+    ref_nullspace,
+    ref_subspaces,
+)
 
 
 class TestFieldRowSpace:
@@ -178,21 +184,6 @@ class TestDense:
 # ---- the kernels against a reference written with Ring arithmetic ----
 
 
-def _ref_mat_vec(ring, a, v):
-    out = []
-    for row in a:
-        acc = ring.zero()
-        for x, y in zip(row, v):
-            acc = ring.add(acc, ring.mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
-def _ref_mat_mul(ring, a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(_ref_mat_vec(ring, [row], col)[0] for col in cols) for row in a)
-
-
 def _random_entry(ring, rng):
     """Deliberately non-canonical: negative ints and ints >= p, ints and
     Fractions over Q; about half the entries are zero."""
@@ -262,8 +253,8 @@ class TestKernelsAgainstReference:
             assert canon == tuple(tuple(ring.canon(x) for x in row) for row in a)
             assert all(_is_canonical(ring, x) for row in canon for x in row)
             got_mv, got_mm = mat_vec(ring, a, v), mat_mul(ring, a, b)
-            assert got_mv == _ref_mat_vec(ring, a, v)
-            assert got_mm == _ref_mat_mul(ring, a, b)
+            assert got_mv == ref_mat_vec(ring, a, v)
+            assert got_mm == ref_mat_mul(ring, a, b, m)
             assert all(_is_canonical(ring, x) for x in got_mv)
             assert all(_is_canonical(ring, x) for row in got_mm for x in row)
 
@@ -279,7 +270,7 @@ class TestKernelsAgainstReference:
             basis = nullspace(ring, rows, ncols)
             assert basis == ref_nullspace(ring, rows, ncols)
             for x in basis:
-                assert all(ring.is_zero(y) for y in _ref_mat_vec(ring, rows, x))
+                assert all(ring.is_zero(y) for y in ref_mat_vec(ring, rows, x))
 
 
 F2, F3, F5, Q = Ring("Fp", 2), Ring("Fp", 3), Ring("Fp", 5), Ring("Q")
@@ -324,7 +315,7 @@ def test_nullspace_cases(ring, rows, ncols):
     assert basis == ref_nullspace(ring, rows, ncols)
     assert all(_is_canonical(ring, x) for v in basis for x in v)
     for x in basis:
-        assert all(ring.is_zero(y) for y in _ref_mat_vec(ring, rows, x))
+        assert all(ring.is_zero(y) for y in ref_mat_vec(ring, rows, x))
     ref = RefRowSpace(ring)
     rank = sum(ref.add(row) for row in rows)
     assert len(basis) == ncols - rank
@@ -353,28 +344,21 @@ def test_join_refuses_a_non_field_with_either_side_empty():
             join(z6, a, b)
 
 
-def _uncached_span(ring, vectors):
-    space = FieldRowSpace(ring)
-    for x in vectors:
-        space.add(x)
-    return tuple(space.rows)
-
-
 @pytest.mark.parametrize(
     "ring, max_dim",
     [(Ring("Fp", 2), 3), (Ring("Fp", 3), 2), (Ring("Fp", 5), 2), (Ring("Q"), 3)],
     ids=str,
 )
 class TestCachedSubspaces:
-    """`span`, `join` and `image` against an uncached FieldRowSpace, on
+    """`span`, `join` and `image` against the rows of a `RefRowSpace`, on
     non-canonical random input (and every subspace pair over F_p)."""
 
     @staticmethod
     def _subspaces(ring, d, rng):
         if ring.kind == "Fp":
-            return [basis for basis, _ in oracle._subspaces(ring, d)]
+            return ref_subspaces(ring, d)
         return [
-            _uncached_span(ring, _random_matrix(ring, rng, rng.randint(0, d), d))
+            tuple(RefRowSpace(ring, _random_matrix(ring, rng, rng.randint(0, d), d)).rows)
             for _ in range(12)
         ]
 
@@ -384,7 +368,7 @@ class TestCachedSubspaces:
             d = rng.randint(0, max_dim)
             vectors = tuple(map(tuple, _random_matrix(ring, rng, rng.randint(0, 4), d)))
             got = span(ring, vectors)
-            assert got == _uncached_span(ring, vectors)
+            assert got == tuple(RefRowSpace(ring, vectors).rows)
             assert type(got) is tuple and all(type(row) is tuple for row in got)
             assert all(_is_canonical(ring, x) for row in got for x in row)
             assert span(ring, vectors) == got
@@ -395,7 +379,7 @@ class TestCachedSubspaces:
             spaces = self._subspaces(ring, d, rng)
             for a in spaces:
                 for b in spaces:
-                    want = _uncached_span(ring, a + b)
+                    want = tuple(RefRowSpace(ring, a + b).rows)
                     assert join(ring, a, b) == want == join(ring, b, a)
 
     def test_image(self, ring, max_dim):
@@ -406,5 +390,5 @@ class TestCachedSubspaces:
                 rows = rng.randint(0, max_dim)
                 mat = mat_canon(ring, _random_matrix(ring, rng, rows, d))
                 for basis in spaces:
-                    images = [mat_vec(ring, mat, x) for x in basis]
-                    assert image(ring, mat, basis) == _uncached_span(ring, images)
+                    images = [ref_mat_vec(ring, mat, x) for x in basis]
+                    assert image(ring, mat, basis) == tuple(RefRowSpace(ring, images).rows)

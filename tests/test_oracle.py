@@ -190,6 +190,17 @@ class TestEnumeration:
                 OracleBudget(max_reps=reps)
         assert OracleBudget(max_total_dim=0, max_reps=1).max_total_dim == 0
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(2, 2.5), (2.0,), (True,), (2, True), (2, "10")],
+        ids=["reps-2.5", "dim-2.0", "dim-True", "reps-True", "reps-str"],
+    )
+    def test_budget_refuses_a_bound_that_is_not_an_int(self, bounds):
+        # 2.5 reps would pass a >= 1 check and surface as reps_checked 2.5,
+        # 2.0 as a TypeError of range, and True as dimension or cap 1
+        with pytest.raises(OracleError, match="must be an int, not"):
+            OracleBudget(*bounds)
+
 
 class TestSpecialOracle:
     def test_counterexample_for_source_vertex(self, arrow, f2):
@@ -288,6 +299,12 @@ class TestBruteForce:
         with pytest.raises(OracleError):
             orthogonality_bruteforce(e, e, -1)
 
+    @pytest.mark.parametrize("degree", [2.0, True], ids=repr)
+    def test_orthogonality_refuses_a_degree_that_is_not_an_int(self, arrow, f5, degree):
+        e = vertex_idempotent(arrow, f5, {"v2"})
+        with pytest.raises(OracleError, match="degree must be an int"):
+            orthogonality_bruteforce(e, e, degree)
+
     def test_orthogonality_failure(self, arrow, f5):
         e1 = vertex_idempotent(arrow, f5, {"v2"})
         e2 = vertex_idempotent(arrow, f5, arrow.vertices)
@@ -308,6 +325,12 @@ class TestBruteForce:
         for fam in ([], [vertex_idempotent(arrow, f5, arrow.vertices)]):
             with pytest.raises(AlgebraError, match="degree must be nonnegative"):
                 fullness_bruteforce(fam, -1)
+
+    @pytest.mark.parametrize("degree", [2.0, True], ids=repr)
+    def test_fullness_refuses_a_degree_that_is_not_an_int(self, arrow, f5, degree):
+        for fam in ([], [vertex_idempotent(arrow, f5, arrow.vertices)]):
+            with pytest.raises(AlgebraError, match="degree must be an int"):
+                fullness_bruteforce(fam, degree)
 
     def test_orthogonality_matches_reference(self, monkeypatch):
         """The pruned brute force against `reference.ref_orthogonality`, which

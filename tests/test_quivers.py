@@ -189,6 +189,15 @@ def test_quiver_refuses_strings_for_sequences(vertices, edges):
         Quiver(vertices, edges)
 
 
+@pytest.mark.parametrize(
+    "edge", [("e", "a"), ("e", "a", "a", "a")], ids=["two-entries", "four-entries"]
+)
+def test_quiver_refuses_an_edge_that_is_not_a_triple(edge):
+    # a QuiverError naming the edge, not the ValueError of an unpacking
+    with pytest.raises(QuiverError, match=r"edge \('e', 'a'.*\) is not \(id, source, target\)"):
+        Quiver(("a",), (edge,))
+
+
 def test_quiver_validation():
     with pytest.raises(QuiverError):
         Quiver(("v1", "v1"))

@@ -3,20 +3,13 @@ import pytest
 import random
 from fractions import Fraction
 
-from pathidem.algebra import (
-    AlgElem,
-    path_element,
-    path_vector,
-    vertex_idempotent,
-)
-from pathidem.linalg import mat_vec
+from pathidem.algebra import AlgElem, vertex_idempotent
 from pathidem.classify import strongly_orthogonal
 from pathidem.oracle import OracleBudget, enumerate_reps
 from pathidem.quivers import Path, Quiver
 from pathidem.reps import (
     RepError,
     Representation,
-    Submodule,
     corner_algebra,
     corner_module,
     gamma,
@@ -30,7 +23,6 @@ from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
 from conftest import conjugate, full_reps
 from reference import (
-    RefRowSpace,
     action_matrix,
     all_paths,
     block,
@@ -41,8 +33,14 @@ from reference import (
     left_ideal_representation,
     offset,
     path_matrix,
-    ref_nullspace,
+    ref_corner,
+    ref_corner_intertwiners,
+    ref_corner_module,
+    ref_hom_space,
+    ref_mat_mul,
+    ref_morita,
     sub_representation,
+    subsets,
 )
 
 
@@ -306,7 +304,7 @@ class TestCorner:
         # every vertex set S, the empty one included
         checked = 0
         for q in (q for q in quivers if q.is_acyclic):
-            for s in _subsets(q):
+            for s in subsets(q.vertices):
                 qs, arrows = corner_algebra(vertex_idempotent(q, f2, s))
                 assert list(arrows.values()) == corner_arrows(q, s)
                 assert list(arrows) == [str(i) for i in range(len(arrows))]
@@ -347,7 +345,7 @@ class TestCorner:
         n = Representation(a3, f3, {"v1": 1, "v2": 1, "v3": 1}, {"a": ((1,),), "b": ((2,),)})
         for x in (m, n):
             for y in (m, n):
-                assert _morita(e, x, y) == _reference_morita(e, x, y)
+                assert _morita(e, x, y) == ref_morita(e, x, y)
 
     def test_corner_module_shares_a_corner_ring(self, arrow, f5):
         e = vertex_idempotent(arrow, f5, arrow.vertices)
@@ -422,43 +420,6 @@ class TestProjectives:
                 assert len(hom_space(p, m)) == len(e_fixed(e, m))
 
 
-def _reference_hom_space_field(m, n):
-    # one unknown per entry (v, i, j) of f_v, one equation per edge entry
-    ring = m.ring
-    layout = [
-        (v, i, j)
-        for v in m.quiver.vertices
-        for i in range(n.dims[v])
-        for j in range(m.dims[v])
-    ]
-    index = {key: k for k, key in enumerate(layout)}
-    rows = []
-    for eid, src, dst in m.quiver.edges:
-        Ma, Na = m.edge_maps[eid], n.edge_maps[eid]
-        for i in range(n.dims[dst]):
-            for j in range(m.dims[src]):
-                row = [ring.zero()] * len(layout)
-                for k in range(m.dims[dst]):
-                    row[index[(dst, i, k)]] = ring.add(
-                        row[index[(dst, i, k)]], Ma[k][j]
-                    )
-                for l in range(n.dims[src]):
-                    row[index[(src, l, j)]] = ring.sub(
-                        row[index[(src, l, j)]], Na[i][l]
-                    )
-                rows.append(row)
-    homs = []
-    for sol in ref_nullspace(ring, rows, len(layout)):
-        mats = {
-            v: [[ring.zero()] * m.dims[v] for _ in range(n.dims[v])]
-            for v in m.quiver.vertices
-        }
-        for (v, i, j), x in zip(layout, sol):
-            mats[v][i][j] = ring.canon(x)
-        homs.append({v: tuple(tuple(r) for r in rows) for v, rows in mats.items()})
-    return homs
-
-
 def _blocks_matrix(m, e):
     # the library's action blocks of e placed at their vertex offsets, zeros
     # elsewhere
@@ -468,92 +429,6 @@ def _blocks_matrix(m, e):
         for i, row in enumerate(blk):
             out[roff + i][coff : coff + len(row)] = row
     return tuple(map(tuple, out))
-
-
-def _reference_corner(e):
-    # a basis of eAe: the echelon span of e*p*e over every path p
-    q, ring = e.quiver, e.ring
-    paths = all_paths(q)
-    index = {p: i for i, p in enumerate(paths)}
-    products = (e * path_element(q, ring, p) * e for p in paths)
-    space = RefRowSpace(ring, (path_vector(x, index) for x in products))
-    return [
-        AlgElem.make(q, ring, {paths[i]: c for i, c in enumerate(row) if c})
-        for row in space.rows
-    ]
-
-
-def _in_basis(space, vectors):
-    # the matrix whose columns are the coordinates of vectors in space's basis
-    cols = [space.coords(y) for y in vectors]
-    assert None not in cols
-    return tuple(tuple(c[i] for c in cols) for i in range(len(space.rows)))
-
-
-def _reference_corner_module(e, m, corner):
-    # eM as the column space of e's action, with one action matrix per
-    # element of the eAe basis, in the coordinates of that space's basis
-    space = RefRowSpace(m.ring, zip(*action_matrix(m, e)))
-    actions = [
-        _in_basis(space, [mat_vec(m.ring, action_matrix(m, b), w) for w in space.rows])
-        for b in corner
-    ]
-    return space, actions
-
-
-def _reference_corner_intertwiners(cm, cn):
-    # g is dn x dm, row-major; one equation per corner basis element and entry
-    (space_m, actions_m), (space_n, actions_n) = cm, cn
-    ring = space_m.ring
-    dm, dn = len(space_m.rows), len(space_n.rows)
-    rows = []
-    for Am, An in zip(actions_m, actions_n):
-        for i in range(dn):
-            for j in range(dm):
-                row = [ring.zero()] * (dn * dm)
-                for k in range(dm):
-                    row[i * dm + k] = ring.add(row[i * dm + k], Am[k][j])
-                for l in range(dn):
-                    row[l * dm + j] = ring.sub(row[l * dm + j], An[i][l])
-                rows.append(row)
-    return ref_nullspace(ring, rows, dn * dm)
-
-
-def _reference_morita(e, m, n, cm=None, cn=None):
-    # Hom(M, N), Hom_eAe(eM, eN) and the rank of the restriction to eM, all
-    # on the eAe basis, with no quiver Q_S; cm, cn are the
-    # _reference_corner_module of m and n, to share them between pairs
-    ring = m.ring
-    if cm is None or cn is None:
-        corner = _reference_corner(e)
-        cm, cn = _reference_corner_module(e, m, corner), _reference_corner_module(e, n, corner)
-    homs = _reference_hom_space_field(m, n)
-    restricted = RefRowSpace(ring)
-    for f in homs:
-        images = [
-            tuple(x for v in m.quiver.vertices for x in mat_vec(ring, f[v], block(m, w, v)))
-            for w in cm[0].rows
-        ]
-        restricted.add(tuple(x for row in _in_basis(cn[0], images) for x in row))
-    hom_dim = len(homs)
-    corner_dim = len(_reference_corner_intertwiners(cm, cn))
-    return {
-        "hom_dim": hom_dim,
-        "corner_dim": corner_dim,
-        "restricted_rank": len(restricted.rows),
-        "bijective": hom_dim == corner_dim == len(restricted.rows),
-    }
-
-
-def _subsets(q):
-    return [
-        frozenset(v for i, v in enumerate(q.vertices) if bits >> i & 1)
-        for bits in range(1 << len(q.vertices))
-    ]
-
-
-def _nonempty_subsets(q):
-    return _subsets(q)[1:]
 
 
 class TestIntertwinersAgainstReference:
@@ -576,17 +451,17 @@ class TestIntertwinersAgainstReference:
     @pytest.mark.parametrize("q, ring, s", CASES, ids=IDS)
     def test_same_solutions(self, q, ring, s):
         e = vertex_idempotent(q, ring, s)
-        corner, ref_corner = corner_algebra(e), _reference_corner(e)
-        assert len(all_paths(corner[0])) == len(ref_corner)
+        corner, ref_basis = corner_algebra(e), ref_corner(e)
+        assert len(all_paths(corner[0])) == len(ref_basis)
         reps = [m for m in full_reps(q, ring, self.BUDGET) if in_category_e(e, m)]
         cms = [corner_module(e, m, corner) for m in reps]
-        refs = [_reference_corner_module(e, m, ref_corner) for m in reps]
+        refs = [ref_corner_module(e, m, ref_basis) for m in reps]
         for m, cm, rm in zip(reps, cms, refs):
             for n, cn, rn in zip(reps, cms, refs):
-                assert hom_space(m, n) == _reference_hom_space_field(m, n)
+                assert hom_space(m, n) == ref_hom_space(m, n)
                 corner_homs = hom_space(cm, cn)
-                assert corner_homs == _reference_hom_space_field(cm, cn)
-                assert len(corner_homs) == len(_reference_corner_intertwiners(rm, rn))
+                assert corner_homs == ref_hom_space(cm, cn)
+                assert len(corner_homs) == len(ref_corner_intertwiners(rm, rn))
 
     @pytest.mark.parametrize("ring", [Ring("Fp", 5), Ring("Q")], ids=["F5", "Q"])
     def test_same_solutions_other_fields(self, a3, ring):
@@ -601,10 +476,10 @@ class TestIntertwinersAgainstReference:
             corner = corner_algebra(e)
             for x in (m, n):
                 for y in (m, n):
-                    assert hom_space(x, y) == _reference_hom_space_field(x, y)
+                    assert hom_space(x, y) == ref_hom_space(x, y)
                     cx, cy = corner_module(e, x, corner), corner_module(e, y, corner)
-                    assert hom_space(cx, cy) == _reference_hom_space_field(cx, cy)
-                    assert _morita(e, x, y) == _reference_morita(e, x, y)
+                    assert hom_space(cx, cy) == ref_hom_space(cx, cy)
+                    assert _morita(e, x, y) == ref_morita(e, x, y)
 
 
 def _hom_kernel_cases():
@@ -697,29 +572,19 @@ def test_hom_kernel_cases(m, n):
     # and intertwines, and a system with no equation gives one f per unknown
     for x, y in ((m, n), (n, m)):
         homs = hom_space(x, y)
-        assert homs == _reference_hom_space_field(x, y)
+        assert homs == ref_hom_space(x, y)
         ring = x.ring
         for f in homs:
             for v in x.quiver.vertices:
                 assert len(f[v]) == y.dims[v]
                 assert all(len(row) == x.dims[v] for row in f[v])
             for eid, src, dst in x.quiver.edges:
-                left = _ref_product(ring, f[dst], x.edge_maps[eid], x.dims[src])
-                right = _ref_product(ring, y.edge_maps[eid], f[src], x.dims[src])
+                left = ref_mat_mul(ring, f[dst], x.edge_maps[eid], x.dims[src])
+                right = ref_mat_mul(ring, y.edge_maps[eid], f[src], x.dims[src])
                 assert left == right
         equations = sum(y.dims[dst] * x.dims[src] for _, src, dst in x.quiver.edges)
         if not equations:
             assert len(homs) == sum(x.dims[v] * y.dims[v] for v in x.quiver.vertices)
-
-
-def _ref_product(ring, a, b, ncols):
-    # a * b with Ring arithmetic, ncols columns even when the inner dimension is 0
-    out = [[ring.zero()] * ncols for _ in a]
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            for j in range(ncols):
-                out[i][j] = ring.add(out[i][j], ring.mul(x, b[k][j]))
-    return tuple(map(tuple, out))
 
 
 class TestRestrictionRank:
@@ -740,16 +605,16 @@ class TestRestrictionRank:
         pairs = not_bijective = 0
         for q, ring in self.CASES:
             reps = list(enumerate_reps(q, ring, self.BUDGET))
-            for s in _nonempty_subsets(q):
+            for s in filter(None, subsets(q.vertices)):
                 e = vertex_idempotent(q, ring, s)
-                corner, ref_corner = corner_algebra(e), _reference_corner(e)
+                corner, ref_basis = corner_algebra(e), ref_corner(e)
                 inside = [m for m in reps if in_category_e(e, m)]
                 cms = [corner_module(e, m, corner) for m in inside]
-                refs = [_reference_corner_module(e, m, ref_corner) for m in inside]
+                refs = [ref_corner_module(e, m, ref_basis) for m in inside]
                 for m, cm, rm in zip(inside, cms, refs):
                     for n, cn, rn in zip(inside, cms, refs):
                         got = morita_surrogate_check(m, n, cm, cn)
-                        assert got == _reference_morita(e, m, n, rm, rn), (e, m, n)
+                        assert got == ref_morita(e, m, n, rm, rn), (e, m, n)
                         pairs += 1
                         not_bijective += not got["bijective"]
         assert (pairs, not_bijective) == (12_924, 1_054)
@@ -770,14 +635,14 @@ class TestRestrictionRank:
             field = Ring("Fp", int(ring[1:]))
             reps = list(full_reps(q, field, self.BUDGET))
         outside = not_injective = 0
-        for s in _nonempty_subsets(q):
+        for s in filter(None, subsets(q.vertices)):
             e = vertex_idempotent(q, field, s)
-            ref_corner = _reference_corner(e)
-            refs = [_reference_corner_module(e, m, ref_corner) for m in reps]
+            ref_basis = ref_corner(e)
+            refs = [ref_corner_module(e, m, ref_basis) for m in reps]
             for m, rm in zip(reps, refs):
                 for n, rn in zip(reps, refs):
                     got = _morita(e, m, n)
-                    assert got == _reference_morita(e, m, n, rm, rn), (e, m, n)
+                    assert got == ref_morita(e, m, n, rm, rn), (e, m, n)
                     outside += not (in_category_e(e, m) and in_category_e(e, n))
                     not_injective += got["restricted_rank"] < got["hom_dim"]
         assert outside and not_injective
@@ -790,7 +655,7 @@ class TestRestrictionRank:
         for q, ring in self.CASES:
             reps = list(enumerate_reps(q, ring, self.BUDGET))
             rng = random.Random(f"injective-{q}-{ring}")
-            for s in _nonempty_subsets(q):
+            for s in filter(None, subsets(q.vertices)):
                 e_s = vertex_idempotent(q, ring, s)
                 for e in (e_s, conjugate(e_s, rng)):
                     moved += e != e_s
@@ -811,7 +676,7 @@ class TestRestrictionRank:
         m = Representation(arrow, f3, {"v1": 0, "v2": 1}, {})
         res = _morita(e, m, m)
         assert (res["hom_dim"], res["corner_dim"], res["restricted_rank"]) == (1, 0, 0)
-        assert res == _reference_morita(e, m, m)
+        assert res == ref_morita(e, m, m)
 
 
 class TestGeneralIdempotents:
@@ -830,13 +695,13 @@ class TestGeneralIdempotents:
 
     @staticmethod
     def _conjugates(q, ring, rng):
-        for s in _nonempty_subsets(q):
+        for s in filter(None, subsets(q.vertices)):
             yield conjugate(vertex_idempotent(q, ring, s), rng)
 
     @staticmethod
     def _with_kappa(q, ring, rng):
         # a path of length <= 2 from outside S into S may carry any x != 0
-        for s in _nonempty_subsets(q):
+        for s in filter(None, subsets(q.vertices)):
             terms = {Path(vertex=v): 1 for v in s}
             for p in q.paths_up_to(2):
                 if p.edges and q.path_target(p) in s and q.path_source(p) not in s:
@@ -852,13 +717,13 @@ class TestGeneralIdempotents:
             s = {p.vertex for p, _ in e.terms if p.is_trivial}
             nontrivial += e != vertex_idempotent(q, ring, s)
             corner = corner_algebra(e)
-            assert len(all_paths(corner[0])) == len(_reference_corner(e))
+            assert len(all_paths(corner[0])) == len(ref_corner(e))
             inside = [m for m in reps if in_category_e(e, m)]
             cms = [corner_module(e, m, corner) for m in inside]
             for m, cm in zip(inside, cms):
                 for n, cn in zip(inside, cms):
                     got = morita_surrogate_check(m, n, cm, cn)
-                    assert got == _reference_morita(e, m, n), (e, m, n)
+                    assert got == ref_morita(e, m, n), (e, m, n)
         return nontrivial
 
     @pytest.mark.parametrize("q, ring", CASES, ids=IDS)
