@@ -67,7 +67,13 @@ def try_standard_form(e: AlgElem) -> tuple[Optional[StandardForm], Optional[Witn
     three sort its terms by `Path.sort_key`: the trivial paths first, by
     vertex, then the rest. So e's trivial terms are the diagonal in vertex
     order, its other terms the kappa terms in canonical order, and every
-    check below walks them as they stand."""
+    check below walks them as they stand.
+
+    Once the diagonal passes (S left closed, every lambda_v idempotent and
+    lambda monotone along each edge), the three kappa checks hold exactly
+    when e² = e (README "What it decides", part (a)): the kappa pass is an
+    idempotency test, and a kappa witness marks an element that is not
+    idempotent."""
     q, ring = e.quiver, e.ring
     diag = tuple((p.vertex, c) for p, c in e.terms if p.is_trivial)
     kappa = e.terms[len(diag) :]
@@ -265,16 +271,23 @@ def full_family_partitions(q: Quiver, ring: Ring) -> list[list[tuple[str, ...]]]
     return sorted(sorted(names[mask] for mask in parts) for parts in partitions)
 
 
-def _idempotent_from_diagonal(e: AlgElem) -> bool:
-    """e² == e, from the lambda_v alone unless e has a path term and every
-    lambda_v is idempotent (`classify` has the proof)."""
+def _idempotent_without_form(e: AlgElem, witness: Witness) -> bool:
+    """e² == e for an element with no standard form, read off the stage at
+    which `try_standard_form` stopped; `classify` has the proofs. A kappa
+    witness, or a lambda_v with lambda_v² != lambda_v, means e² != e. Past
+    the lambda check every lambda_v is idempotent: an element with no path
+    term is idempotent, and one with a path term pays for e·e. Only a
+    support that is not left closed leaves the lambda_v to check here."""
+    stage = witness.condition
+    if stage.startswith("kappa") or stage == "lambda-not-idempotent":
+        return False
     ring = e.ring
-    for p, c in e.terms:
-        if not p.is_trivial:  # trivial paths sort first: every lambda_v passed
-            return e.is_idempotent()
-        if not ring.is_idempotent(c):
-            return False
-    return True
+    if stage == "support-not-left-closed" and not all(
+        ring.is_idempotent(c) for p, c in e.terms if p.is_trivial
+    ):
+        return False
+    # trivial paths sort first, so the last term is a path term if any is
+    return e.terms[-1][0].is_trivial or e.is_idempotent()
 
 
 @dataclass(frozen=True)
@@ -307,26 +320,41 @@ def classify(e: AlgElem) -> ClassificationReport:
     K² = 0 as p_i·p_j needs t(p_j) = s(p_i) in S, where
     kappa_i kappa_j = kappa_i lambda_{s(p_i)} kappa_j = 0. So e² = e.
 
-    With no form, the diagonal decides what it can. The path algebra is
-    graded by path length, so the trivial part of e² is D² = sum lambda_v²
-    e_v: a lambda_v with lambda_v² != lambda_v means e² != e, and an element
-    with no path term (K = 0) is idempotent exactly when every lambda_v is.
-    Only an element with path terms and idempotent lambda pays for e·e.
+    With no form, the stage at which `try_standard_form` stopped decides
+    what it can. The path algebra is graded by path length, so the trivial
+    part of e² is D² = sum lambda_v² e_v: a lambda_v with lambda_v² !=
+    lambda_v means e² != e, and an element with no path term (K = 0) is
+    idempotent exactly when every lambda_v is. A kappa witness means the
+    diagonal passed and a kappa check failed, so e² != e by part (a) of
+    README "What it decides": in each local factor of the ring lambda is
+    0 or 1, and e² = e forces, by induction on path length, kappa_p = 0 on
+    every path p that starts where lambda is 1 or ends where it is 0, which
+    is what the kappa checks ask. So only an element with path terms,
+    idempotent lambda and a support that is not left closed or a lambda
+    that is not monotone pays for e·e.
 
-    Centrality is the split answer where a form exists, and `is_central`
-    where none does. If e is split, a kappa term on a path p ends in S, so p
-    lies in S (S is right closed) inside one weak component, where lambda
-    is constant: kappa = lambda_t kappa = lambda_s kappa = 0. So e is
-    diagonal, and it is central exactly when lambda (0 off S) agrees at both
-    ends of every edge, which is what split says of (S, lambda). If e is
-    special but not split, either it has a kappa term, which is never a
-    cycle (at a cycle lambda_t = lambda_s would fix and annihilate kappa),
-    or some edge joins vertices of unequal lambda; either way e is not
-    central."""
+    Centrality is the split answer where a form exists. If e is split, a
+    kappa term on a path p ends in S, so p lies in S (S is right closed)
+    inside one weak component, where lambda is constant: kappa =
+    lambda_t kappa = lambda_s kappa = 0. So e is diagonal, and it is
+    central exactly when lambda (0 off S) agrees at both ends of every
+    edge, which is what split says of (S, lambda). If e is special but not
+    split, either it has a kappa term, which is never a cycle (at a cycle
+    lambda_t = lambda_s would fix and annihilate kappa), or some edge joins
+    vertices of unequal lambda; either way e is not central.
+
+    An idempotent with no form is not central either. In a central e every
+    term is a cycle, and for an edge a: u -> v the length-one terms of a·e
+    and e·a are lambda_u a and lambda_v a, so lambda (0 off S) is equal at
+    both ends of every edge. Then S is left closed and, e being idempotent,
+    lambda is idempotent and monotone, so e has a form by part (a). So
+    `is_central` runs only on elements that are not idempotent, where
+    centrality implies nothing: over Z/6, 2·(e_a + e_b) on a -> b is
+    central and not special."""
     witnesses: list[Witness] = []
     form, w = try_standard_form(e)
     special = form is not None
-    idem = special or _idempotent_from_diagonal(e)
+    idem = special or _idempotent_without_form(e, w)
     if not idem:
         witnesses.append(Witness("not-idempotent", "e*e differs from e"))
     if w is not None:
@@ -341,6 +369,6 @@ def classify(e: AlgElem) -> ClassificationReport:
         is_left_special=special,
         standard_form=form,
         is_left_split=split,
-        is_central=split if special else is_central(e),
+        is_central=split if special else (not idem and is_central(e)),
         witnesses=tuple(witnesses),
     )

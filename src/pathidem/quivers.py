@@ -81,16 +81,22 @@ class Quiver:
         if isinstance(self.vertices, str) or isinstance(self.edges, str):
             raise QuiverError("vertices and edges must be sequences, not strings")
         edges = tuple(self.edges)
-        if any(isinstance(edge, str) for edge in edges):
-            raise QuiverError("an edge must be a sequence, not a string")
+        for edge in edges:
+            if isinstance(edge, str):
+                raise QuiverError("an edge must be a sequence, not a string")
+            if not hasattr(edge, "__iter__"):
+                raise QuiverError(f"an edge must be a sequence, not {edge!r}")
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(map(tuple, edges)))
+        # ids are strings, as `from_json` reads them: they sort and hash alike
+        if not all(isinstance(v, str) for v in self.vertices):
+            raise QuiverError(f"vertex identifiers must be strings: {self.vertices!r}")
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex identifiers")
         seen = set()
         for edge in self.edges:
-            if len(edge) != 3:
-                raise QuiverError(f"edge {edge!r} is not (id, source, target)")
+            if len(edge) != 3 or not all(isinstance(x, str) for x in edge):
+                raise QuiverError(f"edge {edge!r} is not (id, source, target) of strings")
             eid, src, dst = edge
             if eid in seen:
                 raise QuiverError(f"duplicate edge identifier {eid!r}")

@@ -170,7 +170,8 @@ class Ring:
     # ---- idempotent structure ----
 
     def is_idempotent(self, a: Elem) -> bool:
-        return self.mul(a, a) == self.canon(a)
+        a = self.canon(a)
+        return self.canon(a * a) == a
 
     def idem_join_is_unit(self, elems: list[Elem]) -> bool:
         """Whether the ideal generated by the given idempotents is the whole

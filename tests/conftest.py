@@ -11,7 +11,7 @@ from pathidem.reps import Representation
 from pathidem.rings import Ring
 from pathidem.sweep import q_a3, q_arrow, q_isolated
 
-from reference import all_paths, subsets
+from reference import all_paths, idempotents, subsets
 
 
 @pytest.fixture
@@ -156,3 +156,29 @@ def path_term_idempotents(q, ring, rng, count):
             if len(found) == count:
                 break
     return found
+
+
+def lambda_idempotents(q, ring, rng, count):
+    """`count` idempotents D + K on q, cyclic or not: an idempotent lambda_v
+    at every vertex (0 included, so S is any subset), in every other
+    element replaced by its product over the vertices v reaches, which makes
+    lambda monotone along paths; then up to three path terms of length
+    <= 2, each with coefficient lambda_t * x * (1 - lambda_s). So DK = K,
+    KD = 0 and, as the junction of two composable terms is the source of
+    one and the target of the other, K² = 0: e² = e, special or not."""
+    idems = idempotents(ring)
+    paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
+    out = []
+    for i in range(count):
+        lam = {v: rng.choice(idems) for v in q.vertices}
+        if i % 2:
+            for v in q.vertices:
+                for w in q.reachable(v):
+                    lam[v] = ring.mul(lam[v], lam[w])
+        terms = {Path(vertex=v): c for v, c in lam.items()}
+        for p in rng.sample(paths, min(len(paths), rng.randint(1, 3))):
+            x = random_coeff(ring, rng)
+            off_source = ring.sub(ring.one(), lam[q.path_source(p)])
+            terms[p] = ring.mul(ring.mul(lam[q.path_target(p)], x), off_source)
+        out.append(AlgElem.make(q, ring, terms))
+    return out

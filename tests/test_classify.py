@@ -29,7 +29,7 @@ from pathidem.quivers import Path, Quiver
 from pathidem.rings import Ring
 from pathidem.sweep import sweep_quivers
 
-from conftest import conjugate, random_coeff
+from conftest import conjugate, lambda_idempotents, random_coeff
 from reference import (
     edge_element,
     idem_leq,
@@ -296,6 +296,13 @@ class TestCentral:
         e = vertex_idempotent(arrow, z6, arrow.vertices).scale(3)
         assert is_central(e)
 
+    def test_central_but_not_special(self, arrow, z6):
+        # centrality implies specialness only for an idempotent: 2 is not one
+        report = classify(vertex_idempotent(arrow, z6, arrow.vertices).scale(2))
+        assert report.is_central and not report.is_idempotent
+        assert not report.is_left_special
+        assert report.witnesses[1].condition == "lambda-not-idempotent"
+
 
 def _central_by_products(e):
     """The reference: commutation with every generator e_v and every edge,
@@ -465,8 +472,9 @@ def _centrality_pool(q, ring, rng):
 
 class TestCentralFromSplit:
     """classify takes centrality as the split answer where a standard form
-    exists (the proof is in its docstring) and calls `is_central` only
-    where none does. Against `is_central` on diagonal elements, conjugates
+    exists, answers False for an idempotent with no form, and calls
+    `is_central` only on an element that is not idempotent (the proofs are
+    in its docstring). Against `is_central` on diagonal elements, conjugates
     and path-term idempotents, cyclic quivers included."""
 
     @pytest.mark.parametrize("ring", CENTRAL_RULE_RINGS, ids=str)
@@ -486,11 +494,87 @@ class TestCentralFromSplit:
                 report = classify(e)
                 has_form = report.standard_form is not None
                 assert report.is_central == is_central(e), e
-                assert calls[before:] == ([] if has_form else [e]), e
+                skipped = has_form or report.is_idempotent
+                assert calls[before:] == ([] if skipped else [e]), e
                 seen[has_form, report.is_central] += 1
+                seen["idempotent without form"] += not has_form and report.is_idempotent
         assert seen[True, True] and seen[True, False] and seen[False, False]
+        # the skip fires without a form too, in every ring
+        assert seen["idempotent without form"]
         # a non-idempotent scalar is central with no form; F_2 has none
         assert seen[False, True] or ring == Ring("Fp", 2)
+
+
+LAMBDA_RINGS = [
+    Ring("Fp", 2), Ring("Fp", 3), Ring("Q"), Ring("Zn", 4), Ring("Zn", 6),
+    Ring("Zn", 8), Ring("Zn", 9), Ring("Zn", 12), Z30,
+]
+
+
+class TestLambdaTheorem:
+    """README "What it decides", parts (a) to (c): an idempotent e = D + K is
+    special exactly when lambda_v * lambda_w = lambda_v on every edge
+    v -> w (lambda 0 off S), and split, and central, exactly when
+    lambda_v = lambda_w on every edge. `classify` against those two rules,
+    computed here from the terms of e, and e = (1 - K)·D·(1 + K) with
+    K·K = 0 checked by products, on idempotents with path terms and their
+    conjugates, cyclic quivers included. The rules and the products are
+    computed here, so none of them goes through a shortcut that classify
+    takes from the theorem."""
+
+    @pytest.mark.parametrize("ring", LAMBDA_RINGS, ids=str)
+    def test_edge_rules(self, ring):
+        rng = random.Random(f"lambda theorem {ring}")
+        seen = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            pool = lambda_idempotents(q, ring, rng, 8)
+            if q.is_acyclic and q.edges:
+                pool += [conjugate(e, rng) for e in pool[:4]]
+            one = vertex_idempotent(q, ring, q.vertices)
+            for e in pool:
+                assert e * e == e, e
+                d = AlgElem.make(q, ring, {p: c for p, c in e.terms if p.is_trivial})
+                k = e - d
+                lam = {p.vertex: c for p, c in d.terms}
+                at = [(lam.get(v, ring.zero()), lam.get(w, ring.zero())) for _, v, w in q.edges]
+                special = all(ring.mul(a, b) == a for a, b in at)
+                split = all(a == b for a, b in at)
+                report = classify(e)
+                assert not any(w.condition.startswith("kappa") for w in report.witnesses), e
+                assert report.is_idempotent, e
+                assert report.is_left_special == special, e
+                assert report.is_left_split == (split if special else None), e
+                assert report.is_central == split, e
+                if special:
+                    assert (k * k).is_zero, e
+                    assert (one - k) * d * (one + k) == e, e
+                seen[special, split, not k.is_zero] += 1
+        # special and split, special only, and neither, each with path
+        # terms; a split idempotent is diagonal (README "Centrality")
+        assert seen[True, True, False] and seen[True, False, True] and seen[False, False, True]
+        assert not seen[True, True, True]
+
+    @pytest.mark.parametrize("ring", LAMBDA_RINGS, ids=str)
+    def test_kappa_witness_means_not_idempotent(self, ring):
+        """Each idempotent of the pool plus one random path term: wherever
+        try_standard_form stops at a kappa check, e * e != e (part (a))."""
+        rng = random.Random(f"kappa witness {ring}")
+        seen = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            paths = [p for p in q.paths_up_to(2, limit=500) if not p.is_trivial]
+            if not paths:
+                continue
+            for e in lambda_idempotents(q, ring, rng, 8):
+                c = random_coeff(ring, rng) or ring.one()
+                x = e + AlgElem.make(q, ring, {rng.choice(paths): c})
+                _, w = try_standard_form(x)
+                if w is not None and w.condition.startswith("kappa"):
+                    assert x * x != x, x
+                    seen[w.condition] += 1
+        assert seen["kappa-target-outside-support"], seen
+        assert seen["kappa-not-annihilated-by-source-lambda"], seen
+        # lambda_t fails to fix kappa only where lambda_t can be neither 0 nor 1
+        assert bool(seen["kappa-not-fixed-by-target-lambda"]) == (len(idempotents(ring)) > 2)
 
 
 class TestOrthogonality:

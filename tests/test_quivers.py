@@ -198,6 +198,22 @@ def test_quiver_refuses_an_edge_that_is_not_a_triple(edge):
         Quiver(("a",), (edge,))
 
 
+# each once let a raw TypeError out; `Quiver.from_json` refuses them all
+def test_quiver_refuses_a_vertex_id_that_is_not_a_string():
+    with pytest.raises(QuiverError, match="vertex identifiers must be strings"):
+        Quiver((1, "a"))
+
+
+def test_quiver_refuses_an_edge_that_is_not_a_sequence():
+    with pytest.raises(QuiverError, match="an edge must be a sequence"):
+        Quiver(("a",), (5,))
+
+
+def test_quiver_refuses_an_edge_entry_that_is_not_a_string():
+    with pytest.raises(QuiverError, match=r"edge \('e', 'a', \['a'\]\) is not .* of strings"):
+        Quiver(("a",), (("e", "a", ["a"]),))
+
+
 def test_quiver_validation():
     with pytest.raises(QuiverError):
         Quiver(("v1", "v1"))

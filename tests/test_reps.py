@@ -1,7 +1,9 @@
 import pytest
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from pathidem.algebra import AlgElem, vertex_idempotent
 from pathidem.classify import strongly_orthogonal
@@ -21,7 +23,7 @@ from pathidem.reps import (
 from pathidem.rings import Ring, RingError
 from pathidem.sweep import q_a3, q_arrow, q_isolated, sweep_quivers
 
-from conftest import conjugate, full_reps
+from conftest import conjugate, full_reps, lambda_idempotents
 from reference import (
     action_matrix,
     all_paths,
@@ -735,3 +737,53 @@ class TestGeneralIdempotents:
     def test_kappa_terms(self, q, ring):
         rng = random.Random(f"kappa-{q}-{ring}")
         assert self._assert_matches_reference(q, ring, self._with_kappa(q, ring, rng))
+
+
+def _matrix_tuples(q, p, max_dim):
+    """How many reps `full_reps` yields over F_p up to total dimension max_dim."""
+    count = 0
+    for dims_vec in product(range(max_dim + 1), repeat=len(q.vertices)):
+        if sum(dims_vec) <= max_dim:
+            dims = dict(zip(q.vertices, dims_vec))
+            count += p ** sum(dims[src] * dims[dst] for _, src, dst in q.edges)
+    return count
+
+
+class TestGammaOfDiagonal:
+    """README "What it decides", part (b): for a special idempotent
+    e = D + K, Ae = AD(1 + K), so Γ_e(M) = Γ_D(M) and M lies in Ae-Mod
+    exactly when it lies in AD-Mod; on an acyclic quiver e = uDu⁻¹ for a
+    unit u, so the same holds for every idempotent. Checked on every rep of
+    `full_reps`, over F_2 up to total dimension 3 and F_3 up to 2, lowered
+    per quiver while the reps number more than `MAX_REPS` (on the quivers
+    with two or more loops at a vertex). Specialness is the edge rule on lambda,
+    computed here: nothing reads the classifier."""
+
+    MAX_REPS = 5_000
+
+    @pytest.mark.parametrize("p, top", [(2, 3), (3, 2)], ids=["F2", "F3"])
+    def test_gamma_of_e_is_gamma_of_diagonal(self, p, top):
+        ring = Ring("Fp", p)
+        rng = random.Random(f"gamma of diagonal F{p}")
+        seen = Counter()
+        for q in sweep_quivers(3, 3, 60):
+            max_dim = max(d for d in range(top + 1) if _matrix_tuples(q, p, d) <= self.MAX_REPS)
+            pool = lambda_idempotents(q, ring, rng, 4)
+            if q.is_acyclic and q.edges:
+                pool += [conjugate(e, rng) for e in pool[:2]]
+            pairs = []
+            for e in pool:
+                assert e * e == e, e
+                d = AlgElem.make(q, ring, {path: c for path, c in e.terms if path.is_trivial})
+                lam = {path.vertex for path, _ in d.terms}
+                special = all(v not in lam or w in lam for _, v, w in q.edges)
+                if special or q.is_acyclic:
+                    pairs.append((e, d))
+                    seen[special, q.is_acyclic, e != d] += 1
+            for m in full_reps(q, ring, OracleBudget(max_total_dim=max_dim)):
+                for e, d in pairs:
+                    assert gamma(e, m) == gamma(d, m), (e, m)
+                    assert in_category_e(e, m) == in_category_e(d, m), (e, m)
+        # special with path terms on cyclic and acyclic quivers, and not
+        # special with path terms on acyclic ones
+        assert seen[True, False, True] and seen[True, True, True] and seen[False, True, True]
